@@ -16,11 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
-
-# below this element count the numpy ufuncs win on dispatch overhead
-_FAST_ELEMENTWISE_MIN = 1 << 17
-
 __all__ = [
     "Tape",
     "Tensor",
@@ -300,40 +295,15 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _unary(x, "add_scalar", x.data + c, lambda g: g)
 
 
-def _use_fast_path(d: np.ndarray) -> bool:
-    return (_kernels.HAVE_NUMBA and d.size >= _FAST_ELEMENTWISE_MIN
-            and d.flags.c_contiguous)
-
-
-def _saturating_grad(out: np.ndarray, sign: int):
-    def grad(g):
-        gc = np.ascontiguousarray(g)
-        og = np.empty_like(out)
-        _kernels.saturating_backward(gc.ravel(), out.ravel(), sign, og.ravel())
-        return og
-
-    return grad
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    if _use_fast_path(d):
-        out = np.empty_like(d)
-        _kernels.sigmoid_forward(d.ravel(), out.ravel())
-        return _unary(x, "sigmoid", out, _saturating_grad(out, 0))
     # exp overflow at very negative x still yields the correct limit 0.0
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-d))
+        out = 1.0 / (1.0 + np.exp(-x.data))
     return _unary(x, "sigmoid", out, lambda g: g * (out * (1.0 - out)))
 
 
 def tanh(x: Tensor) -> Tensor:
-    d = x.data
-    if _use_fast_path(d):
-        out = np.empty_like(d)
-        _kernels.tanh_forward(d.ravel(), out.ravel())
-        return _unary(x, "tanh", out, _saturating_grad(out, 1))
-    out = np.tanh(d)
+    out = np.tanh(x.data)
     return _unary(x, "tanh", out, lambda g: g * (1.0 - out * out))
 
 

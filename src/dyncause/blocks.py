@@ -1,9 +1,10 @@
 """Network building blocks: GRU cell, graph-convolution layer, and MLP.
 
-The GRU is exposed three ways: a single ``gru_step``, a ``gru_unroll`` over a
-series, and the stacked ``gru_sequence`` op used by training, which runs many
-independent cells over a whole series in one tape node (hand-written backward,
-verified against finite differences in the test suite).
+``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
+over a whole series in one tape node, with a hand-written backward verified
+against finite differences in the test suite. ``gru_step`` and
+``gru_unroll`` run a single ``GruCell`` through it; together with
+``GcnLayer`` and ``Mlp`` they make up the per-node reference model.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as _gru_kernels
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 
@@ -31,6 +31,8 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # GRU
+
+GRU_FIELDS = ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
 
 
 @dataclass
@@ -75,20 +77,13 @@ class GruCell:
             b_h=np.zeros(h),
         )
 
-    def param_arrays(self) -> list:
-        return [self.w_z, self.u_z, self.b_z, self.w_r, self.u_r, self.b_r,
-                self.w_h, self.u_h, self.b_h]
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-USE_COMPILED_GRU = _gru_kernels.HAVE_NUMBA
-
-
-def _gru_forward_numpy(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh):
+def _gru_forward(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh):
     T, B, d = X.shape
     d1 = H0.shape[1]
     xT = np.ascontiguousarray(X.transpose(1, 0, 2))  # (B, T, d)
@@ -110,7 +105,7 @@ def _gru_forward_numpy(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh):
     return Hs, Zs, Rs, Cs
 
 
-def _gru_backward_numpy(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs, G):
+def _gru_backward(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs, G):
     T, B, d = X.shape
     d1 = H0.shape[1]
     UzT = np.swapaxes(Uz, -1, -2)
@@ -181,39 +176,11 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tenso
         if arr.shape != want:
             raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
-    compiled = USE_COMPILED_GRU
-    if compiled:
-        Zs = np.empty((T, B, d1))
-        Rs = np.empty((T, B, d1))
-        Cs = np.empty((T, B, d1))
-        Hs = np.empty((T, B, d1))
-        Xc = np.ascontiguousarray(X)
-        H0c = np.ascontiguousarray(H0)
-        _gru_kernels.gru_seq_forward(
-            Xc, H0c, np.ascontiguousarray(Wz), np.ascontiguousarray(Uz),
-            np.ascontiguousarray(Bz), np.ascontiguousarray(Wr),
-            np.ascontiguousarray(Ur), np.ascontiguousarray(Br),
-            np.ascontiguousarray(Wh), np.ascontiguousarray(Uh),
-            np.ascontiguousarray(Bh), Hs, Zs, Rs, Cs)
-    else:
-        Hs, Zs, Rs, Cs = _gru_forward_numpy(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh)
+    Hs, Zs, Rs, Cs = _gru_forward(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh)
 
     def backward(g):
-        G = np.ascontiguousarray(g)
-        if compiled:
-            dX = np.empty_like(X)
-            dH0 = np.empty_like(H0)
-            grads = [np.zeros_like(a) for a in (Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh)]
-            dWz, dUz, dbz, dWr, dUr, dbr, dWh, dUh, dbh = grads
-            _gru_kernels.gru_seq_backward(
-                np.ascontiguousarray(X), np.ascontiguousarray(H0),
-                np.ascontiguousarray(Wz), np.ascontiguousarray(Uz),
-                np.ascontiguousarray(Wr), np.ascontiguousarray(Ur),
-                np.ascontiguousarray(Wh), np.ascontiguousarray(Uh),
-                Zs, Rs, Cs, Hs, G, dX, dH0,
-                dWz, dUz, dbz, dWr, dUr, dbr, dWh, dUh, dbh)
-            return (dX, dH0, dWz, dUz, dbz, dWr, dUr, dbr, dWh, dUh, dbh)
-        return _gru_backward_numpy(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs, G)
+        return _gru_backward(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs,
+                             np.ascontiguousarray(g))
 
     return x_seq.tape.record(
         Hs, (x_seq, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h),
@@ -221,7 +188,7 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tenso
 
 
 def _cell_leaves(tape: Tape, cell: GruCell) -> list:
-    return [tape.leaf(p[None]) for p in cell.param_arrays()]
+    return [tape.leaf(getattr(cell, f)[None]) for f in GRU_FIELDS]
 
 
 def gru_step(cell: GruCell, x_t: Tensor, h_prev: Tensor) -> Tensor:
@@ -291,12 +258,6 @@ class GcnLayer:
     def prop(self) -> np.ndarray:
         return self._prop
 
-    def set_adjacency(self, adjacency: np.ndarray, self_loop: float | None = None) -> None:
-        self.adjacency = np.asarray(adjacency, dtype=np.float64)
-        if self_loop is not None:
-            self.self_loop = self_loop
-        self._prop = normalized_propagation_matrix(self.adjacency, self.self_loop)
-
     @property
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
@@ -356,12 +317,6 @@ class Mlp:
             weights.append(uniform_init(rng, fan_in, (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights=weights, biases=biases, hidden_act=hidden_act, out_act=out_act)
-
-    def param_arrays(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
 
 def mlp_forward(net: Mlp, x: Tensor) -> Tensor:

@@ -1,26 +1,26 @@
 """Per-node masked auto-encoder: encoder emits a causal gate row per
 transition, decoder predicts the next step from the gated snapshot.
 
-Two execution paths compute the same math:
-
-* per-node ops (``encode_mask_row``, ``apply_mask``, ``decode_predict``) —
-  direct transcriptions used by tests and single-cell inspection;
-* ``batched_forward`` — one tape pass covering every node, sample and
-  transition, used by training and ``forward_full``. Node parameters are
-  stacked along a leading axis so that node subsets slice cleanly.
+All node models live in one ``ParamStack``: every parameter carries a
+leading node axis, so node subsets slice cleanly. ``batched_forward`` runs
+every node, sample and transition in one tape pass; training and
+``forward_full`` use it. The per-node ops (``encode_mask_row``,
+``apply_mask``, ``decode_predict``) read node i's rows into the single-cell
+blocks of ``blocks`` and transcribe the model directly, without going
+through ``batched_forward``; tests use them as its independent reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import GcnLayer, GruCell, Mlp, gru_sequence, gru_unroll, mlp_forward
-
-from . import blocks
+from .blocks import (ACTIVATIONS, GRU_FIELDS, GcnLayer, GruCell, Mlp, gcn_forward,
+                     gru_sequence, gru_unroll, mlp_forward, ngcn_row_forward,
+                     normalized_propagation_matrix, uniform_init)
 
 
 @dataclass
@@ -31,126 +31,24 @@ class ModelConfig:
     self_loop: float = 1.0
     phi: str = "tanh"
     share_encoder: bool = False
-    enc_adjacency: np.ndarray | None = None  # None -> complete graph
-
-    def adjacency(self, n: int) -> np.ndarray:
-        if self.enc_adjacency is None:
-            return np.ones((n, n))
-        a = np.asarray(self.enc_adjacency, dtype=np.float64)
-        if a.shape != (n, n):
-            raise ShapeError(f"encoder adjacency must be ({n}, {n}), got {a.shape}")
-        return a
 
 
-@dataclass
-class NodeModel:
-    """All trainable parameters of one node's encoder/decoder pair."""
-
-    index: int
-    gru_bank: list  # N GruCell instances, one per input node
-    enc_gcn: GcnLayer
-    mmg: Mlp  # (N * hidden) -> hidden -> N, sigmoid output
-    dec_rl: Mlp  # d -> hidden, shared across input nodes
-    dec_ngcn: GcnLayer
-    tip: Mlp  # hidden -> hidden -> d
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.gru_bank)
-
-    @property
-    def input_dim(self) -> int:
-        return self.gru_bank[0].input_dim
-
-    @property
-    def hidden(self) -> int:
-        return self.gru_bank[0].hidden_dim
-
-
-def init_node_model(index: int, n: int, d: int, config: ModelConfig, base_seed: int,
-                    shared_encoder_from: "NodeModel | None" = None) -> NodeModel:
-    """Draw one node's parameters from its own stream (base_seed XOR index)."""
-    rng = np.random.default_rng(base_seed ^ index)
-    h = config.hidden
-    a_enc = config.adjacency(n)
-    if shared_encoder_from is not None:
-        gru_bank = shared_encoder_from.gru_bank
-        enc_gcn = shared_encoder_from.enc_gcn
-    else:
-        gru_bank = [GruCell.init(rng, d, h) for _ in range(n)]
-        enc_gcn = GcnLayer.init(rng, a_enc, h, h, self_loop=config.self_loop, phi=config.phi)
-    mmg = Mlp.init(rng, [n * h, h, n], hidden_act=config.phi, out_act="sigmoid")
-    dec_rl = Mlp.init(rng, [d, h], hidden_act=config.phi, out_act=config.phi)
-    dec_ngcn = GcnLayer.init(rng, a_enc, h, h, self_loop=config.self_loop, phi=config.phi)
-    tip = Mlp.init(rng, [h, h, d], hidden_act=config.phi, out_act="identity")
-    return NodeModel(index=index, gru_bank=gru_bank, enc_gcn=enc_gcn, mmg=mmg,
-                     dec_rl=dec_rl, dec_ngcn=dec_ngcn, tip=tip)
-
-
-def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> list:
-    models = []
-    for i in range(n):
-        shared = models[0] if (config.share_encoder and i > 0) else None
-        models.append(init_node_model(i, n, d, config, base_seed, shared))
-    return models
-
-
-# ---------------------------------------------------------------------------
-# per-node operations
-
-
-def encode_mask_row(model: NodeModel, x_hist, tape: Tape | None = None) -> Tensor:
-    """Gate row for the transition following ``x_hist`` (shape (N, t, d))."""
-    tape = tape or Tape()
-    hist = x_hist.data if isinstance(x_hist, Tensor) else np.asarray(x_hist, dtype=np.float64)
-    n, d = model.num_nodes, model.input_dim
-    if hist.ndim != 3 or hist.shape[0] != n or hist.shape[2] != d:
-        raise ShapeError(f"history must be ({n}, t, {d}), got {hist.shape}")
-    if hist.shape[1] < 1:
-        raise ShapeError("history must contain at least one step")
-    x_t = x_hist if isinstance(x_hist, Tensor) else tape.constant(hist)
-    rows = []
-    for j in range(n):
-        series_j = ad.take_axis0(x_t, j)
-        h_j = gru_unroll(model.gru_bank[j], series_j)
-        rows.append(ad.reshape(h_j, (1, model.hidden)))
-    h_mat = ad.concat_rows(rows)
-    z = blocks.gcn_forward(model.enc_gcn, h_mat)
-    return mlp_forward(model.mmg, ad.flatten(z))
-
-
-def apply_mask(mask_row: Tensor, x_prev: Tensor) -> Tensor:
-    """Scale row j of ``x_prev`` by gate j; differentiable in both inputs."""
-    n = x_prev.data.shape[0]
-    if mask_row.data.shape != (n,):
-        raise ShapeError(
-            f"mask row shape {mask_row.data.shape} does not match {n} nodes")
-    return ad.hadamard(ad.reshape(mask_row, (n, 1)), x_prev)
-
-
-def decode_predict(model: NodeModel, x_masked: Tensor) -> Tensor:
-    """One-step prediction for the model's node from a gated snapshot."""
-    n, d = model.num_nodes, model.input_dim
-    if x_masked.data.shape != (n, d):
-        raise ShapeError(f"masked snapshot must be ({n}, {d}), got {x_masked.data.shape}")
-    h = mlp_forward(model.dec_rl, x_masked)
-    z = blocks.ngcn_row_forward(model.dec_ngcn, model.index, h)
-    return ad.reshape(mlp_forward(model.tip, ad.reshape(z, (model.hidden,))), (d,))
-
-
-# ---------------------------------------------------------------------------
-# stacked parameters for the batched path
-
-
-_GRU_FIELDS = ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
+_NODE_ARRAYS = ("enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2", "rl_w", "rl_b",
+                "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
 
 
 @dataclass
 class ParamStack:
-    """Node parameters stacked on a leading axis (GRU: node-major pairs)."""
+    """Every node model's parameters, stacked on a leading node axis.
 
-    gru: dict  # field -> (B, ...) array, B = N * N (or N when encoder shared)
-    enc_w: np.ndarray  # (N, h, h) or (1, h, h) when shared
+    GRU rows are node-major: row i*N + j is node i's cell for input node j.
+    With a shared encoder the GRU bank has N rows and ``enc_w`` one row, used
+    by every node. The encoder GCN and the decoder NGCN both propagate over
+    the complete graph with self-loop intensity ``self_loop``.
+    """
+
+    gru: dict  # field -> (N*N, ...) array, or (N, ...) when the encoder is shared
+    enc_w: np.ndarray  # (N, h, h), or (1, h, h) when shared
     mmg_w1: np.ndarray  # (N, N*h, h)
     mmg_b1: np.ndarray  # (N, 1, h)
     mmg_w2: np.ndarray  # (N, h, N)
@@ -162,81 +60,141 @@ class ParamStack:
     tip_b1: np.ndarray  # (N, 1, h)
     tip_w2: np.ndarray  # (N, h, d)
     tip_b2: np.ndarray  # (N, 1, d)
-    prop: np.ndarray  # constant normalized adjacency (N, N)
-    shared_encoder: bool = False
-    enc_phi: str = "tanh"
-    mmg_hidden: str = "tanh"
-    rl_act: str = "tanh"
-    ngcn_phi: str = "tanh"
-    tip_hidden: str = "tanh"
+    self_loop: float = 1.0
+    phi: str = "tanh"  # every hidden activation of encoder and decoder
+
+    @property
+    def num_nodes(self) -> int:
+        return self.mmg_w2.shape[2]
+
+    @property
+    def input_dim(self) -> int:
+        return self.rl_w.shape[1]
+
+    @property
+    def hidden(self) -> int:
+        return self.rl_w.shape[2]
+
+    @property
+    def shared_encoder(self) -> bool:
+        return self.enc_w.shape[0] < self.mmg_w1.shape[0]
+
+    @property
+    def prop(self) -> np.ndarray:
+        """Normalized propagation matrix of the complete graph, (N, N)."""
+        n = self.num_nodes
+        return normalized_propagation_matrix(np.ones((n, n)), self.self_loop)
 
     def arrays(self) -> dict:
         out = {f"gru.{k}": v for k, v in self.gru.items()}
-        for name in ("enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2", "rl_w", "rl_b",
-                     "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2"):
+        for name in _NODE_ARRAYS:
             out[name] = getattr(self, name)
         return out
 
 
-def stack_params(models: list) -> ParamStack:
-    n = models[0].num_nodes
-    shared = len(models) > 1 and models[1].gru_bank is models[0].gru_bank
-    if shared:
-        gru_cells = models[0].gru_bank
-        enc_w = models[0].enc_gcn.w[None]
-    else:
-        gru_cells = [m.gru_bank[j] for m in models for j in range(n)]
-        enc_w = np.stack([m.enc_gcn.w for m in models])
-    gru = {f: np.stack([getattr(c, f) for c in gru_cells]) for f in _GRU_FIELDS}
-    return ParamStack(
-        gru=gru,
-        enc_w=enc_w,
-        mmg_w1=np.stack([m.mmg.weights[0] for m in models]),
-        mmg_b1=np.stack([m.mmg.biases[0][None, :] for m in models]),
-        mmg_w2=np.stack([m.mmg.weights[1] for m in models]),
-        mmg_b2=np.stack([m.mmg.biases[1][None, :] for m in models]),
-        rl_w=np.stack([m.dec_rl.weights[0] for m in models]),
-        rl_b=np.stack([m.dec_rl.biases[0][None, :] for m in models]),
-        ngcn_w=np.stack([m.dec_ngcn.w for m in models]),
-        tip_w1=np.stack([m.tip.weights[0] for m in models]),
-        tip_b1=np.stack([m.tip.biases[0][None, :] for m in models]),
-        tip_w2=np.stack([m.tip.weights[1] for m in models]),
-        tip_b2=np.stack([m.tip.biases[1][None, :] for m in models]),
-        prop=models[0].enc_gcn.prop.copy(),
-        shared_encoder=shared,
-        enc_phi=models[0].enc_gcn.phi,
-        mmg_hidden=models[0].mmg.hidden_act,
-        rl_act=models[0].dec_rl.out_act,
-        ngcn_phi=models[0].dec_ngcn.phi,
-        tip_hidden=models[0].tip.hidden_act,
-    )
+def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> ParamStack:
+    """Draw every node's parameters, node i from its own stream base_seed ^ i.
 
-
-def unstack_params(stack: ParamStack, models: list) -> None:
-    """Write stacked arrays back into the node models (training epilogue)."""
-    n = models[0].num_nodes
-    for i, m in enumerate(models):
-        if not stack.shared_encoder:
+    Node i draws its N GRU cells (for j = 0..N-1, see ``GruCell.init``), then
+    enc_w, mmg_w1, mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2; biases start at
+    zero. With a shared encoder only node 0 draws the GRU bank and enc_w.
+    """
+    h = config.hidden
+    shared = config.share_encoder and n > 1
+    enc_count = 1 if shared else n
+    cell_shapes = {"w": (d, h), "u": (h, h), "b": (h,)}
+    gru = {f: np.zeros((enc_count * n,) + cell_shapes[f[0]]) for f in GRU_FIELDS}
+    stack = ParamStack(
+        gru=gru, enc_w=np.zeros((enc_count, h, h)),
+        mmg_w1=np.zeros((n, n * h, h)), mmg_b1=np.zeros((n, 1, h)),
+        mmg_w2=np.zeros((n, h, n)), mmg_b2=np.zeros((n, 1, n)),
+        rl_w=np.zeros((n, d, h)), rl_b=np.zeros((n, 1, h)),
+        ngcn_w=np.zeros((n, h, h)),
+        tip_w1=np.zeros((n, h, h)), tip_b1=np.zeros((n, 1, h)),
+        tip_w2=np.zeros((n, h, d)), tip_b2=np.zeros((n, 1, d)),
+        self_loop=config.self_loop, phi=config.phi)
+    for i in range(n):
+        rng = np.random.default_rng(base_seed ^ i)
+        if i < enc_count:
             for j in range(n):
-                for f in _GRU_FIELDS:
-                    setattr(m.gru_bank[j], f, stack.gru[f][i * n + j])
-            m.enc_gcn.w = stack.enc_w[i]
-        m.mmg.weights[0] = stack.mmg_w1[i]
-        m.mmg.biases[0] = stack.mmg_b1[i, 0]
-        m.mmg.weights[1] = stack.mmg_w2[i]
-        m.mmg.biases[1] = stack.mmg_b2[i, 0]
-        m.dec_rl.weights[0] = stack.rl_w[i]
-        m.dec_rl.biases[0] = stack.rl_b[i, 0]
-        m.dec_ngcn.w = stack.ngcn_w[i]
-        m.tip.weights[0] = stack.tip_w1[i]
-        m.tip.biases[0] = stack.tip_b1[i, 0]
-        m.tip.weights[1] = stack.tip_w2[i]
-        m.tip.biases[1] = stack.tip_b2[i, 0]
-    if stack.shared_encoder:
-        for j in range(n):
-            for f in _GRU_FIELDS:
-                setattr(models[0].gru_bank[j], f, stack.gru[f][j])
-        models[0].enc_gcn.w = stack.enc_w[0]
+                cell = GruCell.init(rng, d, h)
+                for f in GRU_FIELDS:
+                    gru[f][i * n + j] = getattr(cell, f)
+            stack.enc_w[i] = uniform_init(rng, h, (h, h))
+        stack.mmg_w1[i] = uniform_init(rng, n * h, (n * h, h))
+        stack.mmg_w2[i] = uniform_init(rng, h, (h, n))
+        stack.rl_w[i] = uniform_init(rng, d, (d, h))
+        stack.ngcn_w[i] = uniform_init(rng, h, (h, h))
+        stack.tip_w1[i] = uniform_init(rng, h, (h, h))
+        stack.tip_w2[i] = uniform_init(rng, h, (h, d))
+    return stack
+
+
+# ---------------------------------------------------------------------------
+# per-node reference operations
+
+
+def _check_node(stack: ParamStack, i: int) -> None:
+    if not 0 <= i < stack.num_nodes:
+        raise IndexError(f"node index {i} out of range for {stack.num_nodes} nodes")
+
+
+def _complete_gcn(stack: ParamStack, w: np.ndarray) -> GcnLayer:
+    n = stack.num_nodes
+    return GcnLayer(w=w, adjacency=np.ones((n, n)), self_loop=stack.self_loop,
+                    phi=stack.phi)
+
+
+def encode_mask_row(stack: ParamStack, i: int, x_hist, tape: Tape | None = None) -> Tensor:
+    """Node i's gate row for the transition following ``x_hist`` (N, t, d)."""
+    _check_node(stack, i)
+    tape = tape or Tape()
+    hist = x_hist.data if isinstance(x_hist, Tensor) else np.asarray(x_hist, dtype=np.float64)
+    n, d, h = stack.num_nodes, stack.input_dim, stack.hidden
+    if hist.ndim != 3 or hist.shape[0] != n or hist.shape[2] != d:
+        raise ShapeError(f"history must be ({n}, t, {d}), got {hist.shape}")
+    if hist.shape[1] < 1:
+        raise ShapeError("history must contain at least one step")
+    x_t = x_hist if isinstance(x_hist, Tensor) else tape.constant(hist)
+    owner = 0 if stack.shared_encoder else i
+    rows = []
+    for j in range(n):
+        cell = GruCell(**{f: stack.gru[f][owner * n + j] for f in GRU_FIELDS})
+        h_j = gru_unroll(cell, ad.take_axis0(x_t, j))
+        rows.append(ad.reshape(h_j, (1, h)))
+    z = gcn_forward(_complete_gcn(stack, stack.enc_w[owner]), ad.concat_rows(rows))
+    mmg = Mlp(weights=[stack.mmg_w1[i], stack.mmg_w2[i]],
+              biases=[stack.mmg_b1[i, 0], stack.mmg_b2[i, 0]],
+              hidden_act=stack.phi, out_act="sigmoid")
+    return mlp_forward(mmg, ad.flatten(z))
+
+
+def apply_mask(mask_row: Tensor, x_prev: Tensor) -> Tensor:
+    """Scale row j of ``x_prev`` by gate j; differentiable in both inputs."""
+    n = x_prev.data.shape[0]
+    if mask_row.data.shape != (n,):
+        raise ShapeError(
+            f"mask row shape {mask_row.data.shape} does not match {n} nodes")
+    return ad.hadamard(ad.reshape(mask_row, (n, 1)), x_prev)
+
+
+def decode_predict(stack: ParamStack, i: int, x_masked: Tensor) -> Tensor:
+    """Node i's one-step prediction from a gated snapshot (N, d)."""
+    _check_node(stack, i)
+    n, d, h = stack.num_nodes, stack.input_dim, stack.hidden
+    if x_masked.data.shape != (n, d):
+        raise ShapeError(f"masked snapshot must be ({n}, {d}), got {x_masked.data.shape}")
+    rl = Mlp(weights=[stack.rl_w[i]], biases=[stack.rl_b[i, 0]],
+             hidden_act=stack.phi, out_act=stack.phi)
+    z = ngcn_row_forward(_complete_gcn(stack, stack.ngcn_w[i]), i, mlp_forward(rl, x_masked))
+    tip = Mlp(weights=[stack.tip_w1[i], stack.tip_w2[i]],
+              biases=[stack.tip_b1[i, 0], stack.tip_b2[i, 0]],
+              hidden_act=stack.phi, out_act="identity")
+    return ad.reshape(mlp_forward(tip, ad.reshape(z, (h,))), (d,))
+
+
+# ---------------------------------------------------------------------------
+# batched path
 
 
 @dataclass
@@ -264,30 +222,29 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     if t_len < 2:
         raise ShapeError("need at least 2 time steps")
     tt = t_len - 1
-    sl = node_slice or slice(0, n)
-    node_ids = range(*sl.indices(n))
+    node_ids = range(*(node_slice or slice(0, n)).indices(n))
+    if node_ids.step != 1:
+        raise ValueError("node_slice must be a contiguous range of nodes")
+    lo, hi = node_ids.start, node_ids.stop
     n_i = len(node_ids)
-    h = stack.rl_w.shape[2]
+    h = stack.hidden
     g = s_count * tt
-
-    leaves = {}
     shared = stack.shared_encoder
-    full = n_i == n and list(node_ids) == list(range(n))
+    act = ACTIVATIONS[stack.phi]
+
+    # leaves are views of the stack rows, so optimizer steps write through
+    leaves = {}
     for name, arr in stack.arrays().items():
-        if name.startswith("gru.") and not shared and not full:
-            rows = np.concatenate([np.arange(i * n, (i + 1) * n) for i in node_ids])
-            leaves[name] = tape.leaf(arr[rows])
-        elif (name.startswith("gru.") or name == "enc_w") and shared:
-            leaves[name] = tape.leaf(arr)
-        elif name.startswith("gru."):
-            leaves[name] = tape.leaf(arr)
+        if name.startswith("gru."):
+            rows = slice(None) if shared else slice(lo * n, hi * n)
         else:
-            leaves[name] = tape.leaf(arr[sl])
+            rows = slice(None) if shared and name == "enc_w" else slice(lo, hi)
+        leaves[name] = tape.leaf(arr[rows])
 
     # ---- encoder: GRU bank over the first T-1 steps, one call per sample
     b = n if shared else n_i * n
     h0 = tape.constant(np.zeros((b, h)))
-    gru_args = [leaves[f"gru.{f}"] for f in _GRU_FIELDS]
+    gru_args = [leaves[f"gru.{f}"] for f in GRU_FIELDS]
     hs_parts = []
     for s in range(s_count):
         if shared:
@@ -306,19 +263,18 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
         hs = ad.transpose(hs, (2, 0, 1, 3, 4))
         hs = ad.reshape(hs, (n_i, g, n, h))
 
-    prop_c = tape.constant(stack.prop)
+    prop = stack.prop
+    prop_c = tape.constant(prop)
     mixed = ad.matmul(prop_c, hs)  # (n_i|1, g, N, h)
     lead = 1 if shared else n_i
     # flatten (g, N) so the per-node weight product is one wide dgemm per node
-    z = blocks.ACTIVATIONS[stack.enc_phi](
-        ad.matmul(ad.reshape(mixed, (lead, g * n, h)), leaves["enc_w"]))
+    z = act(ad.matmul(ad.reshape(mixed, (lead, g * n, h)), leaves["enc_w"]))
     if shared:
         # materialize the node axis before the per-node MMG weights
         z = ad.hadamard(ad.reshape(z, (1, g, n * h)),
                         tape.constant(np.ones((n_i, 1, 1))))
     z_flat = ad.reshape(z, (n_i, g, n * h))
-    a1 = blocks.ACTIVATIONS[stack.mmg_hidden](
-        ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]))
+    a1 = act(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]))
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
     masks = ad.sigmoid(mask_pre)  # (n_i, g, N)
 
@@ -328,15 +284,14 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     gate = masks if mask_override is None else tape.constant(
         np.broadcast_to(mask_override, (n_i, g, n)).copy())
     x_tilde = ad.hadamard(ad.reshape(gate, (n_i, g, n, 1)), tape.constant(x_prev))
-    h_dec = blocks.ACTIVATIONS[stack.rl_act](
+    h_dec = act(
         ad.add(ad.matmul(ad.reshape(x_tilde, (n_i, g * n, d)), leaves["rl_w"]),
                leaves["rl_b"]))
     h_dec = ad.reshape(h_dec, (n_i, g, n, h))
-    row_sel = stack.prop[list(node_ids)].reshape(n_i, 1, n, 1)
+    row_sel = prop[lo:hi].reshape(n_i, 1, n, 1)
     pooled = ad.sum_axis(ad.hadamard(h_dec, tape.constant(row_sel)), (2,))  # (n_i, g, h)
-    z_dec = blocks.ACTIVATIONS[stack.ngcn_phi](ad.matmul(pooled, leaves["ngcn_w"]))
-    t1 = blocks.ACTIVATIONS[stack.tip_hidden](
-        ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
+    z_dec = act(ad.matmul(pooled, leaves["ngcn_w"]))
+    t1 = act(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (n_i, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape,
@@ -388,11 +343,10 @@ class Prediction:
         self.values = v
 
 
-def forward_full(models: list, x: np.ndarray,
+def forward_full(stack: ParamStack, x: np.ndarray,
                  mask_override: np.ndarray | None = None):
     """Masks and one-step predictions for every sample, node and transition."""
     x = np.asarray(x, dtype=np.float64)
-    stack = stack_params(models)
     tape = Tape()
     out = batched_forward(stack, x, tape, mask_override=mask_override)
     mask_series = masks_to_series(out.masks.data, out.num_samples, out.num_transitions)

@@ -23,7 +23,7 @@ LORENZ_DIVERGENCE_LIMIT = 1e6
 
 
 class SimulationError(ValueError):
-    """Invalid generator parameters."""
+    """Invalid generator parameters or input series."""
 
 
 class IntegrationError(ArithmeticError):
@@ -85,14 +85,6 @@ class VarSystem:
     @property
     def lag(self) -> int:
         return len(self.transition)
-
-
-@dataclass
-class Lorenz96System:
-    num_nodes: int
-    forcing: float
-    dt: float
-    truth: GroundTruthGraph
 
 
 def companion_spectral_radius(transition: list) -> float:
@@ -227,13 +219,27 @@ def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,
     return samples.T[None, :, :, None], lorenz96_truth(n)
 
 
+def require_finite(x: np.ndarray) -> np.ndarray:
+    """Return the (S, N, T, d) series ``x``; raise at its first NaN or Inf."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        where = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise SimulationError(f"non-finite value {x[where]} at (sample, node, t) = "
+                              f"{where[:3]}")
+    return x
+
+
 def standardize(x: np.ndarray) -> np.ndarray:
-    """Z-score every (sample, node, feature) channel over time; constants -> 0."""
+    """Z-score every (sample, node, feature) channel over time; constants -> 0.
+
+    Non-finite input raises ``SimulationError`` naming its (sample, node, t).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise SimulationError(f"expected (S, N, T, d) series, got shape {x.shape}")
     if x.shape[2] < 2:
         raise SimulationError("need at least 2 time steps to standardize")
+    require_finite(x)
     mean = x.mean(axis=2, keepdims=True)
     std = x.std(axis=2, keepdims=True)
     out = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)

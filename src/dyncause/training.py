@@ -1,10 +1,12 @@
 """Learning criteria and optimization: reconstruction + structure kernel +
 divergence + log-sum sparsity, trained per node with Adam.
 
-Every node model trains independently (disjoint parameters, per-node loss),
-so the implementation runs all nodes of a group through one batched tape and
-sums the per-node losses; gradients and Adam steps are identical to training
-each node alone. ``threads`` partitions nodes into groups trained
+Every node model trains independently (disjoint parameters, per-node loss).
+``train`` runs a group of nodes through one ``batched_forward`` tape, takes
+each loss term as a vector with one entry per node, and backpropagates their
+sum, so gradients and Adam steps equal those of training each node alone.
+The tape leaves are views of the ``ParamStack`` rows, and Adam updates them
+in place. ``threads`` partitions the nodes into contiguous groups trained
 concurrently; results are bit-identical for any partition.
 """
 
@@ -21,10 +23,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
-                    Prediction, batched_forward, build_node_models,
-                    masks_to_series, predictions_to_series, stack_params,
-                    unstack_params)
-from .simulate import standardize
+                    Prediction, batched_forward, build_node_models, forward_full,
+                    masks_to_series, predictions_to_series)
+from .simulate import require_finite, standardize
 
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
@@ -93,8 +94,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("epochs", "hidden", "minibatch_size", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.batch_mode not in ("full", "sample_minibatch"):
             raise ValueError(f"unknown batch mode {self.batch_mode!r}")
 
@@ -104,11 +106,13 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# loss terms; vector versions return one value per node of the batch
+# loss terms: each returns one value per node of the batch (leading axis)
 
 
 def _recon_vec(x_next: np.ndarray, x_hat: Tensor) -> Tensor:
     """(1/(T-1)) sum_t ||x_i^t - xhat_i^t||^2, averaged over samples."""
+    if x_hat.data.shape != x_next.shape:
+        raise ShapeError(f"prediction shape {x_hat.data.shape} != truth {x_next.shape}")
     diff = ad.sub(x_hat, x_hat.tape.constant(x_next))
     return ad.mean_axis(ad.sum_axis(ad.hadamard(diff, diff), (2,)), (1,))
 
@@ -160,49 +164,6 @@ def _sparsity_vec(masks: Tensor, epsilon: float) -> Tensor:
         ad.log(ad.add_scalar(ad.scale(masks, 1.0 / epsilon), 1.0)), (1, 2))
 
 
-def _scalar(t: Tensor) -> Tensor:
-    return ad.reshape(t, ())
-
-
-def recon_loss(x_true: np.ndarray, x_hat: Tensor) -> Tensor:
-    """Per-node reconstruction loss; x_true (G, d), x_hat tensor (G, d)."""
-    g, d = x_true.shape
-    if x_hat.data.shape != (g, d):
-        raise ShapeError(f"prediction shape {x_hat.data.shape} != truth {x_true.shape}")
-    return _scalar(_recon_vec(x_true[None], ad.reshape(x_hat, (1, g, d))))
-
-
-def struct_loss(x_target: np.ndarray, node_index: int, x_hat: Tensor,
-                gamma: float) -> Tensor:
-    """Structure loss for one node; x_target (G, N, d) true values at t."""
-    g, n, d = x_target.shape
-    tau_true = np.exp(-gamma * ((x_target - x_target[:, node_index : node_index + 1, :])
-                                ** 2).sum(axis=2))
-    return _scalar(_struct_vec(x_target[None], tau_true[None],
-                               ad.reshape(x_hat, (1, g, d)), gamma))
-
-
-def divergence_loss(masks_i: Tensor, weights: LossWeights, node_index: int) -> Tensor:
-    """Divergence loss for one node's (G, N) gate rows."""
-    g, n = masks_i.data.shape
-    return _scalar(_divergence_vec(ad.reshape(masks_i, (1, g, n)), weights,
-                                   [node_index]))
-
-
-def sparsity_loss(masks_i: Tensor, epsilon: float) -> Tensor:
-    g, n = masks_i.data.shape
-    return _scalar(_sparsity_vec(ad.reshape(masks_i, (1, g, n)), epsilon))
-
-
-def total_loss(recon: Tensor, struct: Tensor, divergence: Tensor,
-               sparsity: Tensor, weights: LossWeights) -> Tensor:
-    out = recon
-    out = ad.add(out, ad.scale(struct, weights.beta1))
-    out = ad.add(out, ad.scale(divergence, weights.beta2))
-    out = ad.add(out, ad.scale(sparsity, weights.beta3))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -248,7 +209,7 @@ def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
 
 @dataclass
 class TrainResult:
-    models: list
+    models: ParamStack  # the trained parameters
     history: list  # dict rows: epoch, node, recon, struct, div, sparsity, total
     masks: CausalMaskSeries
     predictions: Prediction
@@ -310,10 +271,6 @@ def _combine(vecs: dict, weights: LossWeights) -> Tensor:
     return total
 
 
-def _gru_rows(node_ids, n: int) -> np.ndarray:
-    return np.concatenate([np.arange(i * n, (i + 1) * n) for i in node_ids])
-
-
 def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
                  config: TrainConfig, weights: LossWeights) -> list:
     """Train the nodes of one slice to convergence; mutates ``stack`` rows."""
@@ -370,17 +327,6 @@ def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
                     else:
                         write_mask[name] = active
                 adam_step(adam, params, grad_arrays, config, write_mask)
-
-                # persist updated rows back into the stack (no-op for aliases)
-                arrays = stack.arrays()
-                for name in params:
-                    target, src = arrays[name], params[name]
-                    if src is target:
-                        continue
-                    if name.startswith("gru."):
-                        target[_gru_rows(node_ids, n)] = src
-                    else:
-                        target[node_slice] = src
         except NumericError as err:
             raise TrainingError(f"epoch {epoch}: {err}") from err
 
@@ -410,21 +356,24 @@ def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
 
 
 def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
-          models: list | None = None) -> TrainResult:
-    """Fit all node models on (S, N, T, d) data; see TrainResult."""
+          models: ParamStack | None = None) -> TrainResult:
+    """Fit all node models on (S, N, T, d) data; see TrainResult.
+
+    ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
+    in place and returned as ``TrainResult.models``. Non-finite input raises
+    ``SimulationError`` naming its (sample, node, t).
+    """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"expected (S, N, T, d) data, got {x.shape}")
     if x.shape[2] < 2:
         raise ShapeError("need at least 2 time steps to train")
     s_count, n, t_len, d = x.shape
-    if config.standardize_input:
-        x = standardize(x)
-    if models is None:
-        models = build_node_models(n, d, config.model_config(), config.seed)
-    stack = stack_params(models)
+    x = standardize(x) if config.standardize_input else require_finite(x)
+    stack = (build_node_models(n, d, config.model_config(), config.seed)
+             if models is None else models)
 
-    threads = max(1, min(config.threads, n))
+    threads = min(config.threads, n)
     if stack.shared_encoder and threads > 1:
         raise TrainingError("shared-encoder training cannot split nodes across threads")
     bounds = np.linspace(0, n, threads + 1).astype(int)
@@ -440,7 +389,6 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
 
     history = [row for rows in histories for row in rows]
     history.sort(key=lambda r: (r["epoch"], r["node"]))
-    unstack_params(stack, models)
 
     tape = Tape()
     out = batched_forward(stack, x, tape)
@@ -451,7 +399,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     final = np.zeros(n)
     for row in history:  # ascending epochs: last write is each node's final loss
         final[row["node"]] = row["total"]
-    return TrainResult(models=models, history=history, masks=masks,
+    return TrainResult(models=stack, history=history, masks=masks,
                        predictions=preds, final_losses=final,
                        epochs_run=last_epoch)
 
@@ -469,18 +417,12 @@ def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
         cut = max(2, int(round(t_len * (1.0 - holdout_fraction))))
         result = train(x[:, :, :cut, :], config, weights)
         x_eval = standardize(x) if config.standardize_input else x
-        masks, preds = _forward_eval(result.models, x_eval)
+        masks, preds = forward_full(result.models, x_eval)
         target = x_eval[:, :, 1:, :].transpose(0, 2, 1, 3)
         err = ((preds.values - target) ** 2).sum(axis=3)
         return float(err[:, cut - 1 :].mean())
 
     return objective
-
-
-def _forward_eval(models, x):
-    from .model import forward_full
-
-    return forward_full(models, x)
 
 
 def grid_search(grid: dict, base_config: TrainConfig, base_weights: LossWeights,

@@ -133,39 +133,6 @@ class TestGruUnroll:
             blocks.gru_unroll(cell, tape.leaf(np.zeros((0, 2))))
 
 
-class TestGruImplementations:
-    def test_compiled_matches_numpy_path(self, monkeypatch):
-        if not blocks.USE_COMPILED_GRU:
-            pytest.skip("compiled kernels unavailable")
-        rng = np.random.default_rng(77)
-        T, B, d, h = 7, 5, 2, 4
-        x = rng.standard_normal((T, B, d))
-        h0 = rng.standard_normal((B, h))
-        stacked = {
-            f: rng.standard_normal((B, d, h)) if f.startswith("w") else
-               (rng.standard_normal((B, h, h)) if f.startswith("u") else
-                rng.standard_normal((B, h)))
-            for f in ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
-        }
-        upstream = rng.standard_normal((T, B, h))
-
-        def run():
-            tape = ad.Tape()
-            leaves = {k: tape.leaf(v) for k, v in stacked.items()}
-            out = blocks.gru_sequence(tape.leaf(x), tape.leaf(h0), *leaves.values())
-            root = ad.reduce_sum(ad.hadamard(out, tape.constant(upstream)))
-            grads = tape.backward(root)
-            return out.data, {k: grads.wrt(v) for k, v in leaves.items()}
-
-        fast_out, fast_grads = run()
-        monkeypatch.setattr(blocks, "USE_COMPILED_GRU", False)
-        ref_out, ref_grads = run()
-        np.testing.assert_allclose(fast_out, ref_out, rtol=1e-12, atol=1e-14)
-        for k in ref_grads:
-            np.testing.assert_allclose(fast_grads[k], ref_grads[k],
-                                       rtol=1e-10, atol=1e-12, err_msg=k)
-
-
 class TestGcn:
     def test_self_loop_only_reduces_to_dense(self):
         rng = np.random.default_rng(4)

@@ -185,3 +185,12 @@ class TestStandardize:
     def test_too_short_rejected(self):
         with pytest.raises(sim.SimulationError):
             sim.standardize(np.zeros((1, 2, 1, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named_by_location(self, bad):
+        # one NaN used to zero its whole channel: std > 0 is False for NaN
+        x, _ = sim.gen_var(5, 1, 60, 0)
+        x[0, 2, 17, 0] = bad
+        x[0, 4, 30, 0] = bad
+        with pytest.raises(sim.SimulationError, match=r"\(0, 2, 17\)"):
+            sim.standardize(x)

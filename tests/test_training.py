@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,39 +28,62 @@ class TestLossWeights:
         assert abs(w.lambda1 + w.lambda2 + w.lambda3 - 1.0) < 1e-12
 
 
+# The loss terms take a leading node axis; these tests use one node.
+
+
+def recon_loss(x_true, x_hat):
+    """Reconstruction loss of one node; x_true (G, d), x_hat (G, d) values."""
+    return tr._recon_vec(x_true[None], Tape().leaf(np.asarray(x_hat)[None])).data.item()
+
+
+def struct_loss(x_target, node_index, x_hat, gamma):
+    """Structure loss of one node, with the kernel rows built by training's
+    own constants; x_target (G, N, d) true values at t, x_hat (G, d)."""
+    g, n, d = x_target.shape
+    series = np.zeros((1, n, g + 1, d))
+    series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
+    consts = tr._group_consts(series, [node_index], gamma)
+    x_hat = Tape().leaf(np.asarray(x_hat)[None])
+    return tr._struct_vec(consts.x_target, consts.tau_true, x_hat, gamma).data.item()
+
+
+def divergence_loss(masks, weights, node_index):
+    """Divergence loss of one node's (G, N) gate rows."""
+    return tr._divergence_vec(Tape().leaf(masks[None]), weights, [node_index]).data.item()
+
+
+def sparsity_loss(masks, epsilon):
+    return tr._sparsity_vec(Tape().leaf(masks[None]), epsilon).data.item()
+
+
 class TestReconLoss:
     def test_exact_prediction_is_zero(self):
-        tape = Tape()
         x = np.array([[1.0], [2.0], [3.0]])
-        out = tr.recon_loss(x, tape.leaf(x.copy()))
-        assert out.data.item() == 0.0
+        assert recon_loss(x, x.copy()) == 0.0
 
     def test_hand_arithmetic(self):
         # truths 1,2,3 vs constant prediction 1: (0 + 1 + 4) / 3
-        tape = Tape()
         x = np.array([[1.0], [2.0], [3.0]])
-        xhat = tape.leaf([[1.0], [1.0], [1.0]])
-        assert tr.recon_loss(x, xhat).data.item() == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert recon_loss(x, [[1.0], [1.0], [1.0]]) == pytest.approx(5.0 / 3.0, rel=1e-15)
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 2))
         err = rng.standard_normal((5, 2))
-        base = tr.recon_loss(x, Tape().leaf(x + err)).data.item()
-        scaled = tr.recon_loss(x, Tape().leaf(x + 3.0 * err)).data.item()
+        base = recon_loss(x, x + err)
+        scaled = recon_loss(x, x + 3.0 * err)
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            tr.recon_loss(np.zeros((4, 1)), Tape().leaf(np.zeros((3, 1))))
+            recon_loss(np.zeros((4, 1)), np.zeros((3, 1)))
 
 
 class TestStructLoss:
     def test_exact_prediction_is_zero(self):
         rng = np.random.default_rng(1)
         x_target = rng.standard_normal((4, 3, 1))
-        xhat = Tape().leaf(x_target[:, 1, :].copy())
-        assert tr.struct_loss(x_target, 1, xhat, gamma=1.0).data.item() == 0.0
+        assert struct_loss(x_target, 1, x_target[:, 1, :].copy(), gamma=1.0) == 0.0
 
     def test_kernel_self_similarity_is_one(self):
         for gamma in (0.5, 1.0, 3.0):
@@ -69,8 +94,7 @@ class TestStructLoss:
         # N=2, one transition, d=1, gamma=1: truths x1=1, x2=3, prediction for
         # node 0 is 2. tau_true = [1, exp(-4)]; tau_pred = [exp(-1), exp(-1)]
         x_target = np.array([[[1.0], [3.0]]])
-        xhat = Tape().leaf([[2.0]])
-        got = tr.struct_loss(x_target, 0, xhat, gamma=1.0).data.item()
+        got = struct_loss(x_target, 0, [[2.0]], gamma=1.0)
         expected = ((1 - np.exp(-1)) ** 2 + (np.exp(-4) - np.exp(-1)) ** 2) / 2
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -80,19 +104,15 @@ class TestDivergenceLoss:
         n = 4
         prior = np.full((n, n), 0.3)
         w = tr.LossWeights(lambda1=0.0, lambda2=0.5, lambda3=0.5, prior=prior)
-        tape = Tape()
-        masks = tape.leaf(np.full((6, n), 0.3))
-        out = tr.divergence_loss(masks, w, node_index=2)
-        assert abs(out.data.item()) < 1e-12
+        out = divergence_loss(np.full((6, n), 0.3), w, node_index=2)
+        assert abs(out) < 1e-12
 
     def test_entropy_at_one_over_e(self):
         # -m log m at m = 1/e is 1/e per entry, so the mean is 1/e
         n = 5
         w = tr.LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0)
-        tape = Tape()
-        masks = tape.leaf(np.full((3, n), 1.0 / np.e))
-        out = tr.divergence_loss(masks, w, node_index=0)
-        assert out.data.item() == pytest.approx(1.0 / np.e, rel=1e-12)
+        out = divergence_loss(np.full((3, n), 1.0 / np.e), w, node_index=0)
+        assert out == pytest.approx(1.0 / np.e, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -102,17 +122,13 @@ class TestDivergenceLoss:
         m_vals = rng.uniform(0.05, 0.95, n)
         p_vals = rng.uniform(0.05, 0.95, (n, n))
         w_mp = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=p_vals)
-        tape = Tape()
-        masks = tape.leaf(np.tile(m_vals, (3, 1)))
-        js_mp = tr.divergence_loss(masks, w_mp, node_index=1).data.item()
+        js_mp = divergence_loss(np.tile(m_vals, (3, 1)), w_mp, node_index=1)
         assert js_mp >= -1e-15
         # swap roles: prior row becomes the mask value and vice versa
         p_swapped = p_vals.copy()
         p_swapped[1] = m_vals
         w_pm = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=p_swapped)
-        tape2 = Tape()
-        masks2 = tape2.leaf(np.tile(p_vals[1], (3, 1)))
-        js_pm = tr.divergence_loss(masks2, w_pm, node_index=1).data.item()
+        js_pm = divergence_loss(np.tile(p_vals[1], (3, 1)), w_pm, node_index=1)
         assert js_mp == pytest.approx(js_pm, rel=1e-10, abs=1e-12)
 
     def test_js_bounded_by_log2(self):
@@ -120,22 +136,18 @@ class TestDivergenceLoss:
         n = 3
         prior = np.full((n, n), 1.0 - 1e-7)
         w = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=prior)
-        tape = Tape()
-        masks = tape.leaf(np.full((2, n), 1e-7))
-        out = tr.divergence_loss(masks, w, node_index=0).data.item()
+        out = divergence_loss(np.full((2, n), 1e-7), w, node_index=0)
         assert out <= np.log(2) + 1e-9
 
 
 class TestSparsityLoss:
     def test_zero_mask_limit(self):
-        tape = Tape()
-        out = tr.sparsity_loss(tape.leaf(np.full((4, 3), 1e-15)), epsilon=0.01)
-        assert abs(out.data.item()) < 1e-10
+        out = sparsity_loss(np.full((4, 3), 1e-15), epsilon=0.01)
+        assert abs(out) < 1e-10
 
     def test_entry_at_epsilon_gives_log_two(self):
-        tape = Tape()
-        out = tr.sparsity_loss(tape.leaf(np.full((1, 1), 0.01)), epsilon=0.01)
-        assert out.data.item() == pytest.approx(np.log(2.0), rel=1e-12)
+        out = sparsity_loss(np.full((1, 1), 0.01), epsilon=0.01)
+        assert out == pytest.approx(np.log(2.0), rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -145,31 +157,34 @@ class TestSparsityLoss:
         bumped = base.copy()
         i, j = rng.integers(0, 3), rng.integers(0, 4)
         bumped[i, j] += 0.1
-        lo = tr.sparsity_loss(Tape().leaf(base), 0.01).data.item()
-        hi = tr.sparsity_loss(Tape().leaf(bumped), 0.01).data.item()
+        lo = sparsity_loss(base, 0.01)
+        hi = sparsity_loss(bumped, 0.01)
         assert hi > lo
+
+
+def total_loss(recon, struct, div, sparsity, weights):
+    tape = Tape()
+    terms = (recon, struct, div, sparsity)
+    vecs = {k: tape.leaf([v]) for k, v in zip(("recon", "struct", "div", "sparsity"), terms)}
+    return tr._combine(vecs, weights).data.item()
 
 
 class TestTotalLoss:
     def test_zero_betas_pure_reconstruction(self):
         w = tr.LossWeights(beta1=0, beta2=0, beta3=0)
-        tape = Tape()
-        r, s, d, sp = (tape.leaf(np.asarray(v)) for v in (1.3, 0.7, 0.2, 0.9))
-        assert tr.total_loss(r, s, d, sp, w).data.item() == 1.3
+        assert total_loss(1.3, 0.7, 0.2, 0.9, w) == 1.3
 
     def test_beta3_linearity(self):
-        tape = Tape()
-        r, s, d, sp = (tape.leaf(np.asarray(v)) for v in (1.0, 0.5, 0.25, 2.0))
         w1 = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
         w2 = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.6)
-        l1 = tr.total_loss(r, s, d, sp, w1).data.item()
-        l2 = tr.total_loss(r, s, d, sp, w2).data.item()
+        l1 = total_loss(1.0, 0.5, 0.25, 2.0, w1)
+        l2 = total_loss(1.0, 0.5, 0.25, 2.0, w2)
         assert l2 - l1 == pytest.approx(0.3 * 2.0, rel=1e-12)
 
     def test_full_gradient_matches_finite_differences(self):
         # tiny end-to-end instance: N=3, T=5, H=4; gradient of the summed
         # per-node loss w.r.t. one MMG weight matrix and one GRU matrix
-        from dyncause.model import batched_forward, build_node_models, stack_params
+        from dyncause.model import batched_forward, build_node_models
 
         n, t_len, h = 3, 5, 4
         rng = np.random.default_rng(3)
@@ -185,8 +200,7 @@ class TestTotalLoss:
             return tape, out, ad.reduce_sum(tr._combine(vecs, weights))
 
         cfg = tr.TrainConfig(hidden=h, seed=7)
-        models = build_node_models(n, 1, cfg.model_config(), cfg.seed)
-        stack = stack_params(models)
+        stack = build_node_models(n, 1, cfg.model_config(), cfg.seed)
         tape, out, loss = full_loss(stack)
         grads = tape.backward(loss)
 
@@ -195,8 +209,7 @@ class TestTotalLoss:
                     else getattr(stack, name.replace("gru.", "")))
 
             def scalar_loss(v, name=name):
-                models2 = build_node_models(n, 1, cfg.model_config(), cfg.seed)
-                stack2 = stack_params(models2)
+                stack2 = build_node_models(n, 1, cfg.model_config(), cfg.seed)
                 if name == "gru.u_h":
                     stack2.gru["u_h"] = v
                 else:
@@ -260,6 +273,33 @@ class TestTrain:
         with pytest.raises(ValueError):
             tr.TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field,value", [("minibatch_size", 0), ("minibatch_size", -1),
+                                             ("hidden", 0), ("threads", 0),
+                                             ("threads", -2)])
+    def test_counts_below_one_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("standardize_input", [True, False])
+    def test_non_finite_input_named_by_location(self, standardize_input):
+        series, _ = small_var_data(t=60)
+        series[0, 2, 17, 0] = np.inf if standardize_input else np.nan
+        config = tr.TrainConfig(epochs=2, hidden=4, standardize_input=standardize_input)
+        with pytest.raises(ValueError, match=r"\(0, 2, 17\)"):
+            tr.train(series, config, tr.LossWeights())
+
+    def test_trains_given_stack_in_place(self):
+        from dyncause.model import build_node_models
+
+        series, _ = small_var_data(t=40)
+        config = tr.TrainConfig(epochs=3, hidden=4, seed=2)
+        stack = build_node_models(5, 1, config.model_config(), config.seed)
+        before = stack.mmg_w1.copy()
+        result = tr.train(series, config, tr.LossWeights(), models=stack)
+        assert result.models is stack and not np.array_equal(stack.mmg_w1, before)
+        default = tr.train(series, config, tr.LossWeights())
+        np.testing.assert_array_equal(result.masks.values, default.masks.values)
+
     def test_same_seed_identical_masks(self):
         series, _ = small_var_data(t=60)
         config = tr.TrainConfig(epochs=8, hidden=5, seed=3)
@@ -272,9 +312,16 @@ class TestTrain:
         series, _ = small_var_data(n=6, t=60)
         base = tr.train(series, tr.TrainConfig(epochs=6, hidden=4, seed=4),
                         tr.LossWeights())
-        split = tr.train(series,
-                         tr.TrainConfig(epochs=6, hidden=4, seed=4, threads=threads),
-                         tr.LossWeights())
+        # the node groups update disjoint rows of the shared stack in place;
+        # frequent thread switches make a lost or crossed update likelier
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = tr.train(series,
+                             tr.TrainConfig(epochs=6, hidden=4, seed=4, threads=threads),
+                             tr.LossWeights())
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(base.masks.values, split.masks.values)
         assert np.array_equal(base.predictions.values, split.predictions.values)
 
