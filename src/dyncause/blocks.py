@@ -2,9 +2,13 @@
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
-against finite differences in the test suite. ``gru_step`` and
-``gru_unroll`` run a single ``GruCell`` through it; together with
-``GcnLayer`` and ``Mlp`` they make up the per-node reference model.
+against finite differences in the test suite. Its row contract: the series
+has M = B*k rows and row b*k + s is run by cell b, so one call carries k
+independent sequences per cell (k is read from the shapes) and each step is
+one (k, h) matrix product per cell for the fused z|r gates and one for the
+candidate. ``gru_step`` and ``gru_unroll`` run a single ``GruCell`` through
+it; together with ``GcnLayer`` and ``Mlp`` they make up the per-node
+reference model.
 """
 
 from __future__ import annotations
@@ -78,78 +82,117 @@ class GruCell:
         )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _gru_forward(X, H0, Wg, Uzr, Uh, Bg):
+    """Forward recurrence; Wg = W_z, W_r, W_h stacked (3, B, d, h), Bg the
+    biases likewise (3, B, h), Uzr = U_z|U_r (B, h, 2h).
+
+    The input projection fills the gate-major step buffer P (T, 3, B, k, h)
+    in one batched GEMM, bias added in place; each step then turns P[t] into the
+    gates z, r and the candidate c in place, with one (k, h)@(h, 2h) product
+    per cell for both gates and one (k, h)@(h, h) for the candidate. Returns
+    P and the states Hb (T+1, B, k, h) with Hb[0] = h0 and Hb[t+1] = h_t.
+    """
+    T, M, d = X.shape
+    B, h = Uh.shape[0], H0.shape[1]
+    k = M // B
+    P = np.empty((T, 3, B, k, h))
+    x_rows = X.reshape(T, B, k, d).transpose(1, 2, 0, 3)  # (B, k, T, d)
+    np.matmul(x_rows, Wg[:, :, None], out=P.transpose(1, 2, 3, 0, 4))
+    P += Bg[:, :, None, :]
+    Hb = np.empty((T + 1, B, k, h))
+    Hb[0] = H0.reshape(B, k, h)
+    hu = np.empty((B, k, 2 * h))
+    hu_zr = hu.reshape(B, k, 2, h).transpose(2, 0, 1, 3)  # (2, B, k, h) view
+    hc = np.empty((B, k, h))
+    tmp = np.empty((B, k, h))
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
+        for t in range(T):
+            h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], P[t, :2], P[t, 0], P[t, 1], P[t, 2]
+            np.matmul(h_prev, Uzr, out=hu)
+            zr += hu_zr
+            np.negative(zr, out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.reciprocal(zr, out=zr)
+            np.multiply(r, h_prev, out=tmp)
+            c += np.matmul(tmp, Uh, out=hc)
+            np.tanh(c, out=c)
+            # h_t = z * h_prev + (1 - z) * c
+            np.subtract(1.0, z, out=tmp)
+            tmp *= c
+            np.multiply(z, h_prev, out=h_t)
+            h_t += tmp
+    return P, Hb
 
 
-def _gru_forward(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh):
-    T, B, d = X.shape
-    d1 = H0.shape[1]
-    xT = np.ascontiguousarray(X.transpose(1, 0, 2))  # (B, T, d)
-    ax_z = np.matmul(xT, Wz).transpose(1, 0, 2)[:, :, None, :]  # (T, B, 1, d1)
-    ax_r = np.matmul(xT, Wr).transpose(1, 0, 2)[:, :, None, :]
-    ax_h = np.matmul(xT, Wh).transpose(1, 0, 2)[:, :, None, :]
-    bz, br, bh = Bz[:, None, :], Br[:, None, :], Bh[:, None, :]
-    Zs = np.empty((T, B, d1))
-    Rs = np.empty((T, B, d1))
-    Cs = np.empty((T, B, d1))
-    Hs = np.empty((T, B, d1))
-    h = H0[:, None, :]
-    for t in range(T):
-        z = _sigmoid(ax_z[t] + np.matmul(h, Uz) + bz)
-        r = _sigmoid(ax_r[t] + np.matmul(h, Ur) + br)
-        c = np.tanh(ax_h[t] + np.matmul(r * h, Uh) + bh)
-        h = z * h + (1.0 - z) * c
-        Zs[t], Rs[t], Cs[t], Hs[t] = z[:, 0], r[:, 0], c[:, 0], h[:, 0]
-    return Hs, Zs, Rs, Cs
+def _gru_backward(X, Wg, Uzr, Uh, P, Hb, G, need_dx):
+    """Gradients of all 11 ``gru_sequence`` inputs for upstream G (T, B*k, h);
+    dX is None unless ``need_dx``.
 
-
-def _gru_backward(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs, G):
-    T, B, d = X.shape
-    d1 = H0.shape[1]
-    UzT = np.swapaxes(Uz, -1, -2)
-    UrT = np.swapaxes(Ur, -1, -2)
-    UhT = np.swapaxes(Uh, -1, -2)
-    D_az = np.empty((T, B, d1))
-    D_ar = np.empty((T, B, d1))
-    D_ac = np.empty((T, B, d1))
-    dh = np.zeros((B, 1, d1))
+    Each step writes d_az|d_ar|d_ac into one (T, B, k, 3h) buffer D and takes
+    one (k, 2h)@(2h, h) product per cell for both gates. After the loop each
+    gradient is one GEMM over T per (cell, row), every operand read in place
+    as a (T, .) matrix, summed over the cell's k rows.
+    """
+    T, M, d = X.shape
+    B, h = Uh.shape[0], Hb.shape[-1]
+    k, h2 = M // B, 2 * h
+    G = G.reshape(T, B, k, h)
+    UzrT = np.swapaxes(Uzr, 1, 2)  # (B, 2h, h)
+    UhT = np.swapaxes(Uh, 1, 2)
+    D = np.empty((T, B, k, 3 * h))  # d_az | d_ar | d_ac
+    D_zr, D_c = D[..., :h2], D[..., h2:]
+    D_g = D.reshape(T, B, k, 3, h).transpose(0, 3, 1, 2, 4)  # (T, 3, B, k, h) view
+    omzr = np.empty((2, B, k, h))  # 1 - z, 1 - r
+    fzr = np.empty((2, B, k, h))  # z(1 - z), r(1 - r)
+    dzr = np.empty((2, B, k, h))  # dL/dz, dL/dr
+    dh = np.zeros((B, k, h))
+    gt = np.empty((B, k, h))
+    d_rh = np.empty((B, k, h))
+    tmp = np.empty((B, k, h))
+    tmp2 = np.empty((B, k, h))
     for t in range(T - 1, -1, -1):
-        gt = G[t][:, None, :] + dh
-        h_prev = (Hs[t - 1] if t > 0 else H0)[:, None, :]
-        z, r, c = Zs[t][:, None, :], Rs[t][:, None, :], Cs[t][:, None, :]
-        dz = gt * (h_prev - c)
-        dc = gt * (1.0 - z)
-        dh = gt * z
-        d_ac = dc * (1.0 - c * c)
-        d_rh = np.matmul(d_ac, UhT)
-        dr = d_rh * h_prev
-        dh = dh + d_rh * r
-        d_az = dz * (z * (1.0 - z))
-        d_ar = dr * (r * (1.0 - r))
-        dh = dh + np.matmul(d_az, UzT) + np.matmul(d_ar, UrT)
-        D_az[t], D_ar[t], D_ac[t] = d_az[:, 0], d_ar[:, 0], d_ac[:, 0]
-    dh0 = dh[:, 0, :]
+        h_prev, zr, z, r, c = Hb[t], P[t, :2], P[t, 0], P[t, 1], P[t, 2]
+        np.add(G[t], dh, out=gt)
+        np.subtract(1.0, zr, out=omzr)
+        np.multiply(zr, omzr, out=fzr)
+        # d_ac = gt * (1 - z) * (1 - c * c)
+        np.multiply(gt, omzr[0], out=tmp)
+        np.multiply(c, c, out=tmp2)
+        np.subtract(1.0, tmp2, out=tmp2)
+        np.multiply(tmp, tmp2, out=D_g[t, 2])
+        np.matmul(D_c[t], UhT, out=d_rh)
+        # d_az, d_ar = (gt * (h_prev - c), d_rh * h_prev) * (z(1 - z), r(1 - r))
+        np.subtract(h_prev, c, out=tmp)
+        np.multiply(gt, tmp, out=dzr[0])
+        np.multiply(d_rh, h_prev, out=dzr[1])
+        np.multiply(dzr, fzr, out=D_g[t, :2])
+        # dh = gt * z + d_rh * r + (d_az | d_ar) @ (U_z | U_r)^T
+        np.multiply(gt, z, out=dh)
+        np.multiply(d_rh, r, out=tmp)
+        dh += tmp
+        np.matmul(D_zr[t], UzrT, out=tmp)
+        dh += tmp
 
-    # batched parameter-gradient accumulation over all steps
-    Hprev = np.concatenate([H0[None], Hs[:-1]], axis=0)
-    RH = Rs * Hprev
-    xc = X.transpose(1, 2, 0)  # (B, d, T) view; matmul copies as needed
-    Daz, Dar, Dac = (D.transpose(1, 0, 2) for D in (D_az, D_ar, D_ac))
-    dWz = np.matmul(xc, Daz)
-    dWr = np.matmul(xc, Dar)
-    dWh = np.matmul(xc, Dac)
-    dUz = np.matmul(Hprev.transpose(1, 2, 0), Daz)
-    dUr = np.matmul(Hprev.transpose(1, 2, 0), Dar)
-    dUh = np.matmul(RH.transpose(1, 2, 0), Dac)
-    dbz = D_az.sum(axis=0)
-    dbr = D_ar.sum(axis=0)
-    dbh = D_ac.sum(axis=0)
-    dX = (np.matmul(Daz, np.swapaxes(Wz, -1, -2))
-          + np.matmul(Dar, np.swapaxes(Wr, -1, -2))
-          + np.matmul(Dac, np.swapaxes(Wh, -1, -2))).transpose(1, 0, 2)
-    return dX, dh0, dWz, dUz, dbz, dWr, dUr, dbr, dWh, dUh, dbh
+    Dk = D.transpose(1, 2, 0, 3)  # (B, k, T, 3h)
+
+    def weight_grad(Y, Dpart):  # Y (T, B, k, n) -> (B, n, Dpart width)
+        return np.matmul(Y.transpose(1, 2, 3, 0), Dpart).sum(axis=1)
+
+    dW = weight_grad(X.reshape(T, B, k, d), Dk)
+    dUzr = weight_grad(Hb[:-1], Dk[..., :h2])
+    dUh = weight_grad(P[:, 1] * Hb[:-1], Dk[..., h2:])  # r_t * h_{t-1}
+    db = D.sum(axis=0).sum(axis=1)  # (B, 3h)
+    dX = None
+    if need_dx:  # the encoder feeds data, which needs no gradient
+        W = np.concatenate(Wg, axis=2)  # W_z|W_r|W_h (B, d, 3h)
+        dX = np.empty((T, M, d))
+        np.matmul(Dk, np.swapaxes(W, 1, 2)[:, None],
+                  out=dX.reshape(T, B, k, d).transpose(1, 2, 0, 3))
+    return (dX, dh.reshape(M, h),
+            dW[..., :h], dUzr[..., :h], db[:, :h],
+            dW[..., h:h2], dUzr[..., h:], db[:, h:h2],
+            dW[..., h2:], dUh, db[:, h2:])
 
 
 def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
@@ -157,33 +200,43 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tenso
                  w_h: Tensor, u_h: Tensor, b_h: Tensor) -> Tensor:
     """Run B independent GRU cells over a series in one fused op.
 
-    x_seq: (T, B, d); h0: (B, d1); weights stacked per cell: w_* (B, d, d1),
-    u_* (B, d1, d1), b_* (B, d1). Returns all hidden states (T, B, d1).
+    Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows, where
+    B is the number of cells read from the weights, w_* (B, d, d1),
+    u_* (B, d1, d1), b_* (B, d1). Row b*k + s is run by cell b, so each cell
+    carries k independent sequences (k is read from the shapes). Returns all
+    hidden states (T, M, d1), row-aligned with x_seq.
     """
     X, H0 = x_seq.data, h0.data
     if X.ndim != 3:
-        raise ShapeError(f"gru_sequence expects (T, B, d) input, got {X.shape}")
-    T, B, d = X.shape
+        raise ShapeError(f"gru_sequence expects (T, M, d) input, got {X.shape}")
+    T, M, d = X.shape
     if T < 1:
         raise ShapeError("empty series")
-    d1 = H0.shape[-1]
-    if H0.shape != (B, d1):
-        raise ShapeError(f"h0 shape {H0.shape} incompatible with batch {B}")
-    Wz, Uz, Bz = w_z.data, u_z.data, b_z.data
-    Wr, Ur, Br = w_r.data, u_r.data, b_r.data
-    Wh, Uh, Bh = w_h.data, u_h.data, b_h.data
-    for name, arr, want in (("w_z", Wz, (B, d, d1)), ("u_z", Uz, (B, d1, d1)), ("b_z", Bz, (B, d1))):
-        if arr.shape != want:
-            raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
+    if H0.ndim != 2 or H0.shape[0] != M:
+        raise ShapeError(f"h0 shape {H0.shape} incompatible with {M} input rows")
+    d1 = H0.shape[1]
+    params = [p.data for p in (w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)]
+    B = params[0].shape[0] if params[0].ndim else 0
+    if B < 1 or M % B:
+        raise ShapeError(f"gru_sequence: {M} input rows are not a multiple of "
+                         f"the {B} cells of w_z")
+    want = {"w": (B, d, d1), "u": (B, d1, d1), "b": (B, d1)}
+    for name, arr in zip(GRU_FIELDS, params):
+        if arr.shape != want[name[0]]:
+            raise ShapeError(
+                f"gru_sequence: {name} shape {arr.shape}, expected {want[name[0]]}")
+    Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh = params
+    Wg = np.stack((Wz, Wr, Wh))
+    Uzr = np.concatenate((Uz, Ur), axis=2)
 
-    Hs, Zs, Rs, Cs = _gru_forward(X, H0, Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh)
+    P, Hb = _gru_forward(X, H0, Wg, Uzr, Uh, np.stack((Bz, Br, Bh)))
+    need_dx = x_seq.needs  # a bool: the closure must not keep the tape alive
 
     def backward(g):
-        return _gru_backward(X, H0, Wz, Uz, Wr, Ur, Wh, Uh, Zs, Rs, Cs, Hs,
-                             np.ascontiguousarray(g))
+        return _gru_backward(X, Wg, Uzr, Uh, P, Hb, np.ascontiguousarray(g), need_dx)
 
     return x_seq.tape.record(
-        Hs, (x_seq, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h),
+        Hb[1:].reshape(T, M, d1), (x_seq, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h),
         backward, op="gru_sequence")
 
 

@@ -4,10 +4,12 @@ transition, decoder predicts the next step from the gated snapshot.
 All node models live in one ``ParamStack``: every parameter carries a
 leading node axis, so node subsets slice cleanly. ``batched_forward`` runs
 every node, sample and transition in one tape pass; training and
-``forward_full`` use it. The per-node ops (``encode_mask_row``,
-``apply_mask``, ``decode_predict``) read node i's rows into the single-cell
-blocks of ``blocks`` and transcribe the model directly, without going
-through ``batched_forward``; tests use them as its independent reference.
+``forward_full`` use it. Its GRU bank is one ``gru_sequence`` call whose
+rows are cell-major: row b*S + s runs bank cell b on sample s. The per-node
+ops (``encode_mask_row``, ``apply_mask``, ``decode_predict``) read node i's
+rows into the single-cell blocks of ``blocks`` and transcribe the model
+directly, without going through ``batched_forward``; tests use them as its
+independent reference.
 """
 
 from __future__ import annotations
@@ -241,26 +243,24 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
             rows = slice(None) if shared and name == "enc_w" else slice(lo, hi)
         leaves[name] = tape.leaf(arr[rows])
 
-    # ---- encoder: GRU bank over the first T-1 steps, one call per sample
-    b = n if shared else n_i * n
-    h0 = tape.constant(np.zeros((b, h)))
-    gru_args = [leaves[f"gru.{f}"] for f in GRU_FIELDS]
-    hs_parts = []
-    for s in range(s_count):
-        if shared:
-            x_seq = np.ascontiguousarray(x[s, :, :tt, :].transpose(1, 0, 2))  # (tt, N, d)
-        else:
-            base = x[s, :, :tt, :].transpose(1, 0, 2)  # (tt, N_j, d)
-            x_seq = np.ascontiguousarray(
-                np.broadcast_to(base[:, None, :, :], (tt, n_i, n, d)).reshape(tt, b, d))
-        hs_parts.append(gru_sequence(tape.constant(x_seq), h0, *gru_args))
-    hs = ad.concat(hs_parts, axis=0) if s_count > 1 else hs_parts[0]  # (S*tt, b, h)
+    # ---- encoder: the GRU bank over the first T-1 steps of every sample in
+    # one call. Rows are cell-major: row b*S + s runs cell b on sample s.
+    cells = n if shared else n_i * n
+    series = x[:, :, :tt, :].transpose(2, 1, 0, 3)  # (tt, N_j, S, d)
+    if not shared:  # node i's cell j reads series j
+        series = np.broadcast_to(series[:, None], (tt, n_i, n, s_count, d))
+    x_seq = series.reshape(tt, cells * s_count, d)
+    h0 = tape.constant(np.zeros((cells * s_count, h)))
+    hs = gru_sequence(tape.constant(x_seq), h0,
+                      *(leaves[f"gru.{f}"] for f in GRU_FIELDS))  # (tt, cells*S, h)
 
     if shared:
+        hs = ad.reshape(hs, (tt, n, s_count, h))
+        hs = ad.transpose(hs, (2, 0, 1, 3))
         hs = ad.reshape(hs, (1, g, n, h))  # broadcasts over the node axis below
     else:
-        hs = ad.reshape(hs, (s_count, tt, n_i, n, h))
-        hs = ad.transpose(hs, (2, 0, 1, 3, 4))
+        hs = ad.reshape(hs, (tt, n_i, n, s_count, h))
+        hs = ad.transpose(hs, (1, 3, 0, 2, 4))
         hs = ad.reshape(hs, (n_i, g, n, h))
 
     prop = stack.prop

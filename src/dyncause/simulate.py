@@ -234,13 +234,30 @@ def standardize(x: np.ndarray) -> np.ndarray:
 
     Non-finite input raises ``SimulationError`` naming its (sample, node, t).
     """
+    return standardize_like(x, x)
+
+
+def standardize_like(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Z-score ``x`` with the per-channel mean and std over time of
+    ``reference``, an (S, N, T', d) series with the same S, N and d.
+
+    ``standardize_like(x, x[:, :, :cut])`` puts the whole series on the scale
+    of ``standardize(x[:, :, :cut])``, bit for bit on the first ``cut`` steps.
+    Channels constant in ``reference`` map to 0.
+    """
+    ref = np.asarray(reference, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise SimulationError(f"expected (S, N, T, d) series, got shape {x.shape}")
-    if x.shape[2] < 2:
+    for arr in (ref, x):
+        if arr.ndim != 4:
+            raise SimulationError(f"expected (S, N, T, d) series, got shape {arr.shape}")
+    if ref.shape[2] < 2:
         raise SimulationError("need at least 2 time steps to standardize")
-    require_finite(x)
-    mean = x.mean(axis=2, keepdims=True)
-    std = x.std(axis=2, keepdims=True)
-    out = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)
-    return out
+    if x.shape[:2] + x.shape[3:] != ref.shape[:2] + ref.shape[3:]:
+        raise SimulationError(f"series {x.shape} and reference {ref.shape} differ "
+                              "in samples, nodes or features")
+    require_finite(ref)
+    if x is not ref:  # standardize(x) checks its series once
+        require_finite(x)
+    mean = ref.mean(axis=2, keepdims=True)
+    std = ref.std(axis=2, keepdims=True)
+    return np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)

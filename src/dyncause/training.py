@@ -25,7 +25,7 @@ from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
                     Prediction, batched_forward, build_node_models, forward_full,
                     masks_to_series, predictions_to_series)
-from .simulate import require_finite, standardize
+from .simulate import require_finite, standardize, standardize_like
 
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
@@ -415,8 +415,10 @@ def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
         x = np.asarray(data, dtype=np.float64)
         t_len = x.shape[2]
         cut = max(2, int(round(t_len * (1.0 - holdout_fraction))))
-        result = train(x[:, :, :cut, :], config, weights)
-        x_eval = standardize(x) if config.standardize_input else x
+        prefix = x[:, :, :cut, :]
+        result = train(prefix, config, weights)
+        # the model was fitted on the prefix standardized by its own moments
+        x_eval = standardize_like(x, prefix) if config.standardize_input else x
         masks, preds = forward_full(result.models, x_eval)
         target = x_eval[:, :, 1:, :].transpose(0, 2, 1, 3)
         err = ((preds.values - target) ** 2).sum(axis=3)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,124 @@ class TestGruUnroll:
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError):
             blocks.gru_unroll(cell, tape.leaf(np.zeros((0, 2))))
+
+
+def gru_arrays(rng, t_len, cells, k, d, h):
+    """x_seq (T, cells*k, d), h0 (cells*k, h) and the nine stacked cell
+    parameters, in ``gru_sequence`` argument order."""
+    shapes = {"w": (cells, d, h), "u": (cells, h, h), "b": (cells, h)}
+    return ([rng.standard_normal((t_len, cells * k, d)),
+             0.5 * rng.standard_normal((cells * k, h))]
+            + [rng.uniform(-0.7, 0.7, shapes[f[0]]) for f in blocks.GRU_FIELDS])
+
+
+def gru_probe_grads(arrays, probe):
+    """Output of ``gru_sequence`` and the gradients of sum(out * probe) with
+    respect to all eleven inputs."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = blocks.gru_sequence(*leaves)
+    grads = tape.backward(ad.reduce_sum(ad.hadamard(out, tape.constant(probe))))
+    return out.data, [grads.wrt(leaf) for leaf in leaves]
+
+
+class TestGruRowContract:
+    """gru_sequence runs B cells over M = B*k rows; row b*k + s is cell b's."""
+
+    INPUTS = ["x_seq", "h0"] + blocks.GRU_FIELDS
+
+    def test_gradient_matches_finite_differences(self):
+        t_len, cells, k, d, h = 3, 2, 2, 2, 3
+        rng = np.random.default_rng(31)
+        arrays = gru_arrays(rng, t_len, cells, k, d, h)
+        probe = rng.standard_normal((t_len, cells * k, h))
+        _, grads = gru_probe_grads(arrays, probe)
+
+        for pos, name in enumerate(self.INPUTS):
+            def loss(v, pos=pos):
+                tape = ad.Tape()
+                args = [tape.leaf(v if i == pos else a) for i, a in enumerate(arrays)]
+                out = blocks.gru_sequence(*args)
+                return float(np.sum(out.data * probe))
+
+            fd = central_diff_grad(loss, arrays[pos])
+            assert grads[pos].shape == arrays[pos].shape, name
+            assert rel_err(grads[pos], fd) < 1e-7, name
+
+    def test_folded_rows_equal_separate_calls(self):
+        # one call with k rows per cell == k calls with one row per cell
+        t_len, cells, k, d, h = 5, 3, 4, 2, 3
+        rng = np.random.default_rng(32)
+        arrays = gru_arrays(rng, t_len, cells, k, d, h)
+        probe = rng.standard_normal((t_len, cells * k, h))
+        out, grads = gru_probe_grads(arrays, probe)
+
+        summed = [np.zeros_like(a) for a in arrays[2:]]
+        for s in range(k):
+            rows = slice(s, None, k)
+            part = [arrays[0][:, rows], arrays[1][rows]] + arrays[2:]
+            out_s, grads_s = gru_probe_grads(part, probe[:, rows])
+            np.testing.assert_allclose(out[:, rows], out_s, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(grads[0][:, rows], grads_s[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(grads[1][rows], grads_s[1], rtol=1e-12, atol=1e-15)
+            for acc, g in zip(summed, grads_s[2:]):
+                acc += g
+        for name, g, want in zip(blocks.GRU_FIELDS, grads[2:], summed):
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-14, err_msg=name)
+
+    def test_saturated_gates_stay_finite(self):
+        # exp(-x) overflows for x < -709; the sigmoid must still give 0 and,
+        # with RuntimeWarnings raised as errors, must not warn
+        rng = np.random.default_rng(36)
+        arrays = gru_arrays(rng, 3, 2, 2, 1, 3)
+        arrays[0] = np.full_like(arrays[0], -1e4)
+        out, grads = gru_probe_grads(arrays, np.ones((3, 4, 3)))
+        assert np.all(np.isfinite(out)) and all(np.all(np.isfinite(g)) for g in grads)
+
+    def test_tape_freed_without_cycle_collection(self):
+        # the backward closure must hold arrays, not tensors: a tensor holds
+        # its tape, and a tape that only the cycle collector frees kept every
+        # training step's buffers alive (about 5x peak memory)
+        def run():
+            rng = np.random.default_rng(37)
+            arrays = gru_arrays(rng, 3, 2, 2, 1, 3)
+            tape = ad.Tape()
+            out = blocks.gru_sequence(tape.constant(arrays[0]),
+                                      *[tape.leaf(a) for a in arrays[1:]])
+            tape.backward(ad.reduce_sum(out))
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            gc.enable()
+
+    # "wide": one extra column; "one_cell": a (1, ...) leaf, which would
+    # broadcast to every cell and get a (B, ...) gradient. The cell count is
+    # read from w_z, so w_z has no "one_cell" case.
+    @pytest.mark.parametrize("field, corrupt",
+                             [(f, "wide") for f in blocks.GRU_FIELDS]
+                             + [(f, "one_cell") for f in blocks.GRU_FIELDS[1:]])
+    def test_every_parameter_shape_checked(self, field, corrupt):
+        rng = np.random.default_rng(33)
+        arrays = gru_arrays(rng, 4, 2, 1, 1, 3)
+        pos = self.INPUTS.index(field)
+        arr = arrays[pos]
+        arrays[pos] = (np.concatenate([arr, arr[..., :1]], axis=-1) if corrupt == "wide"
+                       else arr[:1])
+        tape = ad.Tape()
+        with pytest.raises(ad.ShapeError, match=field):
+            blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
+
+    def test_rows_must_be_a_multiple_of_the_cells(self):
+        rng = np.random.default_rng(35)
+        arrays = gru_arrays(rng, 4, 2, 1, 1, 3)
+        arrays[0] = rng.standard_normal((4, 3, 1))
+        arrays[1] = np.zeros((3, 3))
+        tape = ad.Tape()
+        with pytest.raises(ad.ShapeError, match="multiple"):
+            blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
 
 
 class TestGcn:

@@ -260,6 +260,39 @@ class TestForwardFull:
         row = mdl.encode_mask_row(models, 1, x[0, :, :3, :])
         np.testing.assert_allclose(masks.values[0, 2, 1], row.data, rtol=1e-10)
 
+    def test_shared_encoder_samples_match_pipeline_ops(self):
+        # several samples fold into the shared bank's rows; each sample's
+        # masks and predictions must still match the per-node reference ops
+        models, _ = tiny_models(n=3, d=2, hidden=4, seed=17, share_encoder=True)
+        x = np.random.default_rng(14).standard_normal((3, 3, 5, 2))
+        masks, preds = mdl.forward_full(models, x)
+        for (s, i, tau) in [(0, 0, 0), (1, 2, 3), (2, 1, 2), (2, 0, 3), (1, 1, 0)]:
+            row = mdl.encode_mask_row(models, i, x[s, :, : tau + 1, :])
+            np.testing.assert_allclose(masks.values[s, tau, i], row.data, rtol=1e-10)
+            gated = mdl.apply_mask(row, row.tape.constant(x[s, :, tau, :]))
+            pred = mdl.decode_predict(models, i, gated)
+            np.testing.assert_allclose(preds.values[s, tau, i], pred.data, rtol=1e-10)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("s_count", [1, 3])
+    def test_one_gru_call_for_all_samples(self, monkeypatch, share, s_count):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].data.shape)
+            return blocks.gru_sequence(*args)
+
+        monkeypatch.setattr(mdl, "gru_sequence", counting)
+        n, t_len, hidden = 3, 6, 4
+        models, _ = tiny_models(n=n, hidden=hidden, seed=18, share_encoder=share)
+        x = np.random.default_rng(15).standard_normal((s_count, n, t_len, 1))
+        out = mdl.batched_forward(models, x, Tape())
+        cells = n if share else n * n
+        assert calls == [(t_len - 1, cells * s_count, 1)]
+        assert out.masks.data.shape == (n, s_count * (t_len - 1), n)
+
 
 class TestStackRoundTrip:
     def test_causal_mask_series_validation(self):

@@ -194,3 +194,26 @@ class TestStandardize:
         x[0, 4, 30, 0] = bad
         with pytest.raises(sim.SimulationError, match=r"\(0, 2, 17\)"):
             sim.standardize(x)
+
+
+class TestStandardizeLike:
+    def test_prefix_moments_applied_to_whole_series(self):
+        x, _ = sim.gen_var(4, 1, 60, 0)
+        x[0, 1, :48, 0] = 2.0  # constant over the prefix only
+        z = sim.standardize_like(x, x[:, :, :48])
+        np.testing.assert_array_equal(z[:, :, :48], sim.standardize(x[:, :, :48]))
+        np.testing.assert_array_equal(z[0, 1], np.zeros((60, 1)))
+        head = x[0, 0, :48]
+        np.testing.assert_allclose(z[0, 0, 48:], (x[0, 0, 48:] - head.mean()) / head.std(),
+                                   rtol=1e-15)
+
+    def test_mismatched_channels_rejected(self):
+        x, _ = sim.gen_var(4, 1, 60, 0)
+        with pytest.raises(sim.SimulationError, match="differ"):
+            sim.standardize_like(x, x[:, :3, :48])
+
+    def test_non_finite_series_named_by_location(self):
+        x, _ = sim.gen_var(4, 1, 60, 0)
+        x[0, 3, 55, 0] = np.nan  # outside the reference prefix
+        with pytest.raises(sim.SimulationError, match=r"\(0, 3, 55\)"):
+            sim.standardize_like(x, x[:, :, :48])

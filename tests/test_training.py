@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
-from dyncause.simulate import gen_var
+from dyncause.simulate import gen_var, standardize
 
 from test_autodiff import central_diff_grad, rel_err
 
@@ -182,13 +182,14 @@ class TestTotalLoss:
         assert l2 - l1 == pytest.approx(0.3 * 2.0, rel=1e-12)
 
     def test_full_gradient_matches_finite_differences(self):
-        # tiny end-to-end instance: N=3, T=5, H=4; gradient of the summed
-        # per-node loss w.r.t. one MMG weight matrix and one GRU matrix
+        # tiny end-to-end instance: N=3, S=2 samples, T=5, H=4, both encoder
+        # modes; gradient of the summed per-node loss w.r.t. one MMG weight
+        # matrix, one GRU matrix and the other parameter groups
         from dyncause.model import batched_forward, build_node_models
 
-        n, t_len, h = 3, 5, 4
+        n, s_count, t_len, h = 3, 2, 5, 4
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, n, t_len, 1))
+        x = rng.standard_normal((s_count, n, t_len, 1))
         weights = tr.LossWeights(beta1=0.5, beta2=0.4, beta3=0.3, gamma=1.0,
                                  epsilon=0.05)
         consts = tr._group_consts(x, range(n), weights.gamma)
@@ -199,26 +200,29 @@ class TestTotalLoss:
             vecs = tr._loss_vectors(out, consts, weights, range(n))
             return tape, out, ad.reduce_sum(tr._combine(vecs, weights))
 
-        cfg = tr.TrainConfig(hidden=h, seed=7)
-        stack = build_node_models(n, 1, cfg.model_config(), cfg.seed)
-        tape, out, loss = full_loss(stack)
-        grads = tape.backward(loss)
+        for share in (False, True):
+            cfg = tr.TrainConfig(hidden=h, seed=7, share_encoder=share)
+            stack = build_node_models(n, 1, cfg.model_config(), cfg.seed)
+            assert stack.shared_encoder == share
+            tape, out, loss = full_loss(stack)
+            grads = tape.backward(loss)
 
-        for name in ("mmg_w1", "gru.u_h", "tip_w2", "rl_w", "enc_w"):
-            base = (stack.gru["u_h"] if name == "gru.u_h"
-                    else getattr(stack, name.replace("gru.", "")))
+            for name in ("mmg_w1", "gru.u_h", "gru.w_z", "tip_w2", "rl_w", "enc_w"):
+                field = name.replace("gru.", "")
+                base = (stack.gru[field] if name.startswith("gru.")
+                        else getattr(stack, name))
 
-            def scalar_loss(v, name=name):
-                stack2 = build_node_models(n, 1, cfg.model_config(), cfg.seed)
-                if name == "gru.u_h":
-                    stack2.gru["u_h"] = v
-                else:
-                    setattr(stack2, name, v)
-                _, _, loss2 = full_loss(stack2)
-                return loss2.data.item()
+                def scalar_loss(v, name=name, field=field, cfg=cfg):
+                    stack2 = build_node_models(n, 1, cfg.model_config(), cfg.seed)
+                    if name.startswith("gru."):
+                        stack2.gru[field] = v
+                    else:
+                        setattr(stack2, name, v)
+                    _, _, loss2 = full_loss(stack2)
+                    return loss2.data.item()
 
-            fd = central_diff_grad(scalar_loss, base)
-            assert rel_err(grads.wrt(out.leaves[name]), fd) < 1e-4, name
+                fd = central_diff_grad(scalar_loss, base)
+                assert rel_err(grads.wrt(out.leaves[name]), fd) < 1e-4, (share, name)
 
 
 class TestAdam:
@@ -395,3 +399,22 @@ class TestGridSearch:
         cfg = tr.TrainConfig(epochs=3, hidden=4, seed=9)
         score = objective(cfg, tr.LossWeights())
         assert np.isfinite(score) and score >= 0
+
+    def test_validation_objective_scores_on_training_scale(self, monkeypatch):
+        # the holdout must be standardized with the training prefix's moments,
+        # not the whole series': the model never saw the latter's scale
+        series, _ = gen_var(4, 1, 60, 0)
+        seen = []
+        forward_full = tr.forward_full
+
+        def spy(models, x, *args, **kwargs):
+            seen.append(x)
+            return forward_full(models, x, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "forward_full", spy)
+        objective = tr.validation_recon_objective(series, holdout_fraction=0.2)
+        score = objective(tr.TrainConfig(epochs=2, hidden=4, seed=9), tr.LossWeights())
+        assert np.isfinite(score)
+        (x_eval,) = seen
+        assert x_eval.shape == series.shape
+        np.testing.assert_array_equal(x_eval[:, :, :48], standardize(series[:, :, :48]))
