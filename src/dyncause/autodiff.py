@@ -119,9 +119,8 @@ class Tensor:
 class Gradients:
     """Result of a backward pass: per-node gradient arrays."""
 
-    def __init__(self, grads: list, tape: "Tape"):
+    def __init__(self, grads: list):
         self._grads = grads
-        self._tape = tape
 
     def wrt(self, t: Tensor) -> np.ndarray:
         """Gradient w.r.t. ``t``; exact zeros if ``t`` does not affect the root."""
@@ -198,7 +197,7 @@ class Tape:
                     grads[pidx] = pg
                 else:
                     grads[pidx] = grads[pidx] + pg
-        return Gradients(grads, self)
+        return Gradients(grads)
 
 
 def _same_tape(*ts: Tensor) -> Tape:

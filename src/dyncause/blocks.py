@@ -2,7 +2,9 @@
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
-against finite differences in the test suite. Its row contract: the series
+against finite differences in the test suite. Every GRU parameter is stored
+with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
+``u``, ``b``), the layout the op computes in. Its row contract: the series
 has M = B*k rows and row b*k + s is run by cell b, so one call carries k
 independent sequences per cell (k is read from the shapes) and each step is
 one (k, h) matrix product per cell for the fused z|r gates and one for the
@@ -36,8 +38,6 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # GRU
 
-GRU_FIELDS = ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
-
 
 @dataclass
 class GruCell:
@@ -45,46 +45,38 @@ class GruCell:
 
     Update rule: h_t = z_t * h_{t-1} + (1 - z_t) * c_t with
     z = sigmoid(x W_z + h U_z + b_z), r = sigmoid(x W_r + h U_r + b_r),
-    c = tanh(x W_h + (r * h) U_h + b_h).
+    c = tanh(x W_h + (r * h) U_h + b_h). The gates sit side by side:
+    w = W_z|W_r|W_h (d, 3*d1), u = U_z|U_r|U_h (d1, 3*d1) and
+    b = b_z|b_r|b_h (3*d1,).
     """
 
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.w_z.shape[0]
+        return self.w.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_z.shape[1]
+        return self.u.shape[0]
 
     @classmethod
     def init(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "GruCell":
+        """Draws W_z, U_z, W_r, U_r, W_h, U_h in that order; biases start at 0."""
         d, h = input_dim, hidden_dim
-        return cls(
-            w_z=uniform_init(rng, d, (d, h)),
-            u_z=uniform_init(rng, h, (h, h)),
-            b_z=np.zeros(h),
-            w_r=uniform_init(rng, d, (d, h)),
-            u_r=uniform_init(rng, h, (h, h)),
-            b_r=np.zeros(h),
-            w_h=uniform_init(rng, d, (d, h)),
-            u_h=uniform_init(rng, h, (h, h)),
-            b_h=np.zeros(h),
-        )
+        w, u = np.empty((d, 3 * h)), np.empty((h, 3 * h))
+        for gate in range(3):
+            cols = slice(gate * h, (gate + 1) * h)
+            w[:, cols] = uniform_init(rng, d, (d, h))
+            u[:, cols] = uniform_init(rng, h, (h, h))
+        return cls(w=w, u=u, b=np.zeros(3 * h))
 
 
-def _gru_forward(X, H0, Wg, Uzr, Uh, Bg):
-    """Forward recurrence; Wg = W_z, W_r, W_h stacked (3, B, d, h), Bg the
-    biases likewise (3, B, h), Uzr = U_z|U_r (B, h, 2h).
+def _gru_forward(X, H0, W, U, b):
+    """Forward recurrence for the fused cell weights W (B, d, 3h),
+    U (B, h, 3h) and b (B, 3h).
 
     The input projection fills the gate-major step buffer P (T, 3, B, k, h)
     in one batched GEMM, bias added in place; each step then turns P[t] into the
@@ -93,12 +85,14 @@ def _gru_forward(X, H0, Wg, Uzr, Uh, Bg):
     P and the states Hb (T+1, B, k, h) with Hb[0] = h0 and Hb[t+1] = h_t.
     """
     T, M, d = X.shape
-    B, h = Uh.shape[0], H0.shape[1]
+    B, h = U.shape[0], H0.shape[1]
     k = M // B
+    Uzr, Uh = U[..., :2 * h], U[..., 2 * h:]
     P = np.empty((T, 3, B, k, h))
     x_rows = X.reshape(T, B, k, d).transpose(1, 2, 0, 3)  # (B, k, T, d)
+    Wg = W.reshape(B, d, 3, h).transpose(2, 0, 1, 3)  # (3, B, d, h) view
     np.matmul(x_rows, Wg[:, :, None], out=P.transpose(1, 2, 3, 0, 4))
-    P += Bg[:, :, None, :]
+    P += b.reshape(B, 3, h).transpose(1, 0, 2)[:, :, None, :]
     Hb = np.empty((T + 1, B, k, h))
     Hb[0] = H0.reshape(B, k, h)
     hu = np.empty((B, k, 2 * h))
@@ -125,9 +119,9 @@ def _gru_forward(X, H0, Wg, Uzr, Uh, Bg):
     return P, Hb
 
 
-def _gru_backward(X, Wg, Uzr, Uh, P, Hb, G, need_dx):
-    """Gradients of all 11 ``gru_sequence`` inputs for upstream G (T, B*k, h);
-    dX is None unless ``need_dx``.
+def _gru_backward(X, W, U, P, Hb, G, need_dx):
+    """Gradients of the five ``gru_sequence`` inputs for upstream G
+    (T, B*k, h); dX is None unless ``need_dx``.
 
     Each step writes d_az|d_ar|d_ac into one (T, B, k, 3h) buffer D and takes
     one (k, 2h)@(2h, h) product per cell for both gates. After the loop each
@@ -135,11 +129,11 @@ def _gru_backward(X, Wg, Uzr, Uh, P, Hb, G, need_dx):
     as a (T, .) matrix, summed over the cell's k rows.
     """
     T, M, d = X.shape
-    B, h = Uh.shape[0], Hb.shape[-1]
+    B, h = U.shape[0], Hb.shape[-1]
     k, h2 = M // B, 2 * h
     G = G.reshape(T, B, k, h)
-    UzrT = np.swapaxes(Uzr, 1, 2)  # (B, 2h, h)
-    UhT = np.swapaxes(Uh, 1, 2)
+    UzrT = np.swapaxes(U[..., :h2], 1, 2)  # (B, 2h, h)
+    UhT = np.swapaxes(U[..., h2:], 1, 2)
     D = np.empty((T, B, k, 3 * h))  # d_az | d_ar | d_ac
     D_zr, D_c = D[..., :h2], D[..., h2:]
     D_g = D.reshape(T, B, k, 3, h).transpose(0, 3, 1, 2, 4)  # (T, 3, B, k, h) view
@@ -180,31 +174,27 @@ def _gru_backward(X, Wg, Uzr, Uh, P, Hb, G, need_dx):
         return np.matmul(Y.transpose(1, 2, 3, 0), Dpart).sum(axis=1)
 
     dW = weight_grad(X.reshape(T, B, k, d), Dk)
-    dUzr = weight_grad(Hb[:-1], Dk[..., :h2])
-    dUh = weight_grad(P[:, 1] * Hb[:-1], Dk[..., h2:])  # r_t * h_{t-1}
+    dU = np.concatenate((weight_grad(Hb[:-1], Dk[..., :h2]),
+                         weight_grad(P[:, 1] * Hb[:-1], Dk[..., h2:])),  # r_t * h_{t-1}
+                        axis=2)
     db = D.sum(axis=0).sum(axis=1)  # (B, 3h)
     dX = None
     if need_dx:  # the encoder feeds data, which needs no gradient
-        W = np.concatenate(Wg, axis=2)  # W_z|W_r|W_h (B, d, 3h)
         dX = np.empty((T, M, d))
         np.matmul(Dk, np.swapaxes(W, 1, 2)[:, None],
                   out=dX.reshape(T, B, k, d).transpose(1, 2, 0, 3))
-    return (dX, dh.reshape(M, h),
-            dW[..., :h], dUzr[..., :h], db[:, :h],
-            dW[..., h:h2], dUzr[..., h:], db[:, h:h2],
-            dW[..., h2:], dUh, db[:, h2:])
+    return dX, dh.reshape(M, h), dW, dU, db
 
 
-def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
-                 w_r: Tensor, u_r: Tensor, b_r: Tensor,
-                 w_h: Tensor, u_h: Tensor, b_h: Tensor) -> Tensor:
+def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """Run B independent GRU cells over a series in one fused op.
 
     Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows, where
-    B is the number of cells read from the weights, w_* (B, d, d1),
-    u_* (B, d1, d1), b_* (B, d1). Row b*k + s is run by cell b, so each cell
-    carries k independent sequences (k is read from the shapes). Returns all
-    hidden states (T, M, d1), row-aligned with x_seq.
+    B is the number of cells read from w (B, d, 3*d1); u is (B, d1, 3*d1)
+    and b (B, 3*d1), each with the gates side by side as in ``GruCell``.
+    Row b*k + s is run by cell b, so each cell carries k independent
+    sequences (k is read from the shapes). Returns all hidden states
+    (T, M, d1), row-aligned with x_seq.
     """
     X, H0 = x_seq.data, h0.data
     if X.ndim != 3:
@@ -215,33 +205,28 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tenso
     if H0.ndim != 2 or H0.shape[0] != M:
         raise ShapeError(f"h0 shape {H0.shape} incompatible with {M} input rows")
     d1 = H0.shape[1]
-    params = [p.data for p in (w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)]
-    B = params[0].shape[0] if params[0].ndim else 0
+    W, U, Bias = w.data, u.data, b.data
+    B = W.shape[0] if W.ndim else 0
     if B < 1 or M % B:
         raise ShapeError(f"gru_sequence: {M} input rows are not a multiple of "
-                         f"the {B} cells of w_z")
-    want = {"w": (B, d, d1), "u": (B, d1, d1), "b": (B, d1)}
-    for name, arr in zip(GRU_FIELDS, params):
-        if arr.shape != want[name[0]]:
-            raise ShapeError(
-                f"gru_sequence: {name} shape {arr.shape}, expected {want[name[0]]}")
-    Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh = params
-    Wg = np.stack((Wz, Wr, Wh))
-    Uzr = np.concatenate((Uz, Ur), axis=2)
+                         f"the {B} cells of w")
+    for name, arr, want in (("w", W, (B, d, 3 * d1)), ("u", U, (B, d1, 3 * d1)),
+                            ("b", Bias, (B, 3 * d1))):
+        if arr.shape != want:
+            raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
-    P, Hb = _gru_forward(X, H0, Wg, Uzr, Uh, np.stack((Bz, Br, Bh)))
+    P, Hb = _gru_forward(X, H0, W, U, Bias)
     need_dx = x_seq.needs  # a bool: the closure must not keep the tape alive
 
     def backward(g):
-        return _gru_backward(X, Wg, Uzr, Uh, P, Hb, np.ascontiguousarray(g), need_dx)
+        return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
 
-    return x_seq.tape.record(
-        Hb[1:].reshape(T, M, d1), (x_seq, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h),
-        backward, op="gru_sequence")
+    return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u, b),
+                             backward, op="gru_sequence")
 
 
 def _cell_leaves(tape: Tape, cell: GruCell) -> list:
-    return [tape.leaf(getattr(cell, f)[None]) for f in GRU_FIELDS]
+    return [tape.leaf(cell.w[None]), tape.leaf(cell.u[None]), tape.leaf(cell.b[None])]
 
 
 def gru_step(cell: GruCell, x_t: Tensor, h_prev: Tensor) -> Tensor:

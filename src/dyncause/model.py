@@ -4,8 +4,12 @@ transition, decoder predicts the next step from the gated snapshot.
 All node models live in one ``ParamStack``: every parameter carries a
 leading node axis, so node subsets slice cleanly. ``batched_forward`` runs
 every node, sample and transition in one tape pass; training and
-``forward_full`` use it. Its GRU bank is one ``gru_sequence`` call whose
-rows are cell-major: row b*S + s runs bank cell b on sample s. The per-node
+``forward_full`` use it. Shared and per-node encoders take the same path:
+the slice's encoder rows (one shared row, or one per node) run as one
+``gru_sequence`` call whose rows are cell-major (row b*S + s runs bank cell
+b on sample s), and the per-node MMG weights broadcast over a shared
+encoder's single output. ``batched_forward`` also reports which nodes each
+parameter row serves, so training needs no knowledge of the layout. The per-node
 ops (``encode_mask_row``, ``apply_mask``, ``decode_predict``) read node i's
 rows into the single-cell blocks of ``blocks`` and transcribe the model
 directly, without going through ``batched_forward``; tests use them as its
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import (ACTIVATIONS, GRU_FIELDS, GcnLayer, GruCell, Mlp, gcn_forward,
+from .blocks import (ACTIVATIONS, GcnLayer, GruCell, Mlp, gcn_forward,
                      gru_sequence, gru_unroll, mlp_forward, ngcn_row_forward,
                      normalized_propagation_matrix, uniform_init)
 
@@ -35,22 +39,27 @@ class ModelConfig:
     share_encoder: bool = False
 
 
-_NODE_ARRAYS = ("enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2", "rl_w", "rl_b",
-                "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
+_ARRAYS = ("gru_w", "gru_u", "gru_b", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
+           "rl_w", "rl_b", "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
 
 
 @dataclass
 class ParamStack:
     """Every node model's parameters, stacked on a leading node axis.
 
-    GRU rows are node-major: row i*N + j is node i's cell for input node j.
-    With a shared encoder the GRU bank has N rows and ``enc_w`` one row, used
-    by every node. The encoder GCN and the decoder NGCN both propagate over
-    the complete graph with self-loop intensity ``self_loop``.
+    The encoder has E rows: E = N, one per node, or E = 1 when every node
+    shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
+    where row e*N + j is its cell for input node j. A GRU row holds the
+    gates side by side as in ``GruCell``: ``gru_w[r]`` = W_z|W_r|W_h,
+    likewise ``gru_u`` and ``gru_b``. The encoder GCN and the decoder NGCN
+    both propagate over the complete graph with self-loop intensity
+    ``self_loop``.
     """
 
-    gru: dict  # field -> (N*N, ...) array, or (N, ...) when the encoder is shared
-    enc_w: np.ndarray  # (N, h, h), or (1, h, h) when shared
+    gru_w: np.ndarray  # (E*N, d, 3h)
+    gru_u: np.ndarray  # (E*N, h, 3h)
+    gru_b: np.ndarray  # (E*N, 3h)
+    enc_w: np.ndarray  # (E, h, h)
     mmg_w1: np.ndarray  # (N, N*h, h)
     mmg_b1: np.ndarray  # (N, 1, h)
     mmg_w2: np.ndarray  # (N, h, N)
@@ -88,10 +97,7 @@ class ParamStack:
         return normalized_propagation_matrix(np.ones((n, n)), self.self_loop)
 
     def arrays(self) -> dict:
-        out = {f"gru.{k}": v for k, v in self.gru.items()}
-        for name in _NODE_ARRAYS:
-            out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in _ARRAYS}
 
 
 def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> ParamStack:
@@ -104,10 +110,10 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
     h = config.hidden
     shared = config.share_encoder and n > 1
     enc_count = 1 if shared else n
-    cell_shapes = {"w": (d, h), "u": (h, h), "b": (h,)}
-    gru = {f: np.zeros((enc_count * n,) + cell_shapes[f[0]]) for f in GRU_FIELDS}
+    cells = enc_count * n
     stack = ParamStack(
-        gru=gru, enc_w=np.zeros((enc_count, h, h)),
+        gru_w=np.zeros((cells, d, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
+        gru_b=np.zeros((cells, 3 * h)), enc_w=np.zeros((enc_count, h, h)),
         mmg_w1=np.zeros((n, n * h, h)), mmg_b1=np.zeros((n, 1, h)),
         mmg_w2=np.zeros((n, h, n)), mmg_b2=np.zeros((n, 1, n)),
         rl_w=np.zeros((n, d, h)), rl_b=np.zeros((n, 1, h)),
@@ -120,8 +126,8 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
         if i < enc_count:
             for j in range(n):
                 cell = GruCell.init(rng, d, h)
-                for f in GRU_FIELDS:
-                    gru[f][i * n + j] = getattr(cell, f)
+                stack.gru_w[i * n + j] = cell.w
+                stack.gru_u[i * n + j] = cell.u
             stack.enc_w[i] = uniform_init(rng, h, (h, h))
         stack.mmg_w1[i] = uniform_init(rng, n * h, (n * h, h))
         stack.mmg_w2[i] = uniform_init(rng, h, (h, n))
@@ -161,7 +167,8 @@ def encode_mask_row(stack: ParamStack, i: int, x_hist, tape: Tape | None = None)
     owner = 0 if stack.shared_encoder else i
     rows = []
     for j in range(n):
-        cell = GruCell(**{f: stack.gru[f][owner * n + j] for f in GRU_FIELDS})
+        r = owner * n + j
+        cell = GruCell(w=stack.gru_w[r], u=stack.gru_u[r], b=stack.gru_b[r])
         h_j = gru_unroll(cell, ad.take_axis0(x_t, j))
         rows.append(ad.reshape(h_j, (1, h)))
     z = gcn_forward(_complete_gcn(stack, stack.enc_w[owner]), ad.concat_rows(rows))
@@ -203,7 +210,8 @@ def decode_predict(stack: ParamStack, i: int, x_masked: Tensor) -> Tensor:
 class BatchedOutput:
     masks: Tensor  # (n_nodes, S*(T-1), N) gate rows, node-major
     predictions: Tensor  # (n_nodes, S*(T-1), d)
-    leaves: dict  # parameter name -> leaf Tensor
+    leaves: dict  # parameter name -> leaf Tensor, a view of the stack rows
+    serves: dict  # parameter name -> (leaf rows, n_nodes) bool: row r serves node k
     tape: Tape
     num_samples: int
     num_transitions: int
@@ -231,49 +239,45 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     n_i = len(node_ids)
     h = stack.hidden
     g = s_count * tt
-    shared = stack.shared_encoder
     act = ACTIVATIONS[stack.phi]
 
-    # leaves are views of the stack rows, so optimizer steps write through
-    leaves = {}
+    # encoder rows [e_lo, e_hi) serve the slice: one shared row, or the nodes'
+    # own. Leaves are views of the stack rows, so optimizer steps write through.
+    node_serves = np.eye(n_i, dtype=bool)
+    if stack.shared_encoder:
+        e_lo, e_hi, enc_serves = 0, 1, np.ones((1, n_i), dtype=bool)
+    else:
+        e_lo, e_hi, enc_serves = lo, hi, node_serves
+    n_e = e_hi - e_lo
+    leaves, serves = {}, {}
     for name, arr in stack.arrays().items():
-        if name.startswith("gru."):
-            rows = slice(None) if shared else slice(lo * n, hi * n)
+        if name.startswith("gru_"):  # N cells per encoder row
+            rows, who = slice(e_lo * n, e_hi * n), np.repeat(enc_serves, n, axis=0)
+        elif name == "enc_w":
+            rows, who = slice(e_lo, e_hi), enc_serves
         else:
-            rows = slice(None) if shared and name == "enc_w" else slice(lo, hi)
+            rows, who = slice(lo, hi), node_serves
         leaves[name] = tape.leaf(arr[rows])
+        serves[name] = who
 
     # ---- encoder: the GRU bank over the first T-1 steps of every sample in
-    # one call. Rows are cell-major: row b*S + s runs cell b on sample s.
-    cells = n if shared else n_i * n
+    # one call. Rows are cell-major: row b*S + s runs cell b = e*N + j (encoder
+    # e's cell for input node j, which reads series j) on sample s.
     series = x[:, :, :tt, :].transpose(2, 1, 0, 3)  # (tt, N_j, S, d)
-    if not shared:  # node i's cell j reads series j
-        series = np.broadcast_to(series[:, None], (tt, n_i, n, s_count, d))
-    x_seq = series.reshape(tt, cells * s_count, d)
-    h0 = tape.constant(np.zeros((cells * s_count, h)))
-    hs = gru_sequence(tape.constant(x_seq), h0,
-                      *(leaves[f"gru.{f}"] for f in GRU_FIELDS))  # (tt, cells*S, h)
-
-    if shared:
-        hs = ad.reshape(hs, (tt, n, s_count, h))
-        hs = ad.transpose(hs, (2, 0, 1, 3))
-        hs = ad.reshape(hs, (1, g, n, h))  # broadcasts over the node axis below
-    else:
-        hs = ad.reshape(hs, (tt, n_i, n, s_count, h))
-        hs = ad.transpose(hs, (1, 3, 0, 2, 4))
-        hs = ad.reshape(hs, (n_i, g, n, h))
+    series = np.broadcast_to(series[:, None], (tt, n_e, n, s_count, d))
+    x_seq = series.reshape(tt, n_e * n * s_count, d)
+    h0 = tape.constant(np.zeros((n_e * n * s_count, h)))
+    hs = gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"],
+                      leaves["gru_b"])  # (tt, n_e*N*S, h)
+    hs = ad.reshape(hs, (tt, n_e, n, s_count, h))
+    hs = ad.transpose(hs, (1, 3, 0, 2, 4))
+    hs = ad.reshape(hs, (n_e, g, n, h))
 
     prop = stack.prop
-    prop_c = tape.constant(prop)
-    mixed = ad.matmul(prop_c, hs)  # (n_i|1, g, N, h)
-    lead = 1 if shared else n_i
-    # flatten (g, N) so the per-node weight product is one wide dgemm per node
-    z = act(ad.matmul(ad.reshape(mixed, (lead, g * n, h)), leaves["enc_w"]))
-    if shared:
-        # materialize the node axis before the per-node MMG weights
-        z = ad.hadamard(ad.reshape(z, (1, g, n * h)),
-                        tape.constant(np.ones((n_i, 1, 1))))
-    z_flat = ad.reshape(z, (n_i, g, n * h))
+    mixed = ad.matmul(tape.constant(prop), hs)  # (n_e, g, N, h)
+    # flatten (g, N) so the per-encoder weight product is one wide dgemm each
+    z = act(ad.matmul(ad.reshape(mixed, (n_e, g * n, h)), leaves["enc_w"]))
+    z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
     a1 = act(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]))
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
     masks = ad.sigmoid(mask_pre)  # (n_i, g, N)
@@ -294,8 +298,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     t1 = act(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (n_i, g, d)
 
-    return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape,
-                         num_samples=s_count, num_transitions=tt)
+    return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, serves=serves,
+                         tape=tape, num_samples=s_count, num_transitions=tt)
 
 
 def masks_to_series(masks_data: np.ndarray, s_count: int, tt: int) -> np.ndarray:

@@ -271,81 +271,67 @@ def _combine(vecs: dict, weights: LossWeights) -> Tensor:
     return total
 
 
+def _train_step(stack: ParamStack, x: np.ndarray, node_slice: slice,
+                consts: _GroupConsts, config: TrainConfig, weights: LossWeights,
+                adam: AdamState, active: np.ndarray) -> dict:
+    """One forward, backward and Adam step on one chunk of samples; returns
+    the loss terms and total as arrays, so the chunk's tape dies here.
+
+    A parameter row trains while any node it serves is ``active``.
+    """
+    tape = Tape()
+    node_ids = range(*node_slice.indices(stack.num_nodes))
+    out = batched_forward(stack, x, tape, node_slice=node_slice)
+    vecs = _loss_vectors(out, consts, weights, node_ids)
+    total_vec = _combine(vecs, weights)
+    grads = tape.backward(ad.reduce_sum(total_vec))
+    params = {name: leaf.data for name, leaf in out.leaves.items()}
+    grad_arrays = {name: grads.wrt(leaf) for name, leaf in out.leaves.items()}
+    write_mask = None if active.all() else {
+        name: (serves & active).any(axis=1) for name, serves in out.serves.items()}
+    adam_step(adam, params, grad_arrays, config, write_mask)
+    terms = {key: vec.data for key, vec in vecs.items() if vec is not None}
+    terms["total"] = total_vec.data
+    return terms
+
+
 def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
                  config: TrainConfig, weights: LossWeights) -> list:
     """Train the nodes of one slice to convergence; mutates ``stack`` rows."""
-    s_count, n, t_len, d = x.shape
-    node_ids = list(range(*node_slice.indices(n)))
+    s_count = x.shape[0]
+    node_ids = list(range(*node_slice.indices(x.shape[1])))
     n_g = len(node_ids)
-    consts = _group_consts(x, node_ids, weights.gamma)
     adam = AdamState()
     best = np.full(n_g, np.inf)
     stall = np.zeros(n_g, dtype=int)
     active = np.ones(n_g, dtype=bool)
     history = []
-    shared = stack.shared_encoder
 
-    if config.batch_mode == "sample_minibatch" and s_count > 1:
-        chunks = [list(range(k, min(k + config.minibatch_size, s_count)))
-                  for k in range(0, s_count, config.minibatch_size)]
-    else:
-        chunks = [list(range(s_count))]
-    chunk_consts = ([consts] if len(chunks) == 1 else
-                    [_group_consts(x[c], node_ids, weights.gamma) for c in chunks])
+    size = config.minibatch_size if config.batch_mode == "sample_minibatch" else s_count
+    chunks = [x[k:k + size] for k in range(0, s_count, size)]
+    chunk_consts = [_group_consts(xc, node_ids, weights.gamma) for xc in chunks]
 
     epoch = 0
     for epoch in range(1, config.epochs + 1):
-        epoch_total = np.zeros(n_g)
-        epoch_terms = {k: np.zeros(n_g) for k in ("recon", "struct", "div", "sparsity")}
+        sums = {key: np.zeros(n_g) for key in HISTORY_FIELDS[2:]}
         try:
-            for chunk, cc in zip(chunks, chunk_consts):
-                tape = Tape()
-                x_chunk = x if len(chunk) == s_count else x[chunk]
-                out = batched_forward(stack, x_chunk, tape, node_slice=node_slice)
-                vecs = _loss_vectors(out, cc, weights, node_ids)
-                total_vec = _combine(vecs, weights)
-                for key in epoch_terms:
-                    if vecs[key] is not None:
-                        epoch_terms[key] += vecs[key].data
-                epoch_total += total_vec.data
-                loss = ad.reduce_sum(total_vec)
-                grads = tape.backward(loss)
-
-                params, grad_arrays, write_mask = {}, {}, {}
-                all_active = bool(active.all())
-                for name, leaf in out.leaves.items():
-                    grad_arrays[name] = grads.wrt(leaf)
-                    params[name] = leaf.data
-                    if shared and (name.startswith("gru.") or name == "enc_w"):
-                        # encoder shared across nodes: update while any node trains
-                        write_mask[name] = (slice(None) if active.any()
-                                            else slice(0, 0))
-                    elif all_active:
-                        write_mask[name] = slice(None)
-                    elif name.startswith("gru."):
-                        write_mask[name] = np.repeat(active, n)
-                    else:
-                        write_mask[name] = active
-                adam_step(adam, params, grad_arrays, config, write_mask)
+            for xc, cc in zip(chunks, chunk_consts):
+                for key, value in _train_step(stack, xc, node_slice, cc, config, weights,
+                                              adam, active).items():
+                    sums[key] += value
         except NumericError as err:
             raise TrainingError(f"epoch {epoch}: {err}") from err
 
-        denom = len(chunks)
+        means = {key: total / len(chunks) for key, total in sums.items()}
         for k, i in enumerate(node_ids):
-            row = {"epoch": epoch, "node": i,
-                   "recon": epoch_terms["recon"][k] / denom,
-                   "struct": epoch_terms["struct"][k] / denom,
-                   "div": epoch_terms["div"][k] / denom,
-                   "sparsity": epoch_terms["sparsity"][k] / denom,
-                   "total": epoch_total[k] / denom}
+            row = {"epoch": epoch, "node": i, **{key: v[k] for key, v in means.items()}}
             if not math.isfinite(row["total"]):
-                term = next((t for t in ("recon", "struct", "div", "sparsity")
-                             if not math.isfinite(row[t])), "total")
+                term = next(t for t in HISTORY_FIELDS[2:] if not math.isfinite(row[t]))
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, node {i}, term {term}")
             history.append(row)
 
-        cur = epoch_total / denom
+        cur = means["total"]
         improved = cur < best - config.early_stop_tol
         stall = np.where(improved, 0, stall + 1)
         best = np.minimum(best, cur)

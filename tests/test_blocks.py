@@ -14,9 +14,14 @@ from test_autodiff import central_diff_grad, rel_err
 
 
 def zero_cell(d, h):
-    z = lambda *s: np.zeros(s)
-    return GruCell(w_z=z(d, h), u_z=z(h, h), b_z=z(h), w_r=z(d, h), u_r=z(h, h),
-                   b_r=z(h), w_h=z(d, h), u_h=z(h, h), b_h=z(h))
+    return GruCell(w=np.zeros((d, 3 * h)), u=np.zeros((h, 3 * h)), b=np.zeros(3 * h))
+
+
+def gates(cell):
+    """The per-gate blocks of a fused cell: (W_z, W_r, W_h), (U_z, ...), (b_z, ...)."""
+    h = cell.hidden_dim
+    split = lambda a: [a[..., k * h:(k + 1) * h] for k in range(3)]
+    return split(cell.w), split(cell.u), split(cell.b)
 
 
 class TestGruStep:
@@ -31,15 +36,14 @@ class TestGruStep:
     def test_zero_state_zero_recurrent(self):
         rng = np.random.default_rng(0)
         cell = zero_cell(2, 3)
-        cell.w_h = rng.standard_normal((2, 3))
-        cell.w_z = rng.standard_normal((2, 3))
-        cell.w_r = rng.standard_normal((2, 3))
+        cell.w = rng.standard_normal((2, 9))
+        (w_z, _, w_h), _, _ = gates(cell)
         x = np.array([0.7, -0.2])
         tape = ad.Tape()
         out = blocks.gru_step(cell, tape.leaf(x), tape.leaf(np.zeros(3)))
         # h_prev = 0: h = (1 - z) * tanh(W_h x); z in (0,1) cannot flip the sign
-        z = 1.0 / (1.0 + np.exp(-(x @ cell.w_z)))
-        np.testing.assert_allclose(out.data, (1 - z) * np.tanh(x @ cell.w_h), rtol=1e-12)
+        z = 1.0 / (1.0 + np.exp(-(x @ w_z)))
+        np.testing.assert_allclose(out.data, (1 - z) * np.tanh(x @ w_h), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -47,7 +51,7 @@ class TestGruStep:
         x0 = rng.standard_normal(3)
         h0 = rng.standard_normal(4)
 
-        names = ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
+        names = ["w", "u", "b"]
         for name in names + ["x", "h"]:
             def loss(v, name=name):
                 c = GruCell(**{n: getattr(cell, n).copy() for n in names})
@@ -92,9 +96,10 @@ class TestGruStep:
         tape = ad.Tape()
         out = blocks.gru_step(cell, tape.leaf(x), tape.leaf(h_prev)).data
         # recompute the candidate to get the other endpoint
-        z = 1.0 / (1.0 + np.exp(-(x @ cell.w_z + h_prev @ cell.u_z + cell.b_z)))
-        r = 1.0 / (1.0 + np.exp(-(x @ cell.w_r + h_prev @ cell.u_r + cell.b_r)))
-        c = np.tanh(x @ cell.w_h + (r * h_prev) @ cell.u_h + cell.b_h)
+        (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(cell)
+        z = 1.0 / (1.0 + np.exp(-(x @ w_z + h_prev @ u_z + b_z)))
+        r = 1.0 / (1.0 + np.exp(-(x @ w_r + h_prev @ u_r + b_r)))
+        c = np.tanh(x @ w_h + (r * h_prev) @ u_h + b_h)
         lo = np.minimum(h_prev, c) - 1e-12
         hi = np.maximum(h_prev, c) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
@@ -113,7 +118,7 @@ class TestGruUnroll:
     def test_zero_series_zero_biases_stays_zero(self):
         cell = zero_cell(2, 3)
         rng = np.random.default_rng(2)
-        cell.w_h = rng.standard_normal((2, 3))
+        cell.w[:, 6:] = rng.standard_normal((2, 3))  # W_h
         tape = ad.Tape()
         out = blocks.gru_unroll(cell, tape.leaf(np.zeros((5, 2))))
         np.testing.assert_array_equal(out.data, np.zeros(3))
@@ -137,17 +142,18 @@ class TestGruUnroll:
 
 
 def gru_arrays(rng, t_len, cells, k, d, h):
-    """x_seq (T, cells*k, d), h0 (cells*k, h) and the nine stacked cell
-    parameters, in ``gru_sequence`` argument order."""
-    shapes = {"w": (cells, d, h), "u": (cells, h, h), "b": (cells, h)}
-    return ([rng.standard_normal((t_len, cells * k, d)),
-             0.5 * rng.standard_normal((cells * k, h))]
-            + [rng.uniform(-0.7, 0.7, shapes[f[0]]) for f in blocks.GRU_FIELDS])
+    """x_seq (T, cells*k, d), h0 (cells*k, h) and the stacked cell
+    parameters w, u, b, in ``gru_sequence`` argument order."""
+    return [rng.standard_normal((t_len, cells * k, d)),
+            0.5 * rng.standard_normal((cells * k, h)),
+            rng.uniform(-0.7, 0.7, (cells, d, 3 * h)),
+            rng.uniform(-0.7, 0.7, (cells, h, 3 * h)),
+            rng.uniform(-0.7, 0.7, (cells, 3 * h))]
 
 
 def gru_probe_grads(arrays, probe):
     """Output of ``gru_sequence`` and the gradients of sum(out * probe) with
-    respect to all eleven inputs."""
+    respect to all five inputs."""
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     out = blocks.gru_sequence(*leaves)
@@ -158,7 +164,7 @@ def gru_probe_grads(arrays, probe):
 class TestGruRowContract:
     """gru_sequence runs B cells over M = B*k rows; row b*k + s is cell b's."""
 
-    INPUTS = ["x_seq", "h0"] + blocks.GRU_FIELDS
+    INPUTS = ["x_seq", "h0", "w", "u", "b"]
 
     def test_gradient_matches_finite_differences(self):
         t_len, cells, k, d, h = 3, 2, 2, 2, 3
@@ -196,7 +202,7 @@ class TestGruRowContract:
             np.testing.assert_allclose(grads[1][rows], grads_s[1], rtol=1e-12, atol=1e-15)
             for acc, g in zip(summed, grads_s[2:]):
                 acc += g
-        for name, g, want in zip(blocks.GRU_FIELDS, grads[2:], summed):
+        for name, g, want in zip(self.INPUTS[2:], grads[2:], summed):
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-14, err_msg=name)
 
     def test_saturated_gates_stay_finite(self):
@@ -227,21 +233,31 @@ class TestGruRowContract:
         finally:
             gc.enable()
 
-    # "wide": one extra column; "one_cell": a (1, ...) leaf, which would
-    # broadcast to every cell and get a (B, ...) gradient. The cell count is
-    # read from w_z, so w_z has no "one_cell" case.
-    @pytest.mark.parametrize("field, corrupt",
-                             [(f, "wide") for f in blocks.GRU_FIELDS]
-                             + [(f, "one_cell") for f in blocks.GRU_FIELDS[1:]])
-    def test_every_parameter_shape_checked(self, field, corrupt):
+    # The ids name a gate block of the fused arrays: w_r is w[..., h:2h].
+    # "wide": that block gains one column, so the array is 3h + 1 wide.
+    # "one_cell": the array holds one cell, which would broadcast to every
+    # cell and get a (B, ...) gradient; this hits every block of the array.
+    # The cell count is read from w, so a one-cell w is reported as a
+    # mismatch with u (the w_r and w_h cases; w_z has none).
+    GATE_BLOCKS = [f"{kind}_{gate}" for kind in "wub" for gate in "zrh"]
+
+    @pytest.mark.parametrize("block, corrupt",
+                             [(b, "wide") for b in GATE_BLOCKS]
+                             + [(b, "one_cell") for b in GATE_BLOCKS[1:]])
+    def test_every_parameter_shape_checked(self, block, corrupt):
+        h = 3
         rng = np.random.default_rng(33)
-        arrays = gru_arrays(rng, 4, 2, 1, 1, 3)
-        pos = self.INPUTS.index(field)
+        arrays = gru_arrays(rng, 4, 2, 1, 1, h)
+        pos = self.INPUTS.index(block[0])
         arr = arrays[pos]
-        arrays[pos] = (np.concatenate([arr, arr[..., :1]], axis=-1) if corrupt == "wide"
-                       else arr[:1])
+        if corrupt == "wide":
+            end = ("zrh".index(block[2]) + 1) * h
+            arrays[pos] = np.concatenate([arr[..., :end], arr[..., end - 1:]], axis=-1)
+        else:
+            arrays[pos] = arr[:1]
+        blamed = "u" if block[0] == "w" and corrupt == "one_cell" else block[0]
         tape = ad.Tape()
-        with pytest.raises(ad.ShapeError, match=field):
+        with pytest.raises(ad.ShapeError, match=rf"\b{blamed} shape"):
             blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
 
     def test_rows_must_be_a_multiple_of_the_cells(self):
@@ -393,20 +409,17 @@ class TestGradientSuite:
         cell = GruCell.init(rng, 2, 3)
         x0, h0 = rng.standard_normal(2), rng.standard_normal(3)
 
-        def loss(wz):
-            c2 = GruCell(**{n: getattr(cell, n) for n in
-                            ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]})
-            c2.w_z = wz
+        def loss(w):
+            c2 = GruCell(w=w, u=cell.u, b=cell.b)
             tape = ad.Tape()
             return ad.sq_l2_norm(blocks.gru_step(c2, tape.leaf(x0), tape.leaf(h0))).data.item()
 
         tape = ad.Tape()
-        names = ["w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"]
-        leaves = [tape.leaf(getattr(cell, n)[None]) for n in names]
+        leaves = [tape.leaf(a[None]) for a in (cell.w, cell.u, cell.b)]
         out = blocks.gru_sequence(ad.reshape(tape.leaf(x0), (1, 1, 2)),
                                   ad.reshape(tape.leaf(h0), (1, 3)), *leaves)
         grads = tape.backward(ad.sq_l2_norm(out))
-        assert rel_err(grads.wrt(leaves[0])[0], central_diff_grad(loss, cell.w_z)) < 1e-4
+        assert rel_err(grads.wrt(leaves[0])[0], central_diff_grad(loss, cell.w)) < 1e-4
 
     @pytest.mark.parametrize("draw", range(10))
     def test_gcn_and_mlp_random_draws(self, draw):

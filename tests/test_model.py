@@ -41,9 +41,12 @@ class TestInitStreams:
 
             if i == 0 or not share:
                 for j in range(n):
-                    for f in ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h"):
-                        want = draw(d, (d, h)) if f[0] == "w" else draw(h, (h, h))
-                        np.testing.assert_array_equal(stack.gru[f][i * n + j], want)
+                    for gate in range(3):  # W_z, U_z, W_r, U_r, W_h, U_h
+                        cols = slice(gate * h, (gate + 1) * h)
+                        np.testing.assert_array_equal(stack.gru_w[i * n + j][:, cols],
+                                                      draw(d, (d, h)))
+                        np.testing.assert_array_equal(stack.gru_u[i * n + j][:, cols],
+                                                      draw(h, (h, h)))
                 np.testing.assert_array_equal(stack.enc_w[i], draw(h, (h, h)))
             for name, want in (("mmg_w1", draw(n * h, (n * h, h))),
                                ("mmg_w2", draw(h, (h, n))),
@@ -53,9 +56,9 @@ class TestInitStreams:
                                ("tip_w2", draw(h, (h, d)))):
                 np.testing.assert_array_equal(getattr(stack, name)[i], want, err_msg=name)
         cells = n if share else n * n
-        assert stack.gru["w_z"].shape[0] == cells and stack.shared_encoder == share
+        assert stack.gru_w.shape == (cells, d, 3 * h) and stack.shared_encoder == share
         for name, arr in stack.arrays().items():
-            if name.startswith("gru.b") or "_b" in name:
+            if "_b" in name:
                 assert not arr.any(), name
 
 
@@ -80,7 +83,8 @@ class TestEncodeMaskRow:
         tape = Tape()
         hs = []
         for j in range(3):
-            cell = blocks.GruCell(**{f: stack.gru[f][2 * 3 + j] for f in blocks.GRU_FIELDS})
+            r = 2 * 3 + j
+            cell = blocks.GruCell(w=stack.gru_w[r], u=stack.gru_u[r], b=stack.gru_b[r])
             hs.append(ad.reshape(blocks.gru_unroll(cell, tape.constant(hist[j])), (1, 4)))
         h_mat = ad.concat_rows(hs)
         z = blocks.gcn_forward(complete_gcn(stack.enc_w[2], 3), h_mat)
@@ -252,7 +256,7 @@ class TestForwardFull:
     def test_shared_encoder_variant(self):
         models, _ = tiny_models(n=3, seed=16, share_encoder=True)
         assert models.shared_encoder
-        assert models.gru["w_z"].shape[0] == 3 and models.enc_w.shape[0] == 1
+        assert models.gru_w.shape[0] == 3 and models.enc_w.shape[0] == 1
         x = np.random.default_rng(13).standard_normal((1, 3, 6, 1))
         masks, preds = mdl.forward_full(models, x)
         assert masks.values.shape == (1, 5, 3, 3)
@@ -292,6 +296,38 @@ class TestBatchedForward:
         cells = n if share else n * n
         assert calls == [(t_len - 1, cells * s_count, 1)]
         assert out.masks.data.shape == (n, s_count * (t_len - 1), n)
+
+
+    def test_both_encoder_modes_take_one_path(self):
+        # a shared encoder is one encoder row broadcast over the nodes, not a
+        # separate branch: both modes record the same tape nodes
+        x = np.random.default_rng(16).standard_normal((2, 4, 12, 1))
+        lengths = []
+        for share in (False, True):
+            models, _ = tiny_models(n=4, hidden=3, seed=19, share_encoder=share)
+            tape = Tape()
+            mdl.batched_forward(models, x, tape)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_rows_report_the_nodes_they_serve(self, share):
+        n = 4
+        models, _ = tiny_models(n=n, hidden=3, seed=20, share_encoder=share)
+        x = np.random.default_rng(17).standard_normal((1, n, 5, 1))
+        out = mdl.batched_forward(models, x, Tape(), node_slice=slice(1, 3))
+        assert out.serves.keys() == out.leaves.keys()
+        for name, serves in out.serves.items():
+            assert serves.shape == (out.leaves[name].data.shape[0], 2), name
+        np.testing.assert_array_equal(out.serves["mmg_w1"], np.eye(2, dtype=bool))
+        if share:  # one encoder row and its N cells serve both nodes
+            assert out.serves["enc_w"].all() and out.serves["gru_w"].shape == (n, 2)
+            assert out.serves["gru_u"].all()
+        else:  # node i's GRU rows i*N..i*N+N-1
+            np.testing.assert_array_equal(out.serves["enc_w"], np.eye(2, dtype=bool))
+            np.testing.assert_array_equal(out.serves["gru_b"],
+                                          np.repeat(np.eye(2, dtype=bool), n, axis=0))
+            np.testing.assert_array_equal(out.leaves["gru_w"].data, models.gru_w[n:3 * n])
 
 
 class TestStackRoundTrip:

@@ -1,4 +1,7 @@
+import csv
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
+from dyncause.model import build_node_models
 from dyncause.simulate import gen_var, standardize
 
 from test_autodiff import central_diff_grad, rel_err
@@ -207,22 +211,21 @@ class TestTotalLoss:
             tape, out, loss = full_loss(stack)
             grads = tape.backward(loss)
 
-            for name in ("mmg_w1", "gru.u_h", "gru.w_z", "tip_w2", "rl_w", "enc_w"):
-                field = name.replace("gru.", "")
-                base = (stack.gru[field] if name.startswith("gru.")
-                        else getattr(stack, name))
+            # the GRU checks take one gate block each: U_h and W_z
+            for name, cols in (("mmg_w1", slice(None)), ("gru_u", slice(2 * h, None)),
+                               ("gru_w", slice(0, h)), ("tip_w2", slice(None)),
+                               ("rl_w", slice(None)), ("enc_w", slice(None))):
+                base = getattr(stack, name)[..., cols]
 
-                def scalar_loss(v, name=name, field=field, cfg=cfg):
+                def scalar_loss(v, name=name, cols=cols, cfg=cfg):
                     stack2 = build_node_models(n, 1, cfg.model_config(), cfg.seed)
-                    if name.startswith("gru."):
-                        stack2.gru[field] = v
-                    else:
-                        setattr(stack2, name, v)
+                    getattr(stack2, name)[..., cols] = v
                     _, _, loss2 = full_loss(stack2)
                     return loss2.data.item()
 
                 fd = central_diff_grad(scalar_loss, base)
-                assert rel_err(grads.wrt(out.leaves[name]), fd) < 1e-4, (share, name)
+                got = grads.wrt(out.leaves[name])[..., cols]
+                assert rel_err(got, fd) < 1e-4, (share, name)
 
 
 class TestAdam:
@@ -353,6 +356,98 @@ class TestTrain:
         result = tr.train(series, config, tr.LossWeights())
         # epoch 1 improves from infinity, then patience epochs of stall
         assert result.epochs_run == 4
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_partial_early_stop_freezes_only_converged_rows(self, monkeypatch, share):
+        # some nodes stop while others train: a frozen node's rows and Adam
+        # moments stay bit for bit, and a shared encoder trains while any
+        # node does. Row layout: per-node GRU rows i*N..i*N+N-1, other rows i.
+        series, _ = gen_var(5, 1, 60, 1)
+        n = series.shape[1]
+        config = tr.TrainConfig(learning_rate=1e-2, hidden=6, seed=3, epochs=80,
+                                early_stop_tol=5e-3, early_stop_patience=2,
+                                share_encoder=share)
+        models = build_node_models(n, 1, config.model_config(), config.seed)
+        encoder = ("gru_w", "gru_u", "gru_b", "enc_w")
+        steps = []  # per Adam step: name -> (rows, N) bool, "row of node i changed"
+        original = tr.adam_step
+
+        def spy(state, params, grads, cfg, write_mask=None):
+            arrays = models.arrays()
+            zero = {k: np.zeros_like(a) for k, a in arrays.items()}  # moments start at 0
+            before = {k: (a.copy(), state.m.get(k, zero[k]).copy(),
+                          state.v.get(k, zero[k]).copy()) for k, a in arrays.items()}
+            out = original(state, params, grads, cfg, write_mask)
+            changed = {}
+            for k, a in arrays.items():
+                nodes = 1 if share and k in encoder else n
+                moved = [(x0 != x1).reshape(nodes, -1).any(axis=1)
+                         for x0, x1 in zip(before[k], (a, state.m[k], state.v[k]))]
+                changed[k] = np.array(moved)  # (param|m|v, nodes)
+            steps.append(changed)
+            return out
+
+        monkeypatch.setattr(tr, "adam_step", spy)
+        result = tr.train(series, config, tr.LossWeights(), models=models)
+        assert len(steps) == result.epochs_run < config.epochs
+
+        # replay the early-stop rule on the recorded losses
+        totals = np.array([[r["total"] for r in result.history if r["epoch"] == e]
+                           for e in range(1, result.epochs_run + 1)])
+        best, stall, active = np.full(n, np.inf), np.zeros(n, int), np.ones(n, bool)
+        partial = 0
+        for changed, cur in zip(steps, totals):
+            partial += not active.all()
+            for k, moved in changed.items():
+                if share and k in encoder:
+                    assert moved[0, 0], k  # some node still trains
+                else:
+                    assert not moved[:, ~active].any(), k
+                    assert moved[0, active].all(), k
+            improved = cur < best - config.early_stop_tol
+            stall = np.where(improved, 0, stall + 1)
+            best = np.minimum(best, cur)
+            active &= stall < config.early_stop_patience
+        assert partial > len(steps) // 2
+
+    def test_each_chunk_tape_freed_before_next_forward(self, monkeypatch):
+        # without the cycle collector, chunk k's tape (every forward array
+        # and backward closure) must be gone when chunk k+1's forward starts
+        rng = np.random.default_rng(7)
+        series = rng.standard_normal((5, 3, 20, 1))
+        config = tr.TrainConfig(epochs=2, hidden=4, seed=8,
+                                batch_mode="sample_minibatch", minibatch_size=2)
+        tapes = []
+        original = tr.batched_forward
+
+        def spy(stack, x, tape, **kwargs):
+            assert all(ref() is None for ref in tapes)
+            tapes.append(weakref.ref(tape))
+            return original(stack, x, tape, **kwargs)
+
+        monkeypatch.setattr(tr, "batched_forward", spy)
+        gc.disable()
+        try:
+            tr.train(series, config, tr.LossWeights())
+        finally:
+            gc.enable()
+        assert len(tapes) == 2 * 3 + 1  # 3 chunks per epoch, then the epilogue
+
+    def test_loss_history_csv_round_trips(self, tmp_path):
+        series, _ = small_var_data(n=3, t=30)
+        result = tr.train(series, tr.TrainConfig(epochs=3, hidden=4, seed=9),
+                          tr.LossWeights())
+        path = tmp_path / "history.csv"
+        tr.write_loss_history_csv(result.history, path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+            assert reader.fieldnames == tr.HISTORY_FIELDS
+        assert len(rows) == len(result.history) == 9
+        for row, want in zip(rows, result.history):
+            got = {k: (int(v) if k in ("epoch", "node") else float(v))
+                   for k, v in row.items()}
+            assert got == want
 
     def test_minibatch_mode_runs(self):
         rng = np.random.default_rng(7)
