@@ -62,11 +62,6 @@ class NumericError(ArithmeticError):
     """A forward computation produced NaN or Inf."""
 
 
-def _as_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
     # min/max propagate NaN and expose +-Inf without allocating a bool array
     if data.size == 0:
@@ -92,28 +87,8 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def dims(self) -> list:
-        return list(self.data.shape)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, idx={self.idx})"
-
-    # operator sugar; all ops live at module level
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class Gradients:
@@ -142,13 +117,13 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register an input/parameter array as a graph leaf (no copy)."""
-        data = _as_f64(values)
+        data = np.asarray(values, dtype=np.float64)
         _check_finite(data, "leaf")
         return self._append(data, (), None, needs=True)
 
     def constant(self, values) -> Tensor:
         """A leaf that no gradient is ever requested for (input data)."""
-        data = _as_f64(values)
+        data = np.asarray(values, dtype=np.float64)
         _check_finite(data, "constant")
         return self._append(data, (), None, needs=False)
 
@@ -167,7 +142,7 @@ class Tape:
         for p in parents:
             if p.tape is not self:
                 raise ValueError("all operands must live on the same tape")
-        data = _as_f64(out_data)
+        data = np.asarray(out_data, dtype=np.float64)
         _check_finite(data, op)
         needs = any(p.needs for p in parents)
         return self._append(data, tuple(p.idx for p in parents),

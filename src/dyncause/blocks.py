@@ -343,10 +343,6 @@ class Mlp:
     hidden_act: str = "tanh"
     out_act: str = "identity"
 
-    @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     @classmethod
     def init(cls, rng: np.random.Generator, layer_sizes: list,
              hidden_act: str = "tanh", out_act: str = "identity") -> "Mlp":

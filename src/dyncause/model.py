@@ -2,10 +2,10 @@
 transition, decoder predicts the next step from the gated snapshot.
 
 All node models live in one ``ParamStack``: every parameter carries a
-leading node axis, so node subsets slice cleanly. ``batched_forward`` runs
-every node, sample and transition in one tape pass; training and
-``forward_full`` use it. Shared and per-node encoders take the same path:
-the slice's encoder rows (one shared row, or one per node) run as one
+leading node (or encoder row) axis. ``batched_forward`` runs every node,
+sample and transition in one tape pass; training and ``forward_full`` use
+it. Shared and per-node encoders take the same path: the encoder rows (one
+shared row, or one per node) run as one
 ``gru_sequence`` call whose rows are cell-major (row b*S + s runs bank cell
 b on sample s), and the per-node MMG weights broadcast over a shared
 encoder's single output. ``batched_forward`` also reports which nodes each
@@ -208,23 +208,21 @@ def decode_predict(stack: ParamStack, i: int, x_masked: Tensor) -> Tensor:
 
 @dataclass
 class BatchedOutput:
-    masks: Tensor  # (n_nodes, S*(T-1), N) gate rows, node-major
-    predictions: Tensor  # (n_nodes, S*(T-1), d)
-    leaves: dict  # parameter name -> leaf Tensor, a view of the stack rows
-    serves: dict  # parameter name -> (leaf rows, n_nodes) bool: row r serves node k
+    masks: Tensor  # (N, S*(T-1), N) gate rows, node-major
+    predictions: Tensor  # (N, S*(T-1), d)
+    leaves: dict  # parameter name -> leaf Tensor over the stack array itself
+    serves: dict  # parameter name -> (leaf rows, N) bool: row r serves node i
     tape: Tape
     num_samples: int
     num_transitions: int
 
 
 def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
-                    node_slice: slice | None = None,
                     mask_override: np.ndarray | None = None) -> BatchedOutput:
-    """Forward pass over every (sample, transition) for a set of nodes.
+    """Forward pass of every node model over every (sample, transition).
 
-    ``x`` is the full (S, N, T, d) series; ``node_slice`` restricts which
-    node models run (their parameters slice along the stacked axis), while
-    every node's series still feeds the encoder and decoder inputs.
+    ``x`` is the full (S, N, T, d) series. The leaves wrap the stack arrays
+    without a copy, so optimizer steps on them write through to ``stack``.
     """
     if x.ndim != 4:
         raise ShapeError(f"series must be (S, N, T, d), got {x.shape}")
@@ -232,33 +230,21 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     if t_len < 2:
         raise ShapeError("need at least 2 time steps")
     tt = t_len - 1
-    node_ids = range(*(node_slice or slice(0, n)).indices(n))
-    if node_ids.step != 1:
-        raise ValueError("node_slice must be a contiguous range of nodes")
-    lo, hi = node_ids.start, node_ids.stop
-    n_i = len(node_ids)
     h = stack.hidden
     g = s_count * tt
     act = ACTIVATIONS[stack.phi]
 
-    # encoder rows [e_lo, e_hi) serve the slice: one shared row, or the nodes'
-    # own. Leaves are views of the stack rows, so optimizer steps write through.
-    node_serves = np.eye(n_i, dtype=bool)
-    if stack.shared_encoder:
-        e_lo, e_hi, enc_serves = 0, 1, np.ones((1, n_i), dtype=bool)
-    else:
-        e_lo, e_hi, enc_serves = lo, hi, node_serves
-    n_e = e_hi - e_lo
+    # the encoder has one shared row or one row per node
+    node_serves = np.eye(n, dtype=bool)
+    enc_serves = np.ones((1, n), dtype=bool) if stack.shared_encoder else node_serves
+    n_e = enc_serves.shape[0]
     leaves, serves = {}, {}
     for name, arr in stack.arrays().items():
+        leaves[name] = tape.leaf(arr)
         if name.startswith("gru_"):  # N cells per encoder row
-            rows, who = slice(e_lo * n, e_hi * n), np.repeat(enc_serves, n, axis=0)
-        elif name == "enc_w":
-            rows, who = slice(e_lo, e_hi), enc_serves
+            serves[name] = np.repeat(enc_serves, n, axis=0)
         else:
-            rows, who = slice(lo, hi), node_serves
-        leaves[name] = tape.leaf(arr[rows])
-        serves[name] = who
+            serves[name] = enc_serves if name == "enc_w" else node_serves
 
     # ---- encoder: the GRU bank over the first T-1 steps of every sample in
     # one call. Rows are cell-major: row b*S + s runs cell b = e*N + j (encoder
@@ -280,23 +266,23 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
     a1 = act(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]))
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
-    masks = ad.sigmoid(mask_pre)  # (n_i, g, N)
+    masks = ad.sigmoid(mask_pre)  # (N, g, N)
 
     # ---- decoder on gated snapshots
     x_prev = np.ascontiguousarray(
         x[:, :, :tt, :].transpose(0, 2, 1, 3).reshape(1, g, n, d))
     gate = masks if mask_override is None else tape.constant(
-        np.broadcast_to(mask_override, (n_i, g, n)).copy())
-    x_tilde = ad.hadamard(ad.reshape(gate, (n_i, g, n, 1)), tape.constant(x_prev))
+        np.broadcast_to(mask_override, (n, g, n)).copy())
+    x_tilde = ad.hadamard(ad.reshape(gate, (n, g, n, 1)), tape.constant(x_prev))
     h_dec = act(
-        ad.add(ad.matmul(ad.reshape(x_tilde, (n_i, g * n, d)), leaves["rl_w"]),
+        ad.add(ad.matmul(ad.reshape(x_tilde, (n, g * n, d)), leaves["rl_w"]),
                leaves["rl_b"]))
-    h_dec = ad.reshape(h_dec, (n_i, g, n, h))
-    row_sel = prop[lo:hi].reshape(n_i, 1, n, 1)
-    pooled = ad.sum_axis(ad.hadamard(h_dec, tape.constant(row_sel)), (2,))  # (n_i, g, h)
+    h_dec = ad.reshape(h_dec, (n, g, n, h))
+    row_sel = prop.reshape(n, 1, n, 1)
+    pooled = ad.sum_axis(ad.hadamard(h_dec, tape.constant(row_sel)), (2,))  # (N, g, h)
     z_dec = act(ad.matmul(pooled, leaves["ngcn_w"]))
     t1 = act(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
-    x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (n_i, g, d)
+    x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, serves=serves,
                          tape=tape, num_samples=s_count, num_transitions=tt)

@@ -2,19 +2,17 @@
 divergence + log-sum sparsity, trained per node with Adam.
 
 Every node model trains independently (disjoint parameters, per-node loss).
-``train`` runs a group of nodes through one ``batched_forward`` tape, takes
-each loss term as a vector with one entry per node, and backpropagates their
-sum, so gradients and Adam steps equal those of training each node alone.
-The tape leaves are views of the ``ParamStack`` rows, and Adam updates them
-in place. ``threads`` partitions the nodes into contiguous groups trained
-concurrently; results are bit-identical for any partition.
+``train`` runs all N nodes through one ``batched_forward`` tape per chunk of
+samples, takes each loss term as a vector with one entry per node, and
+backpropagates their sum, so gradients and Adam steps equal those of
+training each node alone. The tape leaves are the ``ParamStack`` arrays,
+and Adam updates them in place.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -50,6 +48,10 @@ class LossWeights:
     prior: np.ndarray | None = None  # (N, N) entries in (0, 1)
 
     def __post_init__(self):
+        for name in ("beta1", "beta2", "beta3", "lambda1", "lambda2", "lambda3",
+                     "gamma", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.beta1, self.beta2, self.beta3) < 0:
             raise ValueError("loss coefficients must be nonnegative")
         if abs(self.lambda1 + self.lambda2 + self.lambda3 - 1.0) > 1e-12:
@@ -86,17 +88,24 @@ class TrainConfig:
     standardize_input: bool = True
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 50
-    threads: int = 1
+    threads: int = 1  # the only accepted value
     share_encoder: bool = False
     self_loop: float = 1.0
     phi: str = "tanh"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        for name in ("epochs", "hidden", "minibatch_size", "threads"):
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        for name in ("epochs", "hidden", "minibatch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1, got {self.threads}")
         if self.batch_mode not in ("full", "sample_minibatch"):
             raise ValueError(f"unknown batch mode {self.batch_mode!r}")
 
@@ -130,18 +139,17 @@ def _struct_vec(x_target: np.ndarray, tau_true: np.ndarray, x_hat: Tensor,
     return ad.mean_axis(ad.hadamard(gap, gap), (1, 2))
 
 
-def _divergence_vec(masks: Tensor, weights: LossWeights, node_ids) -> Tensor:
+def _divergence_vec(masks: Tensor, weights: LossWeights) -> Tensor:
     """lambda-weighted entropy / KL / JS of the time-averaged gate rows."""
-    m_bar = ad.mean_axis(masks, (1,))  # (n_i, N)
+    m_bar = ad.mean_axis(masks, (1,))  # (N, N)
     log_m = ad.log(ad.clamp(m_bar, CLAMP_LO, CLAMP_HI))
     total = None
     if weights.lambda1 > 0:
         ent = ad.neg(ad.mean_axis(ad.hadamard(m_bar, log_m), (1,)))
         total = ad.scale(ent, weights.lambda1)
     if weights.lambda2 > 0 or weights.lambda3 > 0:
-        p_rows = weights.prior[list(node_ids)]
-        p_c = masks.tape.constant(p_rows)
-        log_p = np.log(p_rows)
+        p_c = masks.tape.constant(weights.prior)
+        log_p = np.log(weights.prior)
         if weights.lambda2 > 0:
             kl = ad.mean_axis(
                 ad.hadamard(m_bar, ad.sub(log_m, masks.tape.constant(log_p))), (1,))
@@ -230,33 +238,31 @@ def write_loss_history_csv(history: list, path) -> None:
 
 @dataclass
 class _GroupConsts:
-    x_next: np.ndarray  # (n_g, G, d)
+    x_next: np.ndarray  # (N, G, d)
     x_target: np.ndarray  # (1, G, N, d)
-    tau_true: np.ndarray  # (n_g, G, N)
+    tau_true: np.ndarray  # (N, G, N)
 
 
-def _group_consts(x: np.ndarray, node_ids, gamma: float) -> _GroupConsts:
+def _group_consts(x: np.ndarray, gamma: float) -> _GroupConsts:
     s, n, t, d = x.shape
     g = s * (t - 1)
-    x_next = x[:, list(node_ids), 1:, :].transpose(1, 0, 2, 3).reshape(len(node_ids), g, d)
+    x_next = x[:, :, 1:, :].transpose(1, 0, 2, 3).reshape(n, g, d)
     x_target = np.ascontiguousarray(
         x[:, :, 1:, :].transpose(0, 2, 1, 3).reshape(1, g, n, d))
-    # tau_true[i_local, g, j] = exp(-gamma * ||x_j^t - x_i^t||^2)
-    tau = np.empty((len(node_ids), g, n))
-    for k, i in enumerate(node_ids):
+    # tau_true[i, g, j] = exp(-gamma * ||x_j^t - x_i^t||^2)
+    tau = np.empty((n, g, n))
+    for i in range(n):
         delta = x_target[0] - x_target[0][:, i : i + 1, :]
-        tau[k] = np.exp(-gamma * (delta ** 2).sum(axis=2))
+        tau[i] = np.exp(-gamma * (delta ** 2).sum(axis=2))
     return _GroupConsts(x_next=np.ascontiguousarray(x_next), x_target=x_target,
                         tau_true=tau)
 
 
-def _loss_vectors(out: BatchedOutput, consts: _GroupConsts, weights: LossWeights,
-                  node_ids) -> dict:
+def _loss_vectors(out: BatchedOutput, consts: _GroupConsts, weights: LossWeights) -> dict:
     vecs = {"recon": _recon_vec(consts.x_next, out.predictions)}
     vecs["struct"] = (_struct_vec(consts.x_target, consts.tau_true, out.predictions,
                                   weights.gamma) if weights.beta1 > 0 else None)
-    vecs["div"] = (_divergence_vec(out.masks, weights, node_ids)
-                   if weights.beta2 > 0 else None)
+    vecs["div"] = _divergence_vec(out.masks, weights) if weights.beta2 > 0 else None
     vecs["sparsity"] = (_sparsity_vec(out.masks, weights.epsilon)
                         if weights.beta3 > 0 else None)
     return vecs
@@ -271,18 +277,17 @@ def _combine(vecs: dict, weights: LossWeights) -> Tensor:
     return total
 
 
-def _train_step(stack: ParamStack, x: np.ndarray, node_slice: slice,
-                consts: _GroupConsts, config: TrainConfig, weights: LossWeights,
-                adam: AdamState, active: np.ndarray) -> dict:
+def _train_step(stack: ParamStack, x: np.ndarray, consts: _GroupConsts,
+                config: TrainConfig, weights: LossWeights, adam: AdamState,
+                active: np.ndarray) -> dict:
     """One forward, backward and Adam step on one chunk of samples; returns
     the loss terms and total as arrays, so the chunk's tape dies here.
 
     A parameter row trains while any node it serves is ``active``.
     """
     tape = Tape()
-    node_ids = range(*node_slice.indices(stack.num_nodes))
-    out = batched_forward(stack, x, tape, node_slice=node_slice)
-    vecs = _loss_vectors(out, consts, weights, node_ids)
+    out = batched_forward(stack, x, tape)
+    vecs = _loss_vectors(out, consts, weights)
     total_vec = _combine(vecs, weights)
     grads = tape.backward(ad.reduce_sum(total_vec))
     params = {name: leaf.data for name, leaf in out.leaves.items()}
@@ -295,36 +300,48 @@ def _train_step(stack: ParamStack, x: np.ndarray, node_slice: slice,
     return terms
 
 
-def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
-                 config: TrainConfig, weights: LossWeights) -> list:
-    """Train the nodes of one slice to convergence; mutates ``stack`` rows."""
-    s_count = x.shape[0]
-    node_ids = list(range(*node_slice.indices(x.shape[1])))
-    n_g = len(node_ids)
-    adam = AdamState()
-    best = np.full(n_g, np.inf)
-    stall = np.zeros(n_g, dtype=int)
-    active = np.ones(n_g, dtype=bool)
-    history = []
+def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
+          models: ParamStack | None = None) -> TrainResult:
+    """Fit all node models on (S, N, T, d) data; see TrainResult.
 
+    ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
+    in place and returned as ``TrainResult.models``. Non-finite input raises
+    ``SimulationError`` naming its (sample, node, t). A node stops training
+    once its total loss has not improved by ``early_stop_tol`` for
+    ``early_stop_patience`` epochs; training ends when every node has stopped.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeError(f"expected (S, N, T, d) data, got {x.shape}")
+    if x.shape[2] < 2:
+        raise ShapeError("need at least 2 time steps to train")
+    s_count, n, t_len, d = x.shape
+    x = standardize(x) if config.standardize_input else require_finite(x)
+    stack = (build_node_models(n, d, config.model_config(), config.seed)
+             if models is None else models)
+
+    adam = AdamState()
+    best = np.full(n, np.inf)
+    stall = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    history = []  # appended in (epoch, node) order
     size = config.minibatch_size if config.batch_mode == "sample_minibatch" else s_count
     chunks = [x[k:k + size] for k in range(0, s_count, size)]
-    chunk_consts = [_group_consts(xc, node_ids, weights.gamma) for xc in chunks]
+    chunk_consts = [_group_consts(xc, weights.gamma) for xc in chunks]
 
-    epoch = 0
     for epoch in range(1, config.epochs + 1):
-        sums = {key: np.zeros(n_g) for key in HISTORY_FIELDS[2:]}
+        sums = {key: np.zeros(n) for key in HISTORY_FIELDS[2:]}
         try:
             for xc, cc in zip(chunks, chunk_consts):
-                for key, value in _train_step(stack, xc, node_slice, cc, config, weights,
-                                              adam, active).items():
+                for key, value in _train_step(stack, xc, cc, config, weights, adam,
+                                              active).items():
                     sums[key] += value
         except NumericError as err:
             raise TrainingError(f"epoch {epoch}: {err}") from err
 
         means = {key: total / len(chunks) for key, total in sums.items()}
-        for k, i in enumerate(node_ids):
-            row = {"epoch": epoch, "node": i, **{key: v[k] for key, v in means.items()}}
+        for i in range(n):
+            row = {"epoch": epoch, "node": i, **{key: v[i] for key, v in means.items()}}
             if not math.isfinite(row["total"]):
                 term = next(t for t in HISTORY_FIELDS[2:] if not math.isfinite(row[t]))
                 raise TrainingError(
@@ -338,56 +355,18 @@ def _train_group(stack: ParamStack, x: np.ndarray, node_slice: slice,
         active = active & (stall < config.early_stop_patience)
         if not active.any():
             break
-    return history
 
-
-def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
-          models: ParamStack | None = None) -> TrainResult:
-    """Fit all node models on (S, N, T, d) data; see TrainResult.
-
-    ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
-    in place and returned as ``TrainResult.models``. Non-finite input raises
-    ``SimulationError`` naming its (sample, node, t).
-    """
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"expected (S, N, T, d) data, got {x.shape}")
-    if x.shape[2] < 2:
-        raise ShapeError("need at least 2 time steps to train")
-    s_count, n, t_len, d = x.shape
-    x = standardize(x) if config.standardize_input else require_finite(x)
-    stack = (build_node_models(n, d, config.model_config(), config.seed)
-             if models is None else models)
-
-    threads = min(config.threads, n)
-    if stack.shared_encoder and threads > 1:
-        raise TrainingError("shared-encoder training cannot split nodes across threads")
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-              if b > a]
-    if len(slices) == 1:
-        histories = [_train_group(stack, x, slices[0], config, weights)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            futures = [pool.submit(_train_group, stack, x, sl, config, weights)
-                       for sl in slices]
-            histories = [f.result() for f in futures]
-
-    history = [row for rows in histories for row in rows]
-    history.sort(key=lambda r: (r["epoch"], r["node"]))
-
-    tape = Tape()
-    out = batched_forward(stack, x, tape)
+    # free the Adam moments and chunk constants before the full-series
+    # forward, the largest of the fit: alive, they add about 7 MB to the
+    # peak RSS of a 50-window minibatch fit
+    del adam, chunk_consts
+    out = batched_forward(stack, x, Tape())
     masks = CausalMaskSeries(values=masks_to_series(out.masks.data, s_count, t_len - 1))
     preds = Prediction(values=predictions_to_series(out.predictions.data, s_count,
                                                     t_len - 1))
-    last_epoch = max(row["epoch"] for row in history)
-    final = np.zeros(n)
-    for row in history:  # ascending epochs: last write is each node's final loss
-        final[row["node"]] = row["total"]
     return TrainResult(models=stack, history=history, masks=masks,
-                       predictions=preds, final_losses=final,
-                       epochs_run=last_epoch)
+                       predictions=preds, final_losses=means["total"],
+                       epochs_run=epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +374,18 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
 
 
 def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
-    """Default objective: recon loss on the final fraction of transitions."""
+    """Default objective: recon loss on the final fraction of transitions.
+
+    Raises ``ValueError`` if the fraction leaves no transition to hold out.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    t_len = x.shape[2]
+    cut = max(2, int(round(t_len * (1.0 - holdout_fraction))))
+    if cut >= t_len:
+        raise ValueError(f"holdout_fraction {holdout_fraction} of {t_len} steps "
+                         "holds out no transition")
 
     def objective(config: TrainConfig, weights: LossWeights) -> float:
-        x = np.asarray(data, dtype=np.float64)
-        t_len = x.shape[2]
-        cut = max(2, int(round(t_len * (1.0 - holdout_fraction))))
         prefix = x[:, :, :cut, :]
         result = train(prefix, config, weights)
         # the model was fitted on the prefix standardized by its own moments
@@ -418,7 +403,8 @@ def grid_search(grid: dict, base_config: TrainConfig, base_weights: LossWeights,
     """Exhaustive search; returns (best_config, best_weights, best_score, trials).
 
     Ties break toward the lexicographically first candidate combination in
-    sorted-parameter-name order.
+    sorted-parameter-name order. A non-finite score raises ``ValueError``
+    naming its parameters.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
@@ -435,8 +421,11 @@ def grid_search(grid: dict, base_config: TrainConfig, base_weights: LossWeights,
         w_kw = {n: v for n, v in zip(names, combo) if not hasattr(base_config, n)}
         config = replace(base_config, **cfg_kw)
         weights = replace(base_weights, **w_kw)
+        params = dict(zip(names, combo))
         score = float(objective(config, weights))
-        trials.append({"params": dict(zip(names, combo)), "score": score})
+        if not math.isfinite(score):
+            raise ValueError(f"objective returned {score} for {params}")
+        trials.append({"params": params, "score": score})
         if best is None or score < best[2]:
             best = (config, weights, score)
     return best[0], best[1], best[2], trials

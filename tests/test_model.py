@@ -315,19 +315,21 @@ class TestBatchedForward:
         n = 4
         models, _ = tiny_models(n=n, hidden=3, seed=20, share_encoder=share)
         x = np.random.default_rng(17).standard_normal((1, n, 5, 1))
-        out = mdl.batched_forward(models, x, Tape(), node_slice=slice(1, 3))
-        assert out.serves.keys() == out.leaves.keys()
+        out = mdl.batched_forward(models, x, Tape())
+        assert out.serves.keys() == out.leaves.keys() == models.arrays().keys()
         for name, serves in out.serves.items():
-            assert serves.shape == (out.leaves[name].data.shape[0], 2), name
-        np.testing.assert_array_equal(out.serves["mmg_w1"], np.eye(2, dtype=bool))
-        if share:  # one encoder row and its N cells serve both nodes
-            assert out.serves["enc_w"].all() and out.serves["gru_w"].shape == (n, 2)
+            assert serves.shape == (out.leaves[name].data.shape[0], n), name
+            # Adam writes the leaves in place, so they must be the stack arrays
+            leaf, arr = out.leaves[name].data, getattr(models, name)
+            assert leaf.shape == arr.shape and np.shares_memory(leaf, arr), name
+        np.testing.assert_array_equal(out.serves["mmg_w1"], np.eye(n, dtype=bool))
+        if share:  # one encoder row and its N cells serve every node
+            assert out.serves["enc_w"].all() and out.serves["gru_w"].shape == (n, n)
             assert out.serves["gru_u"].all()
         else:  # node i's GRU rows i*N..i*N+N-1
-            np.testing.assert_array_equal(out.serves["enc_w"], np.eye(2, dtype=bool))
+            np.testing.assert_array_equal(out.serves["enc_w"], np.eye(n, dtype=bool))
             np.testing.assert_array_equal(out.serves["gru_b"],
-                                          np.repeat(np.eye(2, dtype=bool), n, axis=0))
-            np.testing.assert_array_equal(out.leaves["gru_w"].data, models.gru_w[n:3 * n])
+                                          np.repeat(np.eye(n, dtype=bool), n, axis=0))
 
 
 class TestStackRoundTrip:

@@ -1,6 +1,5 @@
 import csv
 import gc
-import sys
 import weakref
 
 import numpy as np
@@ -46,14 +45,18 @@ def struct_loss(x_target, node_index, x_hat, gamma):
     g, n, d = x_target.shape
     series = np.zeros((1, n, g + 1, d))
     series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
-    consts = tr._group_consts(series, [node_index], gamma)
+    consts = tr._group_consts(series, gamma)
+    tau_row = consts.tau_true[node_index : node_index + 1]
     x_hat = Tape().leaf(np.asarray(x_hat)[None])
-    return tr._struct_vec(consts.x_target, consts.tau_true, x_hat, gamma).data.item()
+    return tr._struct_vec(consts.x_target, tau_row, x_hat, gamma).data.item()
 
 
 def divergence_loss(masks, weights, node_index):
-    """Divergence loss of one node's (G, N) gate rows."""
-    return tr._divergence_vec(Tape().leaf(masks[None]), weights, [node_index]).data.item()
+    """Divergence loss of one node's (G, N) gate rows: every node gets the
+    same rows, and node ``node_index``'s entry is read against its prior row."""
+    n = masks.shape[1]
+    every = np.broadcast_to(masks, (n,) + masks.shape).copy()
+    return tr._divergence_vec(Tape().leaf(every), weights).data[node_index].item()
 
 
 def sparsity_loss(masks, epsilon):
@@ -196,12 +199,12 @@ class TestTotalLoss:
         x = rng.standard_normal((s_count, n, t_len, 1))
         weights = tr.LossWeights(beta1=0.5, beta2=0.4, beta3=0.3, gamma=1.0,
                                  epsilon=0.05)
-        consts = tr._group_consts(x, range(n), weights.gamma)
+        consts = tr._group_consts(x, weights.gamma)
 
         def full_loss(stack):
             tape = Tape()
             out = batched_forward(stack, x, tape)
-            vecs = tr._loss_vectors(out, consts, weights, range(n))
+            vecs = tr._loss_vectors(out, consts, weights)
             return tape, out, ad.reduce_sum(tr._combine(vecs, weights))
 
         for share in (False, True):
@@ -280,12 +283,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             tr.TrainConfig(epochs=0)
 
-    @pytest.mark.parametrize("field,value", [("minibatch_size", 0), ("minibatch_size", -1),
-                                             ("hidden", 0), ("threads", 0),
-                                             ("threads", -2)])
+    @pytest.mark.parametrize("field,value", [
+        ("minibatch_size", 0), ("minibatch_size", -1), ("hidden", 0), ("threads", 0),
+        ("threads", -2), ("threads", 2), ("learning_rate", np.nan), ("learning_rate", 0.0),
+        ("adam_eps", np.inf), ("adam_eps", -1e-8), ("adam_beta1", 1.0),
+        ("adam_beta2", -1.0), ("beta1", np.nan), ("beta3", np.inf), ("lambda1", np.nan),
+        ("gamma", np.nan), ("epsilon", np.inf)])
     def test_counts_below_one_rejected_by_name(self, field, value):
+        # every out-of-range setting, of TrainConfig or LossWeights, fails at
+        # construction with the field named
+        cls = tr.TrainConfig if hasattr(tr.TrainConfig, field) else tr.LossWeights
         with pytest.raises(ValueError, match=field):
-            tr.TrainConfig(**{field: value})
+            cls(**{field: value})
 
     @pytest.mark.parametrize("standardize_input", [True, False])
     def test_non_finite_input_named_by_location(self, standardize_input):
@@ -313,24 +322,6 @@ class TestTrain:
         r1 = tr.train(series, config, tr.LossWeights())
         r2 = tr.train(series, config, tr.LossWeights())
         assert np.array_equal(r1.masks.values, r2.masks.values)
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_thread_count_does_not_change_results(self, threads):
-        series, _ = small_var_data(n=6, t=60)
-        base = tr.train(series, tr.TrainConfig(epochs=6, hidden=4, seed=4),
-                        tr.LossWeights())
-        # the node groups update disjoint rows of the shared stack in place;
-        # frequent thread switches make a lost or crossed update likelier
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split = tr.train(series,
-                             tr.TrainConfig(epochs=6, hidden=4, seed=4, threads=threads),
-                             tr.LossWeights())
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(base.masks.values, split.masks.values)
-        assert np.array_equal(base.predictions.values, split.predictions.values)
 
     def test_nan_abort_carries_diagnostics(self, monkeypatch):
         series, _ = small_var_data(t=40)
@@ -390,6 +381,12 @@ class TestTrain:
         monkeypatch.setattr(tr, "adam_step", spy)
         result = tr.train(series, config, tr.LossWeights(), models=models)
         assert len(steps) == result.epochs_run < config.epochs
+        # the history comes out in (epoch, node) order, and each node's final
+        # loss is its last epoch's total
+        order = [(r["epoch"], r["node"]) for r in result.history]
+        assert order == [(e, i) for e in range(1, result.epochs_run + 1) for i in range(n)]
+        np.testing.assert_array_equal(result.final_losses,
+                                      [r["total"] for r in result.history[-n:]])
 
         # replay the early-stop rule on the recorded losses
         totals = np.array([[r["total"] for r in result.history if r["epoch"] == e]
@@ -487,6 +484,19 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             tr.grid_search({}, tr.TrainConfig(), tr.LossWeights(), lambda c, w: 0)
+
+    def test_non_finite_score_rejected_naming_its_params(self):
+        # a NaN scored first would otherwise stay best: no score compares below it
+        scores = iter([np.nan, 1.0, 0.5])
+        with pytest.raises(ValueError, match=r"nan for \{'learning_rate': 0.001\}"):
+            tr.grid_search({"learning_rate": [1e-3, 1e-2, 1e-1]}, tr.TrainConfig(),
+                           tr.LossWeights(), objective=lambda c, w: next(scores))
+
+    def test_validation_objective_rejects_empty_holdout(self):
+        # T=10 at fraction 0.04 cuts at round(9.6) = 10: no held-out transition
+        series, _ = gen_var(4, 1, 10, 0)
+        with pytest.raises(ValueError, match="holds out no transition"):
+            tr.validation_recon_objective(series, holdout_fraction=0.04)
 
     def test_validation_objective_runs(self):
         series, _ = small_var_data(n=4, t=60)
