@@ -37,16 +37,10 @@ __all__ = [
     "clamp",
     "matmul",
     "reshape",
-    "flatten",
     "transpose",
-    "concat",
-    "concat_rows",
-    "take_axis0",
     "sum_axis",
     "mean_axis",
     "reduce_sum",
-    "reduce_mean",
-    "sq_l2_norm",
 ]
 
 
@@ -341,60 +335,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _unary(x, "reshape", out, lambda g: g.reshape(xshape))
 
 
-def flatten(x: Tensor) -> Tensor:
-    """Row-major flatten to rank 1."""
-    return reshape(x, (x.data.size,))
-
-
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = np.transpose(x.data, axes)
     return _unary(x, "transpose", out, lambda g: np.transpose(g, inv))
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of zero parts")
-    tape = _same_tape(*parts)
-    ref = parts[0].shape
-    for p in parts[1:]:
-        if len(p.shape) != len(ref):
-            raise ShapeError("concat: rank mismatch")
-        for i, (s, r) in enumerate(zip(p.shape, ref)):
-            if i != (axis % len(ref)) and s != r:
-                raise ShapeError(f"concat: shapes {p.shape} vs {ref} differ off-axis")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    _check_finite(out, "concat")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return tape._append(out, tuple(p.idx for p in parts), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack row vectors / matrices along axis 0."""
-    return concat(parts, axis=0)
-
-
-def take_axis0(x: Tensor, i: int) -> Tensor:
-    """Select index ``i`` along the first axis; backward scatters into zeros."""
-    n = x.shape[0]
-    if not -n <= i < n:
-        raise ShapeError(f"index {i} out of range for axis of length {n}")
-    i = i % n
-    out = x.data[i]
-    xshape = x.shape
-
-    def grad(g):
-        full = np.zeros(xshape)
-        full[i] = g
-        return full
-
-    return _unary(x, "take_axis0", np.asarray(out), grad)
 
 
 def sum_axis(x: Tensor, axes, keepdims: bool = False) -> Tensor:
@@ -429,17 +374,3 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum())
     xshape = x.shape
     return _unary(x, "reduce_sum", out, lambda g: np.broadcast_to(g, xshape))
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.mean())
-    xshape = x.shape
-    n = x.data.size
-    return _unary(x, "reduce_mean", out, lambda g: np.broadcast_to(g / n, xshape))
-
-
-def sq_l2_norm(x: Tensor) -> Tensor:
-    """Sum of squares of all entries."""
-    out = np.asarray(np.sum(x.data * x.data))
-    d = x.data
-    return _unary(x, "sq_l2_norm", out, lambda g: g * 2.0 * d)

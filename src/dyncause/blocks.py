@@ -1,4 +1,4 @@
-"""Network building blocks: GRU cell, graph-convolution layer, and MLP.
+"""Network building blocks: the GRU bank op and the graph propagation matrix.
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
@@ -8,19 +8,16 @@ with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
 has M = B*k rows and row b*k + s is run by cell b, so one call carries k
 independent sequences per cell (k is read from the shapes) and each step is
 one (k, h) matrix product per cell for the fused z|r gates and one for the
-candidate. ``gru_step`` and ``gru_unroll`` run a single ``GruCell`` through
-it; together with ``GcnLayer`` and ``Mlp`` they make up the per-node
-reference model.
+candidate. ``normalized_propagation_matrix`` is the GCN propagation rule that
+``model.batched_forward`` applies over the complete graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tape, Tensor
+from .autodiff import ShapeError, Tensor
 
 ACTIVATIONS = {
     "tanh": ad.tanh,
@@ -37,41 +34,6 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # GRU
-
-
-@dataclass
-class GruCell:
-    """One gated recurrent unit cell mapping inputs of dim d to hidden dim d1.
-
-    Update rule: h_t = z_t * h_{t-1} + (1 - z_t) * c_t with
-    z = sigmoid(x W_z + h U_z + b_z), r = sigmoid(x W_r + h U_r + b_r),
-    c = tanh(x W_h + (r * h) U_h + b_h). The gates sit side by side:
-    w = W_z|W_r|W_h (d, 3*d1), u = U_z|U_r|U_h (d1, 3*d1) and
-    b = b_z|b_r|b_h (3*d1,).
-    """
-
-    w: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.u.shape[0]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "GruCell":
-        """Draws W_z, U_z, W_r, U_r, W_h, U_h in that order; biases start at 0."""
-        d, h = input_dim, hidden_dim
-        w, u = np.empty((d, 3 * h)), np.empty((h, 3 * h))
-        for gate in range(3):
-            cols = slice(gate * h, (gate + 1) * h)
-            w[:, cols] = uniform_init(rng, d, (d, h))
-            u[:, cols] = uniform_init(rng, h, (h, h))
-        return cls(w=w, u=u, b=np.zeros(3 * h))
 
 
 def _gru_forward(X, H0, W, U, b):
@@ -189,9 +151,14 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
 def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """Run B independent GRU cells over a series in one fused op.
 
-    Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows, where
-    B is the number of cells read from w (B, d, 3*d1); u is (B, d1, 3*d1)
-    and b (B, 3*d1), each with the gates side by side as in ``GruCell``.
+    Each cell maps inputs of dim d to hidden dim d1 by
+    h_t = z_t * h_{t-1} + (1 - z_t) * c_t with
+    z = sigmoid(x W_z + h U_z + b_z), r = sigmoid(x W_r + h U_r + b_r) and
+    c = tanh(x W_h + (r * h) U_h + b_h). The gates sit side by side:
+    w = W_z|W_r|W_h is (B, d, 3*d1), u = U_z|U_r|U_h is (B, d1, 3*d1) and
+    b = b_z|b_r|b_h is (B, 3*d1); B, the number of cells, is read from w.
+
+    Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows.
     Row b*k + s is run by cell b, so each cell carries k independent
     sequences (k is read from the shapes). Returns all hidden states
     (T, M, d1), row-aligned with x_seq.
@@ -225,39 +192,6 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
                              backward, op="gru_sequence")
 
 
-def _cell_leaves(tape: Tape, cell: GruCell) -> list:
-    return [tape.leaf(cell.w[None]), tape.leaf(cell.u[None]), tape.leaf(cell.b[None])]
-
-
-def gru_step(cell: GruCell, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """One GRU update; x_t has shape (d,), h_prev and the result (d1,)."""
-    d, d1 = cell.input_dim, cell.hidden_dim
-    if x_t.data.shape != (d,):
-        raise ShapeError(f"x_t shape {x_t.data.shape}, cell expects ({d},)")
-    if h_prev.data.shape != (d1,):
-        raise ShapeError(f"h_prev shape {h_prev.data.shape}, cell expects ({d1},)")
-    tape = x_t.tape
-    xs = ad.reshape(x_t, (1, 1, d))
-    h0 = ad.reshape(h_prev, (1, d1))
-    out = gru_sequence(xs, h0, *_cell_leaves(tape, cell))
-    return ad.reshape(out, (d1,))
-
-
-def gru_unroll(cell: GruCell, series: Tensor) -> Tensor:
-    """Run the cell over a (t, d) series from a zero state; returns final h."""
-    if series.data.ndim != 2 or series.data.shape[0] < 1:
-        raise ShapeError(f"series must be (t, d) with t >= 1, got {series.data.shape}")
-    t, d = series.data.shape
-    if d != cell.input_dim:
-        raise ShapeError(f"series feature dim {d} != cell input dim {cell.input_dim}")
-    tape = series.tape
-    d1 = cell.hidden_dim
-    xs = ad.reshape(series, (t, 1, d))
-    h0 = tape.constant(np.zeros((1, d1)))
-    out = gru_sequence(xs, h0, *_cell_leaves(tape, cell))
-    return ad.reshape(ad.take_axis0(out, t - 1), (d1,))
-
-
 # ---------------------------------------------------------------------------
 # GCN
 
@@ -277,93 +211,3 @@ def normalized_propagation_matrix(adjacency: np.ndarray, self_loop: float) -> np
         raise ValueError("loop-augmented adjacency has a non-positive row sum")
     inv_sqrt = 1.0 / np.sqrt(deg)
     return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-@dataclass
-class GcnLayer:
-    """Graph convolution H -> phi(L H W) with L the normalized adjacency."""
-
-    w: np.ndarray
-    adjacency: np.ndarray
-    self_loop: float = 1.0
-    phi: str = "tanh"
-    _prop: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._prop = normalized_propagation_matrix(self.adjacency, self.self_loop)
-
-    @property
-    def prop(self) -> np.ndarray:
-        return self._prop
-
-    @property
-    def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, adjacency: np.ndarray, in_dim: int,
-             out_dim: int, self_loop: float = 1.0, phi: str = "tanh") -> "GcnLayer":
-        return cls(w=uniform_init(rng, in_dim, (in_dim, out_dim)),
-                   adjacency=np.asarray(adjacency, dtype=np.float64),
-                   self_loop=self_loop, phi=phi)
-
-
-def gcn_forward(layer: GcnLayer, h: Tensor) -> Tensor:
-    n = layer.num_nodes
-    if h.data.ndim != 2 or h.data.shape[0] != n:
-        raise ShapeError(f"node features must be ({n}, din), got {h.data.shape}")
-    tape = h.tape
-    act = ACTIVATIONS[layer.phi]
-    return act(ad.matmul(ad.matmul(tape.constant(layer.prop), h), tape.leaf(layer.w)))
-
-
-def ngcn_row_forward(layer: GcnLayer, i: int, h: Tensor) -> Tensor:
-    """Row restriction phi(L_i H W); the decoder's single-node fusion."""
-    n = layer.num_nodes
-    if not 0 <= i < n:
-        raise IndexError(f"node index {i} out of range for {n} nodes")
-    if h.data.ndim != 2 or h.data.shape[0] != n:
-        raise ShapeError(f"node features must be ({n}, din), got {h.data.shape}")
-    tape = h.tape
-    act = ACTIVATIONS[layer.phi]
-    row = tape.constant(layer.prop[i : i + 1])
-    return act(ad.matmul(ad.matmul(row, h), tape.leaf(layer.w)))
-
-
-# ---------------------------------------------------------------------------
-# MLP
-
-
-@dataclass
-class Mlp:
-    """Affine/activation chain; the last layer uses ``out_act``."""
-
-    weights: list
-    biases: list
-    hidden_act: str = "tanh"
-    out_act: str = "identity"
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, layer_sizes: list,
-             hidden_act: str = "tanh", out_act: str = "identity") -> "Mlp":
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(uniform_init(rng, fan_in, (fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases, hidden_act=hidden_act, out_act=out_act)
-
-
-def mlp_forward(net: Mlp, x: Tensor) -> Tensor:
-    """Apply the chain to a (din,) vector or (rows, din) matrix."""
-    squeeze = x.data.ndim == 1
-    h = ad.reshape(x, (1, x.data.size)) if squeeze else x
-    if h.data.shape[-1] != net.weights[0].shape[0]:
-        raise ShapeError(
-            f"input dim {h.data.shape[-1]} != first layer dim {net.weights[0].shape[0]}")
-    tape = x.tape
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = ad.add(ad.matmul(h, tape.leaf(w)), tape.leaf(b[None, :]))
-        act = ACTIVATIONS[net.out_act if k == last else net.hidden_act]
-        h = act(h)
-    return ad.reshape(h, (h.data.shape[-1],)) if squeeze else h

@@ -2,18 +2,14 @@
 transition, decoder predicts the next step from the gated snapshot.
 
 All node models live in one ``ParamStack``: every parameter carries a
-leading node (or encoder row) axis. ``batched_forward`` runs every node,
-sample and transition in one tape pass; training and ``forward_full`` use
-it. Shared and per-node encoders take the same path: the encoder rows (one
-shared row, or one per node) run as one
+leading node (or encoder row) axis. ``batched_forward`` is the model: it
+runs every node, sample and transition in one tape pass, and training and
+``forward_full`` use it. Shared and per-node encoders take the same path:
+the encoder rows (one shared row, or one per node) run as one
 ``gru_sequence`` call whose rows are cell-major (row b*S + s runs bank cell
 b on sample s), and the per-node MMG weights broadcast over a shared
 encoder's single output. ``batched_forward`` also reports which nodes each
-parameter row serves, so training needs no knowledge of the layout. The per-node
-ops (``encode_mask_row``, ``apply_mask``, ``decode_predict``) read node i's
-rows into the single-cell blocks of ``blocks`` and transcribe the model
-directly, without going through ``batched_forward``; tests use them as its
-independent reference.
+parameter row serves, so training needs no knowledge of the layout.
 """
 
 from __future__ import annotations
@@ -24,9 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import (ACTIVATIONS, GcnLayer, GruCell, Mlp, gcn_forward,
-                     gru_sequence, gru_unroll, mlp_forward, ngcn_row_forward,
-                     normalized_propagation_matrix, uniform_init)
+from .blocks import (ACTIVATIONS, gru_sequence, normalized_propagation_matrix,
+                     uniform_init)
 
 
 @dataclass
@@ -50,8 +45,9 @@ class ParamStack:
     The encoder has E rows: E = N, one per node, or E = 1 when every node
     shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
     where row e*N + j is its cell for input node j. A GRU row holds the
-    gates side by side as in ``GruCell``: ``gru_w[r]`` = W_z|W_r|W_h,
-    likewise ``gru_u`` and ``gru_b``. The encoder GCN and the decoder NGCN
+    gates side by side, the layout ``gru_sequence`` computes in:
+    ``gru_w[r]`` = W_z|W_r|W_h (d, 3h), ``gru_u[r]`` = U_z|U_r|U_h (h, 3h)
+    and ``gru_b[r]`` = b_z|b_r|b_h (3h,). The encoder GCN and the decoder NGCN
     both propagate over the complete graph with self-loop intensity
     ``self_loop``.
     """
@@ -103,9 +99,10 @@ class ParamStack:
 def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> ParamStack:
     """Draw every node's parameters, node i from its own stream base_seed ^ i.
 
-    Node i draws its N GRU cells (for j = 0..N-1, see ``GruCell.init``), then
-    enc_w, mmg_w1, mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2; biases start at
-    zero. With a shared encoder only node 0 draws the GRU bank and enc_w.
+    Node i draws its N GRU cells, for j = 0..N-1 the gate blocks W_z, U_z,
+    W_r, U_r, W_h and U_h of cell j in that order, then enc_w, mmg_w1,
+    mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2; biases start at zero. With a
+    shared encoder only node 0 draws the GRU bank and enc_w.
     """
     h = config.hidden
     shared = config.share_encoder and n > 1
@@ -125,9 +122,10 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
         rng = np.random.default_rng(base_seed ^ i)
         if i < enc_count:
             for j in range(n):
-                cell = GruCell.init(rng, d, h)
-                stack.gru_w[i * n + j] = cell.w
-                stack.gru_u[i * n + j] = cell.u
+                for gate in range(3):
+                    cols = slice(gate * h, (gate + 1) * h)
+                    stack.gru_w[i * n + j][:, cols] = uniform_init(rng, d, (d, h))
+                    stack.gru_u[i * n + j][:, cols] = uniform_init(rng, h, (h, h))
             stack.enc_w[i] = uniform_init(rng, h, (h, h))
         stack.mmg_w1[i] = uniform_init(rng, n * h, (n * h, h))
         stack.mmg_w2[i] = uniform_init(rng, h, (h, n))
@@ -136,70 +134,6 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
         stack.tip_w1[i] = uniform_init(rng, h, (h, h))
         stack.tip_w2[i] = uniform_init(rng, h, (h, d))
     return stack
-
-
-# ---------------------------------------------------------------------------
-# per-node reference operations
-
-
-def _check_node(stack: ParamStack, i: int) -> None:
-    if not 0 <= i < stack.num_nodes:
-        raise IndexError(f"node index {i} out of range for {stack.num_nodes} nodes")
-
-
-def _complete_gcn(stack: ParamStack, w: np.ndarray) -> GcnLayer:
-    n = stack.num_nodes
-    return GcnLayer(w=w, adjacency=np.ones((n, n)), self_loop=stack.self_loop,
-                    phi=stack.phi)
-
-
-def encode_mask_row(stack: ParamStack, i: int, x_hist, tape: Tape | None = None) -> Tensor:
-    """Node i's gate row for the transition following ``x_hist`` (N, t, d)."""
-    _check_node(stack, i)
-    tape = tape or Tape()
-    hist = x_hist.data if isinstance(x_hist, Tensor) else np.asarray(x_hist, dtype=np.float64)
-    n, d, h = stack.num_nodes, stack.input_dim, stack.hidden
-    if hist.ndim != 3 or hist.shape[0] != n or hist.shape[2] != d:
-        raise ShapeError(f"history must be ({n}, t, {d}), got {hist.shape}")
-    if hist.shape[1] < 1:
-        raise ShapeError("history must contain at least one step")
-    x_t = x_hist if isinstance(x_hist, Tensor) else tape.constant(hist)
-    owner = 0 if stack.shared_encoder else i
-    rows = []
-    for j in range(n):
-        r = owner * n + j
-        cell = GruCell(w=stack.gru_w[r], u=stack.gru_u[r], b=stack.gru_b[r])
-        h_j = gru_unroll(cell, ad.take_axis0(x_t, j))
-        rows.append(ad.reshape(h_j, (1, h)))
-    z = gcn_forward(_complete_gcn(stack, stack.enc_w[owner]), ad.concat_rows(rows))
-    mmg = Mlp(weights=[stack.mmg_w1[i], stack.mmg_w2[i]],
-              biases=[stack.mmg_b1[i, 0], stack.mmg_b2[i, 0]],
-              hidden_act=stack.phi, out_act="sigmoid")
-    return mlp_forward(mmg, ad.flatten(z))
-
-
-def apply_mask(mask_row: Tensor, x_prev: Tensor) -> Tensor:
-    """Scale row j of ``x_prev`` by gate j; differentiable in both inputs."""
-    n = x_prev.data.shape[0]
-    if mask_row.data.shape != (n,):
-        raise ShapeError(
-            f"mask row shape {mask_row.data.shape} does not match {n} nodes")
-    return ad.hadamard(ad.reshape(mask_row, (n, 1)), x_prev)
-
-
-def decode_predict(stack: ParamStack, i: int, x_masked: Tensor) -> Tensor:
-    """Node i's one-step prediction from a gated snapshot (N, d)."""
-    _check_node(stack, i)
-    n, d, h = stack.num_nodes, stack.input_dim, stack.hidden
-    if x_masked.data.shape != (n, d):
-        raise ShapeError(f"masked snapshot must be ({n}, {d}), got {x_masked.data.shape}")
-    rl = Mlp(weights=[stack.rl_w[i]], biases=[stack.rl_b[i, 0]],
-             hidden_act=stack.phi, out_act=stack.phi)
-    z = ngcn_row_forward(_complete_gcn(stack, stack.ngcn_w[i]), i, mlp_forward(rl, x_masked))
-    tip = Mlp(weights=[stack.tip_w1[i], stack.tip_w2[i]],
-              biases=[stack.tip_b1[i, 0], stack.tip_b2[i, 0]],
-              hidden_act=stack.phi, out_act="identity")
-    return ad.reshape(mlp_forward(tip, ad.reshape(z, (h,))), (d,))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +157,20 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
 
     ``x`` is the full (S, N, T, d) series. The leaves wrap the stack arrays
     without a copy, so optimizer steps on them write through to ``stack``.
+    ``mask_override`` replaces the decoder's gates at every transition: an
+    (N,) row gives input j the gate [j] in every node, and an (N, N) matrix
+    gives node i's input j the gate [i, j].
     """
     if x.ndim != 4:
         raise ShapeError(f"series must be (S, N, T, d), got {x.shape}")
     s_count, n, t_len, d = x.shape
     if t_len < 2:
         raise ShapeError("need at least 2 time steps")
+    if mask_override is not None:
+        mask_override = np.asarray(mask_override, dtype=np.float64)
+        if mask_override.shape not in ((n,), (n, n)):
+            raise ShapeError(f"mask_override must be ({n},) or ({n}, {n}), "
+                             f"got {mask_override.shape}")
     tt = t_len - 1
     h = stack.hidden
     g = s_count * tt
@@ -271,8 +213,11 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     # ---- decoder on gated snapshots
     x_prev = np.ascontiguousarray(
         x[:, :, :tt, :].transpose(0, 2, 1, 3).reshape(1, g, n, d))
-    gate = masks if mask_override is None else tape.constant(
-        np.broadcast_to(mask_override, (n, g, n)).copy())
+    if mask_override is None:
+        gate = masks
+    else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
+        gate = tape.constant(np.broadcast_to(
+            mask_override.reshape(-1, 1, n), (n, g, n)).copy())
     x_tilde = ad.hadamard(ad.reshape(gate, (n, g, n, 1)), tape.constant(x_prev))
     h_dec = act(
         ad.add(ad.matmul(ad.reshape(x_tilde, (n, g * n, d)), leaves["rl_w"]),

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
+from .blocks import ACTIVATIONS
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
                     Prediction, batched_forward, build_node_models, forward_full,
                     masks_to_series, predictions_to_series)
@@ -52,19 +53,23 @@ class LossWeights:
                      "gamma", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if min(self.beta1, self.beta2, self.beta3) < 0:
-            raise ValueError("loss coefficients must be nonnegative")
+        for name in ("beta1", "beta2", "beta3", "lambda1", "lambda2", "lambda3"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if abs(self.lambda1 + self.lambda2 + self.lambda3 - 1.0) > 1e-12:
             raise ValueError("divergence mixture weights must sum to 1")
         if self.gamma <= 0 or self.epsilon <= 0:
             raise ValueError("gamma and epsilon must be positive")
-        if (self.lambda2 > 0 or self.lambda3 > 0):
-            if self.prior is None:
+        if self.prior is None:
+            if self.lambda2 > 0 or self.lambda3 > 0:
                 raise ValueError("KL/JS divergence terms need a prior matrix")
-            p = np.asarray(self.prior, dtype=np.float64)
-            if p.min() <= 0.0 or p.max() >= 1.0:
-                raise ValueError("prior entries must lie strictly inside (0, 1)")
-            self.prior = p
+            return
+        p = np.asarray(self.prior, dtype=np.float64)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValueError(f"prior must be a square (N, N) matrix, got shape {p.shape}")
+        if not (np.all(p > 0.0) and np.all(p < 1.0)):  # NaN fails both
+            raise ValueError("prior entries must be finite and lie strictly inside (0, 1)")
+        self.prior = p
 
     @classmethod
     def with_uniform_prior(cls, n: int, prior_value: float = 0.2, **kw) -> "LossWeights":
@@ -101,9 +106,15 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        for name in ("epochs", "hidden", "minibatch_size"):
+        for name in ("early_stop_tol", "self_loop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        for name in ("epochs", "hidden", "minibatch_size", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.phi not in ACTIVATIONS:
+            raise ValueError(f"phi must be one of {sorted(ACTIVATIONS)}, got {self.phi!r}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1, got {self.threads}")
         if self.batch_mode not in ("full", "sample_minibatch"):
@@ -316,6 +327,9 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     if x.shape[2] < 2:
         raise ShapeError("need at least 2 time steps to train")
     s_count, n, t_len, d = x.shape
+    if weights.prior is not None and weights.prior.shape != (n, n):
+        raise ValueError(f"prior shape {weights.prior.shape} does not match the "
+                         f"{n} nodes of the data, expected {(n, n)}")
     x = standardize(x) if config.standardize_input else require_finite(x)
     stack = (build_node_models(n, d, config.model_config(), config.seed)
              if models is None else models)
@@ -409,16 +423,18 @@ def grid_search(grid: dict, base_config: TrainConfig, base_weights: LossWeights,
     if not grid:
         raise ValueError("empty hyperparameter grid")
     names = sorted(grid)
+    config_names = {f.name for f in fields(base_config)}
+    weight_names = {f.name for f in fields(base_weights)}
     for name in names:
         if not list(grid[name]):
             raise ValueError(f"no candidates for {name!r}")
-        if not (hasattr(base_config, name) or hasattr(base_weights, name)):
+        if name not in config_names | weight_names:
             raise ValueError(f"unknown hyperparameter {name!r}")
     best = None
     trials = []
     for combo in product(*(grid[name] for name in names)):
-        cfg_kw = {n: v for n, v in zip(names, combo) if hasattr(base_config, n)}
-        w_kw = {n: v for n, v in zip(names, combo) if not hasattr(base_config, n)}
+        cfg_kw = {n: v for n, v in zip(names, combo) if n in config_names}
+        w_kw = {n: v for n, v in zip(names, combo) if n not in config_names}
         config = replace(base_config, **cfg_kw)
         weights = replace(base_weights, **w_kw)
         params = dict(zip(names, combo))

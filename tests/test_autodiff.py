@@ -164,18 +164,21 @@ class TestElementwise:
 
 
 class TestReduce:
+    # the squared norm reduce_sum(hadamard(x, x)) is the finite-difference
+    # tests' root: both hadamard operands are x, so its gradient must add up
     def test_sq_l2_norm(self):
         tape = ad.Tape()
-        assert ad.sq_l2_norm(tape.leaf([3.0, 4.0])).data.item() == 25.0
+        x = tape.leaf([3.0, 4.0])
+        assert ad.reduce_sum(ad.hadamard(x, x)).data.item() == 25.0
 
     def test_mean(self):
         tape = ad.Tape()
-        assert ad.reduce_mean(tape.leaf([1.0, 2.0, 3.0])).data.item() == 2.0
+        assert ad.mean_axis(tape.leaf([1.0, 2.0, 3.0]), (0,)).data.item() == 2.0
 
     def test_sq_l2_norm_gradient(self):
         tape = ad.Tape()
         x = tape.leaf([3.0, 4.0])
-        grads = tape.backward(ad.sq_l2_norm(x))
+        grads = tape.backward(ad.reduce_sum(ad.hadamard(x, x)))
         np.testing.assert_array_equal(grads.wrt(x), [6.0, 8.0])
 
     def test_axis_reductions_match_fd(self):
@@ -192,50 +195,33 @@ class TestReduce:
 
 
 class TestConcatReshape:
-    def test_concat_rows(self):
-        tape = ad.Tape()
-        out = ad.concat_rows([tape.leaf([[1.0, 2.0]]), tape.leaf([[3.0, 4.0]])])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
     def test_flatten_row_major(self):
         tape = ad.Tape()
-        out = ad.flatten(tape.leaf([[1.0, 2.0], [3.0, 4.0]]))
+        out = ad.reshape(tape.leaf([[1.0, 2.0], [3.0, 4.0]]), (4,))
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0, 4.0])
 
     def test_flatten_backward_is_reshape(self):
         tape = ad.Tape()
         x = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        y = ad.flatten(x)
+        y = ad.reshape(x, (4,))
         w = tape.leaf([1.0, 10.0, 100.0, 1000.0])
         grads = tape.backward(ad.reduce_sum(ad.hadamard(y, w)))
         np.testing.assert_array_equal(grads.wrt(x), [[1.0, 10.0], [100.0, 1000.0]])
-
-    def test_concat_gradient_routes_to_parts(self):
-        tape = ad.Tape()
-        a = tape.leaf([[1.0, 2.0]])
-        b = tape.leaf([[3.0, 4.0], [5.0, 6.0]])
-        y = ad.concat([a, b], axis=0)
-        w = tape.leaf(np.arange(1.0, 7.0).reshape(3, 2))
-        grads = tape.backward(ad.reduce_sum(ad.hadamard(y, w)))
-        np.testing.assert_array_equal(grads.wrt(a), [[1.0, 2.0]])
-        np.testing.assert_array_equal(grads.wrt(b), [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_concat_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(ad.ShapeError):
-            ad.concat([tape.leaf(np.ones((1, 2))), tape.leaf(np.ones((1, 3)))], axis=0)
 
     def test_transpose_gradient(self):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((2, 3, 4))
 
+        def root(x):
+            y = ad.transpose(x, (2, 0, 1))
+            return ad.reduce_sum(ad.hadamard(y, y))
+
         def loss(x):
-            tape = ad.Tape()
-            return ad.sq_l2_norm(ad.transpose(tape.leaf(x), (2, 0, 1))).data.item()
+            return root(ad.Tape().leaf(x)).data.item()
 
         tape = ad.Tape()
         tx = tape.leaf(x0)
-        grads = tape.backward(ad.sq_l2_norm(ad.transpose(tx, (2, 0, 1))))
+        grads = tape.backward(root(tx))
         assert rel_err(grads.wrt(tx), central_diff_grad(loss, x0)) < 1e-6
 
 
@@ -279,7 +265,7 @@ class TestBackward:
             tape = ad.Tape()
             w = tape.leaf(rng.standard_normal((5, 5)))
             x = tape.leaf(rng.standard_normal((5, 2)))
-            root = ad.reduce_mean(ad.sigmoid(ad.matmul(w, x)))
+            root = ad.reduce_sum(ad.sigmoid(ad.matmul(w, x)))
             return tape.backward(root).wrt(w)
 
         g1, g2 = run(), run()
@@ -301,7 +287,7 @@ class TestBackward:
             return tape.backward(make_root(x)).wrt(x)
 
         f = lambda x: ad.reduce_sum(ad.tanh(x))
-        g = lambda x: ad.sq_l2_norm(x)
+        g = lambda x: ad.reduce_sum(ad.hadamard(x, x))
         combined = lambda x: ad.add(ad.scale(f(x), alpha), ad.scale(g(x), beta))
         expected = alpha * grad_of(f) + beta * grad_of(g)
         np.testing.assert_allclose(grad_of(combined), expected, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,95 +9,97 @@ from hypothesis import strategies as st
 
 from dyncause import autodiff as ad
 from dyncause import blocks
-from dyncause.blocks import GcnLayer, GruCell, Mlp
+from dyncause import model as mdl
 
+from reference_model import gru_step, reference_forward
 from test_autodiff import central_diff_grad, rel_err
+from test_model import assert_matches_reference
 
 
-def zero_cell(d, h):
-    return GruCell(w=np.zeros((d, 3 * h)), u=np.zeros((h, 3 * h)), b=np.zeros(3 * h))
+def cell_params(rng, d, h):
+    """One cell's fused w (d, 3h) and u (h, 3h), drawn, and zero b (3h,)."""
+    return (rng.uniform(-0.7, 0.7, (d, 3 * h)), rng.uniform(-0.7, 0.7, (h, 3 * h)),
+            np.zeros(3 * h))
 
 
-def gates(cell):
+def gates(w, u, b):
     """The per-gate blocks of a fused cell: (W_z, W_r, W_h), (U_z, ...), (b_z, ...)."""
-    h = cell.hidden_dim
+    h = u.shape[0]
     split = lambda a: [a[..., k * h:(k + 1) * h] for k in range(3)]
-    return split(cell.w), split(cell.u), split(cell.b)
+    return split(w), split(u), split(b)
+
+
+def run_cell(w, u, b, series, h0):
+    """``gru_sequence`` at one cell and one row: series (T, d), h0 (h,);
+    returns the (T, h) states and the leaves of the five inputs."""
+    tape = ad.Tape()
+    series = np.asarray(series, dtype=np.float64)
+    leaves = [tape.leaf(series), tape.leaf(h0), tape.leaf(w[None]), tape.leaf(u[None]),
+              tape.leaf(b[None])]
+    t_len, d = series.shape
+    out = blocks.gru_sequence(ad.reshape(leaves[0], (t_len, 1, d)),
+                              ad.reshape(leaves[1], (1, len(h0))), *leaves[2:])
+    return ad.reshape(out, (t_len, len(h0))), leaves
+
+
+def sum_of_squares(t):
+    return ad.reduce_sum(ad.hadamard(t, t))
+
+
+def one_step(w, u, b, x, h_prev):
+    out, _ = run_cell(w, u, b, np.asarray(x)[None], h_prev)
+    return out.data[0]
 
 
 class TestGruStep:
     def test_all_zero_parameters(self):
-        cell = zero_cell(2, 3)
-        tape = ad.Tape()
         h_prev = np.array([0.4, -1.0, 2.0])
-        out = blocks.gru_step(cell, tape.leaf([5.0, -3.0]), tape.leaf(h_prev))
+        out = one_step(np.zeros((2, 9)), np.zeros((3, 9)), np.zeros(9), [5.0, -3.0], h_prev)
         # z = sigmoid(0) = 0.5, candidate = tanh(0) = 0, so h = 0.5 * h_prev
-        np.testing.assert_allclose(out.data, 0.5 * h_prev, rtol=1e-15)
+        np.testing.assert_allclose(out, 0.5 * h_prev, rtol=1e-15)
 
     def test_zero_state_zero_recurrent(self):
         rng = np.random.default_rng(0)
-        cell = zero_cell(2, 3)
-        cell.w = rng.standard_normal((2, 9))
-        (w_z, _, w_h), _, _ = gates(cell)
+        w, u, b = rng.standard_normal((2, 9)), np.zeros((3, 9)), np.zeros(9)
+        (w_z, _, w_h), _, _ = gates(w, u, b)
         x = np.array([0.7, -0.2])
-        tape = ad.Tape()
-        out = blocks.gru_step(cell, tape.leaf(x), tape.leaf(np.zeros(3)))
+        out = one_step(w, u, b, x, np.zeros(3))
         # h_prev = 0: h = (1 - z) * tanh(W_h x); z in (0,1) cannot flip the sign
         z = 1.0 / (1.0 + np.exp(-(x @ w_z)))
-        np.testing.assert_allclose(out.data, (1 - z) * np.tanh(x @ w_h), rtol=1e-12)
+        np.testing.assert_allclose(out, (1 - z) * np.tanh(x @ w_h), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        cell = GruCell.init(rng, 3, 4)
-        x0 = rng.standard_normal(3)
-        h0 = rng.standard_normal(4)
+        w, u, _ = cell_params(rng, 3, 4)
+        b = rng.uniform(-0.5, 0.5, 12)
+        inputs = [rng.standard_normal((1, 3)), rng.standard_normal(4), w, u, b]
+        out, leaves = run_cell(w, u, b, inputs[0], inputs[1])
+        grads = out.tape.backward(sum_of_squares(out))
+        for pos, name in enumerate(["x", "h", "w", "u", "b"]):
+            def loss(v, pos=pos):
+                args = [v if k == pos else a for k, a in enumerate(inputs)]
+                out, _ = run_cell(args[2], args[3], args[4], args[0], args[1])
+                return sum_of_squares(out).data.item()
 
-        names = ["w", "u", "b"]
-        for name in names + ["x", "h"]:
-            def loss(v, name=name):
-                c = GruCell(**{n: getattr(cell, n).copy() for n in names})
-                tape = ad.Tape()
-                xx, hh = x0, h0
-                if name == "x":
-                    xx = v
-                elif name == "h":
-                    hh = v
-                else:
-                    setattr(c, name, v)
-                out = blocks.gru_step(c, tape.leaf(xx), tape.leaf(hh))
-                return ad.sq_l2_norm(out).data.item()
-
-            tape = ad.Tape()
-            tx, th = tape.leaf(x0), tape.leaf(h0)
-            leaves = dict(zip(names, [tape.leaf(getattr(cell, n)[None]) for n in names]))
-            xs = ad.reshape(tx, (1, 1, 3))
-            hh = ad.reshape(th, (1, 4))
-            out = blocks.gru_sequence(xs, hh, *leaves.values())
-            grads = tape.backward(ad.sq_l2_norm(out))
-            for name in names:
-                base = getattr(cell, name)
-                fd = central_diff_grad(lambda v, n=name: loss(v, n), base)
-                assert rel_err(grads.wrt(leaves[name])[0], fd) < 1e-4, name
-            assert rel_err(grads.wrt(tx), central_diff_grad(lambda v: loss(v, "x"), x0)) < 1e-4
-            assert rel_err(grads.wrt(th), central_diff_grad(lambda v: loss(v, "h"), h0)) < 1e-4
+            got = grads.wrt(leaves[pos])
+            got = got if pos < 2 else got[0]
+            assert rel_err(got, central_diff_grad(loss, inputs[pos])) < 1e-4, name
 
     def test_shape_mismatch(self):
-        cell = zero_cell(2, 3)
-        tape = ad.Tape()
         with pytest.raises(ad.ShapeError):
-            blocks.gru_step(cell, tape.leaf([1.0, 2.0, 3.0]), tape.leaf(np.zeros(3)))
+            one_step(np.zeros((2, 9)), np.zeros((3, 9)), np.zeros(9), [1.0, 2.0, 3.0],
+                     np.zeros(3))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_output_is_convex_combination(self, seed):
         rng = np.random.default_rng(seed)
-        cell = GruCell.init(rng, 2, 5)
+        w, u, b = cell_params(rng, 2, 5)
         x = rng.standard_normal(2) * 2
         h_prev = rng.standard_normal(5) * 2
-        tape = ad.Tape()
-        out = blocks.gru_step(cell, tape.leaf(x), tape.leaf(h_prev)).data
+        out = one_step(w, u, b, x, h_prev)
         # recompute the candidate to get the other endpoint
-        (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(cell)
+        (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(w, u, b)
         z = 1.0 / (1.0 + np.exp(-(x @ w_z + h_prev @ u_z + b_z)))
         r = 1.0 / (1.0 + np.exp(-(x @ w_r + h_prev @ u_r + b_r)))
         c = np.tanh(x @ w_h + (r * h_prev) @ u_h + b_h)
@@ -108,37 +111,35 @@ class TestGruStep:
 class TestGruUnroll:
     def test_single_step_equals_step_from_zero(self):
         rng = np.random.default_rng(1)
-        cell = GruCell.init(rng, 2, 3)
+        w, u, _ = cell_params(rng, 2, 3)
+        b = rng.uniform(-0.5, 0.5, 9)
         x = rng.standard_normal((1, 2))
-        tape = ad.Tape()
-        unrolled = blocks.gru_unroll(cell, tape.leaf(x))
-        stepped = blocks.gru_step(cell, tape.leaf(x[0]), tape.leaf(np.zeros(3)))
-        np.testing.assert_array_equal(unrolled.data, stepped.data)
+        out, _ = run_cell(w, u, b, x, np.zeros(3))
+        np.testing.assert_allclose(out.data[0], gru_step(w, u, b, x[0], np.zeros(3)),
+                                   rtol=1e-14)
 
     def test_zero_series_zero_biases_stays_zero(self):
-        cell = zero_cell(2, 3)
         rng = np.random.default_rng(2)
-        cell.w[:, 6:] = rng.standard_normal((2, 3))  # W_h
-        tape = ad.Tape()
-        out = blocks.gru_unroll(cell, tape.leaf(np.zeros((5, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        w, u, b = cell_params(rng, 2, 3)
+        out, _ = run_cell(w, u, b, np.zeros((5, 2)), np.zeros(3))
+        np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
 
     def test_three_steps_match_manual_composition(self):
+        # one call over three steps == three one-step calls, each started
+        # from the state the previous one returned
         rng = np.random.default_rng(3)
-        cell = GruCell.init(rng, 2, 4)
+        w, u, b = cell_params(rng, 2, 4)
         series = rng.standard_normal((3, 2))
-        tape = ad.Tape()
-        unrolled = blocks.gru_unroll(cell, tape.leaf(series))
-        h = tape.leaf(np.zeros(4))
+        unrolled, _ = run_cell(w, u, b, series, np.zeros(4))
+        h = np.zeros(4)
         for t in range(3):
-            h = blocks.gru_step(cell, tape.leaf(series[t]), h)
-        np.testing.assert_allclose(unrolled.data, h.data, rtol=1e-12, atol=1e-15)
+            h = one_step(w, u, b, series[t], h)
+            np.testing.assert_allclose(unrolled.data[t], h, rtol=1e-12, atol=1e-15)
 
     def test_empty_series_rejected(self):
-        cell = zero_cell(2, 3)
-        tape = ad.Tape()
-        with pytest.raises(ad.ShapeError):
-            blocks.gru_unroll(cell, tape.leaf(np.zeros((0, 2))))
+        w, u, b = cell_params(np.random.default_rng(4), 2, 3)
+        with pytest.raises(ad.ShapeError, match="empty series"):
+            run_cell(w, u, b, np.zeros((0, 2)), np.zeros(3))
 
 
 def gru_arrays(rng, t_len, cells, k, d, h):
@@ -271,36 +272,28 @@ class TestGruRowContract:
 
 
 class TestGcn:
+    """The propagation rule D^-1/2 (A + lam I) D^-1/2 that every GCN uses."""
+
     def test_self_loop_only_reduces_to_dense(self):
-        rng = np.random.default_rng(4)
-        n, din, dout = 4, 3, 2
-        layer = GcnLayer.init(rng, np.zeros((n, n)), din, dout, self_loop=1.0, phi="tanh")
-        h = rng.standard_normal((n, din))
-        tape = ad.Tape()
-        out = blocks.gcn_forward(layer, tape.leaf(h))
-        np.testing.assert_allclose(out.data, np.tanh(h @ layer.w), rtol=1e-12)
+        # no edges: propagation is the identity, so the GCN is a dense layer
+        prop = blocks.normalized_propagation_matrix(np.zeros((4, 4)), 1.0)
+        np.testing.assert_array_equal(prop, np.eye(4))
 
     def test_all_ones_two_nodes_hand_computed(self):
-        layer = GcnLayer(w=np.eye(2), adjacency=np.ones((2, 2)), self_loop=0.0, phi="identity")
-        np.testing.assert_allclose(layer.prop, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
+        prop = blocks.normalized_propagation_matrix(np.ones((2, 2)), 0.0)
+        np.testing.assert_allclose(prop, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
         h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        tape = ad.Tape()
-        out = blocks.gcn_forward(layer, tape.leaf(h))
-        np.testing.assert_allclose(out.data, [[2.0, 3.0], [2.0, 3.0]], rtol=1e-14)
+        np.testing.assert_allclose(prop @ h, [[2.0, 3.0], [2.0, 3.0]], rtol=1e-14)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
     def test_permutation_equivariance(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.uniform(0, 1, (n, n))
-        h = rng.standard_normal((n, 3))
-        perm = rng.permutation(n)
-        p = np.eye(n)[perm]
-        layer = GcnLayer.init(rng, a, 3, 2, self_loop=0.5)
-        permuted = GcnLayer(w=layer.w, adjacency=p @ a @ p.T, self_loop=0.5, phi=layer.phi)
-        out = blocks.gcn_forward(layer, ad.Tape().leaf(h)).data
-        out_p = blocks.gcn_forward(permuted, ad.Tape().leaf(p @ h)).data
-        np.testing.assert_allclose(out_p, p @ out, rtol=1e-10, atol=1e-12)
+        p = np.eye(n)[rng.permutation(n)]
+        prop = blocks.normalized_propagation_matrix(a, 0.5)
+        prop_p = blocks.normalized_propagation_matrix(p @ a @ p.T, 0.5)
+        np.testing.assert_allclose(prop_p, p @ prop @ p.T, rtol=1e-12, atol=1e-15)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
@@ -314,90 +307,86 @@ class TestGcn:
         assert radius <= 1.0 + 1e-10
 
     def test_row_count_validated(self):
-        layer = GcnLayer.init(np.random.default_rng(0), np.zeros((3, 3)), 2, 2)
-        with pytest.raises(ad.ShapeError):
-            blocks.gcn_forward(layer, ad.Tape().leaf(np.zeros((4, 2))))
+        with pytest.raises(ad.ShapeError, match="square"):
+            blocks.normalized_propagation_matrix(np.ones((3, 4)), 1.0)
 
     def test_degenerate_row_sum_rejected(self):
         with pytest.raises(ValueError):
             blocks.normalized_propagation_matrix(np.zeros((3, 3)), 0.0)
 
     def test_gradient_matches_finite_differences(self):
+        # the encoder GCN mixes the N hidden states; its gradient back into
+        # the GRU bank, read at the cell biases, must match the masks' own
         rng = np.random.default_rng(5)
-        a = rng.uniform(0, 1, (3, 3))
-        layer = GcnLayer.init(rng, a, 2, 2)
-        h0 = rng.standard_normal((3, 2))
-
-        def loss_w(w):
-            lyr = GcnLayer(w=w, adjacency=a, self_loop=1.0, phi="tanh")
-            return ad.sq_l2_norm(blocks.gcn_forward(lyr, ad.Tape().leaf(h0))).data.item()
-
-        fd = central_diff_grad(loss_w, layer.w)
-        tape2 = ad.Tape()
-        tw = tape2.leaf(layer.w)
-        act2 = ad.tanh(ad.matmul(ad.matmul(tape2.constant(layer.prop), tape2.leaf(h0)), tw))
-        grads2 = tape2.backward(ad.sq_l2_norm(act2))
-        assert rel_err(grads2.wrt(tw), fd) < 1e-4
+        stack = random_stack(rng, share=False)
+        x = rng.standard_normal((2, 3, 4, 1))
+        assert_model_gradients(stack, x, ["enc_w", "gru_b"], rng)
 
 
-class TestNgcnRow:
-    def test_matches_row_of_full_gcn(self):
-        rng = np.random.default_rng(6)
-        a = rng.uniform(0, 1, (3, 3))
-        layer = GcnLayer.init(rng, a, 2, 4)
-        h = rng.standard_normal((3, 2))
-        full = blocks.gcn_forward(layer, ad.Tape().leaf(h)).data
-        for i in range(3):
-            row = blocks.ngcn_row_forward(layer, i, ad.Tape().leaf(h)).data
-            # gemv vs gemm BLAS kernels differ by at most an ulp
-            np.testing.assert_allclose(row[0], full[i], rtol=1e-14, atol=1e-16)
+def random_stack(rng, share, n=3, d=1, h=3):
+    """A small stack with every array drawn, biases included."""
+    stack = mdl.build_node_models(n, d, mdl.ModelConfig(hidden=h, share_encoder=share), 0)
+    for arr in stack.arrays().values():
+        arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
+    return stack
 
-    def test_self_loop_only(self):
-        rng = np.random.default_rng(7)
-        layer = GcnLayer.init(rng, np.zeros((3, 3)), 2, 2, self_loop=1.0)
-        h = rng.standard_normal((3, 2))
-        out = blocks.ngcn_row_forward(layer, 1, ad.Tape().leaf(h)).data
-        np.testing.assert_allclose(out[0], np.tanh(h[1] @ layer.w), rtol=1e-12)
 
-    def test_index_out_of_range(self):
-        layer = GcnLayer.init(np.random.default_rng(0), np.zeros((3, 3)), 2, 2)
-        with pytest.raises(IndexError):
-            blocks.ngcn_row_forward(layer, 3, ad.Tape().leaf(np.zeros((3, 2))))
+def assert_model_gradients(stack, x, names, rng):
+    """The tape gradient of a random probe of ``batched_forward``'s masks and
+    predictions, w.r.t. each named array, matches central differences."""
+    tape = ad.Tape()
+    out = mdl.batched_forward(stack, x, tape)
+    probes = (rng.standard_normal(out.masks.shape),
+              rng.standard_normal(out.predictions.shape))
+
+    def probe_root(out):
+        tape = out.tape
+        return ad.add(ad.reduce_sum(ad.hadamard(out.masks, tape.constant(probes[0]))),
+                      ad.reduce_sum(ad.hadamard(out.predictions, tape.constant(probes[1]))))
+
+    grads = tape.backward(probe_root(out))
+    for name in names:
+        def loss(v, name=name):
+            out = mdl.batched_forward(replace(stack, **{name: v}), x, ad.Tape())
+            return probe_root(out).data.item()
+
+        fd = central_diff_grad(loss, getattr(stack, name))
+        assert rel_err(grads.wrt(out.leaves[name]), fd) < 1e-6, name
 
 
 class TestMlp:
+    """The encoder's MMG and the decoder's MLP layers inside the model."""
+
     def test_identity_single_layer(self):
-        net = Mlp(weights=[np.eye(3)], biases=[np.zeros(3)], out_act="identity")
-        x = np.array([1.0, -2.0, 0.5])
-        out = blocks.mlp_forward(net, ad.Tape().leaf(x))
-        np.testing.assert_array_equal(out.data, x)
+        # phi = "identity" turns every hidden activation of the model linear
+        stack = mdl.build_node_models(3, 2, mdl.ModelConfig(hidden=4, phi="identity"), 8)
+        x = np.random.default_rng(8).standard_normal((2, 3, 5, 2))
+        assert_matches_reference(stack, x)
+        _, preds = mdl.forward_full(stack, x)
+        _, tanh_preds = reference_forward(replace(stack, phi="tanh"), x)
+        assert not np.allclose(preds.values, tanh_preds)
 
     def test_zero_weights_sigmoid_output(self):
-        net = Mlp(weights=[np.zeros((4, 2))], biases=[np.zeros(2)], out_act="sigmoid")
-        out = blocks.mlp_forward(net, ad.Tape().leaf(np.random.default_rng(0).standard_normal(4)))
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        # the gates are sigmoid(a1 W2 + b2): zero output weights give 0.5
+        # whatever the GRU bank, GCN and first MMG layer compute
+        rng = np.random.default_rng(0)
+        stack = random_stack(rng, share=False)
+        stack.mmg_w2[...] = 0.0
+        stack.mmg_b2[...] = 0.0
+        masks, _ = mdl.forward_full(stack, rng.standard_normal((1, 3, 5, 1)))
+        np.testing.assert_array_equal(masks.values, np.full((1, 4, 3, 3), 0.5))
 
     def test_two_layer_gradient_check(self):
-        rng = np.random.default_rng(8)
-        net = Mlp.init(rng, [3, 5, 2], hidden_act="tanh", out_act="identity")
-        x0 = rng.standard_normal(3)
-
-        def loss_w0(w):
-            n2 = Mlp(weights=[w, net.weights[1]], biases=net.biases, hidden_act="tanh")
-            return ad.sq_l2_norm(blocks.mlp_forward(n2, ad.Tape().leaf(x0))).data.item()
-
-        tape = ad.Tape()
-        tw = tape.leaf(net.weights[0])
-        h = ad.tanh(ad.add(ad.matmul(ad.reshape(tape.leaf(x0), (1, 3)), tw),
-                           tape.leaf(net.biases[0][None, :])))
-        out = ad.add(ad.matmul(h, tape.leaf(net.weights[1])), tape.leaf(net.biases[1][None, :]))
-        grads = tape.backward(ad.sq_l2_norm(out))
-        assert rel_err(grads.wrt(tw), central_diff_grad(loss_w0, net.weights[0])) < 1e-4
+        # the decoder's two-layer output MLP
+        rng = np.random.default_rng(9)
+        stack = random_stack(rng, share=True)
+        x = rng.standard_normal((2, 3, 4, 1))
+        assert_model_gradients(stack, x, ["tip_w1", "tip_b1", "tip_w2", "tip_b2"], rng)
 
     def test_input_dim_mismatch(self):
-        net = Mlp.init(np.random.default_rng(0), [3, 2])
+        stack = mdl.build_node_models(3, 1, mdl.ModelConfig(hidden=4), 0)
         with pytest.raises(ad.ShapeError):
-            blocks.mlp_forward(net, ad.Tape().leaf(np.zeros(4)))
+            mdl.forward_full(stack, np.zeros((1, 3, 5, 2)))
 
 
 class TestGradientSuite:
@@ -406,51 +395,23 @@ class TestGradientSuite:
     @pytest.mark.parametrize("draw", range(10))
     def test_gru_step_random_draws(self, draw):
         rng = np.random.default_rng(100 + draw)
-        cell = GruCell.init(rng, 2, 3)
-        x0, h0 = rng.standard_normal(2), rng.standard_normal(3)
+        w, u, b = cell_params(rng, 2, 3)
+        x0, h0 = rng.standard_normal((1, 2)), rng.standard_normal(3)
 
         def loss(w):
-            c2 = GruCell(w=w, u=cell.u, b=cell.b)
-            tape = ad.Tape()
-            return ad.sq_l2_norm(blocks.gru_step(c2, tape.leaf(x0), tape.leaf(h0))).data.item()
+            out, _ = run_cell(w, u, b, x0, h0)
+            return sum_of_squares(out).data.item()
 
-        tape = ad.Tape()
-        leaves = [tape.leaf(a[None]) for a in (cell.w, cell.u, cell.b)]
-        out = blocks.gru_sequence(ad.reshape(tape.leaf(x0), (1, 1, 2)),
-                                  ad.reshape(tape.leaf(h0), (1, 3)), *leaves)
-        grads = tape.backward(ad.sq_l2_norm(out))
-        assert rel_err(grads.wrt(leaves[0])[0], central_diff_grad(loss, cell.w)) < 1e-4
+        out, leaves = run_cell(w, u, b, x0, h0)
+        grads = out.tape.backward(sum_of_squares(out))
+        assert rel_err(grads.wrt(leaves[2])[0], central_diff_grad(loss, w)) < 1e-4
 
     @pytest.mark.parametrize("draw", range(10))
     def test_gcn_and_mlp_random_draws(self, draw):
+        # the GCNs and MLPs of encoder and decoder; even draws per node, odd
+        # draws with a shared encoder
         rng = np.random.default_rng(200 + draw)
-        a = rng.uniform(0, 1, (3, 3))
-        layer = GcnLayer.init(rng, a, 2, 2)
-        h0 = rng.standard_normal((3, 2))
-
-        def loss_gcn(w):
-            lyr = GcnLayer(w=w, adjacency=a, self_loop=1.0, phi="tanh")
-            return ad.sq_l2_norm(blocks.gcn_forward(lyr, ad.Tape().leaf(h0))).data.item()
-
-        tape = ad.Tape()
-        tw = tape.leaf(layer.w)
-        out = ad.tanh(ad.matmul(ad.matmul(tape.constant(layer.prop), tape.leaf(h0)), tw))
-        grads = tape.backward(ad.sq_l2_norm(out))
-        assert rel_err(grads.wrt(tw), central_diff_grad(loss_gcn, layer.w)) < 1e-4
-
-        net = Mlp.init(rng, [4, 6, 3], out_act="sigmoid")
-        x0 = rng.standard_normal(4)
-
-        def loss_mlp(w0):
-            n2 = Mlp(weights=[w0] + net.weights[1:], biases=net.biases,
-                     hidden_act="tanh", out_act="sigmoid")
-            return ad.sq_l2_norm(blocks.mlp_forward(n2, ad.Tape().leaf(x0))).data.item()
-
-        tape2 = ad.Tape()
-        tw0 = tape2.leaf(net.weights[0])
-        h = ad.tanh(ad.add(ad.matmul(ad.reshape(tape2.leaf(x0), (1, 4)), tw0),
-                           tape2.leaf(net.biases[0][None, :])))
-        out2 = ad.sigmoid(ad.add(ad.matmul(h, tape2.leaf(net.weights[1])),
-                                 tape2.leaf(net.biases[1][None, :])))
-        grads2 = tape2.backward(ad.sq_l2_norm(out2))
-        assert rel_err(grads2.wrt(tw0), central_diff_grad(loss_mlp, net.weights[0])) < 1e-4
+        stack = random_stack(rng, share=bool(draw % 2), n=2)
+        x = rng.standard_normal((2, 2, 4, 1))
+        assert_model_gradients(stack, x, ["enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
+                                          "rl_w", "rl_b", "ngcn_w"], rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from dyncause import blocks
 from dyncause import model as mdl
 from dyncause.autodiff import Tape
 
-from test_autodiff import central_diff_grad, rel_err
+from reference_model import reference_forward
 
 
 def tiny_models(n=3, d=1, hidden=4, seed=11, **kw):
@@ -21,8 +23,13 @@ def zero_models(n=3, d=1, hidden=4):
     return stack
 
 
-def complete_gcn(w, n, self_loop=1.0):
-    return blocks.GcnLayer(w=w, adjacency=np.ones((n, n)), self_loop=self_loop, phi="tanh")
+def assert_matches_reference(stack, x, mask_override=None):
+    """forward_full agrees with the plain-numpy oracle on every entry."""
+    masks, preds = mdl.forward_full(stack, x, mask_override=mask_override)
+    masks = masks if mask_override is not None else masks.values
+    want_masks, want_preds = reference_forward(stack, x, mask_override)
+    np.testing.assert_allclose(masks, want_masks, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(preds.values, want_preds, rtol=1e-10, atol=1e-14)
 
 
 class TestInitStreams:
@@ -63,118 +70,100 @@ class TestInitStreams:
 
 
 class TestEncodeMaskRow:
+    """The encoder's gate rows, read from ``forward_full``."""
+
     def test_all_zero_parameters_give_half(self):
         stack = zero_models()
-        hist = np.random.default_rng(0).standard_normal((3, 4, 1))
-        row = mdl.encode_mask_row(stack, 1, hist)
-        np.testing.assert_array_equal(row.data, np.full(3, 0.5))
+        x = np.random.default_rng(0).standard_normal((1, 3, 4, 1))
+        masks, _ = mdl.forward_full(stack, x)
+        np.testing.assert_array_equal(masks.values, np.full((1, 3, 3, 3), 0.5))
 
     @pytest.mark.parametrize("t", [1, 2, 5])
     def test_output_shape(self, t):
         stack, _ = tiny_models()
-        hist = np.random.default_rng(1).standard_normal((3, t, 1))
-        assert mdl.encode_mask_row(stack, 0, hist).data.shape == (3,)
+        x = np.random.default_rng(1).standard_normal((1, 3, t + 1, 1))
+        masks, _ = mdl.forward_full(stack, x)
+        assert masks.values.shape == (1, t, 3, 3)
 
     def test_matches_manual_composition(self):
-        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5)
-        hist = np.random.default_rng(2).standard_normal((3, 2, 2))
-        row = mdl.encode_mask_row(stack, 2, hist)
-
-        tape = Tape()
-        hs = []
-        for j in range(3):
-            r = 2 * 3 + j
-            cell = blocks.GruCell(w=stack.gru_w[r], u=stack.gru_u[r], b=stack.gru_b[r])
-            hs.append(ad.reshape(blocks.gru_unroll(cell, tape.constant(hist[j])), (1, 4)))
-        h_mat = ad.concat_rows(hs)
-        z = blocks.gcn_forward(complete_gcn(stack.enc_w[2], 3), h_mat)
-        mmg = blocks.Mlp(weights=[stack.mmg_w1[2], stack.mmg_w2[2]],
-                         biases=[stack.mmg_b1[2, 0], stack.mmg_b2[2, 0]],
-                         hidden_act="tanh", out_act="sigmoid")
-        expected = blocks.mlp_forward(mmg, ad.flatten(z))
-        np.testing.assert_allclose(row.data, expected.data, rtol=1e-12)
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5, self_loop=0.5)
+        assert_matches_reference(stack, np.random.default_rng(2).standard_normal((2, 3, 4, 2)))
 
     def test_empty_history_rejected(self):
         stack, _ = tiny_models()
         with pytest.raises(ad.ShapeError):
-            mdl.encode_mask_row(stack, 0, np.zeros((3, 0, 1)))
+            mdl.forward_full(stack, np.zeros((1, 3, 0, 1)))
 
     def test_range_open_interval(self):
         stack, _ = tiny_models(seed=33)
-        hist = np.random.default_rng(3).standard_normal((3, 6, 1)) * 3
-        row = mdl.encode_mask_row(stack, 0, hist).data
-        assert np.all(row > 0) and np.all(row < 1)
+        x = np.random.default_rng(3).standard_normal((1, 3, 6, 1)) * 30
+        masks, _ = mdl.forward_full(stack, x)
+        assert np.all(masks.values > 0) and np.all(masks.values < 1)
 
 
 class TestApplyMask:
+    """The decoder's gating, driven through ``mask_override``."""
+
     def test_near_ones_passthrough(self):
-        tape = Tape()
-        x = np.random.default_rng(0).standard_normal((4, 2))
-        out = mdl.apply_mask(tape.leaf(np.full(4, 1.0 - 1e-12)), tape.leaf(x))
-        np.testing.assert_allclose(out.data, x, rtol=1e-11)
+        stack, _ = tiny_models(n=4, d=2, seed=4)
+        x = np.random.default_rng(0).standard_normal((1, 4, 5, 2))
+        _, ones = mdl.forward_full(stack, x, mask_override=np.ones(4))
+        _, near = mdl.forward_full(stack, x, mask_override=np.full(4, 1.0 - 1e-12))
+        np.testing.assert_allclose(near.values, ones.values, rtol=1e-11)
 
     def test_zero_gate_zeroes_row(self):
-        tape = Tape()
-        gates = np.array([1.0, 0.0, 1.0])
-        x = np.ones((3, 2))
-        out = mdl.apply_mask(tape.leaf(gates), tape.leaf(x))
-        np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
-        np.testing.assert_array_equal(out.data[0], [1.0, 1.0])
-
-    def test_gradient_wrt_gate_is_inner_product(self):
-        rng = np.random.default_rng(4)
-        x0 = rng.standard_normal((3, 2))
-        g0 = rng.uniform(0.2, 0.8, 3)
-        w = rng.standard_normal((3, 2))
-
-        tape = Tape()
-        tg = tape.leaf(g0)
-        out = mdl.apply_mask(tg, tape.leaf(x0))
-        root = ad.reduce_sum(ad.hadamard(out, tape.constant(w)))
-        grads = tape.backward(root)
-        np.testing.assert_allclose(grads.wrt(tg), (x0 * w).sum(axis=1), rtol=1e-12)
-
-        def loss(g):
-            tape = Tape()
-            out = mdl.apply_mask(tape.leaf(g), tape.leaf(x0))
-            return ad.reduce_sum(ad.hadamard(out, tape.constant(w))).data.item()
-
-        assert rel_err(grads.wrt(tg), central_diff_grad(loss, g0)) < 1e-6
+        # a zero gate on input 1 is the same as input 1 reading zeros at the
+        # decoder; the override makes the encoder's gates irrelevant
+        stack, _ = tiny_models(d=2, seed=5)
+        x = np.random.default_rng(1).standard_normal((2, 3, 5, 2))
+        _, gated = mdl.forward_full(stack, x, mask_override=np.array([1.0, 0.0, 1.0]))
+        x_zeroed = x.copy()
+        x_zeroed[:, 1] = 0.0
+        _, zeroed = mdl.forward_full(stack, x_zeroed, mask_override=np.ones(3))
+        np.testing.assert_array_equal(gated.values, zeroed.values)
 
     def test_shape_mismatch(self):
-        tape = Tape()
-        with pytest.raises(ad.ShapeError):
-            mdl.apply_mask(tape.leaf(np.ones(4)), tape.leaf(np.ones((3, 2))))
+        stack, _ = tiny_models()
+        x = np.random.default_rng(2).standard_normal((1, 3, 5, 1))
+        for shape in [(4,), (1, 3), (3, 1), (4, 3), (4, 3, 3), ()]:
+            with pytest.raises(ad.ShapeError, match=rf"got {re.escape(str(shape))}"):
+                mdl.forward_full(stack, x, mask_override=np.ones(shape))
+
+    @pytest.mark.parametrize("t_len", [4, 6])
+    def test_matrix_override_gates_node_i_input_j(self, t_len):
+        # entry [i, j] gates node i's input j at every step. At T=4 there are
+        # as many transitions as nodes, so a matrix laid on the (step, input)
+        # axes instead would still broadcast, and change every node at step 1
+        stack = mdl.build_node_models(3, 1, mdl.ModelConfig(hidden=4), 0)
+        x = np.random.default_rng(3).standard_normal((1, 3, t_len, 1))
+        override = np.ones((3, 3))
+        override[1] = 0.0
+        override[2, 0] = 0.25
+        _, ones = mdl.forward_full(stack, x, mask_override=np.ones(3))
+        _, preds = mdl.forward_full(stack, x, mask_override=override)
+        np.testing.assert_array_equal(preds.values[:, :, 0], ones.values[:, :, 0])
+        assert np.all(preds.values[:, :, 1:] != ones.values[:, :, 1:])
+        assert_matches_reference(stack, x, override)
 
 
 class TestDecodePredict:
+    """The decoder's predictions, read from ``forward_full``."""
+
     def test_zero_input_zero_bias_constant(self):
-        stack = zero_models()
-        tape = Tape()
-        out = mdl.decode_predict(stack, 0, tape.leaf(np.zeros((3, 1))))
-        np.testing.assert_array_equal(out.data, [0.0])
+        # zero data through zero biases: the GRU state stays 0 and the gated
+        # snapshot is 0, so every layer outputs tanh(0) = 0 whatever the weights
+        stack, _ = tiny_models()
+        _, preds = mdl.forward_full(stack, np.zeros((2, 3, 4, 1)))
+        np.testing.assert_array_equal(preds.values, np.zeros((2, 3, 3, 1)))
 
     def test_output_dim(self):
         stack, _ = tiny_models(n=4, d=3, hidden=5, seed=6)
-        tape = Tape()
-        out = mdl.decode_predict(stack, 2, tape.leaf(np.zeros((4, 3))))
-        assert out.data.shape == (3,)
+        _, preds = mdl.forward_full(stack, np.zeros((1, 4, 3, 3)))
+        assert preds.values.shape == (1, 2, 4, 3)
 
     def test_matches_manual_composition(self):
-        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7)
-        x_masked = np.random.default_rng(5).standard_normal((3, 2))
-        out = mdl.decode_predict(stack, 1, Tape().leaf(x_masked))
-
-        tape = Tape()
-        rl = blocks.Mlp(weights=[stack.rl_w[1]], biases=[stack.rl_b[1, 0]],
-                        hidden_act="tanh", out_act="tanh")
-        tip = blocks.Mlp(weights=[stack.tip_w1[1], stack.tip_w2[1]],
-                         biases=[stack.tip_b1[1, 0], stack.tip_b2[1, 0]],
-                         hidden_act="tanh", out_act="identity")
-        h = blocks.mlp_forward(rl, tape.leaf(x_masked))
-        z = blocks.ngcn_row_forward(complete_gcn(stack.ngcn_w[1], 3), 1, h)
-        expected = blocks.mlp_forward(tip, ad.reshape(z, (4,)))
-        np.testing.assert_allclose(out.data, expected.data, rtol=1e-12)
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, self_loop=2.0)
+        assert_matches_reference(stack, np.random.default_rng(5).standard_normal((2, 3, 4, 2)))
 
 
 class TestForwardFull:
@@ -197,14 +186,7 @@ class TestForwardFull:
     def test_single_cell_matches_pipeline_ops(self):
         models, _ = tiny_models(n=3, d=2, hidden=4, seed=10)
         x = np.random.default_rng(8).standard_normal((2, 3, 5, 2))
-        masks, preds = mdl.forward_full(models, x)
-        for (s, i, tau) in [(0, 0, 0), (1, 2, 3), (0, 1, 2)]:
-            row = mdl.encode_mask_row(models, i, x[s, :, : tau + 1, :])
-            np.testing.assert_allclose(masks.values[s, tau, i], row.data, rtol=1e-10)
-            tape = row.tape
-            gated = mdl.apply_mask(row, tape.constant(x[s, :, tau, :]))
-            pred = mdl.decode_predict(models, i, gated)
-            np.testing.assert_allclose(preds.values[s, tau, i], pred.data, rtol=1e-10)
+        assert_matches_reference(models, x)
 
     def test_mask_range(self):
         models, _ = tiny_models(n=3, seed=12)
@@ -239,14 +221,8 @@ class TestForwardFull:
 
     def test_mask_override_ones_is_unmasked_predictor(self):
         models, _ = tiny_models(n=3, seed=15)
-        x = np.random.default_rng(12).standard_normal((1, 3, 5, 1))
-        _, preds = mdl.forward_full(models, x, mask_override=np.ones(3))
-        # predictions must equal decode_predict applied to the raw snapshot
-        for tau in range(4):
-            for i in range(3):
-                tape = Tape()
-                pred = mdl.decode_predict(models, i, tape.constant(x[0, :, tau, :]))
-                np.testing.assert_allclose(preds.values[0, tau, i], pred.data, rtol=1e-10)
+        x = np.random.default_rng(12).standard_normal((2, 3, 5, 1))
+        assert_matches_reference(models, x, mask_override=np.ones(3))
 
     def test_too_short_series_rejected(self):
         models, _ = tiny_models()
@@ -260,22 +236,16 @@ class TestForwardFull:
         x = np.random.default_rng(13).standard_normal((1, 3, 6, 1))
         masks, preds = mdl.forward_full(models, x)
         assert masks.values.shape == (1, 5, 3, 3)
-        # per-node ops agree with the batched path in the shared case too
-        row = mdl.encode_mask_row(models, 1, x[0, :, :3, :])
-        np.testing.assert_allclose(masks.values[0, 2, 1], row.data, rtol=1e-10)
+        # one shared GRU bank, but the gate rows differ through each node's MMG
+        assert not np.array_equal(masks.values[:, :, 0], masks.values[:, :, 1])
+        assert_matches_reference(models, x)
 
     def test_shared_encoder_samples_match_pipeline_ops(self):
         # several samples fold into the shared bank's rows; each sample's
-        # masks and predictions must still match the per-node reference ops
+        # masks and predictions must still match the oracle's
         models, _ = tiny_models(n=3, d=2, hidden=4, seed=17, share_encoder=True)
         x = np.random.default_rng(14).standard_normal((3, 3, 5, 2))
-        masks, preds = mdl.forward_full(models, x)
-        for (s, i, tau) in [(0, 0, 0), (1, 2, 3), (2, 1, 2), (2, 0, 3), (1, 1, 0)]:
-            row = mdl.encode_mask_row(models, i, x[s, :, : tau + 1, :])
-            np.testing.assert_allclose(masks.values[s, tau, i], row.data, rtol=1e-10)
-            gated = mdl.apply_mask(row, row.tape.constant(x[s, :, tau, :]))
-            pred = mdl.decode_predict(models, i, gated)
-            np.testing.assert_allclose(preds.values[s, tau, i], pred.data, rtol=1e-10)
+        assert_matches_reference(models, x)
 
 
 class TestBatchedForward:

@@ -30,6 +30,15 @@ class TestLossWeights:
         assert w.prior.shape == (4, 4)
         assert abs(w.lambda1 + w.lambda2 + w.lambda3 - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("prior, match", [
+        (np.full((1, 3), 0.2), r"square .* \(1, 3\)"), (np.asarray(0.2), r"square .* \(\)"),
+        (np.full((2, 2, 2), 0.2), "square"), (np.array([[0.2, np.nan], [0.2, 0.2]]), "finite"),
+        (np.array([[0.2, 1.0], [0.2, 0.2]]), "inside")],
+        ids=["row", "scalar", "cube", "nan_entry", "entry_of_one"])
+    def test_prior_must_be_a_finite_square_matrix(self, prior, match):
+        with pytest.raises(ValueError, match=match):
+            tr.LossWeights(lambda1=0.5, lambda2=0.5, prior=prior)
+
 
 # The loss terms take a leading node axis; these tests use one node.
 
@@ -288,7 +297,9 @@ class TestTrain:
         ("threads", -2), ("threads", 2), ("learning_rate", np.nan), ("learning_rate", 0.0),
         ("adam_eps", np.inf), ("adam_eps", -1e-8), ("adam_beta1", 1.0),
         ("adam_beta2", -1.0), ("beta1", np.nan), ("beta3", np.inf), ("lambda1", np.nan),
-        ("gamma", np.nan), ("epsilon", np.inf)])
+        ("gamma", np.nan), ("epsilon", np.inf), ("beta2", -0.1), ("lambda2", -0.5),
+        ("early_stop_tol", np.nan), ("early_stop_tol", -1e-6), ("early_stop_patience", 0),
+        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named
@@ -303,6 +314,12 @@ class TestTrain:
         config = tr.TrainConfig(epochs=2, hidden=4, standardize_input=standardize_input)
         with pytest.raises(ValueError, match=r"\(0, 2, 17\)"):
             tr.train(series, config, tr.LossWeights())
+
+    def test_prior_shape_must_match_the_nodes(self):
+        series, _ = small_var_data(n=3, t=30)
+        weights = tr.LossWeights.with_uniform_prior(4)
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(3, 3\)"):
+            tr.train(series, tr.TrainConfig(epochs=2, hidden=4), weights)
 
     def test_trains_given_stack_in_place(self):
         from dyncause.model import build_node_models
@@ -480,6 +497,12 @@ class TestGridSearch:
         tr.grid_search({"gamma": [1.0, 2.0], "learning_rate": [1e-3, 1e-2]},
                        cfg, w, objective=lambda c, wt: seen.append(1) or 0.0)
         assert len(seen) == 4
+
+    @pytest.mark.parametrize("name", ["model_config", "with_uniform_prior", "nodes"])
+    def test_only_config_and_weight_fields_are_hyperparameters(self, name):
+        # methods are attributes too, but not fields that replace() can set
+        with pytest.raises(ValueError, match=f"unknown hyperparameter '{name}'"):
+            tr.grid_search({name: [1]}, tr.TrainConfig(), tr.LossWeights(), lambda c, w: 0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
