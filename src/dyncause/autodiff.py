@@ -7,7 +7,9 @@ summed back to the operand shape), and ``matmul`` supports stacked (batched)
 operands, which is what makes whole-series training affordable.
 
 Every op validates its output for NaN/Inf and raises ``NumericError`` at the
-first non-finite value instead of letting it propagate.
+first non-finite value instead of letting it propagate. ``reshape`` and
+``transpose`` are exempt: they move no values, and their operand was checked
+when it was made.
 """
 
 from __future__ import annotations
@@ -239,6 +241,10 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def _unary(x: Tensor, op: str, out: np.ndarray, grad_fn) -> Tensor:
     _check_finite(out, op)
+    return _record_unary(x, out, grad_fn)
+
+
+def _record_unary(x: Tensor, out: np.ndarray, grad_fn) -> Tensor:
     if not x.needs:
         return x.tape._append(out, (x.idx,), None, needs=False)
 
@@ -332,14 +338,14 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = x.data.reshape(shape)
     xshape = x.shape
-    return _unary(x, "reshape", out, lambda g: g.reshape(xshape))
+    return _record_unary(x, out, lambda g: g.reshape(xshape))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = np.transpose(x.data, axes)
-    return _unary(x, "transpose", out, lambda g: np.transpose(g, inv))
+    return _record_unary(x, out, lambda g: np.transpose(g, inv))
 
 
 def sum_axis(x: Tensor, axes, keepdims: bool = False) -> Tensor:

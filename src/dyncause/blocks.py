@@ -1,4 +1,5 @@
-"""Network building blocks: the GRU bank op and the graph propagation matrix.
+"""Network building blocks: the GRU bank op, the gated pooling op and the
+graph propagation matrix.
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
@@ -8,8 +9,15 @@ with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
 has M = B*k rows and row b*k + s is run by cell b, so one call carries k
 independent sequences per cell (k is read from the shapes) and each step is
 one (k, h) matrix product per cell for the fused z|r gates and one for the
-candidate. ``normalized_propagation_matrix`` is the GCN propagation rule that
-``model.batched_forward`` applies over the complete graph.
+candidate.
+
+``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
+same way: one tape node whose (i, j, t, .) buffers hold node i's view of
+input j at transition t, so the (N, N, g, h) activation is written once and
+read back once in the backward. ``ACTIVATION_KERNELS`` is its numpy form of
+each ``ACTIVATIONS`` entry. ``normalized_propagation_matrix`` is the GCN
+propagation rule that ``model.batched_forward`` applies over the complete
+graph.
 """
 
 from __future__ import annotations
@@ -17,13 +25,43 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError, Tensor, _check_finite
 
 ACTIVATIONS = {
     "tanh": ad.tanh,
     "sigmoid": ad.sigmoid,
     "relu": ad.relu,
     "identity": lambda x: x,
+}
+
+
+def _sigmoid_in_place(a):
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
+
+
+def _tanh_deriv(y):
+    out = np.multiply(y, y)
+    return np.subtract(1.0, out, out=out)
+
+
+def _sigmoid_deriv(y):
+    out = np.subtract(1.0, y)
+    out *= y
+    return out
+
+
+# The numpy form of each ACTIVATIONS entry, for fused ops: (phi applied in
+# place to a, phi'(a) as a new array computed from y = phi(a)). relu's
+# output is >= 0, so sign(y) is 1 exactly where a > 0.
+ACTIVATION_KERNELS = {
+    "tanh": (lambda a: np.tanh(a, out=a), _tanh_deriv),
+    "sigmoid": (_sigmoid_in_place, _sigmoid_deriv),
+    "relu": (lambda a: np.maximum(a, 0.0, out=a), np.sign),
+    "identity": (lambda a: a, np.ones_like),
 }
 
 
@@ -190,6 +228,68 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
 
     return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u, b),
                              backward, op="gru_sequence")
+
+
+# ---------------------------------------------------------------------------
+# gated pooling
+
+
+def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
+               prop: np.ndarray, phi: str) -> Tensor:
+    """Gate every input, apply each node's first decoder layer, and pool
+    over the inputs with the propagation matrix, in one fused op:
+
+        pooled[i, t] = sum_j prop[i, j] * phi(gate[i, t, j] * x_prev[j, t] @ w[i] + b[i])
+
+    gate (N, g, N') is a tensor; x_prev (N', g, d) and prop (N, N') are
+    arrays that take no gradient; w is (N, d, h), b (N, 1, h) and phi a key
+    of ``ACTIVATION_KERNELS``. Returns (N, g, h).
+
+    The gated input and the activation are laid out (i, j, t, .), with w[i]
+    broadcast over j, so the first layer is one batched matmul and the
+    pooling one (1, N')@(N', g*h) product per node. An overflowed
+    pre-activation raises ``NumericError`` even where phi would squash it.
+    """
+    G, X, W, B = gate.data, x_prev, w.data, b.data
+    if G.ndim != 3:
+        raise ShapeError(f"gated_pool expects an (N, g, N') gate, got {G.shape}")
+    n, g, n_in = G.shape
+    if X.ndim != 3 or X.shape[:2] != (n_in, g):
+        raise ShapeError(f"gated_pool: x_prev shape {X.shape}, expected ({n_in}, {g}, d)")
+    d, h = X.shape[2], W.shape[-1]
+    for name, arr, want in (("w", W, (n, d, h)), ("b", B, (n, 1, h)),
+                            ("prop", prop, (n, n_in))):
+        if arr.shape != want:
+            raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
+    phi_in_place, phi_deriv = ACTIVATION_KERNELS[phi]
+
+    Xg = np.empty((n, n_in, g, d))  # Xg[i, j, t] = gate[i, t, j] * x_prev[j, t]
+    np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        A = np.matmul(Xg, W[:, None])  # (n, n_in, g, h)
+        A += B[:, None]
+    _check_finite(A, "gated_pool")
+    phi_in_place(A)
+    pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
+    need_gate = gate.needs  # a bool: the closure must not keep the tape alive
+
+    def backward(gp):
+        # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t]
+        D = phi_deriv(A)
+        D *= prop[:, :, None, None]
+        D *= gp.reshape(n, 1, g, h)
+        D_rows = D.reshape(n, n_in * g, h)
+        db = np.matmul(np.ones((1, n_in * g)), D_rows)
+        # w[i] serves every input j, so its gradient sums over the (j, t) rows
+        dw = np.matmul(Xg.reshape(n, n_in * g, d).transpose(0, 2, 1), D_rows)
+        dgate = None
+        if need_gate:
+            dXg = np.matmul(D, np.swapaxes(W, 1, 2)[:, None])  # (n, n_in, g, d)
+            dXg *= X
+            dgate = dXg.sum(axis=3).transpose(0, 2, 1)
+        return dgate, dw, db
+
+    return gate.tape.record(pooled, (gate, w, b), backward, op="gated_pool")
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,24 @@ runs every node, sample and transition in one tape pass, and training and
 the encoder rows (one shared row, or one per node) run as one
 ``gru_sequence`` call whose rows are cell-major (row b*S + s runs bank cell
 b on sample s), and the per-node MMG weights broadcast over a shared
-encoder's single output. ``batched_forward`` also reports which nodes each
-parameter row serves, so training needs no knowledge of the layout.
+encoder's single output. The decoder's first layer and its NGCN pooling are
+one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of input
+j at transition t, pooled over j. ``batched_forward`` also reports which
+nodes each parameter row serves, so training needs no knowledge of the
+layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import (ACTIVATIONS, gru_sequence, normalized_propagation_matrix,
-                     uniform_init)
+from .blocks import (ACTIVATIONS, gated_pool, gru_sequence,
+                     normalized_propagation_matrix, uniform_init)
 
 
 @dataclass
@@ -32,6 +36,14 @@ class ModelConfig:
     self_loop: float = 1.0
     phi: str = "tanh"
     share_encoder: bool = False
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+        if not (math.isfinite(self.self_loop) and self.self_loop >= 0):
+            raise ValueError(f"self_loop must be finite and nonnegative, got {self.self_loop}")
+        if self.phi not in ACTIVATIONS:
+            raise ValueError(f"phi must be one of {sorted(ACTIVATIONS)}, got {self.phi!r}")
 
 
 _ARRAYS = ("gru_w", "gru_u", "gru_b", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
@@ -210,21 +222,15 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
     masks = ad.sigmoid(mask_pre)  # (N, g, N)
 
-    # ---- decoder on gated snapshots
-    x_prev = np.ascontiguousarray(
-        x[:, :, :tt, :].transpose(0, 2, 1, 3).reshape(1, g, n, d))
+    # ---- decoder on gated snapshots: x_prev[j, t] is input j's step t
+    x_prev = x[:, :, :tt, :].transpose(1, 0, 2, 3).reshape(n, g, d)
     if mask_override is None:
         gate = masks
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
         gate = tape.constant(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
-    x_tilde = ad.hadamard(ad.reshape(gate, (n, g, n, 1)), tape.constant(x_prev))
-    h_dec = act(
-        ad.add(ad.matmul(ad.reshape(x_tilde, (n, g * n, d)), leaves["rl_w"]),
-               leaves["rl_b"]))
-    h_dec = ad.reshape(h_dec, (n, g, n, h))
-    row_sel = prop.reshape(n, 1, n, 1)
-    pooled = ad.sum_axis(ad.hadamard(h_dec, tape.constant(row_sel)), (2,))  # (N, g, h)
+    pooled = gated_pool(gate, x_prev, leaves["rl_w"], leaves["rl_b"], prop,
+                        stack.phi)  # (N, g, h)
     z_dec = act(ad.matmul(pooled, leaves["ngcn_w"]))
     t1 = act(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
@@ -280,12 +286,11 @@ class Prediction:
 
 def forward_full(stack: ParamStack, x: np.ndarray,
                  mask_override: np.ndarray | None = None):
-    """Masks and one-step predictions for every sample, node and transition."""
+    """The encoder's masks and the one-step predictions for every sample, node
+    and transition; ``mask_override`` changes only the predictions."""
     x = np.asarray(x, dtype=np.float64)
     tape = Tape()
     out = batched_forward(stack, x, tape, mask_override=mask_override)
     mask_series = masks_to_series(out.masks.data, out.num_samples, out.num_transitions)
     preds = predictions_to_series(out.predictions.data, out.num_samples, out.num_transitions)
-    if mask_override is not None:
-        return mask_series, Prediction(values=preds)
     return CausalMaskSeries(values=mask_series), Prediction(values=preds)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
-from .blocks import ACTIVATIONS
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
                     Prediction, batched_forward, build_node_models, forward_full,
                     masks_to_series, predictions_to_series)
@@ -106,15 +105,13 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        for name in ("early_stop_tol", "self_loop"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        for name in ("epochs", "hidden", "minibatch_size", "early_stop_patience"):
+        if not (math.isfinite(self.early_stop_tol) and self.early_stop_tol >= 0):
+            raise ValueError("early_stop_tol must be finite and nonnegative, "
+                             f"got {self.early_stop_tol}")
+        for name in ("epochs", "minibatch_size", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.phi not in ACTIVATIONS:
-            raise ValueError(f"phi must be one of {sorted(ACTIVATIONS)}, got {self.phi!r}")
+        self.model_config()  # validates hidden, self_loop and phi
         if self.threads != 1:
             raise ValueError(f"threads must be 1, got {self.threads}")
         if self.batch_mode not in ("full", "sample_minibatch"):

@@ -208,6 +208,16 @@ class TestConcatReshape:
         grads = tape.backward(ad.reduce_sum(ad.hadamard(y, w)))
         np.testing.assert_array_equal(grads.wrt(x), [[1.0, 10.0], [100.0, 1000.0]])
 
+    def test_views_skip_the_finite_check(self, monkeypatch):
+        # reshape and transpose move no values, and their operand was
+        # checked when it was made
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        checked = []
+        monkeypatch.setattr(ad, "_check_finite", lambda data, op: checked.append(op))
+        ad.tanh(ad.transpose(ad.reshape(x, (3, 2)), (1, 0)))
+        assert checked == ["tanh"]
+
     def test_transpose_gradient(self):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((2, 3, 4))

@@ -323,9 +323,10 @@ class TestGcn:
         assert_model_gradients(stack, x, ["enc_w", "gru_b"], rng)
 
 
-def random_stack(rng, share, n=3, d=1, h=3):
+def random_stack(rng, share, n=3, d=1, h=3, phi="tanh"):
     """A small stack with every array drawn, biases included."""
-    stack = mdl.build_node_models(n, d, mdl.ModelConfig(hidden=h, share_encoder=share), 0)
+    config = mdl.ModelConfig(hidden=h, share_encoder=share, phi=phi)
+    stack = mdl.build_node_models(n, d, config, 0)
     for arr in stack.arrays().values():
         arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
     return stack
@@ -352,6 +353,98 @@ def assert_model_gradients(stack, x, names, rng):
 
         fd = central_diff_grad(loss, getattr(stack, name))
         assert rel_err(grads.wrt(out.leaves[name]), fd) < 1e-6, name
+
+
+def gated_pool_arrays(rng, n=2, n_in=3, g=4, d=2, h=3):
+    """gate (n, g, n_in) in (0, 1), x_prev (n_in, g, d), w (n, d, h),
+    b (n, 1, h) and prop (n, n_in), in ``gated_pool`` argument order."""
+    return [rng.uniform(0.05, 0.95, (n, g, n_in)), rng.standard_normal((n_in, g, d)),
+            rng.uniform(-0.8, 0.8, (n, d, h)), rng.uniform(-0.8, 0.8, (n, 1, h)),
+            rng.uniform(0.1, 1.0, (n, n_in))]
+
+
+def gated_pool_on_tape(arrays, phi, gate_needs=True):
+    """(pooled, gate, w, b) with gate, w and b on a fresh tape."""
+    gate, x_prev, w, b, prop = arrays
+    tape = ad.Tape()
+    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate),
+              tape.leaf(w), tape.leaf(b)]
+    pooled = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop, phi)
+    return (pooled, *leaves)
+
+
+class TestGatedPool:
+    """The decoder's first layer and NGCN pooling, one fused op."""
+
+    def test_kernels_cover_every_activation(self):
+        assert blocks.ACTIVATION_KERNELS.keys() == blocks.ACTIVATIONS.keys()
+
+    def test_matches_definition(self):
+        rng = np.random.default_rng(50)
+        gate, x_prev, w, b, prop = arrays = gated_pool_arrays(rng)
+        pooled = gated_pool_on_tape(arrays, "tanh")[0].data
+        n, g, n_in = gate.shape
+        for i in range(n):
+            for t in range(g):
+                want = sum(prop[i, j] * np.tanh(gate[i, t, j] * x_prev[j, t] @ w[i] + b[i, 0])
+                           for j in range(n_in))
+                np.testing.assert_allclose(pooled[i, t], want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("gate_needs", [True, False])
+    @pytest.mark.parametrize("phi", sorted(blocks.ACTIVATIONS))
+    def test_gradient_matches_finite_differences(self, phi, gate_needs):
+        # at d = 2 the gate scales a vector, so d gate sums over d; a
+        # constant gate (the mask override) takes no gradient at all
+        rng = np.random.default_rng(51)
+        arrays = gated_pool_arrays(rng)
+        probe = rng.standard_normal((2, 4, 3))
+        pooled, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
+        grads = pooled.tape.backward(
+            ad.reduce_sum(ad.hadamard(pooled, pooled.tape.constant(probe))))
+        for leaf, pos, name in zip(leaves, (0, 2, 3), ("gate", "w", "b")):
+            def loss(v, pos=pos):
+                args = [v if k == pos else a for k, a in enumerate(arrays)]
+                return float(np.sum(gated_pool_on_tape(args, phi)[0].data * probe))
+
+            want = (central_diff_grad(loss, arrays[pos]) if leaf.needs
+                    else np.zeros_like(arrays[pos]))
+            assert rel_err(grads.wrt(leaf), want) < 1e-7, name
+
+    def test_overflowed_pre_activation_raises(self):
+        # tanh(inf) = 1 would hide the overflow; the pre-activation is checked
+        rng = np.random.default_rng(52)
+        arrays = gated_pool_arrays(rng)
+        arrays[1] = np.full_like(arrays[1], 10.0)
+        arrays[2] = np.full_like(arrays[2], 1e308)
+        with pytest.raises(ad.NumericError, match="gated_pool"):
+            gated_pool_on_tape(arrays, "tanh")
+
+    def test_tape_freed_without_cycle_collection(self):
+        # as for gru_sequence: the backward closure holds arrays and flags,
+        # never a tensor, which would keep its tape and buffers alive
+        def run():
+            pooled, *_ = gated_pool_on_tape(
+                gated_pool_arrays(np.random.default_rng(53)), "tanh")
+            tape = pooled.tape
+            cells = tape._backward[pooled.idx].__closure__
+            assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
+            tape.backward(ad.reduce_sum(pooled))
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("phi", sorted(blocks.ACTIVATIONS))
+    def test_model_gradients_every_activation(self, phi, share):
+        # mmg_w2's gradient reaches the encoder through d gate
+        rng = np.random.default_rng(54)
+        stack = random_stack(rng, share, phi=phi)
+        x = rng.standard_normal((2, 3, 4, 1))
+        assert_model_gradients(stack, x, ["rl_w", "rl_b", "mmg_w2"], rng)
 
 
 class TestMlp:

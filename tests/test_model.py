@@ -26,10 +26,19 @@ def zero_models(n=3, d=1, hidden=4):
 def assert_matches_reference(stack, x, mask_override=None):
     """forward_full agrees with the plain-numpy oracle on every entry."""
     masks, preds = mdl.forward_full(stack, x, mask_override=mask_override)
-    masks = masks if mask_override is not None else masks.values
     want_masks, want_preds = reference_forward(stack, x, mask_override)
-    np.testing.assert_allclose(masks, want_masks, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(masks.values, want_masks, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(preds.values, want_preds, rtol=1e-10, atol=1e-14)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf),
+        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3)])
+    def test_invalid_value_rejected_by_name(self, field, value):
+        # rejected when the config is made, before any model is built
+        with pytest.raises(ValueError, match=field):
+            mdl.ModelConfig(**{"hidden": 4, field: value})
 
 
 class TestInitStreams:
@@ -165,6 +174,11 @@ class TestDecodePredict:
         stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, self_loop=2.0)
         assert_matches_reference(stack, np.random.default_rng(5).standard_normal((2, 3, 4, 2)))
 
+    @pytest.mark.parametrize("phi", sorted(blocks.ACTIVATIONS))
+    def test_every_activation_matches_reference(self, phi):
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, phi=phi)
+        assert_matches_reference(stack, np.random.default_rng(6).standard_normal((2, 3, 4, 2)))
+
 
 class TestForwardFull:
     def test_output_shapes(self):
@@ -223,6 +237,16 @@ class TestForwardFull:
         models, _ = tiny_models(n=3, seed=15)
         x = np.random.default_rng(12).standard_normal((2, 3, 5, 1))
         assert_matches_reference(models, x, mask_override=np.ones(3))
+
+    def test_mask_override_keeps_the_encoder_masks(self):
+        # the override reaches the decoder only: the masks returned are the
+        # encoder's, in the same container as without an override
+        models, _ = tiny_models(n=3, seed=15)
+        x = np.random.default_rng(12).standard_normal((2, 3, 5, 1))
+        masks, _ = mdl.forward_full(models, x)
+        gated, _ = mdl.forward_full(models, x, mask_override=np.zeros(3))
+        assert isinstance(gated, mdl.CausalMaskSeries)
+        np.testing.assert_array_equal(gated.values, masks.values)
 
     def test_too_short_series_rejected(self):
         models, _ = tiny_models()
