@@ -6,6 +6,9 @@ its parents. Binary elementwise ops support numpy broadcasting (gradients are
 summed back to the operand shape), and ``matmul`` supports stacked (batched)
 operands, which is what makes whole-series training affordable.
 
+``ACTIVATIONS`` is the one table of the model's nonlinearities, and
+``activation(x, phi)`` its tape op; fused ops read the same entries.
+
 Every op validates its output for NaN/Inf and raises ``NumericError`` at the
 first non-finite value instead of letting it propagate. ``reshape`` and
 ``transpose`` are exempt: they move no values, and their operand was checked
@@ -31,9 +34,8 @@ __all__ = [
     "neg",
     "scale",
     "add_scalar",
-    "sigmoid",
-    "tanh",
-    "relu",
+    "ACTIVATIONS",
+    "activation",
     "exp",
     "log",
     "clamp",
@@ -269,22 +271,40 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _unary(x, "add_scalar", x.data + c, lambda g: g)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # exp overflow at very negative x still yields the correct limit 0.0
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-x.data))
-    return _unary(x, "sigmoid", out, lambda g: g * (out * (1.0 - out)))
+def _sigmoid(a, out):
+    with np.errstate(over="ignore"):  # exp(-a) overflows to inf: sigmoid -> 0
+        np.negative(a, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _unary(x, "tanh", out, lambda g: g * (1.0 - out * out))
+def _sigmoid_deriv(y):  # out= keeps a 0-d y an array
+    out = np.subtract(1.0, y, out=np.empty_like(y))
+    return np.multiply(out, y, out=out)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-    return _unary(x, "relu", out, lambda g: g * mask)
+def _tanh_deriv(y):
+    out = np.multiply(y, y, out=np.empty_like(y))
+    return np.subtract(1.0, out, out=out)
+
+
+# Every nonlinearity of the model, by name: (phi(a, out), written into out,
+# which may be a; phi'(a) as a new array computed from y = phi(a)). relu's
+# output is >= 0, so sign(y) is 1 exactly where a > 0.
+ACTIVATIONS = {
+    "tanh": (lambda a, out: np.tanh(a, out=out), _tanh_deriv),
+    "sigmoid": (_sigmoid, _sigmoid_deriv),
+    "relu": (lambda a, out: np.maximum(a, 0.0, out=out), np.sign),
+    "identity": (lambda a, out: np.positive(a, out=out), np.ones_like),
+}
+
+
+def activation(x: Tensor, phi: str) -> Tensor:
+    """``phi``, a key of ``ACTIVATIONS``, applied elementwise."""
+    fn, deriv = ACTIVATIONS[phi]
+    out = fn(x.data, np.empty_like(x.data))
+    return _unary(x, phi, out, lambda g: g * deriv(out))
 
 
 def exp(x: Tensor) -> Tensor:

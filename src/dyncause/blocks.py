@@ -14,8 +14,8 @@ candidate.
 ``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
 input j at transition t, so the (N, N, g, h) activation is written once and
-read back once in the backward. ``ACTIVATION_KERNELS`` is its numpy form of
-each ``ACTIVATIONS`` entry. ``normalized_propagation_matrix`` is the GCN
+read back once in the backward; phi and phi' come from
+``autodiff.ACTIVATIONS``. ``normalized_propagation_matrix`` is the GCN
 propagation rule that ``model.batched_forward`` applies over the complete
 graph.
 """
@@ -24,45 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, _check_finite
-
-ACTIVATIONS = {
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "relu": ad.relu,
-    "identity": lambda x: x,
-}
-
-
-def _sigmoid_in_place(a):
-    with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-    a += 1.0
-    return np.reciprocal(a, out=a)
-
-
-def _tanh_deriv(y):
-    out = np.multiply(y, y)
-    return np.subtract(1.0, out, out=out)
-
-
-def _sigmoid_deriv(y):
-    out = np.subtract(1.0, y)
-    out *= y
-    return out
-
-
-# The numpy form of each ACTIVATIONS entry, for fused ops: (phi applied in
-# place to a, phi'(a) as a new array computed from y = phi(a)). relu's
-# output is >= 0, so sign(y) is 1 exactly where a > 0.
-ACTIVATION_KERNELS = {
-    "tanh": (lambda a: np.tanh(a, out=a), _tanh_deriv),
-    "sigmoid": (_sigmoid_in_place, _sigmoid_deriv),
-    "relu": (lambda a: np.maximum(a, 0.0, out=a), np.sign),
-    "identity": (lambda a: a, np.ones_like),
-}
+from .autodiff import ACTIVATIONS, ShapeError, Tensor, _check_finite
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -99,6 +61,8 @@ def _gru_forward(X, H0, W, U, b):
     hu_zr = hu.reshape(B, k, 2, h).transpose(2, 0, 1, 3)  # (2, B, k, h) view
     hc = np.empty((B, k, h))
     tmp = np.empty((B, k, h))
+    # sigmoid and tanh inline, not from ACTIVATIONS, whose sigmoid enters
+    # np.errstate on each call (about 2 us, once per step)
     with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
         for t in range(T):
             h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], P[t, :2], P[t, 0], P[t, 1], P[t, 2]
@@ -243,7 +207,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
 
     gate (N, g, N') is a tensor; x_prev (N', g, d) and prop (N, N') are
     arrays that take no gradient; w is (N, d, h), b (N, 1, h) and phi a key
-    of ``ACTIVATION_KERNELS``. Returns (N, g, h).
+    of ``ACTIVATIONS``. Returns (N, g, h).
 
     The gated input and the activation are laid out (i, j, t, .), with w[i]
     broadcast over j, so the first layer is one batched matmul and the
@@ -261,7 +225,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
                             ("prop", prop, (n, n_in))):
         if arr.shape != want:
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
-    phi_in_place, phi_deriv = ACTIVATION_KERNELS[phi]
+    phi_fn, phi_deriv = ACTIVATIONS[phi]
 
     Xg = np.empty((n, n_in, g, d))  # Xg[i, j, t] = gate[i, t, j] * x_prev[j, t]
     np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg)
@@ -269,7 +233,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
         A = np.matmul(Xg, W[:, None])  # (n, n_in, g, h)
         A += B[:, None]
     _check_finite(A, "gated_pool")
-    phi_in_place(A)
+    phi_fn(A, A)
     pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
     need_gate = gate.needs  # a bool: the closure must not keep the tape alive
 

@@ -2,7 +2,8 @@
 transition, decoder predicts the next step from the gated snapshot.
 
 All node models live in one ``ParamStack``: every parameter carries a
-leading node (or encoder row) axis. ``batched_forward`` is the model: it
+leading node (or encoder row) axis, and ``ParamStack.config`` is the one
+``ModelConfig`` the stack was built for. ``batched_forward`` is the model: it
 runs every node, sample and transition in one tape pass, and training and
 ``forward_full`` use it. Shared and per-node encoders take the same path:
 the encoder rows (one shared row, or one per node) run as one
@@ -12,7 +13,8 @@ encoder's single output. The decoder's first layer and its NGCN pooling are
 one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of input
 j at transition t, pooled over j. ``batched_forward`` also reports which
 nodes each parameter row serves, so training needs no knowledge of the
-layout.
+parameter layout. Masks, predictions and targets share one row layout,
+(N, S*(T-1), .), which ``node_rows`` and ``rows_to_series`` own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import (ACTIVATIONS, gated_pool, gru_sequence,
-                     normalized_propagation_matrix, uniform_init)
+from .blocks import gated_pool, gru_sequence, normalized_propagation_matrix, uniform_init
 
 
 @dataclass
@@ -42,8 +43,8 @@ class ModelConfig:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if not (math.isfinite(self.self_loop) and self.self_loop >= 0):
             raise ValueError(f"self_loop must be finite and nonnegative, got {self.self_loop}")
-        if self.phi not in ACTIVATIONS:
-            raise ValueError(f"phi must be one of {sorted(ACTIVATIONS)}, got {self.phi!r}")
+        if self.phi not in ad.ACTIVATIONS:
+            raise ValueError(f"phi must be one of {sorted(ad.ACTIVATIONS)}, got {self.phi!r}")
 
 
 _ARRAYS = ("gru_w", "gru_u", "gru_b", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
@@ -59,9 +60,10 @@ class ParamStack:
     where row e*N + j is its cell for input node j. A GRU row holds the
     gates side by side, the layout ``gru_sequence`` computes in:
     ``gru_w[r]`` = W_z|W_r|W_h (d, 3h), ``gru_u[r]`` = U_z|U_r|U_h (h, 3h)
-    and ``gru_b[r]`` = b_z|b_r|b_h (3h,). The encoder GCN and the decoder NGCN
-    both propagate over the complete graph with self-loop intensity
-    ``self_loop``.
+    and ``gru_b[r]`` = b_z|b_r|b_h (3h,). ``config`` is the architecture the
+    stack was built for: the encoder GCN and the decoder NGCN both propagate
+    over the complete graph with self-loop intensity ``config.self_loop``,
+    and ``config.phi`` is every hidden activation of encoder and decoder.
     """
 
     gru_w: np.ndarray  # (E*N, d, 3h)
@@ -79,8 +81,7 @@ class ParamStack:
     tip_b1: np.ndarray  # (N, 1, h)
     tip_w2: np.ndarray  # (N, h, d)
     tip_b2: np.ndarray  # (N, 1, d)
-    self_loop: float = 1.0
-    phi: str = "tanh"  # every hidden activation of encoder and decoder
+    config: ModelConfig
 
     @property
     def num_nodes(self) -> int:
@@ -91,18 +92,8 @@ class ParamStack:
         return self.rl_w.shape[1]
 
     @property
-    def hidden(self) -> int:
-        return self.rl_w.shape[2]
-
-    @property
     def shared_encoder(self) -> bool:
         return self.enc_w.shape[0] < self.mmg_w1.shape[0]
-
-    @property
-    def prop(self) -> np.ndarray:
-        """Normalized propagation matrix of the complete graph, (N, N)."""
-        n = self.num_nodes
-        return normalized_propagation_matrix(np.ones((n, n)), self.self_loop)
 
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _ARRAYS}
@@ -128,8 +119,7 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
         rl_w=np.zeros((n, d, h)), rl_b=np.zeros((n, 1, h)),
         ngcn_w=np.zeros((n, h, h)),
         tip_w1=np.zeros((n, h, h)), tip_b1=np.zeros((n, 1, h)),
-        tip_w2=np.zeros((n, h, d)), tip_b2=np.zeros((n, 1, d)),
-        self_loop=config.self_loop, phi=config.phi)
+        tip_w2=np.zeros((n, h, d)), tip_b2=np.zeros((n, 1, d)), config=config)
     for i in range(n):
         rng = np.random.default_rng(base_seed ^ i)
         if i < enc_count:
@@ -152,6 +142,24 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
 # batched path
 
 
+def node_rows(x: np.ndarray) -> np.ndarray:
+    """(S, N, T', d) series -> (N, S*T', d) rows, row [j, s*T' + t] = x[s, j, t].
+
+    The model's row layout: node j's rows run over its samples, each sample's
+    T' steps in order.
+    """
+    s_count, n, t_len, d = x.shape
+    return x.transpose(1, 0, 2, 3).reshape(n, s_count * t_len, d)
+
+
+def rows_to_series(rows: np.ndarray, s_count: int) -> np.ndarray:
+    """(N, S*T', d) rows -> (S, T', N, d), entry [s, t, j] = rows[j, s*T' + t]:
+    ``node_rows`` undone into the layout of ``CausalMaskSeries`` and
+    ``Prediction``, time before node."""
+    n, g, d = rows.shape
+    return rows.reshape(n, s_count, g // s_count, d).transpose(1, 2, 0, 3)
+
+
 @dataclass
 class BatchedOutput:
     masks: Tensor  # (N, S*(T-1), N) gate rows, node-major
@@ -160,7 +168,6 @@ class BatchedOutput:
     serves: dict  # parameter name -> (leaf rows, N) bool: row r serves node i
     tape: Tape
     num_samples: int
-    num_transitions: int
 
 
 def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
@@ -184,9 +191,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
             raise ShapeError(f"mask_override must be ({n},) or ({n}, {n}), "
                              f"got {mask_override.shape}")
     tt = t_len - 1
-    h = stack.hidden
     g = s_count * tt
-    act = ACTIVATIONS[stack.phi]
+    h, phi = stack.config.hidden, stack.config.phi
 
     # the encoder has one shared row or one row per node
     node_serves = np.eye(n, dtype=bool)
@@ -213,41 +219,29 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     hs = ad.transpose(hs, (1, 3, 0, 2, 4))
     hs = ad.reshape(hs, (n_e, g, n, h))
 
-    prop = stack.prop
+    prop = normalized_propagation_matrix(np.ones((n, n)), stack.config.self_loop)
     mixed = ad.matmul(tape.constant(prop), hs)  # (n_e, g, N, h)
     # flatten (g, N) so the per-encoder weight product is one wide dgemm each
-    z = act(ad.matmul(ad.reshape(mixed, (n_e, g * n, h)), leaves["enc_w"]))
+    z = ad.activation(ad.matmul(ad.reshape(mixed, (n_e, g * n, h)), leaves["enc_w"]), phi)
     z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
-    a1 = act(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]))
+    a1 = ad.activation(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]), phi)
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
-    masks = ad.sigmoid(mask_pre)  # (N, g, N)
+    masks = ad.activation(mask_pre, "sigmoid")  # (N, g, N)
 
-    # ---- decoder on gated snapshots: x_prev[j, t] is input j's step t
-    x_prev = x[:, :, :tt, :].transpose(1, 0, 2, 3).reshape(n, g, d)
+    # ---- decoder on gated snapshots: x_prev[j] holds input j's steps 0..T-2
+    x_prev = node_rows(x[:, :, :tt])
     if mask_override is None:
         gate = masks
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
         gate = tape.constant(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
-    pooled = gated_pool(gate, x_prev, leaves["rl_w"], leaves["rl_b"], prop,
-                        stack.phi)  # (N, g, h)
-    z_dec = act(ad.matmul(pooled, leaves["ngcn_w"]))
-    t1 = act(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]))
+    pooled = gated_pool(gate, x_prev, leaves["rl_w"], leaves["rl_b"], prop, phi)  # (N, g, h)
+    z_dec = ad.activation(ad.matmul(pooled, leaves["ngcn_w"]), phi)
+    t1 = ad.activation(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]), phi)
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, serves=serves,
-                         tape=tape, num_samples=s_count, num_transitions=tt)
-
-
-def masks_to_series(masks_data: np.ndarray, s_count: int, tt: int) -> np.ndarray:
-    """(n, S*tt, N) node-major gate rows -> (S, tt, N, N) mask matrices."""
-    n = masks_data.shape[0]
-    return masks_data.reshape(n, s_count, tt, -1).transpose(1, 2, 0, 3)
-
-
-def predictions_to_series(pred_data: np.ndarray, s_count: int, tt: int) -> np.ndarray:
-    n, _, d = pred_data.shape
-    return pred_data.reshape(n, s_count, tt, d).transpose(1, 2, 0, 3)
+                         tape=tape, num_samples=s_count)
 
 
 @dataclass
@@ -291,6 +285,5 @@ def forward_full(stack: ParamStack, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     tape = Tape()
     out = batched_forward(stack, x, tape, mask_override=mask_override)
-    mask_series = masks_to_series(out.masks.data, out.num_samples, out.num_transitions)
-    preds = predictions_to_series(out.predictions.data, out.num_samples, out.num_transitions)
-    return CausalMaskSeries(values=mask_series), Prediction(values=preds)
+    return (CausalMaskSeries(values=rows_to_series(out.masks.data, out.num_samples)),
+            Prediction(values=rows_to_series(out.predictions.data, out.num_samples)))

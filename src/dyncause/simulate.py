@@ -35,7 +35,8 @@ class GroundTruthGraph:
     """Binary causal adjacency, optionally switching between regimes.
 
     ``regimes`` lists (start_t, adjacency) with strictly increasing start
-    times, the first at 0; a static graph has a single regime.
+    times, the first at 0 with ``adjacency`` itself; a static graph has a
+    single regime. Every matrix is a square 0/1 matrix over the same N nodes.
     """
 
     adjacency: np.ndarray
@@ -43,12 +44,19 @@ class GroundTruthGraph:
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency)
-        if self.adjacency.ndim != 2 or self.adjacency.shape[0] != self.adjacency.shape[1]:
-            raise SimulationError("adjacency must be square")
-        if not np.isin(self.adjacency, (0, 1)).all():
-            raise SimulationError("adjacency entries must be 0 or 1")
+        shape = self.adjacency.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise SimulationError(f"adjacency must be square, got shape {shape}")
         if not self.regimes:
             self.regimes = [(0, self.adjacency)]
+        for k, (_, adj) in enumerate(self.regimes):
+            if np.shape(adj) != shape:
+                raise SimulationError(f"regime {k} adjacency has shape {np.shape(adj)}, "
+                                      f"expected {shape}")
+            if not np.isin(adj, (0, 1)).all():
+                raise SimulationError(f"regime {k} adjacency entries must be 0 or 1")
+        if not np.array_equal(self.regimes[0][1], self.adjacency):
+            raise SimulationError("regime 0 adjacency must equal adjacency")
         starts = [s for s, _ in self.regimes]
         if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise SimulationError("regime starts must be strictly increasing from 0")
@@ -98,22 +106,24 @@ def companion_spectral_radius(transition: list) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def _draw_var_system(n: int, p: int, rng: np.random.Generator,
-                     identical_lag_supports: bool = True) -> VarSystem:
-    adjacency = np.zeros((n, n), dtype=np.int64)
+def _draw_supports(n: int, rng: np.random.Generator) -> list:
+    """Node i's support: i itself, then VAR_CAUSES_PER_NODE other parents."""
     supports = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
         chosen = rng.choice(others, size=VAR_CAUSES_PER_NODE, replace=False)
         supports.append(np.array([i, *chosen]))
+    return supports
+
+
+def _draw_var_system(n: int, p: int, rng: np.random.Generator,
+                     identical_lag_supports: bool = True) -> VarSystem:
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    supports = _draw_supports(n, rng)
     transition = []
     for lag in range(p):
         if lag > 0 and not identical_lag_supports:
-            supports = []
-            for i in range(n):
-                others = [j for j in range(n) if j != i]
-                chosen = rng.choice(others, size=VAR_CAUSES_PER_NODE, replace=False)
-                supports.append(np.array([i, *chosen]))
+            supports = _draw_supports(n, rng)
         a = np.zeros((n, n))
         for i, supp in enumerate(supports):
             signs = rng.choice([-1.0, 1.0], size=supp.size)

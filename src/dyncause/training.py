@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
                     Prediction, batched_forward, build_node_models, forward_full,
-                    masks_to_series, predictions_to_series)
+                    node_rows, rows_to_series)
 from .simulate import require_finite, standardize, standardize_like
 
 CLAMP_LO = 1e-7
@@ -254,16 +254,14 @@ class _GroupConsts:
 def _group_consts(x: np.ndarray, gamma: float) -> _GroupConsts:
     s, n, t, d = x.shape
     g = s * (t - 1)
-    x_next = x[:, :, 1:, :].transpose(1, 0, 2, 3).reshape(n, g, d)
-    x_target = np.ascontiguousarray(
-        x[:, :, 1:, :].transpose(0, 2, 1, 3).reshape(1, g, n, d))
+    x_next = np.ascontiguousarray(node_rows(x[:, :, 1:]))
+    x_target = np.ascontiguousarray(rows_to_series(x_next, s).reshape(1, g, n, d))
     # tau_true[i, g, j] = exp(-gamma * ||x_j^t - x_i^t||^2)
     tau = np.empty((n, g, n))
     for i in range(n):
         delta = x_target[0] - x_target[0][:, i : i + 1, :]
         tau[i] = np.exp(-gamma * (delta ** 2).sum(axis=2))
-    return _GroupConsts(x_next=np.ascontiguousarray(x_next), x_target=x_target,
-                        tau_true=tau)
+    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau)
 
 
 def _loss_vectors(out: BatchedOutput, consts: _GroupConsts, weights: LossWeights) -> dict:
@@ -313,7 +311,9 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     """Fit all node models on (S, N, T, d) data; see TrainResult.
 
     ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
-    in place and returned as ``TrainResult.models``. Non-finite input raises
+    in place and returned as ``TrainResult.models``; it must be built for
+    ``config.model_config()`` and the data's N and d, or ``ValueError`` names
+    what differs. Non-finite input raises
     ``SimulationError`` naming its (sample, node, t). A node stops training
     once its total loss has not improved by ``early_stop_tol`` for
     ``early_stop_patience`` epochs; training ends when every node has stopped.
@@ -323,13 +323,21 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
         raise ShapeError(f"expected (S, N, T, d) data, got {x.shape}")
     if x.shape[2] < 2:
         raise ShapeError("need at least 2 time steps to train")
-    s_count, n, t_len, d = x.shape
+    s_count, n, _, d = x.shape
     if weights.prior is not None and weights.prior.shape != (n, n):
         raise ValueError(f"prior shape {weights.prior.shape} does not match the "
                          f"{n} nodes of the data, expected {(n, n)}")
+    arch = config.model_config()
+    if models is not None:
+        have, want = asdict(models.config), asdict(arch)
+        differ = [f"{k} {have[k]!r} != {want[k]!r}" for k in want if have[k] != want[k]]
+        if differ:
+            raise ValueError("models differ from config in " + ", ".join(differ))
+        if (models.num_nodes, models.input_dim) != (n, d):
+            raise ValueError(f"models are built for (N, d) = "
+                             f"{(models.num_nodes, models.input_dim)}, the data has {(n, d)}")
     x = standardize(x) if config.standardize_input else require_finite(x)
-    stack = (build_node_models(n, d, config.model_config(), config.seed)
-             if models is None else models)
+    stack = build_node_models(n, d, arch, config.seed) if models is None else models
 
     adam = AdamState()
     best = np.full(n, np.inf)
@@ -372,9 +380,8 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     # peak RSS of a 50-window minibatch fit
     del adam, chunk_consts
     out = batched_forward(stack, x, Tape())
-    masks = CausalMaskSeries(values=masks_to_series(out.masks.data, s_count, t_len - 1))
-    preds = Prediction(values=predictions_to_series(out.predictions.data, s_count,
-                                                    t_len - 1))
+    masks = CausalMaskSeries(values=rows_to_series(out.masks.data, s_count))
+    preds = Prediction(values=rows_to_series(out.predictions.data, s_count))
     return TrainResult(models=stack, history=history, masks=masks,
                        predictions=preds, final_losses=means["total"],
                        epochs_run=epoch)
@@ -402,7 +409,7 @@ def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
         # the model was fitted on the prefix standardized by its own moments
         x_eval = standardize_like(x, prefix) if config.standardize_input else x
         masks, preds = forward_full(result.models, x_eval)
-        target = x_eval[:, :, 1:, :].transpose(0, 2, 1, 3)
+        target = rows_to_series(node_rows(x_eval[:, :, 1:]), x.shape[0])
         err = ((preds.values - target) ** 2).sum(axis=3)
         return float(err[:, cut - 1 :].mean())
 

@@ -1,9 +1,10 @@
 """Plain-numpy oracle for ``dyncause.model.batched_forward``.
 
 A direct transcription of the model, one (sample, node, transition, input)
-at a time. It reads only the ``ParamStack`` arrays and owes nothing else to
-``dyncause``: no tape, no ``gru_sequence`` and no propagation-matrix helper,
-so a fault in any of them shows up as a mismatch with this file.
+at a time. It reads only the ``ParamStack`` arrays and its ``config``, and
+owes nothing else to ``dyncause``: no tape, no ``gru_sequence``, no
+activation table and no propagation-matrix helper, so a fault in any of them
+shows up as a mismatch with this file.
 """
 
 import numpy as np
@@ -50,8 +51,8 @@ def reference_forward(stack, x, mask_override=None):
     override = None if mask_override is None else np.asarray(mask_override, dtype=np.float64)
     s_count, n, t_len, d = x.shape
     h = stack.rl_w.shape[2]
-    act = ACT[stack.phi]
-    prop = complete_graph_propagation(n, stack.self_loop)
+    act = ACT[stack.config.phi]
+    prop = complete_graph_propagation(n, stack.config.self_loop)
     masks = np.empty((s_count, t_len - 1, n, n))
     preds = np.empty((s_count, t_len - 1, n, d))
     for s in range(s_count):

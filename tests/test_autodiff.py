@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,15 +48,17 @@ class TestMatmul:
 
         def loss_a(a):
             tape = ad.Tape()
-            return ad.reduce_sum(ad.tanh(ad.matmul(tape.leaf(a), tape.leaf(b0)))).data.item()
+            out = ad.activation(ad.matmul(tape.leaf(a), tape.leaf(b0)), "tanh")
+            return ad.reduce_sum(out).data.item()
 
         def loss_b(b):
             tape = ad.Tape()
-            return ad.reduce_sum(ad.tanh(ad.matmul(tape.leaf(a0), tape.leaf(b)))).data.item()
+            out = ad.activation(ad.matmul(tape.leaf(a0), tape.leaf(b)), "tanh")
+            return ad.reduce_sum(out).data.item()
 
         tape = ad.Tape()
         ta, tb = tape.leaf(a0), tape.leaf(b0)
-        root = ad.reduce_sum(ad.tanh(ad.matmul(ta, tb)))
+        root = ad.reduce_sum(ad.activation(ad.matmul(ta, tb), "tanh"))
         grads = tape.backward(root)
         assert rel_err(grads.wrt(ta), central_diff_grad(loss_a, a0)) < 1e-6
         assert rel_err(grads.wrt(tb), central_diff_grad(loss_b, b0)) < 1e-6
@@ -91,21 +95,21 @@ class TestMatmul:
 class TestElementwise:
     def test_sigmoid_zero(self):
         tape = ad.Tape()
-        assert ad.sigmoid(tape.leaf(0.0)).data.item() == 0.5
+        assert ad.activation(tape.leaf(0.0), "sigmoid").data.item() == 0.5
 
     def test_tanh_zero(self):
         tape = ad.Tape()
-        assert ad.tanh(tape.leaf(0.0)).data.item() == 0.0
+        assert ad.activation(tape.leaf(0.0), "tanh").data.item() == 0.0
 
     def test_sigmoid_gradient_value(self):
         tape = ad.Tape()
         x = tape.leaf(1.0)
-        grads = tape.backward(ad.reduce_sum(ad.sigmoid(x)))
+        grads = tape.backward(ad.reduce_sum(ad.activation(x, "sigmoid")))
         s = 1.0 / (1.0 + np.exp(-1.0))
         assert grads.wrt(x).item() == pytest.approx(s * (1 - s), rel=1e-12)
         assert grads.wrt(x).item() == pytest.approx(0.19661, abs=1e-5)
         fd = central_diff_grad(
-            lambda v: ad.sigmoid(ad.Tape().leaf(v)).data.item(), np.asarray(1.0)
+            lambda v: ad.activation(ad.Tape().leaf(v), "sigmoid").data.item(), np.asarray(1.0)
         )
         assert rel_err(grads.wrt(x), fd) < 1e-8
 
@@ -129,8 +133,11 @@ class TestElementwise:
         with pytest.raises(ad.NumericError):
             tape.leaf([1.0, np.nan])
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.relu, ad.exp, ad.neg])
-    def test_unary_gradients_match_fd(self, op):
+    @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS) + ["exp", "neg"])
+    def test_unary_gradients_match_fd(self, name):
+        # every activation goes through the one op
+        op = getattr(ad, name) if name in ("exp", "neg") else (
+            lambda x: ad.activation(x, name))
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((3, 4)) * 0.8 + 0.1
 
@@ -141,6 +148,29 @@ class TestElementwise:
         tx = tape.leaf(x0)
         grads = tape.backward(ad.reduce_sum(op(tx)))
         assert rel_err(grads.wrt(tx), central_diff_grad(loss, x0)) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
+    def test_activation_of_a_scalar(self, name):
+        tape = ad.Tape()
+        x = tape.leaf(0.3)
+        grad = tape.backward(ad.activation(x, name)).wrt(x)
+        fd = central_diff_grad(
+            lambda v: ad.activation(ad.Tape().leaf(v), name).data.item(), np.asarray(0.3))
+        assert grad.shape == () and rel_err(grad, fd) < 1e-8
+
+    @pytest.mark.parametrize("name, edge", [("sigmoid", 800.0), ("tanh", 50.0)])
+    def test_saturated_activation_stays_finite(self, name, edge):
+        # exp(800) overflows; the sigmoid must still give 0 and 1, and no
+        # RuntimeWarning may escape
+        tape = ad.Tape()
+        x = tape.leaf([-edge, edge])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.activation(x, name)
+            grad = tape.backward(ad.reduce_sum(out)).wrt(x)
+        low = 0.0 if name == "sigmoid" else -1.0
+        np.testing.assert_array_equal(out.data, [low, 1.0])
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_hadamard_broadcast_gradient(self):
         rng = np.random.default_rng(9)
@@ -215,7 +245,7 @@ class TestConcatReshape:
         x = tape.leaf(np.ones((2, 3)))
         checked = []
         monkeypatch.setattr(ad, "_check_finite", lambda data, op: checked.append(op))
-        ad.tanh(ad.transpose(ad.reshape(x, (3, 2)), (1, 0)))
+        ad.activation(ad.transpose(ad.reshape(x, (3, 2)), (1, 0)), "tanh")
         assert checked == ["tanh"]
 
     def test_transpose_gradient(self):
@@ -249,11 +279,13 @@ class TestBackward:
 
         def loss(w):
             tape = ad.Tape()
-            return ad.reduce_sum(ad.tanh(ad.matmul(tape.leaf(w), tape.leaf(x0)))).data.item()
+            out = ad.activation(ad.matmul(tape.leaf(w), tape.leaf(x0)), "tanh")
+            return ad.reduce_sum(out).data.item()
 
         tape = ad.Tape()
         tw = tape.leaf(w0)
-        grads = tape.backward(ad.reduce_sum(ad.tanh(ad.matmul(tw, tape.leaf(x0)))))
+        out = ad.activation(ad.matmul(tw, tape.leaf(x0)), "tanh")
+        grads = tape.backward(ad.reduce_sum(out))
         assert rel_err(grads.wrt(tw), central_diff_grad(loss, w0)) < 1e-5
 
     def test_unused_parameter_gets_exact_zero(self):
@@ -275,7 +307,7 @@ class TestBackward:
             tape = ad.Tape()
             w = tape.leaf(rng.standard_normal((5, 5)))
             x = tape.leaf(rng.standard_normal((5, 2)))
-            root = ad.reduce_sum(ad.sigmoid(ad.matmul(w, x)))
+            root = ad.reduce_sum(ad.activation(ad.matmul(w, x), "sigmoid"))
             return tape.backward(root).wrt(w)
 
         g1, g2 = run(), run()
@@ -296,7 +328,7 @@ class TestBackward:
             x = tape.leaf(x0)
             return tape.backward(make_root(x)).wrt(x)
 
-        f = lambda x: ad.reduce_sum(ad.tanh(x))
+        f = lambda x: ad.reduce_sum(ad.activation(x, "tanh"))
         g = lambda x: ad.reduce_sum(ad.hadamard(x, x))
         combined = lambda x: ad.add(ad.scale(f(x), alpha), ad.scale(g(x), beta))
         expected = alpha * grad_of(f) + beta * grad_of(g)

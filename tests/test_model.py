@@ -41,6 +41,26 @@ class TestModelConfig:
             mdl.ModelConfig(**{"hidden": 4, field: value})
 
 
+class TestRowLayout:
+    def test_node_rows_and_back(self):
+        # one row block per node, sample-major; rows_to_series takes rows back
+        # out to the (S, T', N, d) layout of masks and predictions
+        x = np.random.default_rng(3).standard_normal((2, 3, 4, 5))
+        rows = mdl.node_rows(x)
+        assert rows.shape == (3, 8, 5)
+        for s in range(2):
+            for j in range(3):
+                for t in range(4):
+                    np.testing.assert_array_equal(rows[j, s * 4 + t], x[s, j, t])
+        series = mdl.rows_to_series(rows, 2)
+        assert series.shape == (2, 4, 3, 5)
+        for s in range(2):
+            for t in range(4):
+                for j in range(3):
+                    np.testing.assert_array_equal(series[s, t, j], x[s, j, t])
+        np.testing.assert_array_equal(mdl.node_rows(series.transpose(0, 2, 1, 3)), rows)
+
+
 class TestInitStreams:
     @pytest.mark.parametrize("share", [False, True])
     def test_streams_follow_documented_draw_order(self, share):
@@ -174,7 +194,7 @@ class TestDecodePredict:
         stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, self_loop=2.0)
         assert_matches_reference(stack, np.random.default_rng(5).standard_normal((2, 3, 4, 2)))
 
-    @pytest.mark.parametrize("phi", sorted(blocks.ACTIVATIONS))
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     def test_every_activation_matches_reference(self, phi):
         stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, phi=phi)
         assert_matches_reference(stack, np.random.default_rng(6).standard_normal((2, 3, 4, 2)))

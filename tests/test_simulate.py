@@ -161,6 +161,27 @@ class TestGenSwitchingVar:
         np.testing.assert_array_equal(truth.regime_at(40), truth.regimes[1][1])
 
 
+class TestGroundTruthGraph:
+    EYE = np.eye(3, dtype=int)
+
+    @pytest.mark.parametrize("regimes, match", [
+        ([(0, EYE), (5, np.ones((3, 4), dtype=int))], r"regime 1 .*\(3, 4\)"),
+        ([(0, EYE), (5, np.full((4, 4), 1))], r"regime 1 .*\(4, 4\)"),
+        ([(0, EYE), (5, np.full((3, 3), 7))], "regime 1 .*0 or 1"),
+        ([(0, np.ones((3, 3), dtype=int)), (5, EYE)], "regime 0 .*equal"),
+        ([(0, EYE), (0, EYE)], "increasing")],
+        ids=["not_square", "other_node_count", "not_binary", "first_differs", "start_repeats"])
+    def test_every_regime_validated(self, regimes, match):
+        with pytest.raises(sim.SimulationError, match=match):
+            sim.GroundTruthGraph(adjacency=self.EYE, regimes=regimes)
+
+    @pytest.mark.parametrize("adjacency", [np.ones((2, 3)), np.full((3, 3), 2)],
+                             ids=["not_square", "not_binary"])
+    def test_static_graph_validated(self, adjacency):
+        with pytest.raises(sim.SimulationError, match="square|0 or 1"):
+            sim.GroundTruthGraph(adjacency=adjacency)
+
+
 class TestStandardize:
     def test_constant_channel_maps_to_zero(self):
         x = np.full((1, 3, 10, 1), 7.0)

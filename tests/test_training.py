@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
-from dyncause.model import build_node_models
+from dyncause.model import ModelConfig, build_node_models
 from dyncause.simulate import gen_var, standardize
 
 from test_autodiff import central_diff_grad, rel_err
@@ -332,6 +332,22 @@ class TestTrain:
         assert result.models is stack and not np.array_equal(stack.mmg_w1, before)
         default = tr.train(series, config, tr.LossWeights())
         np.testing.assert_array_equal(result.masks.values, default.masks.values)
+
+    def test_given_stack_must_match_config(self):
+        # a stack built for another architecture would train without complaint
+        series, _ = small_var_data(t=30)
+        stack = build_node_models(5, 1, ModelConfig(hidden=7, phi="relu"), 0)
+        with pytest.raises(ValueError, match=r"hidden 7 != 4, phi 'relu' != 'tanh'"):
+            tr.train(series, tr.TrainConfig(epochs=1, hidden=4), tr.LossWeights(),
+                     models=stack)
+
+    def test_given_stack_must_match_data(self):
+        # a stack for 6 nodes used to fail deep inside the GRU bank
+        series, _ = small_var_data(t=30)
+        config = tr.TrainConfig(epochs=1, hidden=4)
+        stack = build_node_models(6, 1, config.model_config(), 0)
+        with pytest.raises(ValueError, match=r"\(6, 1\), the data has \(5, 1\)"):
+            tr.train(series, config, tr.LossWeights(), models=stack)
 
     def test_same_seed_identical_masks(self):
         series, _ = small_var_data(t=60)
