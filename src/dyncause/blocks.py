@@ -7,9 +7,11 @@ against finite differences in the test suite. Every GRU parameter is stored
 with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
 ``u``, ``b``), the layout the op computes in. Its row contract: the series
 has M = B*k rows and row b*k + s is run by cell b, so one call carries k
-independent sequences per cell (k is read from the shapes) and each step is
-one (k, h) matrix product per cell for the fused z|r gates and one for the
-candidate.
+independent sequences per cell (k is read from the shapes). Each step
+projects its own input, x_t W + b, then takes one (k, h) matrix product per
+cell for the fused z|r gates and one for the candidate. The op keeps the
+gate history of every step only when one of its inputs needs a gradient; a
+forward that takes none reuses one step's buffer and records no backward.
 
 ``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
@@ -36,25 +38,27 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 # GRU
 
 
-def _gru_forward(X, H0, W, U, b):
+def _gru_forward(X, H0, W, U, b, history):
     """Forward recurrence for the fused cell weights W (B, d, 3h),
     U (B, h, 3h) and b (B, 3h).
 
-    The input projection fills the gate-major step buffer P (T, 3, B, k, h)
-    in one batched GEMM, bias added in place; each step then turns P[t] into the
-    gates z, r and the candidate c in place, with one (k, h)@(h, 2h) product
-    per cell for both gates and one (k, h)@(h, h) for the candidate. Returns
-    P and the states Hb (T+1, B, k, h) with Hb[0] = h0 and Hb[t+1] = h_t.
+    Each step first projects its input, x_t W + b, into the gate-major step
+    buffer (3, B, k, h) with one (k, d)@(d, h) product per cell and gate,
+    then turns the buffer into the gates z, r and the candidate c in place,
+    with one (k, h)@(h, 2h) product per cell for both gates and one
+    (k, h)@(h, h) for the candidate. With ``history`` set, step t uses P[t]
+    of P (T, 3, B, k, h), the gate history the backward reads; without it,
+    P is one step long and every step reuses P[0]. Returns P and the states
+    Hb (T+1, B, k, h) with Hb[0] = h0 and Hb[t+1] = h_t.
     """
     T, M, d = X.shape
     B, h = U.shape[0], H0.shape[1]
     k = M // B
     Uzr, Uh = U[..., :2 * h], U[..., 2 * h:]
-    P = np.empty((T, 3, B, k, h))
-    x_rows = X.reshape(T, B, k, d).transpose(1, 2, 0, 3)  # (B, k, T, d)
     Wg = W.reshape(B, d, 3, h).transpose(2, 0, 1, 3)  # (3, B, d, h) view
-    np.matmul(x_rows, Wg[:, :, None], out=P.transpose(1, 2, 3, 0, 4))
-    P += b.reshape(B, 3, h).transpose(1, 0, 2)[:, :, None, :]
+    bg = b.reshape(B, 3, h).transpose(1, 0, 2)[:, :, None, :]  # (3, B, 1, h) view
+    x_rows = X.reshape(T, B, k, d)
+    P = np.empty((T if history else 1, 3, B, k, h))
     Hb = np.empty((T + 1, B, k, h))
     Hb[0] = H0.reshape(B, k, h)
     hu = np.empty((B, k, 2 * h))
@@ -65,7 +69,10 @@ def _gru_forward(X, H0, W, U, b):
     # np.errstate on each call (about 2 us, once per step)
     with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
         for t in range(T):
-            h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], P[t, :2], P[t, 0], P[t, 1], P[t, 2]
+            p = P[t if history else 0]
+            np.matmul(x_rows[t], Wg, out=p)
+            p += bg
+            h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], p[:2], p[0], p[1], p[2]
             np.matmul(h_prev, Uzr, out=hu)
             zr += hu_zr
             np.negative(zr, out=zr)
@@ -184,14 +191,17 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
         if arr.shape != want:
             raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
-    P, Hb = _gru_forward(X, H0, W, U, Bias)
-    need_dx = x_seq.needs  # a bool: the closure must not keep the tape alive
+    # bools: the closure must not keep the tape alive
+    need_grad = any(t.needs for t in (x_seq, h0, w, u, b))
+    need_dx = x_seq.needs
+    P, Hb = _gru_forward(X, H0, W, U, Bias, history=need_grad)
 
     def backward(g):
         return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
 
+    # without a gradient P holds one step, which no backward may read
     return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u, b),
-                             backward, op="gru_sequence")
+                             backward if need_grad else None, op="gru_sequence")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ All node models live in one ``ParamStack``: every parameter carries a
 leading node (or encoder row) axis, and ``ParamStack.config`` is the one
 ``ModelConfig`` the stack was built for. ``batched_forward`` is the model: it
 runs every node, sample and transition in one tape pass, and training and
-``forward_full`` use it. Shared and per-node encoders take the same path:
-the encoder rows (one shared row, or one per node) run as one
-``gru_sequence`` call whose rows are cell-major (row b*S + s runs bank cell
-b on sample s), and the per-node MMG weights broadcast over a shared
-encoder's single output. The decoder's first layer and its NGCN pooling are
+``forward_full`` use it. Training passes its own tape, on which the stack
+arrays are trainable leaves. ``forward_full`` and training's final forward
+take no gradient, so they pass no tape; the arrays then enter a private
+tape as constants, which keeps no backward closure and no GRU gate history.
+Shared and per-node encoders take the same path: the encoder rows (one
+shared row, or one per node) run as one ``gru_sequence`` call whose rows are
+cell-major (row b*S + s runs bank cell b on sample s), and the per-node MMG
+weights broadcast over a shared encoder's single output. The decoder's first layer and its NGCN pooling are
 one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of input
 j at transition t, pooled over j. ``batched_forward`` also reports which
 nodes each parameter row serves, so training needs no knowledge of the
@@ -27,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .blocks import gated_pool, gru_sequence, normalized_propagation_matrix, uniform_init
+from .simulate import require_finite
 
 
 @dataclass
@@ -160,28 +164,41 @@ def rows_to_series(rows: np.ndarray, s_count: int) -> np.ndarray:
     return rows.reshape(n, s_count, g // s_count, d).transpose(1, 2, 0, 3)
 
 
+def check_series(stack: ParamStack, x: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless ``x`` is an (S, N, T, d) series with the
+    N and d that ``stack`` was built for."""
+    if x.ndim != 4:
+        raise ShapeError(f"series must be (S, N, T, d), got {x.shape}")
+    built, given = (stack.num_nodes, stack.input_dim), (x.shape[1], x.shape[3])
+    if built != given:
+        raise ShapeError(f"models are built for (N, d) = {built}, the data has {given}")
+
+
 @dataclass
 class BatchedOutput:
     masks: Tensor  # (N, S*(T-1), N) gate rows, node-major
     predictions: Tensor  # (N, S*(T-1), d)
-    leaves: dict  # parameter name -> leaf Tensor over the stack array itself
+    leaves: dict  # parameter name -> tape Tensor over the stack array itself
     serves: dict  # parameter name -> (leaf rows, N) bool: row r serves node i
     tape: Tape
     num_samples: int
 
 
-def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
+def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
                     mask_override: np.ndarray | None = None) -> BatchedOutput:
     """Forward pass of every node model over every (sample, transition).
 
-    ``x`` is the full (S, N, T, d) series. The leaves wrap the stack arrays
-    without a copy, so optimizer steps on them write through to ``stack``.
+    ``x`` is the full (S, N, T, d) series, for the stack's N and d. The
+    ``leaves`` wrap the stack arrays without a copy. On a caller's ``tape``
+    they are trainable leaves, so optimizer steps on them write through to
+    ``stack``. Without a tape the forward records on a private one, returned
+    as ``BatchedOutput.tape``, where they are constants: no op keeps a
+    backward closure, so each intermediate is freed once nothing reads it.
     ``mask_override`` replaces the decoder's gates at every transition: an
     (N,) row gives input j the gate [j] in every node, and an (N, N) matrix
     gives node i's input j the gate [i, j].
     """
-    if x.ndim != 4:
-        raise ShapeError(f"series must be (S, N, T, d), got {x.shape}")
+    check_series(stack, x)
     s_count, n, t_len, d = x.shape
     if t_len < 2:
         raise ShapeError("need at least 2 time steps")
@@ -198,9 +215,14 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape,
     node_serves = np.eye(n, dtype=bool)
     enc_serves = np.ones((1, n), dtype=bool) if stack.shared_encoder else node_serves
     n_e = enc_serves.shape[0]
+    if tape is None:  # no gradient will be taken
+        tape = Tape()
+        enter = tape.constant
+    else:
+        enter = tape.leaf
     leaves, serves = {}, {}
     for name, arr in stack.arrays().items():
-        leaves[name] = tape.leaf(arr)
+        leaves[name] = enter(arr)
         if name.startswith("gru_"):  # N cells per encoder row
             serves[name] = np.repeat(enc_serves, n, axis=0)
         else:
@@ -281,9 +303,15 @@ class Prediction:
 def forward_full(stack: ParamStack, x: np.ndarray,
                  mask_override: np.ndarray | None = None):
     """The encoder's masks and the one-step predictions for every sample, node
-    and transition; ``mask_override`` changes only the predictions."""
+    and transition; ``mask_override`` changes only the predictions.
+
+    The forward takes no gradient, so it keeps none of the state a backward
+    would read. A series whose N or d differs from the stack's raises
+    ``ShapeError``, and a non-finite value raises ``SimulationError`` naming
+    its (sample, node, t).
+    """
     x = np.asarray(x, dtype=np.float64)
-    tape = Tape()
-    out = batched_forward(stack, x, tape, mask_override=mask_override)
+    check_series(stack, x)  # before require_finite names an (S, N, T) index
+    out = batched_forward(stack, require_finite(x), mask_override=mask_override)
     return (CausalMaskSeries(values=rows_to_series(out.masks.data, out.num_samples)),
             Prediction(values=rows_to_series(out.predictions.data, out.num_samples)))

@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
-                    Prediction, batched_forward, build_node_models, forward_full,
-                    node_rows, rows_to_series)
+                    Prediction, batched_forward, build_node_models, check_series,
+                    forward_full, node_rows, rows_to_series)
 from .simulate import require_finite, standardize, standardize_like
 
 CLAMP_LO = 1e-7
@@ -313,8 +313,8 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
     in place and returned as ``TrainResult.models``; it must be built for
     ``config.model_config()`` and the data's N and d, or ``ValueError`` names
-    what differs. Non-finite input raises
-    ``SimulationError`` naming its (sample, node, t). A node stops training
+    what differs (a ``ShapeError`` for N and d, as ``forward_full`` raises).
+    Non-finite input raises ``SimulationError`` naming its (sample, node, t). A node stops training
     once its total loss has not improved by ``early_stop_tol`` for
     ``early_stop_patience`` epochs; training ends when every node has stopped.
     """
@@ -333,9 +333,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
         differ = [f"{k} {have[k]!r} != {want[k]!r}" for k in want if have[k] != want[k]]
         if differ:
             raise ValueError("models differ from config in " + ", ".join(differ))
-        if (models.num_nodes, models.input_dim) != (n, d):
-            raise ValueError(f"models are built for (N, d) = "
-                             f"{(models.num_nodes, models.input_dim)}, the data has {(n, d)}")
+        check_series(models, x)
     x = standardize(x) if config.standardize_input else require_finite(x)
     stack = build_node_models(n, d, arch, config.seed) if models is None else models
 
@@ -379,7 +377,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     # forward, the largest of the fit: alive, they add about 7 MB to the
     # peak RSS of a 50-window minibatch fit
     del adam, chunk_consts
-    out = batched_forward(stack, x, Tape())
+    out = batched_forward(stack, x)  # no tape: no gradient state
     masks = CausalMaskSeries(values=rows_to_series(out.masks.data, s_count))
     preds = Prediction(values=rows_to_series(out.predictions.data, s_count))
     return TrainResult(models=stack, history=history, masks=masks,

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -233,6 +234,34 @@ class TestGruRowContract:
             assert run()() is None
         finally:
             gc.enable()
+
+    def test_states_identical_without_gradient(self):
+        rng = np.random.default_rng(38)
+        arrays = gru_arrays(rng, 6, 3, 4, 2, 3)
+        tape = ad.Tape()
+        with_grad = blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
+        free = ad.Tape()
+        without = blocks.gru_sequence(*[free.constant(a) for a in arrays])
+        np.testing.assert_array_equal(without.data, with_grad.data)
+        assert not without.needs and free._backward[without.idx] is None
+
+    def test_gradient_free_call_keeps_no_gate_history(self):
+        # switch8-windows' shape: T=39 steps, B=64 cells, k=50 windows per cell.
+        # The (T, 3, B, k, h) gate history alone would take 44.9 MB; the
+        # states the op returns take 15.4 MB
+        t_len, cells, k, h = 39, 64, 50, 15
+        history_bytes = t_len * 3 * cells * k * h * 8
+        arrays = gru_arrays(np.random.default_rng(39), t_len, cells, k, 1, h)
+        tape = ad.Tape()
+        inputs = [tape.constant(a) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = blocks.gru_sequence(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (t_len, cells * k, h)
+        assert peak < history_bytes
 
     # The ids name a gate block of the fused arrays: w_r is w[..., h:2h].
     # "wide": that block gains one column, so the array is 3h + 1 wide.

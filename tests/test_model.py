@@ -7,6 +7,7 @@ from dyncause import autodiff as ad
 from dyncause import blocks
 from dyncause import model as mdl
 from dyncause.autodiff import Tape
+from dyncause.simulate import SimulationError
 
 from reference_model import reference_forward
 
@@ -344,6 +345,51 @@ class TestBatchedForward:
             np.testing.assert_array_equal(out.serves["enc_w"], np.eye(n, dtype=bool))
             np.testing.assert_array_equal(out.serves["gru_b"],
                                           np.repeat(np.eye(n, dtype=bool), n, axis=0))
+
+
+class TestInference:
+    """forward_full and a forward without a tape take no gradient."""
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_equals_the_gradient_tape_forward(self, share, d, override):
+        n, s_count = 4, 2
+        models, _ = tiny_models(n=n, d=d, hidden=3, seed=22, share_encoder=share)
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((s_count, n, 9, d))
+        mask_override = rng.uniform(0.1, 0.9, (n, n)) if override else None
+        masks, preds = mdl.forward_full(models, x, mask_override=mask_override)
+        out = mdl.batched_forward(models, x, Tape(), mask_override=mask_override)
+        assert all(leaf.needs for leaf in out.leaves.values())
+        np.testing.assert_array_equal(masks.values,
+                                      mdl.rows_to_series(out.masks.data, s_count))
+        np.testing.assert_array_equal(preds.values,
+                                      mdl.rows_to_series(out.predictions.data, s_count))
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_no_op_keeps_a_backward_closure(self, share):
+        models, _ = tiny_models(n=3, hidden=3, seed=23, share_encoder=share)
+        x = np.random.default_rng(19).standard_normal((2, 3, 6, 1))
+        out = mdl.batched_forward(models, x)
+        assert not any(leaf.needs for leaf in out.leaves.values())
+        assert all(fn is None for fn in out.tape._backward)
+        # the same ops as a training forward, only without their closures
+        assert len(out.tape) == len(mdl.batched_forward(models, x, Tape()).tape)
+
+    def test_non_finite_input_named(self):
+        models, _ = tiny_models(n=3, seed=24)
+        x = np.random.default_rng(20).standard_normal((2, 3, 6, 1))
+        x[0, 1, 4, 0] = np.nan
+        with pytest.raises(SimulationError, match=r"\(0, 1, 4\)"):
+            mdl.forward_full(models, x)
+
+    def test_node_count_must_match_the_stack(self):
+        models, _ = tiny_models(n=3, seed=25)
+        x = np.zeros((1, 4, 6, 1))
+        with pytest.raises(ad.ShapeError,
+                           match=r"built for \(N, d\) = \(3, 1\), the data has \(4, 1\)"):
+            mdl.forward_full(models, x)
 
 
 class TestStackRoundTrip:

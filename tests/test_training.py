@@ -450,10 +450,11 @@ class TestTrain:
         tapes = []
         original = tr.batched_forward
 
-        def spy(stack, x, tape, **kwargs):
+        def spy(stack, x, *args, **kwargs):
             assert all(ref() is None for ref in tapes)
-            tapes.append(weakref.ref(tape))
-            return original(stack, x, tape, **kwargs)
+            out = original(stack, x, *args, **kwargs)
+            tapes.append(weakref.ref(out.tape))  # the epilogue's is private
+            return out
 
         monkeypatch.setattr(tr, "batched_forward", spy)
         gc.disable()
