@@ -6,17 +6,22 @@ its parents. Binary elementwise ops support numpy broadcasting (gradients are
 summed back to the operand shape), and ``matmul`` supports stacked (batched)
 operands, which is what makes whole-series training affordable.
 
+Every op, here and the fused ops in ``blocks``, is a forward on the operands'
+arrays, a vector-Jacobian closure ``backward(g)`` returning one gradient (or
+None) per operand, and one ``Tape.record`` call, the one way onto the tape.
+``record`` checks that the operands share the tape, raises ``NumericError``
+at the first NaN/Inf in the output instead of letting it propagate, and keeps
+the closure only when some operand needs a gradient. ``reshape`` and
+``transpose`` are the one exception to the finite check: they move no
+values, and their operand was checked when it was made.
+
 ``ACTIVATIONS`` is the one table of the model's nonlinearities, and
 ``activation(x, phi)`` its tape op; fused ops read the same entries.
-
-Every op validates its output for NaN/Inf and raises ``NumericError`` at the
-first non-finite value instead of letting it propagate. ``reshape`` and
-``transpose`` are exempt: they move no values, and their operand was checked
-when it was made.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,36 +120,43 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register an input/parameter array as a graph leaf (no copy)."""
-        data = np.asarray(values, dtype=np.float64)
-        _check_finite(data, "leaf")
-        return self._append(data, (), None, needs=True)
+        return self._source(values, True, "leaf")
 
     def constant(self, values) -> Tensor:
         """A leaf that no gradient is ever requested for (input data)."""
-        data = np.asarray(values, dtype=np.float64)
-        _check_finite(data, "constant")
-        return self._append(data, (), None, needs=False)
+        return self._source(values, False, "constant")
 
-    def _append(self, data: np.ndarray, parents: tuple, backward_fn,
-                needs: bool = True) -> Tensor:
-        idx = len(self._parents)
-        self._parents.append(parents)
-        self._backward.append(backward_fn)
-        return Tensor(data, self, idx, needs)
+    def _source(self, values, needs: bool, op: str) -> Tensor:
+        data = np.asarray(values, dtype=np.float64)
+        _check_finite(data, op)
+        self._parents.append(())
+        self._backward.append(None)
+        return Tensor(data, self, len(self._parents) - 1, needs)
 
     def record(self, out_data, parents: Sequence[Tensor], backward_fn: Callable, op: str = "custom") -> Tensor:
-        """Extension point for fused ops defined outside this module.
+        """Append the output of op ``op`` on the tensors ``parents``.
 
-        ``backward_fn(g)`` must return one gradient array (or None) per parent.
+        ``backward_fn(g)`` must return one gradient array (or None) per
+        parent. Raises ``ValueError`` if a parent lives on another tape and
+        ``NumericError`` if the output holds NaN or Inf. The node needs a
+        gradient iff a parent does; if none does, ``backward_fn`` is dropped,
+        and with it every array it closes over.
         """
+        data = np.asarray(out_data, dtype=np.float64)
+        _check_finite(data, op)
+        return self._link(data, parents, backward_fn)
+
+    def _link(self, data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
+        # record without the finite check: the path of the views reshape and transpose
         for p in parents:
             if p.tape is not self:
                 raise ValueError("all operands must live on the same tape")
-        data = np.asarray(out_data, dtype=np.float64)
-        _check_finite(data, op)
         needs = any(p.needs for p in parents)
-        return self._append(data, tuple(p.idx for p in parents),
-                            backward_fn if needs else None, needs)
+        # from a list, not a generator: tuple(genexpr) allocates past the tuple
+        # free list, which then fills with freed node tuples (about 50 kB)
+        self._parents.append(tuple([p.idx for p in parents]))
+        self._backward.append(backward_fn if needs else None)
+        return Tensor(data, self, len(self._parents) - 1, needs)
 
     def backward(self, root: Tensor) -> Gradients:
         """Reverse sweep from a scalar ``root``; visits each node exactly once."""
@@ -173,14 +185,6 @@ class Tape:
         return Gradients(grads)
 
 
-def _same_tape(*ts: Tensor) -> Tape:
-    tape = ts[0].tape
-    for t in ts[1:]:
-        if t.tape is not tape:
-            raise ValueError("operands live on different tapes")
-    return tape
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` over axes that were broadcast so it matches ``shape``."""
     extra = g.ndim - len(shape)
@@ -193,82 +197,49 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _broadcastable(sa: tuple, sb: tuple) -> bool:
-    for a, b in zip(reversed(sa), reversed(sb)):
-        if a != b and a != 1 and b != 1:
-            return False
-    return True
+    return all(a == b or a == 1 or b == 1 for a, b in zip(reversed(sa), reversed(sb)))
 
 
-def _binary(a: Tensor, b: Tensor, op: str, fwd, bwd) -> Tensor:
-    tape = _same_tape(a, b)
+def _binary(a: Tensor, b: Tensor, op: str, fwd, grad_a, grad_b) -> Tensor:
+    """Broadcasting elementwise ``fwd(a, b)``; ``grad_a(g)`` and ``grad_b(g)``
+    are the operands' VJPs before the broadcast axes are summed away."""
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-    out = fwd(a.data, b.data)
-    _check_finite(out, op)
     ash, bsh = a.shape, b.shape
     na, nb = a.needs, b.needs
-    if not (na or nb):
-        return tape._append(out, (a.idx, b.idx), None, needs=False)
 
     def backward(g):
-        ga, gb = bwd(g, na, nb)
-        return (_unbroadcast(ga, ash) if ga is not None else None,
-                _unbroadcast(gb, bsh) if gb is not None else None)
+        return (_unbroadcast(grad_a(g), ash) if na else None,
+                _unbroadcast(grad_b(g), bsh) if nb else None)
 
-    return tape._append(out, (a.idx, b.idx), backward)
-
-
-def _both(fa, fb):
-    """Build a conditional two-sided backward from per-side closures."""
-
-    def bwd(g, na, nb):
-        return (fa(g) if na else None), (fb(g) if nb else None)
-
-    return bwd
+    return a.tape.record(fwd(a.data, b.data), (a, b), backward, op=op)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "add", np.add, _both(lambda g: g, lambda g: g))
+    return _binary(a, b, "add", np.add, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, _both(lambda g: g, lambda g: -g))
+    return _binary(a, b, "sub", np.subtract, lambda g: g, lambda g: -g)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    return _binary(a, b, "hadamard", np.multiply,
-                   _both(lambda g: g * bd, lambda g: g * ad))
-
-
-def _unary(x: Tensor, op: str, out: np.ndarray, grad_fn) -> Tensor:
-    _check_finite(out, op)
-    return _record_unary(x, out, grad_fn)
-
-
-def _record_unary(x: Tensor, out: np.ndarray, grad_fn) -> Tensor:
-    if not x.needs:
-        return x.tape._append(out, (x.idx,), None, needs=False)
-
-    def backward(g):
-        return (grad_fn(g),)
-
-    return x.tape._append(out, (x.idx,), backward)
+    return _binary(a, b, "hadamard", np.multiply, lambda g: g * bd, lambda g: g * ad)
 
 
 def neg(x: Tensor) -> Tensor:
-    return _unary(x, "neg", -x.data, lambda g: -g)
+    return x.tape.record(-x.data, (x,), lambda g: (-g,), op="neg")
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (constants carry no gradient)."""
     c = float(c)
-    return _unary(x, "scale", x.data * c, lambda g: g * c)
+    return x.tape.record(x.data * c, (x,), lambda g: (g * c,), op="scale")
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _unary(x, "add_scalar", x.data + c, lambda g: g)
+    return x.tape.record(x.data + float(c), (x,), lambda g: (g,), op="add_scalar")
 
 
 def _sigmoid(a, out):
@@ -304,99 +275,86 @@ def activation(x: Tensor, phi: str) -> Tensor:
     """``phi``, a key of ``ACTIVATIONS``, applied elementwise."""
     fn, deriv = ACTIVATIONS[phi]
     out = fn(x.data, np.empty_like(x.data))
-    return _unary(x, phi, out, lambda g: g * deriv(out))
+    return x.tape.record(out, (x,), lambda g: (g * deriv(out),), op=phi)
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
-        out = np.exp(x.data)  # overflow -> Inf -> NumericError in _unary
-    return _unary(x, "exp", out, lambda g: g * out)
+        out = np.exp(x.data)  # overflow -> Inf -> NumericError in record
+    return x.tape.record(out, (x,), lambda g: (g * out,), op="exp")
 
 
 def log(x: Tensor) -> Tensor:
-    if x.data.size and np.min(x.data) <= 0.0:
-        raise DomainError("log requires strictly positive operand")
     d = x.data
-    return _unary(x, "log", np.log(d), lambda g: g / d)
+    if d.size and np.min(d) <= 0.0:
+        raise DomainError("log requires strictly positive operand")
+    return x.tape.record(np.log(d), (x,), lambda g: (g / d,), op="log")
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is zero where the clip engages."""
-    out = np.clip(x.data, lo, hi)
     inside = (x.data >= lo) & (x.data <= hi)
-    return _unary(x, "clamp", out, lambda g: g * inside)
+    return x.tape.record(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,), op="clamp")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; stacked leading axes broadcast like ``np.matmul``."""
-    tape = _same_tape(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul operands must have rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree ({a.shape} @ {b.shape})")
     if not _broadcastable(a.shape[:-2], b.shape[:-2]):
         raise ShapeError(f"matmul: batch dims do not broadcast ({a.shape} @ {b.shape})")
-    out = np.matmul(a.data, b.data)
-    _check_finite(out, "matmul")
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
     na, nb = a.needs, b.needs
-    if not (na or nb):
-        return tape._append(out, (a.idx, b.idx), None, needs=False)
 
     def backward(g):
-        ga = (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
-              if na else None)
-        gb = (_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
-              if nb else None)
-        return ga, gb
+        return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash) if na else None,
+                _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh) if nb else None)
 
-    return tape._append(out, (a.idx, b.idx), backward)
+    return a.tape.record(np.matmul(ad, bd), (a, b), backward, op="matmul")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = x.data.reshape(shape)
     xshape = x.shape
-    return _record_unary(x, out, lambda g: g.reshape(xshape))
+    out = x.data.reshape(tuple(int(s) for s in shape))
+    return x.tape._link(out, (x,), lambda g: (g.reshape(xshape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = np.transpose(x.data, axes)
-    return _record_unary(x, out, lambda g: np.transpose(g, inv))
+    return x.tape._link(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
-def sum_axis(x: Tensor, axes, keepdims: bool = False) -> Tensor:
-    axes = tuple(axes) if isinstance(axes, (tuple, list)) else (axes,)
-    out = x.data.sum(axis=axes, keepdims=keepdims)
+def _reduce(x: Tensor, axes, op: str) -> Tensor:
+    """Sum of ``x`` over ``axes`` (an int, a sequence, or None for every
+    axis), or its mean for ``op`` "mean_axis"; the axes are dropped."""
     xshape = x.shape
-    kshape = tuple(1 if i in tuple(a % len(xshape) for a in axes) else s for i, s in enumerate(xshape))
+    if axes is None:
+        axes = range(len(xshape))
+    elif not isinstance(axes, (tuple, list)):
+        axes = (axes,)
+    axes = tuple(a % len(xshape) for a in axes)
+    kshape = tuple(1 if i in axes else s for i, s in enumerate(xshape))
+    if op == "mean_axis":
+        count = math.prod(xshape[a] for a in axes)
+        out = x.data.mean(axis=axes)
+        grad = lambda g: (np.broadcast_to(g.reshape(kshape), xshape) / count,)
+    else:
+        out = x.data.sum(axis=axes)
+        grad = lambda g: (np.broadcast_to(g.reshape(kshape), xshape),)
+    return x.tape.record(out, (x,), grad, op=op)
 
-    def grad(g):
-        return np.broadcast_to(g.reshape(kshape), xshape)
 
-    return _unary(x, "sum_axis", out, grad)
+def sum_axis(x: Tensor, axes) -> Tensor:
+    return _reduce(x, axes, "sum_axis")
 
 
-def mean_axis(x: Tensor, axes, keepdims: bool = False) -> Tensor:
-    axes = tuple(axes) if isinstance(axes, (tuple, list)) else (axes,)
-    out = x.data.mean(axis=axes, keepdims=keepdims)
-    xshape = x.shape
-    norm_axes = tuple(a % len(xshape) for a in axes)
-    count = 1
-    for a in norm_axes:
-        count *= xshape[a]
-    kshape = tuple(1 if i in norm_axes else s for i, s in enumerate(xshape))
-
-    def grad(g):
-        return np.broadcast_to(g.reshape(kshape), xshape) / count
-
-    return _unary(x, "mean_axis", out, grad)
+def mean_axis(x: Tensor, axes) -> Tensor:
+    return _reduce(x, axes, "mean_axis")
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum())
-    xshape = x.shape
-    return _unary(x, "reduce_sum", out, lambda g: np.broadcast_to(g, xshape))
+    return _reduce(x, None, "reduce_sum")

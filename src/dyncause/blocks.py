@@ -191,7 +191,8 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
         if arr.shape != want:
             raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
-    # bools: the closure must not keep the tape alive
+    # bools: the closure must not keep the tape alive. Without a gradient P
+    # holds one step, and record drops the backward that would read it
     need_grad = any(t.needs for t in (x_seq, h0, w, u, b))
     need_dx = x_seq.needs
     P, Hb = _gru_forward(X, H0, W, U, Bias, history=need_grad)
@@ -199,9 +200,8 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
     def backward(g):
         return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
 
-    # without a gradient P holds one step, which no backward may read
     return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u, b),
-                             backward if need_grad else None, op="gru_sequence")
+                             backward, op="gru_sequence")
 
 
 # ---------------------------------------------------------------------------

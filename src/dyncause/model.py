@@ -164,12 +164,25 @@ def rows_to_series(rows: np.ndarray, s_count: int) -> np.ndarray:
     return rows.reshape(n, s_count, g // s_count, d).transpose(1, 2, 0, 3)
 
 
-def check_series(stack: ParamStack, x: np.ndarray) -> None:
-    """Raise ``ShapeError`` unless ``x`` is an (S, N, T, d) series with the
-    N and d that ``stack`` was built for."""
+def series_shape(x: np.ndarray) -> tuple:
+    """The (S, N, T, d) shape of the series ``x``; ``ShapeError`` unless it
+    has a sample, a node, a feature and a transition (T >= 2)."""
     if x.ndim != 4:
         raise ShapeError(f"series must be (S, N, T, d), got {x.shape}")
-    built, given = (stack.num_nodes, stack.input_dim), (x.shape[1], x.shape[3])
+    s_count, n, t_len, d = x.shape
+    for axis, size in (("sample", s_count), ("node", n), ("feature", d)):
+        if size < 1:
+            raise ShapeError(f"series {x.shape} is empty on its {axis} axis")
+    if t_len < 2:
+        raise ShapeError(f"need at least 2 time steps, got T = {t_len}")
+    return x.shape
+
+
+def check_series(stack: ParamStack, x: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless ``x`` is a ``series_shape`` series with
+    the N and d that ``stack`` was built for."""
+    _, n, _, d = series_shape(x)
+    built, given = (stack.num_nodes, stack.input_dim), (n, d)
     if built != given:
         raise ShapeError(f"models are built for (N, d) = {built}, the data has {given}")
 
@@ -196,17 +209,21 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     backward closure, so each intermediate is freed once nothing reads it.
     ``mask_override`` replaces the decoder's gates at every transition: an
     (N,) row gives input j the gate [j] in every node, and an (N, N) matrix
-    gives node i's input j the gate [i, j].
+    gives node i's input j the gate [i, j]; a non-finite entry raises
+    ``ValueError`` naming its index, while 0 (a knocked-out edge) is legal.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape
-    if t_len < 2:
-        raise ShapeError("need at least 2 time steps")
     if mask_override is not None:
         mask_override = np.asarray(mask_override, dtype=np.float64)
         if mask_override.shape not in ((n,), (n, n)):
             raise ShapeError(f"mask_override must be ({n},) or ({n}, {n}), "
                              f"got {mask_override.shape}")
+        bad = np.argwhere(~np.isfinite(mask_override))
+        if len(bad):
+            at = ", ".join(str(i) for i in bad[0])
+            raise ValueError(f"mask_override[{at}] is {mask_override[tuple(bad[0])]}, "
+                             "not a finite gate")
     tt = t_len - 1
     g = s_count * tt
     h, phi = stack.config.hidden, stack.config.phi
@@ -276,7 +293,7 @@ class CausalMaskSeries:
         v = np.asarray(self.values)
         if v.ndim != 4 or v.shape[2] != v.shape[3]:
             raise ShapeError(f"mask series must be (S, T-1, N, N), got {v.shape}")
-        if v.size and (v.min() <= 0.0 or v.max() >= 1.0):
+        if v.size and not (v.min() > 0.0 and v.max() < 1.0):  # NaN fails too
             raise ValueError("mask entries must lie strictly inside (0, 1)")
         self.values = v
 
@@ -306,9 +323,9 @@ def forward_full(stack: ParamStack, x: np.ndarray,
     and transition; ``mask_override`` changes only the predictions.
 
     The forward takes no gradient, so it keeps none of the state a backward
-    would read. A series whose N or d differs from the stack's raises
-    ``ShapeError``, and a non-finite value raises ``SimulationError`` naming
-    its (sample, node, t).
+    would read. A series with an empty axis or a single step, or whose N or
+    d differs from the stack's, raises ``ShapeError``, and a non-finite value
+    raises ``SimulationError`` naming its (sample, node, t).
     """
     x = np.asarray(x, dtype=np.float64)
     check_series(stack, x)  # before require_finite names an (S, N, T) index

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
                     Prediction, batched_forward, build_node_models, check_series,
-                    forward_full, node_rows, rows_to_series)
+                    forward_full, node_rows, rows_to_series, series_shape)
 from .simulate import require_finite, standardize, standardize_like
 
 CLAMP_LO = 1e-7
@@ -308,7 +308,8 @@ def _train_step(stack: ParamStack, x: np.ndarray, consts: _GroupConsts,
 
 def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
           models: ParamStack | None = None) -> TrainResult:
-    """Fit all node models on (S, N, T, d) data; see TrainResult.
+    """Fit all node models on (S, N, T, d) data; see TrainResult. Data with
+    an empty axis or a single step raises ``ShapeError`` (``series_shape``).
 
     ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
     in place and returned as ``TrainResult.models``; it must be built for
@@ -319,11 +320,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     ``early_stop_patience`` epochs; training ends when every node has stopped.
     """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"expected (S, N, T, d) data, got {x.shape}")
-    if x.shape[2] < 2:
-        raise ShapeError("need at least 2 time steps to train")
-    s_count, n, _, d = x.shape
+    s_count, n, _, d = series_shape(x)
     if weights.prior is not None and weights.prior.shape != (n, n):
         raise ValueError(f"prior shape {weights.prior.shape} does not match the "
                          f"{n} nodes of the data, expected {(n, n)}")

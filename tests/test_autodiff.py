@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncause import autodiff as ad
+from dyncause import blocks
 
 
 def central_diff_grad(f, x0, h=1e-5):
@@ -333,3 +334,66 @@ class TestBackward:
         combined = lambda x: ad.add(ad.scale(f(x), alpha), ad.scale(g(x), beta))
         expected = alpha * grad_of(f) + beta * grad_of(g)
         np.testing.assert_allclose(grad_of(combined), expected, rtol=1e-12, atol=1e-12)
+
+
+# every op of autodiff and blocks: (shapes of its tensor operands, the op
+# applied to tensors of those shapes). gated_pool's x_prev and prop are
+# arrays, not tensors, so they are fixed here.
+_POOL_X, _POOL_PROP = np.linspace(-1.0, 1.0, 24).reshape(3, 4, 2), np.full((2, 3), 0.5)
+OPS = {
+    "add": ([(2, 3), (1, 3)], ad.add),
+    "sub": ([(2, 3), (2, 1)], ad.sub),
+    "hadamard": ([(2, 3), (2, 3)], ad.hadamard),
+    "neg": ([(2, 3)], ad.neg),
+    "scale": ([(2, 3)], lambda x: ad.scale(x, 2.0)),
+    "add_scalar": ([(2, 3)], lambda x: ad.add_scalar(x, 1.0)),
+    "activation": ([(2, 3)], lambda x: ad.activation(x, "tanh")),
+    "exp": ([(2, 3)], ad.exp),
+    "log": ([(2, 3)], ad.log),
+    "clamp": ([(2, 3)], lambda x: ad.clamp(x, 0.2, 0.8)),
+    "matmul": ([(2, 2, 3), (3, 4)], ad.matmul),
+    "reshape": ([(2, 3)], lambda x: ad.reshape(x, (3, 2))),
+    "transpose": ([(2, 3)], lambda x: ad.transpose(x, (1, 0))),
+    "sum_axis": ([(2, 3)], lambda x: ad.sum_axis(x, (1,))),
+    "mean_axis": ([(2, 3)], lambda x: ad.mean_axis(x, (0, 1))),
+    "reduce_sum": ([(2, 3)], ad.reduce_sum),
+    "gru_sequence": ([(2, 4, 1), (4, 3), (2, 1, 9), (2, 3, 9), (2, 9)], blocks.gru_sequence),
+    "gated_pool": ([(2, 4, 3), (2, 2, 3), (2, 1, 3)],
+                   lambda gate, w, b: blocks.gated_pool(gate, _POOL_X, w, b, _POOL_PROP, "tanh")),
+}
+
+
+def op_operands(name):
+    # in (0, 1): inside log's domain, and a valid gate
+    return [np.random.default_rng(61).uniform(0.1, 0.9, shape) for shape in OPS[name][0]]
+
+
+class TestRecord:
+    """Tape.record is every op's one way onto the tape."""
+
+    def test_every_op_is_listed(self):
+        ops = {name for name in ad.__all__ if name.islower() and name != "ACTIVATIONS"}
+        assert set(OPS) == ops | {"gru_sequence", "gated_pool"}
+
+    @pytest.mark.parametrize("name", [name for name, (shapes, _) in OPS.items()
+                                      if len(shapes) > 1])
+    def test_operands_from_two_tapes_rejected(self, name):
+        *same, last = op_operands(name)
+        tape = ad.Tape()
+        operands = [tape.leaf(a) for a in same] + [ad.Tape().leaf(last)]
+        with pytest.raises(ValueError, match="same tape"):
+            OPS[name][1](*operands)
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_constant_operands_keep_no_closure(self, name):
+        tape = ad.Tape()
+        out = OPS[name][1](*[tape.constant(a) for a in op_operands(name)])
+        assert not out.needs and tape._backward[out.idx] is None
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_leaf_operands_keep_the_closure(self, name):
+        arrays = op_operands(name)
+        tape = ad.Tape()
+        out = OPS[name][1](*[tape.leaf(a) for a in arrays])
+        assert out.needs and callable(tape._backward[out.idx])
+        assert len(tape) == len(arrays) + 1  # one node per op

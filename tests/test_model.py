@@ -274,6 +274,27 @@ class TestForwardFull:
         with pytest.raises(ad.ShapeError):
             mdl.forward_full(models, np.zeros((1, 3, 1, 1)))
 
+    def test_series_without_samples_named(self):
+        # an empty sample axis used to run the whole model, then divide by
+        # zero while laying out its rows
+        models, _ = tiny_models()
+        with pytest.raises(ad.ShapeError, match="empty on its sample axis"):
+            mdl.forward_full(models, np.zeros((0, 3, 6, 1)))
+
+    @pytest.mark.parametrize("shape,bad,where", [
+        ((3,), (1,), r"\[1\] is nan"), ((3, 3), (2, 0), r"\[2, 0\] is inf")],
+        ids=["row", "matrix"])
+    def test_non_finite_mask_override_named(self, shape, bad, where):
+        models, _ = tiny_models(n=3, seed=15)
+        x = np.random.default_rng(12).standard_normal((2, 3, 5, 1))
+        override = np.full(shape, 0.5)
+        override[bad] = np.nan if len(shape) == 1 else np.inf
+        with pytest.raises(ValueError, match="mask_override" + where):
+            mdl.forward_full(models, x, mask_override=override)
+        # a zero gate knocks an edge out; it stays legal
+        override[bad] = 0.0
+        mdl.forward_full(models, x, mask_override=override)
+
     def test_shared_encoder_variant(self):
         models, _ = tiny_models(n=3, seed=16, share_encoder=True)
         assert models.shared_encoder
@@ -400,3 +421,12 @@ class TestStackRoundTrip:
             mdl.CausalMaskSeries(values=np.full((1, 2, 3), 0.5))
         ok = mdl.CausalMaskSeries(values=np.full((1, 2, 3, 3), 0.5))
         assert ok.num_nodes == 3
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0, 1.0])
+    def test_mask_outside_the_open_interval_rejected(self, value):
+        # NaN compares False both ways, so a range test written as
+        # "min <= 0 or max >= 1" let it through
+        values = np.full((1, 2, 3, 3), 0.5)
+        values[0, 1, 2, 0] = value
+        with pytest.raises(ValueError, match="strictly inside"):
+            mdl.CausalMaskSeries(values=values)

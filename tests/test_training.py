@@ -349,6 +349,16 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"\(6, 1\), the data has \(5, 1\)"):
             tr.train(series, config, tr.LossWeights(), models=stack)
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((0, 3, 10, 1), "sample"), ((1, 0, 10, 1), "node"), ((1, 3, 10, 0), "feature")])
+    @pytest.mark.parametrize("batch_mode", ["full", "sample_minibatch"])
+    def test_empty_axis_named(self, batch_mode, shape, axis):
+        # no samples used to fail on a zero chunk step in range(), no nodes
+        # inside the GRU bank, and no features dividing by a zero fan-in
+        config = tr.TrainConfig(epochs=1, hidden=4, batch_mode=batch_mode)
+        with pytest.raises(ad.ShapeError, match=f"empty on its {axis} axis"):
+            tr.train(np.zeros(shape), config, tr.LossWeights())
+
     def test_same_seed_identical_masks(self):
         series, _ = small_var_data(t=60)
         config = tr.TrainConfig(epochs=8, hidden=5, seed=3)
