@@ -1,5 +1,4 @@
-"""Network building blocks: the GRU bank op, the gated pooling op and the
-graph propagation matrix.
+"""Network building blocks: the GRU bank op and the gated pooling op.
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
@@ -17,9 +16,7 @@ forward that takes none reuses one step's buffer and records no backward.
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
 input j at transition t, so the (N, N, g, h) activation is written once and
 read back once in the backward; phi and phi' come from
-``autodiff.ACTIVATIONS``. ``normalized_propagation_matrix`` is the GCN
-propagation rule that ``model.batched_forward`` applies over the complete
-graph.
+``autodiff.ACTIVATIONS``.
 """
 
 from __future__ import annotations
@@ -264,24 +261,3 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
         return dgate, dw, db
 
     return gate.tape.record(pooled, (gate, w, b), backward, op="gated_pool")
-
-
-# ---------------------------------------------------------------------------
-# GCN
-
-
-def normalized_propagation_matrix(adjacency: np.ndarray, self_loop: float) -> np.ndarray:
-    """D^{-1/2} (A + lam I) D^{-1/2} with D the row sums of the loop-augmented A."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    if np.any(a < 0):
-        raise ValueError("adjacency entries must be nonnegative")
-    if self_loop < 0:
-        raise ValueError("self-loop intensity must be >= 0")
-    a_tilde = a + self_loop * np.eye(a.shape[0])
-    deg = a_tilde.sum(axis=1)
-    if np.any(deg <= 0):
-        raise ValueError("loop-augmented adjacency has a non-positive row sum")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]

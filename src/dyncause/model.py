@@ -12,25 +12,38 @@ tape as constants, which keeps no backward closure and no GRU gate history.
 Shared and per-node encoders take the same path: the encoder rows (one
 shared row, or one per node) run as one ``gru_sequence`` call whose rows are
 cell-major (row b*S + s runs bank cell b on sample s), and the per-node MMG
-weights broadcast over a shared encoder's single output. The decoder's first layer and its NGCN pooling are
-one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of input
-j at transition t, pooled over j. ``batched_forward`` also reports which
-nodes each parameter row serves, so training needs no knowledge of the
-parameter layout. Masks, predictions and targets share one row layout,
-(N, S*(T-1), .), which ``node_rows`` and ``rows_to_series`` own.
+weights broadcast over a shared encoder's single output. The decoder's first
+layer and its NGCN pooling are one ``gated_pool`` call: its rows are
+(i, j, t), node i's gated view of input j at transition t, pooled over j.
+Both GCNs run over the complete graph, A all ones, so the propagation
+D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``batched_forward``
+also reports which nodes each parameter row serves, so training needs no
+knowledge of the parameter layout. Masks, predictions and targets share one
+row layout, (N, S*(T-1), .), which ``node_rows`` and ``rows_to_series`` own;
+read out without a gradient, the gates lie in [``GATE_LO``, ``GATE_HI``].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import gated_pool, gru_sequence, normalized_propagation_matrix, uniform_init
+from .blocks import gated_pool, gru_sequence, uniform_init
 from .simulate import require_finite
+
+GATE_LO = 1e-7  # gates leave the model inside [GATE_LO, GATE_HI]
+GATE_HI = 1.0 - 1e-7
+
+
+def check_count(name: str, value, least: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -43,8 +56,7 @@ class ModelConfig:
     share_encoder: bool = False
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+        check_count("hidden", self.hidden, 1)
         if not (math.isfinite(self.self_loop) and self.self_loop >= 0):
             raise ValueError(f"self_loop must be finite and nonnegative, got {self.self_loop}")
         if self.phi not in ad.ACTIVATIONS:
@@ -66,8 +78,9 @@ class ParamStack:
     ``gru_w[r]`` = W_z|W_r|W_h (d, 3h), ``gru_u[r]`` = U_z|U_r|U_h (h, 3h)
     and ``gru_b[r]`` = b_z|b_r|b_h (3h,). ``config`` is the architecture the
     stack was built for: the encoder GCN and the decoder NGCN both propagate
-    over the complete graph with self-loop intensity ``config.self_loop``,
-    and ``config.phi`` is every hidden activation of encoder and decoder.
+    by (A + lam I) / (N + lam), A all ones, lam = ``config.self_loop``, and
+    ``config.phi`` is every hidden activation. The sigmoid gates read out
+    without a gradient lie in [``GATE_LO``, ``GATE_HI``].
     """
 
     gru_w: np.ndarray  # (E*N, d, 3h)
@@ -112,8 +125,7 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
     shared encoder only node 0 draws the GRU bank and enc_w.
     """
     h = config.hidden
-    shared = config.share_encoder and n > 1
-    enc_count = 1 if shared else n
+    enc_count = 1 if config.share_encoder else n
     cells = enc_count * n
     stack = ParamStack(
         gru_w=np.zeros((cells, d, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
@@ -194,7 +206,6 @@ class BatchedOutput:
     leaves: dict  # parameter name -> tape Tensor over the stack array itself
     serves: dict  # parameter name -> (leaf rows, N) bool: row r serves node i
     tape: Tape
-    num_samples: int
 
 
 def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
@@ -226,7 +237,7 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
                              "not a finite gate")
     tt = t_len - 1
     g = s_count * tt
-    h, phi = stack.config.hidden, stack.config.phi
+    h, phi, lam = stack.config.hidden, stack.config.phi, stack.config.self_loop
 
     # the encoder has one shared row or one row per node
     node_serves = np.eye(n, dtype=bool)
@@ -258,7 +269,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     hs = ad.transpose(hs, (1, 3, 0, 2, 4))
     hs = ad.reshape(hs, (n_e, g, n, h))
 
-    prop = normalized_propagation_matrix(np.ones((n, n)), stack.config.self_loop)
+    inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
+    prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
     mixed = ad.matmul(tape.constant(prop), hs)  # (n_e, g, N, h)
     # flatten (g, N) so the per-encoder weight product is one wide dgemm each
     z = ad.activation(ad.matmul(ad.reshape(mixed, (n_e, g * n, h)), leaves["enc_w"]), phi)
@@ -280,7 +292,7 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, serves=serves,
-                         tape=tape, num_samples=s_count)
+                         tape=tape)
 
 
 @dataclass
@@ -317,18 +329,27 @@ class Prediction:
         self.values = v
 
 
+def output_series(out: BatchedOutput, s_count: int):
+    """(``CausalMaskSeries``, ``Prediction``) of a gradient-free forward over
+    ``s_count`` samples, its gates clipped into [GATE_LO, GATE_HI]: a
+    sigmoid is exactly 1.0 above about 36.7, which the series rejects."""
+    masks = np.clip(out.masks.data, GATE_LO, GATE_HI)
+    return (CausalMaskSeries(values=rows_to_series(masks, s_count)),
+            Prediction(values=rows_to_series(out.predictions.data, s_count)))
+
+
 def forward_full(stack: ParamStack, x: np.ndarray,
                  mask_override: np.ndarray | None = None):
     """The encoder's masks and the one-step predictions for every sample, node
     and transition; ``mask_override`` changes only the predictions.
 
     The forward takes no gradient, so it keeps none of the state a backward
-    would read. A series with an empty axis or a single step, or whose N or
-    d differs from the stack's, raises ``ShapeError``, and a non-finite value
-    raises ``SimulationError`` naming its (sample, node, t).
+    would read, and clips its gates as ``output_series`` does. A series with
+    an empty axis or a single step, or whose N or d differs from the stack's,
+    raises ``ShapeError``, and a non-finite value raises ``SimulationError``
+    naming its (sample, node, t).
     """
     x = np.asarray(x, dtype=np.float64)
     check_series(stack, x)  # before require_finite names an (S, N, T) index
     out = batched_forward(stack, require_finite(x), mask_override=mask_override)
-    return (CausalMaskSeries(values=rows_to_series(out.masks.data, out.num_samples)),
-            Prediction(values=rows_to_series(out.predictions.data, out.num_samples)))
+    return output_series(out, x.shape[0])

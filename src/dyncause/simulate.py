@@ -78,23 +78,6 @@ class GroundTruthGraph:
         return current
 
 
-@dataclass
-class VarSystem:
-    """Sparse vector autoregression of order p with Gaussian innovations."""
-
-    transition: list  # one (N, N) matrix per lag
-    noise_std: float
-    truth: GroundTruthGraph
-
-    @property
-    def num_nodes(self) -> int:
-        return self.transition[0].shape[0]
-
-    @property
-    def lag(self) -> int:
-        return len(self.transition)
-
-
 def companion_spectral_radius(transition: list) -> float:
     n = transition[0].shape[0]
     p = len(transition)
@@ -106,24 +89,17 @@ def companion_spectral_radius(transition: list) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def _draw_supports(n: int, rng: np.random.Generator) -> list:
-    """Node i's support: i itself, then VAR_CAUSES_PER_NODE other parents."""
+def _draw_var_system(n: int, p: int, rng: np.random.Generator) -> tuple:
+    """A sparse VAR(p) as (transition, truth): one (N, N) matrix per lag, every
+    lag on node i's support, i itself and VAR_CAUSES_PER_NODE other parents."""
+    adjacency = np.zeros((n, n), dtype=np.int64)
     supports = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
         chosen = rng.choice(others, size=VAR_CAUSES_PER_NODE, replace=False)
         supports.append(np.array([i, *chosen]))
-    return supports
-
-
-def _draw_var_system(n: int, p: int, rng: np.random.Generator,
-                     identical_lag_supports: bool = True) -> VarSystem:
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    supports = _draw_supports(n, rng)
     transition = []
-    for lag in range(p):
-        if lag > 0 and not identical_lag_supports:
-            supports = _draw_supports(n, rng)
+    for _ in range(p):
         a = np.zeros((n, n))
         for i, supp in enumerate(supports):
             signs = rng.choice([-1.0, 1.0], size=supp.size)
@@ -134,28 +110,26 @@ def _draw_var_system(n: int, p: int, rng: np.random.Generator,
     if radius >= VAR_SPECTRAL_CAP:
         c = VAR_SPECTRAL_CAP / radius
         transition = [a * c ** (k + 1) for k, a in enumerate(transition)]
-    return VarSystem(transition=transition, noise_std=VAR_NOISE_STD,
-                     truth=GroundTruthGraph(adjacency=adjacency))
+    return transition, GroundTruthGraph(adjacency=adjacency)
 
 
-def _simulate_var(system: VarSystem, t_steps: int, rng: np.random.Generator,
+def _simulate_var(transition: list, t_steps: int, rng: np.random.Generator,
                   burn_in: int, init: np.ndarray | None = None) -> np.ndarray:
-    n, p = system.num_nodes, system.lag
+    n, p = transition[0].shape[0], len(transition)
     total = burn_in + t_steps
     x = np.zeros((total + p, n))
     if init is not None:
         x[:p] = init
-    noise = rng.normal(0.0, system.noise_std, size=(total, n))
+    noise = rng.normal(0.0, VAR_NOISE_STD, size=(total, n))
     for t in range(total):
         acc = noise[t].copy()
-        for k, a in enumerate(system.transition):
+        for k, a in enumerate(transition):
             acc += a @ x[p + t - 1 - k]
         x[p + t] = acc
     return x[p + burn_in :]
 
 
-def gen_var(n: int, p: int, t_steps: int, seed: int,
-            identical_lag_supports: bool = True):
+def gen_var(n: int, p: int, t_steps: int, seed: int):
     """Sparse VAR(p) series; returns ((1, N, T, 1) array, GroundTruthGraph)."""
     if p not in (1, 2):
         raise SimulationError(f"lag order must be 1 or 2, got {p}")
@@ -164,9 +138,9 @@ def gen_var(n: int, p: int, t_steps: int, seed: int,
     if t_steps < 10:
         raise SimulationError("series length must be at least 10")
     rng = np.random.default_rng(seed)
-    system = _draw_var_system(n, p, rng, identical_lag_supports)
-    series = _simulate_var(system, t_steps, rng, VAR_BURN_IN)
-    return series.T[None, :, :, None], system.truth
+    transition, truth = _draw_var_system(n, p, rng)
+    series = _simulate_var(transition, t_steps, rng, VAR_BURN_IN)
+    return series.T[None, :, :, None], truth
 
 
 def gen_switching_var(n: int, t_steps: int, switch_t: int, seed: int):
@@ -178,15 +152,15 @@ def gen_switching_var(n: int, t_steps: int, switch_t: int, seed: int):
     if t_steps < 10:
         raise SimulationError("series length must be at least 10")
     rng = np.random.default_rng(seed)
-    sys_a = _draw_var_system(n, 1, rng)
-    sys_b = _draw_var_system(n, 1, rng)
-    first = _simulate_var(sys_a, switch_t, rng, VAR_BURN_IN)
-    second = _simulate_var(sys_b, t_steps - switch_t, rng, burn_in=0,
+    trans_a, truth_a = _draw_var_system(n, 1, rng)
+    trans_b, truth_b = _draw_var_system(n, 1, rng)
+    first = _simulate_var(trans_a, switch_t, rng, VAR_BURN_IN)
+    second = _simulate_var(trans_b, t_steps - switch_t, rng, burn_in=0,
                            init=first[-1:])
     series = np.concatenate([first, second], axis=0)
     truth = GroundTruthGraph(
-        adjacency=sys_a.truth.adjacency,
-        regimes=[(0, sys_a.truth.adjacency), (switch_t, sys_b.truth.adjacency)],
+        adjacency=truth_a.adjacency,
+        regimes=[(0, truth_a.adjacency), (switch_t, truth_b.adjacency)],
     )
     return series.T[None, :, :, None], truth
 

@@ -6,7 +6,7 @@ Every node model trains independently (disjoint parameters, per-node loss).
 samples, takes each loss term as a vector with one entry per node, and
 backpropagates their sum, so gradients and Adam steps equal those of
 training each node alone. The tape leaves are the ``ParamStack`` arrays,
-and Adam updates them in place.
+and Adam updates them in place. Input is always standardized per channel.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, ShapeError, Tape, Tensor
-from .model import (BatchedOutput, CausalMaskSeries, ModelConfig, ParamStack,
-                    Prediction, batched_forward, build_node_models, check_series,
-                    forward_full, node_rows, rows_to_series, series_shape)
-from .simulate import require_finite, standardize, standardize_like
-
-CLAMP_LO = 1e-7
-CLAMP_HI = 1.0 - 1e-7
+from .model import (GATE_HI, GATE_LO, BatchedOutput, CausalMaskSeries, ModelConfig,
+                    ParamStack, Prediction, batched_forward, build_node_models,
+                    check_count, check_series, forward_full, node_rows, output_series,
+                    rows_to_series, series_shape)
+from .simulate import standardize, standardize_like
 
 
 class TrainingError(RuntimeError):
@@ -80,6 +78,8 @@ class LossWeights:
 
 @dataclass
 class TrainConfig:
+    """Settings of ``train``, which always standardizes its input."""
+
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -89,7 +89,6 @@ class TrainConfig:
     seed: int = 0
     batch_mode: str = "full"  # or "sample_minibatch"
     minibatch_size: int = 1
-    standardize_input: bool = True
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 50
     threads: int = 1  # the only accepted value
@@ -109,8 +108,8 @@ class TrainConfig:
             raise ValueError("early_stop_tol must be finite and nonnegative, "
                              f"got {self.early_stop_tol}")
         for name in ("epochs", "minibatch_size", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         self.model_config()  # validates hidden, self_loop and phi
         if self.threads != 1:
             raise ValueError(f"threads must be 1, got {self.threads}")
@@ -150,7 +149,7 @@ def _struct_vec(x_target: np.ndarray, tau_true: np.ndarray, x_hat: Tensor,
 def _divergence_vec(masks: Tensor, weights: LossWeights) -> Tensor:
     """lambda-weighted entropy / KL / JS of the time-averaged gate rows."""
     m_bar = ad.mean_axis(masks, (1,))  # (N, N)
-    log_m = ad.log(ad.clamp(m_bar, CLAMP_LO, CLAMP_HI))
+    log_m = ad.log(ad.clamp(m_bar, GATE_LO, GATE_HI))
     total = None
     if weights.lambda1 > 0:
         ent = ad.neg(ad.mean_axis(ad.hadamard(m_bar, log_m), (1,)))
@@ -165,7 +164,7 @@ def _divergence_vec(masks: Tensor, weights: LossWeights) -> Tensor:
             total = term if total is None else ad.add(total, term)
         if weights.lambda3 > 0:
             q = ad.scale(ad.add(m_bar, p_c), 0.5)
-            log_q = ad.log(ad.clamp(q, CLAMP_LO, 1.0))
+            log_q = ad.log(ad.clamp(q, GATE_LO, 1.0))
             left = ad.hadamard(m_bar, ad.sub(log_m, log_q))
             right = ad.hadamard(p_c, ad.sub(masks.tape.constant(log_p), log_q))
             js = ad.scale(ad.mean_axis(ad.add(left, right), (1,)), 0.5)
@@ -315,7 +314,8 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     in place and returned as ``TrainResult.models``; it must be built for
     ``config.model_config()`` and the data's N and d, or ``ValueError`` names
     what differs (a ``ShapeError`` for N and d, as ``forward_full`` raises).
-    Non-finite input raises ``SimulationError`` naming its (sample, node, t). A node stops training
+    Input is always standardized, and non-finite input raises
+    ``SimulationError`` naming its (sample, node, t). A node stops training
     once its total loss has not improved by ``early_stop_tol`` for
     ``early_stop_patience`` epochs; training ends when every node has stopped.
     """
@@ -331,7 +331,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
         if differ:
             raise ValueError("models differ from config in " + ", ".join(differ))
         check_series(models, x)
-    x = standardize(x) if config.standardize_input else require_finite(x)
+    x = standardize(x)
     stack = build_node_models(n, d, arch, config.seed) if models is None else models
 
     adam = AdamState()
@@ -374,9 +374,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     # forward, the largest of the fit: alive, they add about 7 MB to the
     # peak RSS of a 50-window minibatch fit
     del adam, chunk_consts
-    out = batched_forward(stack, x)  # no tape: no gradient state
-    masks = CausalMaskSeries(values=rows_to_series(out.masks.data, s_count))
-    preds = Prediction(values=rows_to_series(out.predictions.data, s_count))
+    masks, preds = output_series(batched_forward(stack, x), s_count)  # no gradient state
     return TrainResult(models=stack, history=history, masks=masks,
                        predictions=preds, final_losses=means["total"],
                        epochs_run=epoch)
@@ -402,7 +400,7 @@ def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
         prefix = x[:, :, :cut, :]
         result = train(prefix, config, weights)
         # the model was fitted on the prefix standardized by its own moments
-        x_eval = standardize_like(x, prefix) if config.standardize_input else x
+        x_eval = standardize_like(x, prefix)
         masks, preds = forward_full(result.models, x_eval)
         target = rows_to_series(node_rows(x_eval[:, :, 1:]), x.shape[0])
         err = ((preds.values - target) ** 2).sum(axis=3)

@@ -301,47 +301,7 @@ class TestGruRowContract:
 
 
 class TestGcn:
-    """The propagation rule D^-1/2 (A + lam I) D^-1/2 that every GCN uses."""
-
-    def test_self_loop_only_reduces_to_dense(self):
-        # no edges: propagation is the identity, so the GCN is a dense layer
-        prop = blocks.normalized_propagation_matrix(np.zeros((4, 4)), 1.0)
-        np.testing.assert_array_equal(prop, np.eye(4))
-
-    def test_all_ones_two_nodes_hand_computed(self):
-        prop = blocks.normalized_propagation_matrix(np.ones((2, 2)), 0.0)
-        np.testing.assert_allclose(prop, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
-        h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(prop @ h, [[2.0, 3.0], [2.0, 3.0]], rtol=1e-14)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
-    def test_permutation_equivariance(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0, 1, (n, n))
-        p = np.eye(n)[rng.permutation(n)]
-        prop = blocks.normalized_propagation_matrix(a, 0.5)
-        prop_p = blocks.normalized_propagation_matrix(p @ a @ p.T, 0.5)
-        np.testing.assert_allclose(prop_p, p @ prop @ p.T, rtol=1e-12, atol=1e-15)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
-    def test_symmetric_prop_spectral_radius_at_most_one(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0, 1, (n, n))
-        a = (a + a.T) / 2
-        prop = blocks.normalized_propagation_matrix(a, 1.0)
-        np.testing.assert_allclose(prop, prop.T, rtol=1e-12, atol=1e-14)
-        radius = np.max(np.abs(np.linalg.eigvalsh(prop)))
-        assert radius <= 1.0 + 1e-10
-
-    def test_row_count_validated(self):
-        with pytest.raises(ad.ShapeError, match="square"):
-            blocks.normalized_propagation_matrix(np.ones((3, 4)), 1.0)
-
-    def test_degenerate_row_sum_rejected(self):
-        with pytest.raises(ValueError):
-            blocks.normalized_propagation_matrix(np.zeros((3, 3)), 0.0)
+    """The complete-graph GCN that mixes the encoder's N hidden states."""
 
     def test_gradient_matches_finite_differences(self):
         # the encoder GCN mixes the N hidden states; its gradient back into

@@ -35,7 +35,7 @@ def assert_matches_reference(stack, x, mask_override=None):
 class TestModelConfig:
     @pytest.mark.parametrize("field, value", [
         ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf),
-        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3)])
+        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3), ("hidden", 2.5)])
     def test_invalid_value_rejected_by_name(self, field, value):
         # rejected when the config is made, before any model is built
         with pytest.raises(ValueError, match=field):
@@ -116,8 +116,11 @@ class TestEncodeMaskRow:
         assert masks.values.shape == (1, t, 3, 3)
 
     def test_matches_manual_composition(self):
-        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5, self_loop=0.5)
-        assert_matches_reference(stack, np.random.default_rng(2).standard_normal((2, 3, 4, 2)))
+        # self_loop 0 is the edge where every degree of the complete graph is N
+        for self_loop in (0.5, 0.0):
+            stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5, self_loop=self_loop)
+            x = np.random.default_rng(2).standard_normal((2, 3, 4, 2))
+            assert_matches_reference(stack, x)
 
     def test_empty_history_rejected(self):
         stack, _ = tiny_models()

@@ -23,10 +23,9 @@ class TestGenVar:
         past, future = x[:-1], x[1:]
         a_hat = np.linalg.lstsq(past, future, rcond=None)[0].T
         rng = np.random.default_rng(3)
-        system = sim._draw_var_system(n, 1, rng)
-        assert np.max(np.abs(a_hat - system.transition[0])) < 0.03
-        np.testing.assert_array_equal((system.transition[0] != 0).astype(int),
-                                      truth.adjacency)
+        transition, _ = sim._draw_var_system(n, 1, rng)
+        assert np.max(np.abs(a_hat - transition[0])) < 0.03
+        np.testing.assert_array_equal((transition[0] != 0).astype(int), truth.adjacency)
 
     def test_shapes_and_dtype(self):
         series, truth = sim.gen_var(5, 2, 37, seed=2)
@@ -36,16 +35,14 @@ class TestGenVar:
 
     def test_var2_identical_supports_across_lags(self):
         rng = np.random.default_rng(11)
-        system = sim._draw_var_system(7, 2, rng, identical_lag_supports=True)
-        s0 = system.transition[0] != 0
-        s1 = system.transition[1] != 0
-        np.testing.assert_array_equal(s0, s1)
+        transition, _ = sim._draw_var_system(7, 2, rng)
+        np.testing.assert_array_equal(transition[0] != 0, transition[1] != 0)
 
     def test_spectral_radius_capped(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            system = sim._draw_var_system(12, 2, rng)
-            assert sim.companion_spectral_radius(system.transition) < 0.95 + 1e-9
+            transition, _ = sim._draw_var_system(12, 2, rng)
+            assert sim.companion_spectral_radius(transition) < 0.95 + 1e-9
 
     def test_invalid_lag_rejected(self):
         with pytest.raises(sim.SimulationError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
-from dyncause.model import ModelConfig, build_node_models
+from dyncause.model import GATE_HI, ModelConfig, build_node_models, forward_full
 from dyncause.simulate import gen_var, standardize
 
 from test_autodiff import central_diff_grad, rel_err
@@ -299,7 +299,9 @@ class TestTrain:
         ("adam_beta2", -1.0), ("beta1", np.nan), ("beta3", np.inf), ("lambda1", np.nan),
         ("gamma", np.nan), ("epsilon", np.inf), ("beta2", -0.1), ("lambda2", -0.5),
         ("early_stop_tol", np.nan), ("early_stop_tol", -1e-6), ("early_stop_patience", 0),
-        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0)])
+        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0),
+        ("epochs", 2.5), ("minibatch_size", 2.5), ("early_stop_patience", 2.5),
+        ("seed", 1.5), ("hidden", 2.5)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named
@@ -307,13 +309,25 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             cls(**{field: value})
 
-    @pytest.mark.parametrize("standardize_input", [True, False])
-    def test_non_finite_input_named_by_location(self, standardize_input):
+    @pytest.mark.parametrize("inf", [True, False])
+    def test_non_finite_input_named_by_location(self, inf):
         series, _ = small_var_data(t=60)
-        series[0, 2, 17, 0] = np.inf if standardize_input else np.nan
-        config = tr.TrainConfig(epochs=2, hidden=4, standardize_input=standardize_input)
+        series[0, 2, 17, 0] = np.inf if inf else np.nan
+        config = tr.TrainConfig(epochs=2, hidden=4)
         with pytest.raises(ValueError, match=r"\(0, 2, 17\)"):
             tr.train(series, config, tr.LossWeights())
+
+    def test_saturated_gate_keeps_the_finished_fit(self):
+        # a gate bias of 40 rounds the sigmoid to exactly 1.0; the read-out
+        # clips it to GATE_HI, and forward_full replays the masks bit for bit
+        stack = build_node_models(3, 1, ModelConfig(hidden=3), 0)
+        stack.mmg_b2[...] = 40.0
+        series = gen_var(3, 1, 30, 0)[0]
+        config = tr.TrainConfig(epochs=3, hidden=3)
+        result = tr.train(series, config, tr.LossWeights(), models=stack)
+        assert result.epochs_run == 3 and result.masks.values.max() == GATE_HI
+        masks, _ = forward_full(result.models, standardize(series))
+        np.testing.assert_array_equal(masks.values, result.masks.values)
 
     def test_prior_shape_must_match_the_nodes(self):
         series, _ = small_var_data(n=3, t=30)
@@ -493,8 +507,9 @@ class TestTrain:
     def test_minibatch_mode_runs(self):
         rng = np.random.default_rng(7)
         series = rng.standard_normal((4, 3, 30, 1))
-        config = tr.TrainConfig(epochs=4, hidden=4, seed=8,
-                                batch_mode="sample_minibatch", minibatch_size=2)
+        # numpy integers count as integers
+        config = tr.TrainConfig(epochs=np.int64(4), hidden=4, seed=8,
+                                batch_mode="sample_minibatch", minibatch_size=np.int64(2))
         result = tr.train(series, config, tr.LossWeights())
         assert result.masks.values.shape == (4, 29, 3, 3)
 
