@@ -7,16 +7,22 @@ with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
 ``u``, ``b``), the layout the op computes in. Its row contract: the series
 has M = B*k rows and row b*k + s is run by cell b, so one call carries k
 independent sequences per cell (k is read from the shapes). Each step
-projects its own input, x_t W + b, then takes one (k, h) matrix product per
+projects its own input with the bias folded in, [x_t, 1] @ [W; b], one
+(k, d+1) GEMM per cell and gate, then takes one (k, h) matrix product per
 cell for the fused z|r gates and one for the candidate. The op keeps the
 gate history of every step only when one of its inputs needs a gradient; a
 forward that takes none reuses one step's buffer and records no backward.
 
 ``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
-input j at transition t, so the (N, N, g, h) activation is written once and
-read back once in the backward; phi and phi' come from
-``autodiff.ACTIVATIONS``.
+input j at transition t, so the (N, N, g, h) activation is written once, by
+one [gate * x, 1] @ [w; b] GEMM per node, and read back once in the
+backward; phi and phi' come from ``autodiff.ACTIVATIONS``.
+
+Each affine map in both ops is one GEMM, the bias entering as an input
+column of ones. For d=1 this is faster as well as shorter: on large outputs
+numpy's matmul at inner dimension 1 is several times slower than at 2-4,
+and a separate bias add is a second pass over the output.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ def _gru_forward(X, H0, W, U, b, history):
     """Forward recurrence for the fused cell weights W (B, d, 3h),
     U (B, h, 3h) and b (B, 3h).
 
-    Each step first projects its input, x_t W + b, into the gate-major step
-    buffer (3, B, k, h) with one (k, d)@(d, h) product per cell and gate,
-    then turns the buffer into the gates z, r and the candidate c in place,
+    Each step first copies x_t into a (B, k, d+1) buffer whose last column
+    holds ones, and projects it, [x_t, 1] @ [W; b], into the gate-major step
+    buffer (3, B, k, h) with one (k, d+1)@(d+1, h) product per cell and
+    gate. That input buffer holds one step, so the series is never copied
+    whole. It then turns the buffer into the gates z, r and the candidate c in place,
     with one (k, h)@(h, 2h) product per cell for both gates and one
     (k, h)@(h, h) for the candidate. With ``history`` set, step t uses P[t]
     of P (T, 3, B, k, h), the gate history the backward reads; without it,
@@ -52,9 +60,10 @@ def _gru_forward(X, H0, W, U, b, history):
     B, h = U.shape[0], H0.shape[1]
     k = M // B
     Uzr, Uh = U[..., :2 * h], U[..., 2 * h:]
-    Wg = W.reshape(B, d, 3, h).transpose(2, 0, 1, 3)  # (3, B, d, h) view
-    bg = b.reshape(B, 3, h).transpose(1, 0, 2)[:, :, None, :]  # (3, B, 1, h) view
+    Wb = np.concatenate((W, b[:, None]), axis=1)  # [W; b] (B, d+1, 3h)
+    Wb = Wb.reshape(B, d + 1, 3, h).transpose(2, 0, 1, 3)  # (3, B, d+1, h) view
     x_rows = X.reshape(T, B, k, d)
+    xa = np.ones((B, k, d + 1))  # [x_t, 1]: the step's input is copied into [..., :d]
     P = np.empty((T if history else 1, 3, B, k, h))
     Hb = np.empty((T + 1, B, k, h))
     Hb[0] = H0.reshape(B, k, h)
@@ -67,8 +76,8 @@ def _gru_forward(X, H0, W, U, b, history):
     with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
         for t in range(T):
             p = P[t if history else 0]
-            np.matmul(x_rows[t], Wg, out=p)
-            p += bg
+            xa[..., :d] = x_rows[t]
+            np.matmul(xa, Wb, out=p)
             h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], p[:2], p[0], p[1], p[2]
             np.matmul(h_prev, Uzr, out=hu)
             zr += hu_zr
@@ -216,10 +225,11 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
     arrays that take no gradient; w is (N, d, h), b (N, 1, h) and phi a key
     of ``ACTIVATIONS``. Returns (N, g, h).
 
-    The gated input and the activation are laid out (i, j, t, .), with w[i]
-    broadcast over j, so the first layer is one batched matmul and the
-    pooling one (1, N')@(N', g*h) product per node. An overflowed
-    pre-activation raises ``NumericError`` even where phi would squash it.
+    The gated input [gate * x_prev, 1] and the activation are laid out
+    (i, j, t, .), so the first layer, bias included, is one
+    (N'*g, d+1)@(d+1, h) product per node with [w[i]; b[i]], and the pooling
+    one (1, N')@(N', g*h) product per node. An overflowed pre-activation
+    raises ``NumericError`` even where phi would squash it.
     """
     G, X, W, B = gate.data, x_prev, w.data, b.data
     if G.ndim != 3:
@@ -234,12 +244,14 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
     phi_fn, phi_deriv = ACTIVATIONS[phi]
 
-    Xg = np.empty((n, n_in, g, d))  # Xg[i, j, t] = gate[i, t, j] * x_prev[j, t]
-    np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg)
+    Xg = np.empty((n, n_in, g, d + 1))  # Xg[i, j, t] = [gate[i, t, j] * x_prev[j, t], 1]
+    Xg[..., d] = 1.0
+    np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg[..., :d])
+    Xg_rows = Xg.reshape(n, n_in * g, d + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        A = np.matmul(Xg, W[:, None])  # (n, n_in, g, h)
-        A += B[:, None]
+        A = np.matmul(Xg_rows, np.concatenate((W, B), axis=1))  # [w; b] (n, d+1, h)
     _check_finite(A, "gated_pool")
+    A = A.reshape(n, n_in, g, h)
     phi_fn(A, A)
     pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
     need_gate = gate.needs  # a bool: the closure must not keep the tape alive
@@ -252,7 +264,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
         D_rows = D.reshape(n, n_in * g, h)
         db = np.matmul(np.ones((1, n_in * g)), D_rows)
         # w[i] serves every input j, so its gradient sums over the (j, t) rows
-        dw = np.matmul(Xg.reshape(n, n_in * g, d).transpose(0, 2, 1), D_rows)
+        dw = np.matmul(Xg_rows[..., :d].transpose(0, 2, 1), D_rows)
         dgate = None
         if need_gate:
             dXg = np.matmul(D, np.swapaxes(W, 1, 2)[:, None])  # (n, n_in, g, d)

@@ -222,6 +222,11 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     (N,) row gives input j the gate [j] in every node, and an (N, N) matrix
     gives node i's input j the gate [i, j]; a non-finite entry raises
     ``ValueError`` naming its index, while 0 (a knocked-out edge) is legal.
+
+    The encoder GCN mixes the GRU states in ``gru_sequence``'s own layout,
+    (T-1, n_e, N, S*h) for n_e encoder rows, one (N, N)@(N, S*h) product per
+    step and row, before the states are transposed to the (n_e, g, N, h)
+    rows the MMG reads.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape
@@ -265,15 +270,16 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     h0 = tape.constant(np.zeros((n_e * n * s_count, h)))
     hs = gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"],
                       leaves["gru_b"])  # (tt, n_e*N*S, h)
-    hs = ad.reshape(hs, (tt, n_e, n, s_count, h))
-    hs = ad.transpose(hs, (1, 3, 0, 2, 4))
-    hs = ad.reshape(hs, (n_e, g, n, h))
 
     inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
-    mixed = ad.matmul(tape.constant(prop), hs)  # (n_e, g, N, h)
-    # flatten (g, N) so the per-encoder weight product is one wide dgemm each
-    z = ad.activation(ad.matmul(ad.reshape(mixed, (n_e, g * n, h)), leaves["enc_w"]), phi)
+    # mix in the GRU's own layout: one product per (step, encoder row)
+    mixed = ad.matmul(tape.constant(prop), ad.reshape(hs, (tt * n_e, n, s_count * h)))
+    mixed = ad.reshape(mixed, (tt, n_e, n, s_count, h))
+    # to (n_e, g, N, h), flattened over (g, N) so the per-encoder weight
+    # product is one wide dgemm each
+    mixed = ad.reshape(ad.transpose(mixed, (1, 3, 0, 2, 4)), (n_e, g * n, h))
+    z = ad.activation(ad.matmul(mixed, leaves["enc_w"]), phi)
     z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
     a1 = ad.activation(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]), phi)
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])

@@ -3,6 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dyncause import autodiff as ad
 from dyncause import blocks
 from dyncause import model as mdl
@@ -316,6 +319,25 @@ class TestForwardFull:
         x = np.random.default_rng(14).standard_normal((3, 3, 5, 2))
         assert_matches_reference(models, x)
 
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    @pytest.mark.parametrize("share", [False, True])
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 4), s_count=st.integers(1, 3), t_len=st.integers(2, 6),
+           d=st.integers(1, 3), override=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_reference_on_drawn_shapes(self, phi, share, n, s_count, t_len, d,
+                                               override, seed):
+        # covers the folded [x, 1] @ [w; b] products at d > 1 and the GCN
+        # mix over S > 1 samples; the biases start at zero, so draw them
+        models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, phi=phi,
+                                share_encoder=share)
+        rng = np.random.default_rng(seed)
+        for name in ("gru_b", "mmg_b1", "mmg_b2", "rl_b", "tip_b1", "tip_b2"):
+            arr = getattr(models, name)
+            arr[...] = rng.uniform(-0.5, 0.5, arr.shape)
+        x = rng.standard_normal((s_count, n, t_len, d))
+        mask_override = rng.uniform(0.0, 1.0, (n, n)) if override else None
+        assert_matches_reference(models, x, mask_override)
+
 
 class TestBatchedForward:
     @pytest.mark.parametrize("share", [False, True])
@@ -348,6 +370,15 @@ class TestBatchedForward:
             mdl.batched_forward(models, x, tape)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_forward_records_at_most_41_nodes(self, share):
+        # the tape bookkeeping per forward is a cost on every chunk
+        models, _ = tiny_models(n=4, d=2, hidden=3, seed=21, share_encoder=share)
+        tape = Tape()
+        mdl.batched_forward(models, np.random.default_rng(21).standard_normal((2, 4, 6, 2)),
+                            tape)
+        assert len(tape) <= 41
 
     @pytest.mark.parametrize("share", [False, True])
     def test_rows_report_the_nodes_they_serve(self, share):
