@@ -3,15 +3,15 @@
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
 against finite differences in the test suite. Every GRU parameter is stored
-with its gates side by side, W_z|W_r|W_h, in one array per kind (``w``,
-``u``, ``b``), the layout the op computes in. Its row contract: the series
-has M = B*k rows and row b*k + s is run by cell b, so one call carries k
-independent sequences per cell (k is read from the shapes). Each step
-projects its own input with the bias folded in, [x_t, 1] @ [W; b], one
-(k, d+1) GEMM per cell and gate, then takes one (k, h) matrix product per
-cell for the fused z|r gates and one for the candidate. The op keeps the
-gate history of every step only when one of its inputs needs a gradient; a
-forward that takes none reuses one step's buffer and records no backward.
+with its gates side by side, W_z|W_r|W_h, the layout the op computes in:
+``w`` = [W; b], the bias as the last row, and ``u``. Its row contract: the
+series has M = B*k rows and row b*k + s is run by cell b, so one call carries
+k independent sequences per cell (k is read from the shapes). Each step
+projects its own input, [x_t, 1] @ [W; b], one (k, d+1) GEMM per cell and
+gate, then takes one (k, h) matrix product per cell for the fused z|r gates
+and one for the candidate. The op keeps the gate history of every step only
+when one of its inputs needs a gradient; a forward that takes none reuses
+one step's buffer and records no backward.
 
 ``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
@@ -20,9 +20,10 @@ one [gate * x, 1] @ [w; b] GEMM per node, and read back once in the
 backward; phi and phi' come from ``autodiff.ACTIVATIONS``.
 
 Each affine map in both ops is one GEMM, the bias entering as an input
-column of ones. For d=1 this is faster as well as shorter: on large outputs
-numpy's matmul at inner dimension 1 is several times slower than at 2-4,
-and a separate bias add is a second pass over the output.
+column of ones, and takes its [W; b] array as stored, with no separate bias.
+For d=1 this is faster as well as shorter: on large outputs numpy's matmul at
+inner dimension 1 is several times slower than at 2-4, and a separate bias
+add is a second pass over the output.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 # GRU
 
 
-def _gru_forward(X, H0, W, U, b, history):
-    """Forward recurrence for the fused cell weights W (B, d, 3h),
-    U (B, h, 3h) and b (B, 3h).
+def _gru_forward(X, H0, W, U, history):
+    """Forward recurrence for the fused cell weights W = [W; b] (B, d+1, 3h)
+    and U (B, h, 3h).
 
     Each step first copies x_t into a (B, k, d+1) buffer whose last column
-    holds ones, and projects it, [x_t, 1] @ [W; b], into the gate-major step
+    holds ones, and projects it, [x_t, 1] @ W, into the gate-major step
     buffer (3, B, k, h) with one (k, d+1)@(d+1, h) product per cell and
     gate. That input buffer holds one step, so the series is never copied
     whole. It then turns the buffer into the gates z, r and the candidate c in place,
@@ -60,8 +61,7 @@ def _gru_forward(X, H0, W, U, b, history):
     B, h = U.shape[0], H0.shape[1]
     k = M // B
     Uzr, Uh = U[..., :2 * h], U[..., 2 * h:]
-    Wb = np.concatenate((W, b[:, None]), axis=1)  # [W; b] (B, d+1, 3h)
-    Wb = Wb.reshape(B, d + 1, 3, h).transpose(2, 0, 1, 3)  # (3, B, d+1, h) view
+    Wb = W.reshape(B, d + 1, 3, h).transpose(2, 0, 1, 3)  # (3, B, d+1, h) view
     x_rows = X.reshape(T, B, k, d)
     xa = np.ones((B, k, d + 1))  # [x_t, 1]: the step's input is copied into [..., :d]
     P = np.empty((T if history else 1, 3, B, k, h))
@@ -97,13 +97,14 @@ def _gru_forward(X, H0, W, U, b, history):
 
 
 def _gru_backward(X, W, U, P, Hb, G, need_dx):
-    """Gradients of the five ``gru_sequence`` inputs for upstream G
+    """Gradients of the four ``gru_sequence`` inputs for upstream G
     (T, B*k, h); dX is None unless ``need_dx``.
 
     Each step writes d_az|d_ar|d_ac into one (T, B, k, 3h) buffer D and takes
     one (k, 2h)@(2h, h) product per cell for both gates. After the loop each
-    gradient is one GEMM over T per (cell, row), every operand read in place
-    as a (T, .) matrix, summed over the cell's k rows.
+    weight gradient is one GEMM over T per (cell, row), every operand read in
+    place as a (T, .) matrix, summed over the cell's k rows; dW's bias row is
+    D summed over steps and rows.
     """
     T, M, d = X.shape
     B, h = U.shape[0], Hb.shape[-1]
@@ -150,28 +151,29 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     def weight_grad(Y, Dpart):  # Y (T, B, k, n) -> (B, n, Dpart width)
         return np.matmul(Y.transpose(1, 2, 3, 0), Dpart).sum(axis=1)
 
-    dW = weight_grad(X.reshape(T, B, k, d), Dk)
+    dW = np.empty((B, d + 1, 3 * h))
+    dW[:, :d] = weight_grad(X.reshape(T, B, k, d), Dk)
+    dW[:, d] = D.sum(axis=0).sum(axis=1)  # the bias row
     dU = np.concatenate((weight_grad(Hb[:-1], Dk[..., :h2]),
                          weight_grad(P[:, 1] * Hb[:-1], Dk[..., h2:])),  # r_t * h_{t-1}
                         axis=2)
-    db = D.sum(axis=0).sum(axis=1)  # (B, 3h)
     dX = None
     if need_dx:  # the encoder feeds data, which needs no gradient
         dX = np.empty((T, M, d))
-        np.matmul(Dk, np.swapaxes(W, 1, 2)[:, None],
+        np.matmul(Dk, np.swapaxes(W[:, :d], 1, 2)[:, None],
                   out=dX.reshape(T, B, k, d).transpose(1, 2, 0, 3))
-    return dX, dh.reshape(M, h), dW, dU, db
+    return dX, dh.reshape(M, h), dW, dU
 
 
-def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
     """Run B independent GRU cells over a series in one fused op.
 
     Each cell maps inputs of dim d to hidden dim d1 by
     h_t = z_t * h_{t-1} + (1 - z_t) * c_t with
     z = sigmoid(x W_z + h U_z + b_z), r = sigmoid(x W_r + h U_r + b_r) and
     c = tanh(x W_h + (r * h) U_h + b_h). The gates sit side by side:
-    w = W_z|W_r|W_h is (B, d, 3*d1), u = U_z|U_r|U_h is (B, d1, 3*d1) and
-    b = b_z|b_r|b_h is (B, 3*d1); B, the number of cells, is read from w.
+    w = [W_z|W_r|W_h; b_z|b_r|b_h] is (B, d+1, 3*d1), the bias its last row,
+    and u = U_z|U_r|U_h is (B, d1, 3*d1); B, the number of cells, is read from w.
 
     Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows.
     Row b*k + s is run by cell b, so each cell carries k independent
@@ -187,26 +189,25 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
     if H0.ndim != 2 or H0.shape[0] != M:
         raise ShapeError(f"h0 shape {H0.shape} incompatible with {M} input rows")
     d1 = H0.shape[1]
-    W, U, Bias = w.data, u.data, b.data
+    W, U = w.data, u.data
     B = W.shape[0] if W.ndim else 0
     if B < 1 or M % B:
         raise ShapeError(f"gru_sequence: {M} input rows are not a multiple of "
                          f"the {B} cells of w")
-    for name, arr, want in (("w", W, (B, d, 3 * d1)), ("u", U, (B, d1, 3 * d1)),
-                            ("b", Bias, (B, 3 * d1))):
+    for name, arr, want in (("w", W, (B, d + 1, 3 * d1)), ("u", U, (B, d1, 3 * d1))):
         if arr.shape != want:
             raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
     # bools: the closure must not keep the tape alive. Without a gradient P
     # holds one step, and record drops the backward that would read it
-    need_grad = any(t.needs for t in (x_seq, h0, w, u, b))
+    need_grad = any(t.needs for t in (x_seq, h0, w, u))
     need_dx = x_seq.needs
-    P, Hb = _gru_forward(X, H0, W, U, Bias, history=need_grad)
+    P, Hb = _gru_forward(X, H0, W, U, history=need_grad)
 
     def backward(g):
         return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
 
-    return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u, b),
+    return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u),
                              backward, op="gru_sequence")
 
 
@@ -214,32 +215,31 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor) -> 
 # gated pooling
 
 
-def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
-               prop: np.ndarray, phi: str) -> Tensor:
+def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
+               phi: str) -> Tensor:
     """Gate every input, apply each node's first decoder layer, and pool
     over the inputs with the propagation matrix, in one fused op:
 
-        pooled[i, t] = sum_j prop[i, j] * phi(gate[i, t, j] * x_prev[j, t] @ w[i] + b[i])
+        pooled[i, t] = sum_j prop[i, j] * phi([gate[i, t, j] * x_prev[j, t], 1] @ w[i])
 
     gate (N, g, N') is a tensor; x_prev (N', g, d) and prop (N, N') are
-    arrays that take no gradient; w is (N, d, h), b (N, 1, h) and phi a key
-    of ``ACTIVATIONS``. Returns (N, g, h).
+    arrays that take no gradient; w = [W; b] is (N, d+1, h), the bias its
+    last row, and phi a key of ``ACTIVATIONS``. Returns (N, g, h).
 
     The gated input [gate * x_prev, 1] and the activation are laid out
     (i, j, t, .), so the first layer, bias included, is one
-    (N'*g, d+1)@(d+1, h) product per node with [w[i]; b[i]], and the pooling
+    (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
     one (1, N')@(N', g*h) product per node. An overflowed pre-activation
     raises ``NumericError`` even where phi would squash it.
     """
-    G, X, W, B = gate.data, x_prev, w.data, b.data
+    G, X, W = gate.data, x_prev, w.data
     if G.ndim != 3:
         raise ShapeError(f"gated_pool expects an (N, g, N') gate, got {G.shape}")
     n, g, n_in = G.shape
     if X.ndim != 3 or X.shape[:2] != (n_in, g):
         raise ShapeError(f"gated_pool: x_prev shape {X.shape}, expected ({n_in}, {g}, d)")
     d, h = X.shape[2], W.shape[-1]
-    for name, arr, want in (("w", W, (n, d, h)), ("b", B, (n, 1, h)),
-                            ("prop", prop, (n, n_in))):
+    for name, arr, want in (("w", W, (n, d + 1, h)), ("prop", prop, (n, n_in))):
         if arr.shape != want:
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
     phi_fn, phi_deriv = ACTIVATIONS[phi]
@@ -249,7 +249,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
     np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg[..., :d])
     Xg_rows = Xg.reshape(n, n_in * g, d + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        A = np.matmul(Xg_rows, np.concatenate((W, B), axis=1))  # [w; b] (n, d+1, h)
+        A = np.matmul(Xg_rows, W)
     _check_finite(A, "gated_pool")
     A = A.reshape(n, n_in, g, h)
     phi_fn(A, A)
@@ -262,14 +262,15 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, b: Tensor,
         D *= prop[:, :, None, None]
         D *= gp.reshape(n, 1, g, h)
         D_rows = D.reshape(n, n_in * g, h)
-        db = np.matmul(np.ones((1, n_in * g)), D_rows)
-        # w[i] serves every input j, so its gradient sums over the (j, t) rows
-        dw = np.matmul(Xg_rows[..., :d].transpose(0, 2, 1), D_rows)
+        # w[i] serves every input j: its gradient sums over the (j, t) rows, W and b apart
+        dw = np.empty((n, d + 1, h))
+        np.matmul(Xg_rows[..., :d].transpose(0, 2, 1), D_rows, out=dw[:, :d])
+        np.matmul(np.ones((1, n_in * g)), D_rows, out=dw[:, d:])
         dgate = None
         if need_gate:
-            dXg = np.matmul(D, np.swapaxes(W, 1, 2)[:, None])  # (n, n_in, g, d)
+            dXg = np.matmul(D, np.swapaxes(W[:, :d], 1, 2)[:, None])  # (n, n_in, g, d)
             dXg *= X
             dgate = dXg.sum(axis=3).transpose(0, 2, 1)
-        return dgate, dw, db
+        return dgate, dw
 
-    return gate.tape.record(pooled, (gate, w, b), backward, op="gated_pool")
+    return gate.tape.record(pooled, (gate, w), backward, op="gated_pool")

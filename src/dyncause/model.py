@@ -16,8 +16,8 @@ weights broadcast over a shared encoder's single output. The decoder's first
 layer and its NGCN pooling are one ``gated_pool`` call: its rows are
 (i, j, t), node i's gated view of input j at transition t, pooled over j.
 Both GCNs run over the complete graph, A all ones, so the propagation
-D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``batched_forward``
-also reports which nodes each parameter row serves, so training needs no
+D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``ParamStack.serves``
+reports which nodes each parameter row serves, so training needs no
 knowledge of the parameter layout. Masks, predictions and targets share one
 row layout, (N, S*(T-1), .), which ``node_rows`` and ``rows_to_series`` own;
 read out without a gradient, the gates lie in [``GATE_LO``, ``GATE_HI``].
@@ -42,7 +42,7 @@ GATE_HI = 1.0 - 1e-7
 
 def check_count(name: str, value, least: int) -> None:
     """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -57,14 +57,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_count("hidden", self.hidden, 1)
+        if not isinstance(self.share_encoder, (bool, np.bool_)):
+            raise ValueError(f"share_encoder must be a bool, got {self.share_encoder!r}")
         if not (math.isfinite(self.self_loop) and self.self_loop >= 0):
             raise ValueError(f"self_loop must be finite and nonnegative, got {self.self_loop}")
         if self.phi not in ad.ACTIVATIONS:
             raise ValueError(f"phi must be one of {sorted(ad.ACTIVATIONS)}, got {self.phi!r}")
 
 
-_ARRAYS = ("gru_w", "gru_u", "gru_b", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
-           "rl_w", "rl_b", "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
+_ARRAYS = ("gru_w", "gru_u", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
+           "rl_w", "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
 
 
 @dataclass
@@ -73,26 +75,25 @@ class ParamStack:
 
     The encoder has E rows: E = N, one per node, or E = 1 when every node
     shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
-    where row e*N + j is its cell for input node j. A GRU row holds the
-    gates side by side, the layout ``gru_sequence`` computes in:
-    ``gru_w[r]`` = W_z|W_r|W_h (d, 3h), ``gru_u[r]`` = U_z|U_r|U_h (h, 3h)
-    and ``gru_b[r]`` = b_z|b_r|b_h (3h,). ``config`` is the architecture the
-    stack was built for: the encoder GCN and the decoder NGCN both propagate
-    by (A + lam I) / (N + lam), A all ones, lam = ``config.self_loop``, and
-    ``config.phi`` is every hidden activation. The sigmoid gates read out
-    without a gradient lie in [``GATE_LO``, ``GATE_HI``].
+    where row e*N + j is its cell for input node j. Each fused kernel's
+    affine map is the one [W; b] array it reads, bias last: a GRU row's
+    ``gru_w[r]`` = [W_z|W_r|W_h; b_z|b_r|b_h] (d+1, 3h), gates side by side
+    as in ``gru_u[r]`` = U_z|U_r|U_h (h, 3h), and node i's ``rl_w[i]``
+    (d+1, h). ``config`` is the architecture the stack was built for: the
+    encoder GCN and the decoder NGCN both propagate by (A + lam I) / (N + lam),
+    A all ones, lam = ``config.self_loop``, and ``config.phi`` is every
+    hidden activation. The sigmoid gates read out without a gradient lie in
+    [``GATE_LO``, ``GATE_HI``].
     """
 
-    gru_w: np.ndarray  # (E*N, d, 3h)
+    gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
     gru_u: np.ndarray  # (E*N, h, 3h)
-    gru_b: np.ndarray  # (E*N, 3h)
     enc_w: np.ndarray  # (E, h, h)
     mmg_w1: np.ndarray  # (N, N*h, h)
     mmg_b1: np.ndarray  # (N, 1, h)
     mmg_w2: np.ndarray  # (N, h, N)
     mmg_b2: np.ndarray  # (N, 1, N)
-    rl_w: np.ndarray  # (N, d, h)
-    rl_b: np.ndarray  # (N, 1, h)
+    rl_w: np.ndarray  # (N, d+1, h), bias last
     ngcn_w: np.ndarray  # (N, h, h)
     tip_w1: np.ndarray  # (N, h, h)
     tip_b1: np.ndarray  # (N, 1, h)
@@ -106,7 +107,7 @@ class ParamStack:
 
     @property
     def input_dim(self) -> int:
-        return self.rl_w.shape[1]
+        return self.rl_w.shape[1] - 1
 
     @property
     def shared_encoder(self) -> bool:
@@ -115,25 +116,34 @@ class ParamStack:
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _ARRAYS}
 
+    def serves(self) -> dict:
+        """Array name -> (rows, N) bool, True where row r serves node i: an
+        encoder row and its N GRU rows serve every node when shared."""
+        n = self.num_nodes
+        node = np.eye(n, dtype=bool)
+        enc = np.ones((1, n), dtype=bool) if self.shared_encoder else node
+        return {name: np.repeat(enc, n, axis=0) if name.startswith("gru_")
+                else enc if name == "enc_w" else node for name in _ARRAYS}
+
 
 def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> ParamStack:
     """Draw every node's parameters, node i from its own stream base_seed ^ i.
 
     Node i draws its N GRU cells, for j = 0..N-1 the gate blocks W_z, U_z,
     W_r, U_r, W_h and U_h of cell j in that order, then enc_w, mmg_w1,
-    mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2; biases start at zero. With a
+    mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2 (W only); every bias starts at
+    zero. With a
     shared encoder only node 0 draws the GRU bank and enc_w.
     """
     h = config.hidden
     enc_count = 1 if config.share_encoder else n
     cells = enc_count * n
     stack = ParamStack(
-        gru_w=np.zeros((cells, d, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
-        gru_b=np.zeros((cells, 3 * h)), enc_w=np.zeros((enc_count, h, h)),
+        gru_w=np.zeros((cells, d + 1, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
+        enc_w=np.zeros((enc_count, h, h)),
         mmg_w1=np.zeros((n, n * h, h)), mmg_b1=np.zeros((n, 1, h)),
         mmg_w2=np.zeros((n, h, n)), mmg_b2=np.zeros((n, 1, n)),
-        rl_w=np.zeros((n, d, h)), rl_b=np.zeros((n, 1, h)),
-        ngcn_w=np.zeros((n, h, h)),
+        rl_w=np.zeros((n, d + 1, h)), ngcn_w=np.zeros((n, h, h)),
         tip_w1=np.zeros((n, h, h)), tip_b1=np.zeros((n, 1, h)),
         tip_w2=np.zeros((n, h, d)), tip_b2=np.zeros((n, 1, d)), config=config)
     for i in range(n):
@@ -142,12 +152,12 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
             for j in range(n):
                 for gate in range(3):
                     cols = slice(gate * h, (gate + 1) * h)
-                    stack.gru_w[i * n + j][:, cols] = uniform_init(rng, d, (d, h))
+                    stack.gru_w[i * n + j][:d, cols] = uniform_init(rng, d, (d, h))
                     stack.gru_u[i * n + j][:, cols] = uniform_init(rng, h, (h, h))
             stack.enc_w[i] = uniform_init(rng, h, (h, h))
         stack.mmg_w1[i] = uniform_init(rng, n * h, (n * h, h))
         stack.mmg_w2[i] = uniform_init(rng, h, (h, n))
-        stack.rl_w[i] = uniform_init(rng, d, (d, h))
+        stack.rl_w[i][:d] = uniform_init(rng, d, (d, h))
         stack.ngcn_w[i] = uniform_init(rng, h, (h, h))
         stack.tip_w1[i] = uniform_init(rng, h, (h, h))
         stack.tip_w2[i] = uniform_init(rng, h, (h, d))
@@ -204,7 +214,6 @@ class BatchedOutput:
     masks: Tensor  # (N, S*(T-1), N) gate rows, node-major
     predictions: Tensor  # (N, S*(T-1), d)
     leaves: dict  # parameter name -> tape Tensor over the stack array itself
-    serves: dict  # parameter name -> (leaf rows, N) bool: row r serves node i
     tape: Tape
 
 
@@ -244,32 +253,22 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     g = s_count * tt
     h, phi, lam = stack.config.hidden, stack.config.phi, stack.config.self_loop
 
-    # the encoder has one shared row or one row per node
-    node_serves = np.eye(n, dtype=bool)
-    enc_serves = np.ones((1, n), dtype=bool) if stack.shared_encoder else node_serves
-    n_e = enc_serves.shape[0]
+    n_e = stack.enc_w.shape[0]  # one shared encoder row or one per node
     if tape is None:  # no gradient will be taken
         tape = Tape()
         enter = tape.constant
     else:
         enter = tape.leaf
-    leaves, serves = {}, {}
-    for name, arr in stack.arrays().items():
-        leaves[name] = enter(arr)
-        if name.startswith("gru_"):  # N cells per encoder row
-            serves[name] = np.repeat(enc_serves, n, axis=0)
-        else:
-            serves[name] = enc_serves if name == "enc_w" else node_serves
+    leaves = {name: enter(arr) for name, arr in stack.arrays().items()}
 
     # ---- encoder: the GRU bank over the first T-1 steps of every sample in
-    # one call. Rows are cell-major: row b*S + s runs cell b = e*N + j (encoder
-    # e's cell for input node j, which reads series j) on sample s.
+    # one call, hs (tt, n_e*N*S, h). Rows are cell-major: row b*S + s runs
+    # cell b = e*N + j (encoder e's cell for input j, which reads series j) on sample s.
     series = x[:, :, :tt, :].transpose(2, 1, 0, 3)  # (tt, N_j, S, d)
     series = np.broadcast_to(series[:, None], (tt, n_e, n, s_count, d))
     x_seq = series.reshape(tt, n_e * n * s_count, d)
     h0 = tape.constant(np.zeros((n_e * n * s_count, h)))
-    hs = gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"],
-                      leaves["gru_b"])  # (tt, n_e*N*S, h)
+    hs = gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"])
 
     inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
@@ -292,13 +291,12 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
         gate = tape.constant(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
-    pooled = gated_pool(gate, x_prev, leaves["rl_w"], leaves["rl_b"], prop, phi)  # (N, g, h)
+    pooled = gated_pool(gate, x_prev, leaves["rl_w"], prop, phi)  # (N, g, h)
     z_dec = ad.activation(ad.matmul(pooled, leaves["ngcn_w"]), phi)
     t1 = ad.activation(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]), phi)
     x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
 
-    return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, serves=serves,
-                         tape=tape)
+    return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape)
 
 
 @dataclass

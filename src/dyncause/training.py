@@ -277,7 +277,7 @@ def _combine(vecs: dict, weights: LossWeights) -> Tensor:
     total = vecs["recon"]
     for key, beta in (("struct", weights.beta1), ("div", weights.beta2),
                       ("sparsity", weights.beta3)):
-        if vecs[key] is not None and beta > 0:
+        if vecs[key] is not None:  # None exactly when beta is 0
             total = ad.add(total, ad.scale(vecs[key], beta))
     return total
 
@@ -298,7 +298,7 @@ def _train_step(stack: ParamStack, x: np.ndarray, consts: _GroupConsts,
     params = {name: leaf.data for name, leaf in out.leaves.items()}
     grad_arrays = {name: grads.wrt(leaf) for name, leaf in out.leaves.items()}
     write_mask = None if active.all() else {
-        name: (serves & active).any(axis=1) for name, serves in out.serves.items()}
+        name: (serves & active).any(axis=1) for name, serves in stack.serves().items()}
     adam_step(adam, params, grad_arrays, config, write_mask)
     terms = {key: vec.data for key, vec in vecs.items() if vec is not None}
     terms["total"] = total_vec.data

@@ -62,8 +62,9 @@ def reference_forward(stack, x, mask_override=None):
             for t in range(t_len - 1):
                 for j in range(n):
                     cell = owner * n + j
-                    hidden[j] = gru_step(stack.gru_w[cell], stack.gru_u[cell],
-                                         stack.gru_b[cell], x[s, j, t], hidden[j])
+                    w_b = stack.gru_w[cell]  # [W; b]: the bias is the last row
+                    hidden[j] = gru_step(w_b[:-1], stack.gru_u[cell], w_b[-1],
+                                         x[s, j, t], hidden[j])
                 z = act(prop @ hidden @ stack.enc_w[owner])
                 a1 = act(z.reshape(-1) @ stack.mmg_w1[i] + stack.mmg_b1[i, 0])
                 m = _sigmoid(a1 @ stack.mmg_w2[i] + stack.mmg_b2[i, 0])
@@ -71,8 +72,9 @@ def reference_forward(stack, x, mask_override=None):
                 if override is not None:
                     m = override if override.ndim == 1 else override[i]
                 pooled = np.zeros(h)
+                w, b = stack.rl_w[i, :-1], stack.rl_w[i, -1]  # [W; b]: the bias is the last row
                 for j in range(n):
-                    r_j = act((m[j] * x[s, j, t]) @ stack.rl_w[i] + stack.rl_b[i, 0])
+                    r_j = act((m[j] * x[s, j, t]) @ w + b)
                     pooled += prop[i, j] * r_j
                 z_dec = act(pooled @ stack.ngcn_w[i])
                 t1 = act(z_dec @ stack.tip_w1[i] + stack.tip_b1[i, 0])

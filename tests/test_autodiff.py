@@ -357,9 +357,9 @@ OPS = {
     "sum_axis": ([(2, 3)], lambda x: ad.sum_axis(x, (1,))),
     "mean_axis": ([(2, 3)], lambda x: ad.mean_axis(x, (0, 1))),
     "reduce_sum": ([(2, 3)], ad.reduce_sum),
-    "gru_sequence": ([(2, 4, 1), (4, 3), (2, 1, 9), (2, 3, 9), (2, 9)], blocks.gru_sequence),
-    "gated_pool": ([(2, 4, 3), (2, 2, 3), (2, 1, 3)],
-                   lambda gate, w, b: blocks.gated_pool(gate, _POOL_X, w, b, _POOL_PROP, "tanh")),
+    "gru_sequence": ([(2, 4, 1), (4, 3), (2, 2, 9), (2, 3, 9)], blocks.gru_sequence),
+    "gated_pool": ([(2, 4, 3), (2, 3, 3)],
+                   lambda gate, w: blocks.gated_pool(gate, _POOL_X, w, _POOL_PROP, "tanh")),
 }
 
 

@@ -18,25 +18,27 @@ from test_model import assert_matches_reference
 
 
 def cell_params(rng, d, h):
-    """One cell's fused w (d, 3h) and u (h, 3h), drawn, and zero b (3h,)."""
-    return (rng.uniform(-0.7, 0.7, (d, 3 * h)), rng.uniform(-0.7, 0.7, (h, 3 * h)),
-            np.zeros(3 * h))
+    """One cell's fused w = [W; b] (d+1, 3h) and u (h, 3h): W and u drawn,
+    the bias row b zero."""
+    w = np.zeros((d + 1, 3 * h))
+    w[:d] = rng.uniform(-0.7, 0.7, (d, 3 * h))
+    return w, rng.uniform(-0.7, 0.7, (h, 3 * h))
 
 
-def gates(w, u, b):
-    """The per-gate blocks of a fused cell: (W_z, W_r, W_h), (U_z, ...), (b_z, ...)."""
+def gates(w, u):
+    """The per-gate blocks of a fused cell: (W_z, W_r, W_h), (U_z, ...) and
+    (b_z, ...), the bias read from w's last row."""
     h = u.shape[0]
     split = lambda a: [a[..., k * h:(k + 1) * h] for k in range(3)]
-    return split(w), split(u), split(b)
+    return split(w[:-1]), split(u), split(w[-1])
 
 
-def run_cell(w, u, b, series, h0):
+def run_cell(w, u, series, h0):
     """``gru_sequence`` at one cell and one row: series (T, d), h0 (h,);
-    returns the (T, h) states and the leaves of the five inputs."""
+    returns the (T, h) states and the leaves of the four inputs."""
     tape = ad.Tape()
     series = np.asarray(series, dtype=np.float64)
-    leaves = [tape.leaf(series), tape.leaf(h0), tape.leaf(w[None]), tape.leaf(u[None]),
-              tape.leaf(b[None])]
+    leaves = [tape.leaf(series), tape.leaf(h0), tape.leaf(w[None]), tape.leaf(u[None])]
     t_len, d = series.shape
     out = blocks.gru_sequence(ad.reshape(leaves[0], (t_len, 1, d)),
                               ad.reshape(leaves[1], (1, len(h0))), *leaves[2:])
@@ -47,39 +49,40 @@ def sum_of_squares(t):
     return ad.reduce_sum(ad.hadamard(t, t))
 
 
-def one_step(w, u, b, x, h_prev):
-    out, _ = run_cell(w, u, b, np.asarray(x)[None], h_prev)
+def one_step(w, u, x, h_prev):
+    out, _ = run_cell(w, u, np.asarray(x)[None], h_prev)
     return out.data[0]
 
 
 class TestGruStep:
     def test_all_zero_parameters(self):
         h_prev = np.array([0.4, -1.0, 2.0])
-        out = one_step(np.zeros((2, 9)), np.zeros((3, 9)), np.zeros(9), [5.0, -3.0], h_prev)
+        out = one_step(np.zeros((3, 9)), np.zeros((3, 9)), [5.0, -3.0], h_prev)
         # z = sigmoid(0) = 0.5, candidate = tanh(0) = 0, so h = 0.5 * h_prev
         np.testing.assert_allclose(out, 0.5 * h_prev, rtol=1e-15)
 
     def test_zero_state_zero_recurrent(self):
         rng = np.random.default_rng(0)
-        w, u, b = rng.standard_normal((2, 9)), np.zeros((3, 9)), np.zeros(9)
-        (w_z, _, w_h), _, _ = gates(w, u, b)
+        w = np.vstack([rng.standard_normal((2, 9)), np.zeros(9)])  # zero bias row
+        u = np.zeros((3, 9))
+        (w_z, _, w_h), _, _ = gates(w, u)
         x = np.array([0.7, -0.2])
-        out = one_step(w, u, b, x, np.zeros(3))
+        out = one_step(w, u, x, np.zeros(3))
         # h_prev = 0: h = (1 - z) * tanh(W_h x); z in (0,1) cannot flip the sign
         z = 1.0 / (1.0 + np.exp(-(x @ w_z)))
         np.testing.assert_allclose(out, (1 - z) * np.tanh(x @ w_h), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        w, u, _ = cell_params(rng, 3, 4)
-        b = rng.uniform(-0.5, 0.5, 12)
-        inputs = [rng.standard_normal((1, 3)), rng.standard_normal(4), w, u, b]
-        out, leaves = run_cell(w, u, b, inputs[0], inputs[1])
+        w, u = cell_params(rng, 3, 4)
+        w[-1] = rng.uniform(-0.5, 0.5, 12)  # the bias row's gradient is w's last row
+        inputs = [rng.standard_normal((1, 3)), rng.standard_normal(4), w, u]
+        out, leaves = run_cell(w, u, inputs[0], inputs[1])
         grads = out.tape.backward(sum_of_squares(out))
-        for pos, name in enumerate(["x", "h", "w", "u", "b"]):
+        for pos, name in enumerate(["x", "h", "w", "u"]):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(inputs)]
-                out, _ = run_cell(args[2], args[3], args[4], args[0], args[1])
+                out, _ = run_cell(args[2], args[3], args[0], args[1])
                 return sum_of_squares(out).data.item()
 
             got = grads.wrt(leaves[pos])
@@ -88,19 +91,18 @@ class TestGruStep:
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            one_step(np.zeros((2, 9)), np.zeros((3, 9)), np.zeros(9), [1.0, 2.0, 3.0],
-                     np.zeros(3))
+            one_step(np.zeros((3, 9)), np.zeros((3, 9)), [1.0, 2.0, 3.0], np.zeros(3))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_output_is_convex_combination(self, seed):
         rng = np.random.default_rng(seed)
-        w, u, b = cell_params(rng, 2, 5)
+        w, u = cell_params(rng, 2, 5)
         x = rng.standard_normal(2) * 2
         h_prev = rng.standard_normal(5) * 2
-        out = one_step(w, u, b, x, h_prev)
+        out = one_step(w, u, x, h_prev)
         # recompute the candidate to get the other endpoint
-        (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(w, u, b)
+        (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(w, u)
         z = 1.0 / (1.0 + np.exp(-(x @ w_z + h_prev @ u_z + b_z)))
         r = 1.0 / (1.0 + np.exp(-(x @ w_r + h_prev @ u_r + b_r)))
         c = np.tanh(x @ w_h + (r * h_prev) @ u_h + b_h)
@@ -112,50 +114,50 @@ class TestGruStep:
 class TestGruUnroll:
     def test_single_step_equals_step_from_zero(self):
         rng = np.random.default_rng(1)
-        w, u, _ = cell_params(rng, 2, 3)
-        b = rng.uniform(-0.5, 0.5, 9)
+        w, u = cell_params(rng, 2, 3)
+        w[-1] = rng.uniform(-0.5, 0.5, 9)
         x = rng.standard_normal((1, 2))
-        out, _ = run_cell(w, u, b, x, np.zeros(3))
-        np.testing.assert_allclose(out.data[0], gru_step(w, u, b, x[0], np.zeros(3)),
+        out, _ = run_cell(w, u, x, np.zeros(3))
+        np.testing.assert_allclose(out.data[0], gru_step(w[:-1], u, w[-1], x[0], np.zeros(3)),
                                    rtol=1e-14)
 
     def test_zero_series_zero_biases_stays_zero(self):
         rng = np.random.default_rng(2)
-        w, u, b = cell_params(rng, 2, 3)
-        out, _ = run_cell(w, u, b, np.zeros((5, 2)), np.zeros(3))
+        w, u = cell_params(rng, 2, 3)
+        out, _ = run_cell(w, u, np.zeros((5, 2)), np.zeros(3))
         np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
 
     def test_three_steps_match_manual_composition(self):
         # one call over three steps == three one-step calls, each started
         # from the state the previous one returned
         rng = np.random.default_rng(3)
-        w, u, b = cell_params(rng, 2, 4)
+        w, u = cell_params(rng, 2, 4)
         series = rng.standard_normal((3, 2))
-        unrolled, _ = run_cell(w, u, b, series, np.zeros(4))
+        unrolled, _ = run_cell(w, u, series, np.zeros(4))
         h = np.zeros(4)
         for t in range(3):
-            h = one_step(w, u, b, series[t], h)
+            h = one_step(w, u, series[t], h)
             np.testing.assert_allclose(unrolled.data[t], h, rtol=1e-12, atol=1e-15)
 
     def test_empty_series_rejected(self):
-        w, u, b = cell_params(np.random.default_rng(4), 2, 3)
+        w, u = cell_params(np.random.default_rng(4), 2, 3)
         with pytest.raises(ad.ShapeError, match="empty series"):
-            run_cell(w, u, b, np.zeros((0, 2)), np.zeros(3))
+            run_cell(w, u, np.zeros((0, 2)), np.zeros(3))
 
 
 def gru_arrays(rng, t_len, cells, k, d, h):
     """x_seq (T, cells*k, d), h0 (cells*k, h) and the stacked cell
-    parameters w, u, b, in ``gru_sequence`` argument order."""
+    parameters w = [W; b] (bias row drawn too) and u, in ``gru_sequence``
+    argument order."""
     return [rng.standard_normal((t_len, cells * k, d)),
             0.5 * rng.standard_normal((cells * k, h)),
-            rng.uniform(-0.7, 0.7, (cells, d, 3 * h)),
-            rng.uniform(-0.7, 0.7, (cells, h, 3 * h)),
-            rng.uniform(-0.7, 0.7, (cells, 3 * h))]
+            rng.uniform(-0.7, 0.7, (cells, d + 1, 3 * h)),
+            rng.uniform(-0.7, 0.7, (cells, h, 3 * h))]
 
 
 def gru_probe_grads(arrays, probe):
     """Output of ``gru_sequence`` and the gradients of sum(out * probe) with
-    respect to all five inputs."""
+    respect to all four inputs."""
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     out = blocks.gru_sequence(*leaves)
@@ -166,7 +168,7 @@ def gru_probe_grads(arrays, probe):
 class TestGruRowContract:
     """gru_sequence runs B cells over M = B*k rows; row b*k + s is cell b's."""
 
-    INPUTS = ["x_seq", "h0", "w", "u", "b"]
+    INPUTS = ["x_seq", "h0", "w", "u"]
 
     def test_gradient_matches_finite_differences(self):
         t_len, cells, k, d, h = 3, 2, 2, 2, 3
@@ -266,12 +268,16 @@ class TestGruRowContract:
         assert out.data.shape == (t_len, cells * k, h)
         assert peak < bound
 
-    # The ids name a gate block of the fused arrays: w_r is w[..., h:2h].
+    # The ids name a gate block of the fused arrays: w_r is w[:-1, h:2h],
+    # b_r is w[-1, h:2h] and u_r is u[..., h:2h].
     # "wide": that block gains one column, so the array is 3h + 1 wide.
     # "one_cell": the array holds one cell, which would broadcast to every
     # cell and get a (B, ...) gradient; this hits every block of the array.
     # The cell count is read from w, so a one-cell w is reported as a
     # mismatch with u (the w_r and w_h cases; w_z has none).
+    # A bias block sits in w's last row: "wide" gives w an extra bias row
+    # (d + 2 rows) and "one_cell" drops it (d rows, the old W-only layout).
+    # The row holds every gate's bias, so b_z, b_r and b_h corrupt alike.
     GATE_BLOCKS = [f"{kind}_{gate}" for kind in "wub" for gate in "zrh"]
 
     @pytest.mark.parametrize("block, corrupt",
@@ -281,14 +287,18 @@ class TestGruRowContract:
         h = 3
         rng = np.random.default_rng(33)
         arrays = gru_arrays(rng, 4, 2, 1, 1, h)
-        pos = self.INPUTS.index(block[0])
+        kind = "w" if block[0] == "b" else block[0]  # the array holding the block
+        pos = self.INPUTS.index(kind)
         arr = arrays[pos]
-        if corrupt == "wide":
+        if block[0] == "b":  # an extra or a missing bias row
+            arrays[pos] = (np.concatenate([arr, arr[:, -1:]], axis=1) if corrupt == "wide"
+                           else arr[:, :-1])
+        elif corrupt == "wide":
             end = ("zrh".index(block[2]) + 1) * h
             arrays[pos] = np.concatenate([arr[..., :end], arr[..., end - 1:]], axis=-1)
         else:
             arrays[pos] = arr[:1]
-        blamed = "u" if block[0] == "w" and corrupt == "one_cell" else block[0]
+        blamed = "u" if block[0] == "w" and corrupt == "one_cell" else kind
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError, match=rf"\b{blamed} shape"):
             blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
@@ -308,11 +318,12 @@ class TestGcn:
 
     def test_gradient_matches_finite_differences(self):
         # the encoder GCN mixes the N hidden states; its gradient back into
-        # the GRU bank, read at the cell biases, must match the masks' own
+        # the GRU bank, read at the cell weights and bias rows, must match
+        # the masks' own
         rng = np.random.default_rng(5)
         stack = random_stack(rng, share=False)
         x = rng.standard_normal((2, 3, 4, 1))
-        assert_model_gradients(stack, x, ["enc_w", "gru_b"], rng)
+        assert_model_gradients(stack, x, ["enc_w", "gru_w"], rng)
 
 
 def random_stack(rng, share, n=3, d=1, h=3, phi="tanh"):
@@ -348,20 +359,19 @@ def assert_model_gradients(stack, x, names, rng):
 
 
 def gated_pool_arrays(rng, n=2, n_in=3, g=4, d=2, h=3):
-    """gate (n, g, n_in) in (0, 1), x_prev (n_in, g, d), w (n, d, h),
-    b (n, 1, h) and prop (n, n_in), in ``gated_pool`` argument order."""
+    """gate (n, g, n_in) in (0, 1), x_prev (n_in, g, d), w = [W; b]
+    (n, d+1, h), bias row drawn too, and prop (n, n_in), in ``gated_pool``
+    argument order."""
     return [rng.uniform(0.05, 0.95, (n, g, n_in)), rng.standard_normal((n_in, g, d)),
-            rng.uniform(-0.8, 0.8, (n, d, h)), rng.uniform(-0.8, 0.8, (n, 1, h)),
-            rng.uniform(0.1, 1.0, (n, n_in))]
+            rng.uniform(-0.8, 0.8, (n, d + 1, h)), rng.uniform(0.1, 1.0, (n, n_in))]
 
 
 def gated_pool_on_tape(arrays, phi, gate_needs=True):
-    """(pooled, gate, w, b) with gate, w and b on a fresh tape."""
-    gate, x_prev, w, b, prop = arrays
+    """(pooled, gate, w) with gate and w on a fresh tape."""
+    gate, x_prev, w, prop = arrays
     tape = ad.Tape()
-    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate),
-              tape.leaf(w), tape.leaf(b)]
-    pooled = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop, phi)
+    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate), tape.leaf(w)]
+    pooled = blocks.gated_pool(leaves[0], x_prev, leaves[1], prop, phi)
     return (pooled, *leaves)
 
 
@@ -370,12 +380,13 @@ class TestGatedPool:
 
     def test_matches_definition(self):
         rng = np.random.default_rng(50)
-        gate, x_prev, w, b, prop = arrays = gated_pool_arrays(rng)
+        gate, x_prev, w, prop = arrays = gated_pool_arrays(rng)
         pooled = gated_pool_on_tape(arrays, "tanh")[0].data
         n, g, n_in = gate.shape
         for i in range(n):
             for t in range(g):
-                want = sum(prop[i, j] * np.tanh(gate[i, t, j] * x_prev[j, t] @ w[i] + b[i, 0])
+                want = sum(prop[i, j] * np.tanh(gate[i, t, j] * x_prev[j, t] @ w[i, :-1]
+                                                + w[i, -1])
                            for j in range(n_in))
                 np.testing.assert_allclose(pooled[i, t], want, rtol=1e-13, atol=1e-15)
 
@@ -383,14 +394,15 @@ class TestGatedPool:
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     def test_gradient_matches_finite_differences(self, phi, gate_needs):
         # at d = 2 the gate scales a vector, so d gate sums over d; a
-        # constant gate (the mask override) takes no gradient at all
+        # constant gate (the mask override) takes no gradient at all; w's
+        # last row is the bias
         rng = np.random.default_rng(51)
         arrays = gated_pool_arrays(rng)
         probe = rng.standard_normal((2, 4, 3))
         pooled, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
         grads = pooled.tape.backward(
             ad.reduce_sum(ad.hadamard(pooled, pooled.tape.constant(probe))))
-        for leaf, pos, name in zip(leaves, (0, 2, 3), ("gate", "w", "b")):
+        for leaf, pos, name in zip(leaves, (0, 2), ("gate", "w")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(arrays)]
                 return float(np.sum(gated_pool_on_tape(args, phi)[0].data * probe))
@@ -433,7 +445,7 @@ class TestGatedPool:
         rng = np.random.default_rng(54)
         stack = random_stack(rng, share, phi=phi)
         x = rng.standard_normal((2, 3, 4, 1))
-        assert_model_gradients(stack, x, ["rl_w", "rl_b", "mmg_w2"], rng)
+        assert_model_gradients(stack, x, ["rl_w", "mmg_w2"], rng)
 
 
 class TestMlp:
@@ -478,14 +490,14 @@ class TestGradientSuite:
     @pytest.mark.parametrize("draw", range(10))
     def test_gru_step_random_draws(self, draw):
         rng = np.random.default_rng(100 + draw)
-        w, u, b = cell_params(rng, 2, 3)
+        w, u = cell_params(rng, 2, 3)
         x0, h0 = rng.standard_normal((1, 2)), rng.standard_normal(3)
 
         def loss(w):
-            out, _ = run_cell(w, u, b, x0, h0)
+            out, _ = run_cell(w, u, x0, h0)
             return sum_of_squares(out).data.item()
 
-        out, leaves = run_cell(w, u, b, x0, h0)
+        out, leaves = run_cell(w, u, x0, h0)
         grads = out.tape.backward(sum_of_squares(out))
         assert rel_err(grads.wrt(leaves[2])[0], central_diff_grad(loss, w)) < 1e-4
 
@@ -497,4 +509,4 @@ class TestGradientSuite:
         stack = random_stack(rng, share=bool(draw % 2), n=2)
         x = rng.standard_normal((2, 2, 4, 1))
         assert_model_gradients(stack, x, ["enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
-                                          "rl_w", "rl_b", "ngcn_w"], rng)
+                                          "rl_w", "ngcn_w"], rng)

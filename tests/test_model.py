@@ -38,7 +38,8 @@ def assert_matches_reference(stack, x, mask_override=None):
 class TestModelConfig:
     @pytest.mark.parametrize("field, value", [
         ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf),
-        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3), ("hidden", 2.5)])
+        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3), ("hidden", 2.5),
+        ("hidden", True), ("share_encoder", "no"), ("share_encoder", 0)])
     def test_invalid_value_rejected_by_name(self, field, value):
         # rejected when the config is made, before any model is built
         with pytest.raises(ValueError, match=field):
@@ -83,7 +84,7 @@ class TestInitStreams:
                 for j in range(n):
                     for gate in range(3):  # W_z, U_z, W_r, U_r, W_h, U_h
                         cols = slice(gate * h, (gate + 1) * h)
-                        np.testing.assert_array_equal(stack.gru_w[i * n + j][:, cols],
+                        np.testing.assert_array_equal(stack.gru_w[i * n + j][:d, cols],
                                                       draw(d, (d, h)))
                         np.testing.assert_array_equal(stack.gru_u[i * n + j][:, cols],
                                                       draw(h, (h, h)))
@@ -94,12 +95,16 @@ class TestInitStreams:
                                ("ngcn_w", draw(h, (h, h))),
                                ("tip_w1", draw(h, (h, h))),
                                ("tip_w2", draw(h, (h, d)))):
-                np.testing.assert_array_equal(getattr(stack, name)[i], want, err_msg=name)
+                np.testing.assert_array_equal(getattr(stack, name)[i][:want.shape[0]], want,
+                                              err_msg=name)
         cells = n if share else n * n
-        assert stack.gru_w.shape == (cells, d, 3 * h) and stack.shared_encoder == share
+        assert stack.gru_w.shape == (cells, d + 1, 3 * h) and stack.shared_encoder == share
+        assert stack.rl_w.shape == (n, d + 1, h)
+        # every bias starts at zero, the [W; b] bias rows of gru_w and rl_w too
         for name, arr in stack.arrays().items():
             if "_b" in name:
                 assert not arr.any(), name
+        assert not stack.gru_w[:, d].any() and not stack.rl_w[:, d].any()
 
 
 class TestEncodeMaskRow:
@@ -327,13 +332,14 @@ class TestForwardFull:
     def test_matches_reference_on_drawn_shapes(self, phi, share, n, s_count, t_len, d,
                                                override, seed):
         # covers the folded [x, 1] @ [w; b] products at d > 1 and the GCN
-        # mix over S > 1 samples; the biases start at zero, so draw them
+        # mix over S > 1 samples; the biases start at zero, so draw them:
+        # each is the last row of its array, gru_w's and rl_w's under W
         models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, phi=phi,
                                 share_encoder=share)
         rng = np.random.default_rng(seed)
-        for name in ("gru_b", "mmg_b1", "mmg_b2", "rl_b", "tip_b1", "tip_b2"):
-            arr = getattr(models, name)
-            arr[...] = rng.uniform(-0.5, 0.5, arr.shape)
+        for name in ("gru_w", "mmg_b1", "mmg_b2", "rl_w", "tip_b1", "tip_b2"):
+            bias = getattr(models, name)[:, -1]
+            bias[...] = rng.uniform(-0.5, 0.5, bias.shape)
         x = rng.standard_normal((s_count, n, t_len, d))
         mask_override = rng.uniform(0.0, 1.0, (n, n)) if override else None
         assert_matches_reference(models, x, mask_override)
@@ -372,13 +378,14 @@ class TestBatchedForward:
         assert lengths[0] == lengths[1]
 
     @pytest.mark.parametrize("share", [False, True])
-    def test_forward_records_at_most_41_nodes(self, share):
-        # the tape bookkeeping per forward is a cost on every chunk
+    def test_forward_records_39_nodes(self, share):
+        # the tape bookkeeping per forward is a cost on every chunk: 13
+        # parameter leaves, 3 constants and 23 ops
         models, _ = tiny_models(n=4, d=2, hidden=3, seed=21, share_encoder=share)
         tape = Tape()
         mdl.batched_forward(models, np.random.default_rng(21).standard_normal((2, 4, 6, 2)),
                             tape)
-        assert len(tape) <= 41
+        assert len(tape) == 39
 
     @pytest.mark.parametrize("share", [False, True])
     def test_rows_report_the_nodes_they_serve(self, share):
@@ -386,19 +393,20 @@ class TestBatchedForward:
         models, _ = tiny_models(n=n, hidden=3, seed=20, share_encoder=share)
         x = np.random.default_rng(17).standard_normal((1, n, 5, 1))
         out = mdl.batched_forward(models, x, Tape())
-        assert out.serves.keys() == out.leaves.keys() == models.arrays().keys()
-        for name, serves in out.serves.items():
-            assert serves.shape == (out.leaves[name].data.shape[0], n), name
+        serves = models.serves()
+        assert serves.keys() == out.leaves.keys() == models.arrays().keys()
+        for name, rows in serves.items():
+            assert rows.shape == (out.leaves[name].data.shape[0], n), name
             # Adam writes the leaves in place, so they must be the stack arrays
             leaf, arr = out.leaves[name].data, getattr(models, name)
             assert leaf.shape == arr.shape and np.shares_memory(leaf, arr), name
-        np.testing.assert_array_equal(out.serves["mmg_w1"], np.eye(n, dtype=bool))
+        np.testing.assert_array_equal(serves["mmg_w1"], np.eye(n, dtype=bool))
         if share:  # one encoder row and its N cells serve every node
-            assert out.serves["enc_w"].all() and out.serves["gru_w"].shape == (n, n)
-            assert out.serves["gru_u"].all()
+            assert serves["enc_w"].all() and serves["gru_w"].shape == (n, n)
+            assert serves["gru_u"].all()
         else:  # node i's GRU rows i*N..i*N+N-1
-            np.testing.assert_array_equal(out.serves["enc_w"], np.eye(n, dtype=bool))
-            np.testing.assert_array_equal(out.serves["gru_b"],
+            np.testing.assert_array_equal(serves["enc_w"], np.eye(n, dtype=bool))
+            np.testing.assert_array_equal(serves["gru_w"],
                                           np.repeat(np.eye(n, dtype=bool), n, axis=0))
 
 

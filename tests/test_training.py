@@ -179,9 +179,13 @@ class TestSparsityLoss:
 
 
 def total_loss(recon, struct, div, sparsity, weights):
+    """``_combine`` of one node's terms; a term whose beta is 0 is None, as
+    ``_loss_vectors`` leaves it."""
     tape = Tape()
     terms = (recon, struct, div, sparsity)
-    vecs = {k: tape.leaf([v]) for k, v in zip(("recon", "struct", "div", "sparsity"), terms)}
+    betas = (1.0, weights.beta1, weights.beta2, weights.beta3)
+    vecs = {k: tape.leaf([v]) if beta > 0 else None
+            for k, v, beta in zip(("recon", "struct", "div", "sparsity"), terms, betas)}
     return tr._combine(vecs, weights).data.item()
 
 
@@ -189,6 +193,20 @@ class TestTotalLoss:
     def test_zero_betas_pure_reconstruction(self):
         w = tr.LossWeights(beta1=0, beta2=0, beta3=0)
         assert total_loss(1.3, 0.7, 0.2, 0.9, w) == 1.3
+
+    @pytest.mark.parametrize("key, beta", [("struct", "beta1"), ("div", "beta2"),
+                                           ("sparsity", "beta3")])
+    def test_zero_beta_term_is_not_computed(self, key, beta):
+        # _combine adds every term it is given: a zero beta must leave its
+        # term out here, and only here
+        models = build_node_models(3, 1, ModelConfig(hidden=3), 0)
+        x = np.random.default_rng(4).standard_normal((1, 3, 6, 1))
+        out = tr.batched_forward(models, x, Tape())
+        consts = tr._group_consts(x, 1.0)
+        on = tr._loss_vectors(out, consts, tr.LossWeights())
+        off = tr._loss_vectors(out, consts, tr.LossWeights(**{beta: 0.0}))
+        assert on[key] is not None and off[key] is None
+        assert all(off[k] is not None for k in off if k != key)
 
     def test_beta3_linearity(self):
         w1 = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
@@ -301,7 +319,8 @@ class TestTrain:
         ("early_stop_tol", np.nan), ("early_stop_tol", -1e-6), ("early_stop_patience", 0),
         ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0),
         ("epochs", 2.5), ("minibatch_size", 2.5), ("early_stop_patience", 2.5),
-        ("seed", 1.5), ("hidden", 2.5)])
+        ("seed", 1.5), ("hidden", 2.5), ("epochs", True), ("seed", False),
+        ("hidden", True), ("share_encoder", "no"), ("share_encoder", 1)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named
