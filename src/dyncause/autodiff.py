@@ -11,9 +11,9 @@ arrays, a vector-Jacobian closure ``backward(g)`` returning one gradient (or
 None) per operand, and one ``Tape.record`` call, the one way onto the tape.
 ``record`` checks that the operands share the tape, raises ``NumericError``
 at the first NaN/Inf in the output instead of letting it propagate, and keeps
-the closure only when some operand needs a gradient. ``reshape`` and
-``transpose`` are the one exception to the finite check: they move no
-values, and their operand was checked when it was made.
+the closure only when some operand needs a gradient. ``reshape`` is the
+one exception to the finite check: it moves no values, and its operand was
+checked when it was made.
 
 ``ACTIVATIONS`` is the one table of the model's nonlinearities, and
 ``activation(x, phi)`` its tape op; fused ops read the same entries.
@@ -46,7 +46,6 @@ __all__ = [
     "clamp",
     "matmul",
     "reshape",
-    "transpose",
     "sum_axis",
     "mean_axis",
     "reduce_sum",
@@ -147,7 +146,7 @@ class Tape:
         return self._link(data, parents, backward_fn)
 
     def _link(self, data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-        # record without the finite check: the path of the views reshape and transpose
+        # record without the finite check: the path of reshape, a view
         for p in parents:
             if p.tape is not self:
                 raise ValueError("all operands must live on the same tape")
@@ -320,12 +319,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     xshape = x.shape
     out = x.data.reshape(tuple(int(s) for s in shape))
     return x.tape._link(out, (x,), lambda g: (g.reshape(xshape),))
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return x.tape._link(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
 def _reduce(x: Tensor, axes, op: str) -> Tensor:

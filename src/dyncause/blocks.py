@@ -1,4 +1,5 @@
-"""Network building blocks: the GRU bank op and the gated pooling op.
+"""Network building blocks: the GRU bank op, the encoder GCN op and the
+gated pooling op.
 
 ``gru_sequence`` is the one GRU: a numpy op that runs B independent cells
 over a whole series in one tape node, with a hand-written backward verified
@@ -19,9 +20,15 @@ input j at transition t, so the (N, N, g, h) activation is written once, by
 one [gate * x, 1] @ [w; b] GEMM per node, and read back once in the
 backward; phi and phi' come from ``autodiff.ACTIVATIONS``.
 
-Each affine map in both ops is one GEMM, the bias entering as an input
-column of ones, and takes its [W; b] array as stored, with no separate bias.
-For d=1 this is faster as well as shorter: on large outputs numpy's matmul at
+``encoder_gcn`` is the encoder's GCN layer over the GRU states, built the
+same way: it mixes ``gru_sequence``'s output straight into the (sample,
+step, node) rows the mask generator reads, takes the weight product and
+phi in one buffer, and writes its input gradient back into the GRU's row
+layout, so neither direction makes a transposed copy.
+
+Each affine map in the GRU and gated pooling ops is one GEMM, the bias
+entering as an input column of ones, and takes its [W; b] array as stored,
+with no separate bias. For d=1 this is faster as well as shorter: on large outputs numpy's matmul at
 inner dimension 1 is several times slower than at 2-4, and a separate bias
 add is a second pass over the output.
 """
@@ -274,3 +281,66 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
         return dgate, dw
 
     return gate.tape.record(pooled, (gate, w), backward, op="gated_pool")
+
+
+# ---------------------------------------------------------------------------
+# encoder GCN
+
+
+def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
+    """The encoder's GCN over the GRU bank's states, in one fused op:
+
+        out[e, (s*T' + t)*N + i] = phi(sum_j prop[i, j] * hs[t, (e*N + j)*S + s] @ w[e])
+
+    hs (T', n_e*N*S, h) is ``gru_sequence``'s output for n_e encoder rows of
+    N cells, each running S samples; w (n_e, h, h') is a tensor and prop
+    (N, N) an array that takes no gradient; phi is a key of
+    ``ACTIVATIONS``. n_e is read from w, N from prop and S from the rows of
+    hs. Returns (n_e, S*T'*N, h'), one row per (sample, step, node) in the
+    order the mask generator reads.
+
+    The mix is one (N, N)@(N, h) product per (step, row, sample), written
+    straight into that (n_e, S, T', N, h) layout, so no transposed copy is
+    made; the weight product is one (S*T'*N, h)@(h, h') GEMM per encoder
+    row, and phi is applied to it in place. An overflowed pre-activation
+    raises ``NumericError`` even where phi would squash it. The backward
+    writes d``hs`` straight into ``gru_sequence``'s row layout.
+    """
+    H, W = hs.data, w.data
+    if W.ndim != 3:
+        raise ShapeError(f"encoder_gcn: w shape {W.shape}, expected (n_e, h, h')")
+    n_e, h, h_out = W.shape
+    if prop.ndim != 2 or prop.shape[0] != prop.shape[1]:
+        raise ShapeError(f"encoder_gcn: prop shape {prop.shape}, expected (N, N)")
+    n = prop.shape[0]
+    cells = n_e * n
+    if H.ndim != 3 or H.shape[2] != h or H.shape[1] < cells or H.shape[1] % cells:
+        raise ShapeError(f"encoder_gcn: hs shape {H.shape}, expected (T', {n_e}*{n}*S, {h})")
+    tt, rows = H.shape[:2]
+    s_count = rows // cells
+    phi_fn, phi_deriv = ACTIVATIONS[phi]
+
+    def by_step(a):  # (T', n_e, S, N, h) view of the hs rows: row (e*N + j)*S + s
+        return a.reshape(tt, n_e, n, s_count, h).transpose(0, 1, 3, 2, 4)
+
+    Z = np.empty((n_e, s_count, tt, n, h))
+    np.matmul(prop, by_step(H), out=Z.transpose(2, 0, 1, 3, 4))
+    Z_rows = Z.reshape(n_e, s_count * tt * n, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        A = np.matmul(Z_rows, W)
+    _check_finite(A, "encoder_gcn")
+    phi_fn(A, A)
+    need_hs, need_w = hs.needs, w.needs  # bools: the closure must not keep the tape alive
+
+    def backward(g):
+        D = phi_deriv(A)  # a new array: Tape.backward may share g with another node
+        D *= g
+        dw = np.matmul(Z_rows.transpose(0, 2, 1), D) if need_w else None
+        dhs = None
+        if need_hs:
+            dZ = np.matmul(D, W.transpose(0, 2, 1)).reshape(n_e, s_count, tt, n, h)
+            dhs = np.empty((tt, rows, h))
+            np.matmul(prop.T, dZ.transpose(2, 0, 1, 3, 4), out=by_step(dhs))
+        return dhs, dw
+
+    return hs.tape.record(A, (hs, w), backward, op="encoder_gcn")

@@ -11,10 +11,12 @@ take no gradient, so they pass no tape; the arrays then enter a private
 tape as constants, which keeps no backward closure and no GRU gate history.
 Shared and per-node encoders take the same path: the encoder rows (one
 shared row, or one per node) run as one ``gru_sequence`` call whose rows are
-cell-major (row b*S + s runs bank cell b on sample s), and the per-node MMG
-weights broadcast over a shared encoder's single output. The decoder's first
-layer and its NGCN pooling are one ``gated_pool`` call: its rows are
-(i, j, t), node i's gated view of input j at transition t, pooled over j.
+cell-major (row b*S + s runs bank cell b on sample s), its states feed one
+``encoder_gcn`` call, which writes the GCN's rows in the (sample, step,
+node) order the MMG reads, and the per-node MMG weights broadcast over a
+shared encoder's single output. The decoder's first layer and its NGCN
+pooling are one ``gated_pool`` call: its rows are (i, j, t), node i's gated
+view of input j at transition t, pooled over j.
 Both GCNs run over the complete graph, A all ones, so the propagation
 D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``ParamStack.serves``
 reports which nodes each parameter row serves, so training needs no
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .blocks import gated_pool, gru_sequence, uniform_init
+from .blocks import encoder_gcn, gated_pool, gru_sequence, uniform_init
 from .simulate import require_finite
 
 GATE_LO = 1e-7  # gates leave the model inside [GATE_LO, GATE_HI]
@@ -100,6 +102,16 @@ class ParamStack:
     tip_w2: np.ndarray  # (N, h, d)
     tip_b2: np.ndarray  # (N, 1, d)
     config: ModelConfig
+
+    def __post_init__(self):
+        # the tape wraps each array as a leaf without a copy, and Adam writes
+        # the leaf in place; any other array would be converted, so its
+        # updates would reach a copy and the stack would never train
+        for name in _ARRAYS:
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+                kind = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise ValueError(f"{name} must be a float64 ndarray, got {kind}")
 
     @property
     def num_nodes(self) -> int:
@@ -232,10 +244,12 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     gives node i's input j the gate [i, j]; a non-finite entry raises
     ``ValueError`` naming its index, while 0 (a knocked-out edge) is legal.
 
-    The encoder GCN mixes the GRU states in ``gru_sequence``'s own layout,
-    (T-1, n_e, N, S*h) for n_e encoder rows, one (N, N)@(N, S*h) product per
-    step and row, before the states are transposed to the (n_e, g, N, h)
-    rows the MMG reads.
+    The GRU states go straight into ``encoder_gcn``, which mixes them into
+    the (n_e, g*N, h) rows the MMG reads, one per (sample, step, node) for
+    each of the n_e encoder rows, and applies ``enc_w`` and phi in that
+    buffer. Nothing else holds the states, so a forward without a gradient
+    frees them before the MMG runs, and keeps neither the mix nor a
+    transposed copy of it.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape
@@ -268,17 +282,10 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     series = np.broadcast_to(series[:, None], (tt, n_e, n, s_count, d))
     x_seq = series.reshape(tt, n_e * n * s_count, d)
     h0 = tape.constant(np.zeros((n_e * n * s_count, h)))
-    hs = gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"])
-
     inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
-    # mix in the GRU's own layout: one product per (step, encoder row)
-    mixed = ad.matmul(tape.constant(prop), ad.reshape(hs, (tt * n_e, n, s_count * h)))
-    mixed = ad.reshape(mixed, (tt, n_e, n, s_count, h))
-    # to (n_e, g, N, h), flattened over (g, N) so the per-encoder weight
-    # product is one wide dgemm each
-    mixed = ad.reshape(ad.transpose(mixed, (1, 3, 0, 2, 4)), (n_e, g * n, h))
-    z = ad.activation(ad.matmul(mixed, leaves["enc_w"]), phi)
+    z = encoder_gcn(gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
+                    leaves["enc_w"], prop, phi)  # (n_e, g*N, h), rows (s, t, i)
     z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
     a1 = ad.activation(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]), phi)
     mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])

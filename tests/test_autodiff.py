@@ -240,30 +240,13 @@ class TestConcatReshape:
         np.testing.assert_array_equal(grads.wrt(x), [[1.0, 10.0], [100.0, 1000.0]])
 
     def test_views_skip_the_finite_check(self, monkeypatch):
-        # reshape and transpose move no values, and their operand was
-        # checked when it was made
+        # reshape moves no values, and its operand was checked when it was made
         tape = ad.Tape()
         x = tape.leaf(np.ones((2, 3)))
         checked = []
         monkeypatch.setattr(ad, "_check_finite", lambda data, op: checked.append(op))
-        ad.activation(ad.transpose(ad.reshape(x, (3, 2)), (1, 0)), "tanh")
+        ad.activation(ad.reshape(x, (3, 2)), "tanh")
         assert checked == ["tanh"]
-
-    def test_transpose_gradient(self):
-        rng = np.random.default_rng(21)
-        x0 = rng.standard_normal((2, 3, 4))
-
-        def root(x):
-            y = ad.transpose(x, (2, 0, 1))
-            return ad.reduce_sum(ad.hadamard(y, y))
-
-        def loss(x):
-            return root(ad.Tape().leaf(x)).data.item()
-
-        tape = ad.Tape()
-        tx = tape.leaf(x0)
-        grads = tape.backward(root(tx))
-        assert rel_err(grads.wrt(tx), central_diff_grad(loss, x0)) < 1e-6
 
 
 class TestBackward:
@@ -337,9 +320,10 @@ class TestBackward:
 
 
 # every op of autodiff and blocks: (shapes of its tensor operands, the op
-# applied to tensors of those shapes). gated_pool's x_prev and prop are
-# arrays, not tensors, so they are fixed here.
+# applied to tensors of those shapes). gated_pool's x_prev and prop, and
+# encoder_gcn's prop, are arrays, not tensors, so they are fixed here.
 _POOL_X, _POOL_PROP = np.linspace(-1.0, 1.0, 24).reshape(3, 4, 2), np.full((2, 3), 0.5)
+_GCN_PROP = np.full((2, 2), 0.5)
 OPS = {
     "add": ([(2, 3), (1, 3)], ad.add),
     "sub": ([(2, 3), (2, 1)], ad.sub),
@@ -353,13 +337,14 @@ OPS = {
     "clamp": ([(2, 3)], lambda x: ad.clamp(x, 0.2, 0.8)),
     "matmul": ([(2, 2, 3), (3, 4)], ad.matmul),
     "reshape": ([(2, 3)], lambda x: ad.reshape(x, (3, 2))),
-    "transpose": ([(2, 3)], lambda x: ad.transpose(x, (1, 0))),
     "sum_axis": ([(2, 3)], lambda x: ad.sum_axis(x, (1,))),
     "mean_axis": ([(2, 3)], lambda x: ad.mean_axis(x, (0, 1))),
     "reduce_sum": ([(2, 3)], ad.reduce_sum),
     "gru_sequence": ([(2, 4, 1), (4, 3), (2, 2, 9), (2, 3, 9)], blocks.gru_sequence),
     "gated_pool": ([(2, 4, 3), (2, 3, 3)],
                    lambda gate, w: blocks.gated_pool(gate, _POOL_X, w, _POOL_PROP, "tanh")),
+    "encoder_gcn": ([(2, 8, 3), (2, 3, 3)],
+                    lambda hs, w: blocks.encoder_gcn(hs, w, _GCN_PROP, "tanh")),
 }
 
 
@@ -373,7 +358,7 @@ class TestRecord:
 
     def test_every_op_is_listed(self):
         ops = {name for name in ad.__all__ if name.islower() and name != "ACTIVATIONS"}
-        assert set(OPS) == ops | {"gru_sequence", "gated_pool"}
+        assert set(OPS) == ops | {"gru_sequence", "gated_pool", "encoder_gcn"}
 
     @pytest.mark.parametrize("name", [name for name, (shapes, _) in OPS.items()
                                       if len(shapes) > 1])

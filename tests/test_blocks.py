@@ -268,29 +268,28 @@ class TestGruRowContract:
         assert out.data.shape == (t_len, cells * k, h)
         assert peak < bound
 
-    # The ids name a gate block of the fused arrays: w_r is w[:-1, h:2h],
-    # b_r is w[-1, h:2h] and u_r is u[..., h:2h].
-    # "wide": that block gains one column, so the array is 3h + 1 wide.
+    # The ids name a block of the fused arrays: w_r is w[:-1, h:2h], u_r is
+    # u[..., h:2h] and b is w's last row, the bias of every gate.
+    # "wide": a gate block gains one column, so the array is 3h + 1 wide;
+    # b gains a second bias row (d + 2 rows).
     # "one_cell": the array holds one cell, which would broadcast to every
     # cell and get a (B, ...) gradient; this hits every block of the array.
     # The cell count is read from w, so a one-cell w is reported as a
-    # mismatch with u (the w_r and w_h cases; w_z has none).
-    # A bias block sits in w's last row: "wide" gives w an extra bias row
-    # (d + 2 rows) and "one_cell" drops it (d rows, the old W-only layout).
-    # The row holds every gate's bias, so b_z, b_r and b_h corrupt alike.
-    GATE_BLOCKS = [f"{kind}_{gate}" for kind in "wub" for gate in "zrh"]
+    # mismatch with u (the w_r and w_h cases; w_z has none). For b it
+    # drops the bias row (d rows, the old W-only layout).
+    BLOCKS = [f"{kind}_{gate}" for kind in "wu" for gate in "zrh"] + ["b"]
 
     @pytest.mark.parametrize("block, corrupt",
-                             [(b, "wide") for b in GATE_BLOCKS]
-                             + [(b, "one_cell") for b in GATE_BLOCKS[1:]])
+                             [(b, "wide") for b in BLOCKS]
+                             + [(b, "one_cell") for b in BLOCKS[1:]])
     def test_every_parameter_shape_checked(self, block, corrupt):
         h = 3
         rng = np.random.default_rng(33)
         arrays = gru_arrays(rng, 4, 2, 1, 1, h)
-        kind = "w" if block[0] == "b" else block[0]  # the array holding the block
+        kind = "w" if block == "b" else block[0]  # the array holding the block
         pos = self.INPUTS.index(kind)
         arr = arrays[pos]
-        if block[0] == "b":  # an extra or a missing bias row
+        if block == "b":  # an extra or a missing bias row
             arrays[pos] = (np.concatenate([arr, arr[:, -1:]], axis=1) if corrupt == "wide"
                            else arr[:, :-1])
         elif corrupt == "wide":
@@ -311,6 +310,129 @@ class TestGruRowContract:
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError, match="multiple"):
             blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
+
+
+def encoder_gcn_arrays(rng, n_e, s_count, n=3, tt=2, h=2, h_out=3):
+    """hs (T', n_e*N*S, h), w (n_e, h, h') and prop (N, N), in ``encoder_gcn``
+    argument order. prop is not symmetric, unlike the model's, so a
+    backward that mixes by prop where it needs prop^T fails."""
+    return [rng.standard_normal((tt, n_e * n * s_count, h)),
+            rng.uniform(-0.8, 0.8, (n_e, h, h_out)), rng.uniform(0.1, 1.0, (n, n))]
+
+
+def encoder_gcn_on_tape(arrays, phi, hs_needs=True):
+    """(out, hs, w) with hs and w on a fresh tape."""
+    hs, w, prop = arrays
+    tape = ad.Tape()
+    leaves = [tape.leaf(hs) if hs_needs else tape.constant(hs), tape.leaf(w)]
+    return (blocks.encoder_gcn(leaves[0], leaves[1], prop, phi), *leaves)
+
+
+def unfused_encoder_gcn(hs, w, prop, phi, g):
+    """The encoder GCN as separate steps: the mix in ``gru_sequence``'s
+    layout, one (N, N)@(N, S*h) product per step and encoder row, a
+    transposed copy into the (n_e, S*T'*N, h) rows, the weight product and
+    phi; returns the output and the (d hs, d w) of upstream ``g``."""
+    tt, rows, h = hs.shape
+    n_e, n = w.shape[0], prop.shape[0]
+    s_count = rows // (n_e * n)
+    mixed = np.matmul(prop, hs.reshape(tt * n_e, n, s_count * h))
+    mixed = mixed.reshape(tt, n_e, n, s_count, h).transpose(1, 3, 0, 2, 4)
+    mixed = mixed.reshape(n_e, s_count * tt * n, h)
+    phi_fn, phi_deriv = ad.ACTIVATIONS[phi]
+    pre = np.matmul(mixed, w)
+    out = phi_fn(pre, np.empty_like(pre))
+    d_pre = g * phi_deriv(out)
+    dw = np.matmul(np.swapaxes(mixed, -1, -2), d_pre)
+    d_mixed = np.matmul(d_pre, np.swapaxes(w, -1, -2))
+    d_mixed = d_mixed.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 3, 1, 4)
+    dhs = np.matmul(prop.T, d_mixed.reshape(tt * n_e, n, s_count * h))
+    return out, dhs.reshape(tt, rows, h), dw
+
+
+class TestEncoderGcn:
+    """The encoder's GCN over the GRU states, one fused op."""
+
+    @pytest.mark.parametrize("n_e", [1, 3])
+    @pytest.mark.parametrize("s_count", [1, 3])
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_gradient_matches_finite_differences(self, phi, s_count, n_e):
+        # n_e = 1 is a shared encoder, n_e = N one encoder row per node
+        rng = np.random.default_rng(60)
+        arrays = encoder_gcn_arrays(rng, n_e, s_count)
+        out, *leaves = encoder_gcn_on_tape(arrays, phi)
+        probe = rng.standard_normal(out.shape)
+        grads = out.tape.backward(ad.reduce_sum(ad.hadamard(out, out.tape.constant(probe))))
+        for leaf, pos, name in zip(leaves, (0, 1), ("hs", "w")):
+            def loss(v, pos=pos):
+                args = [v if k == pos else a for k, a in enumerate(arrays)]
+                return float(np.sum(encoder_gcn_on_tape(args, phi)[0].data * probe))
+
+            assert rel_err(grads.wrt(leaf), central_diff_grad(loss, arrays[pos])) < 1e-7, name
+
+    @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_bit_equal_to_the_unfused_steps(self, phi, n_e, s_count):
+        # the fused op changes where values are written, not how they are
+        # summed: output and gradients match the separate steps bit for bit
+        rng = np.random.default_rng(61)
+        arrays = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=3)
+        out, *leaves = encoder_gcn_on_tape(arrays, phi)
+        probe = rng.standard_normal(out.shape)
+        grads = out.tape.backward(ad.reduce_sum(ad.hadamard(out, out.tape.constant(probe))))
+        want, dhs, dw = unfused_encoder_gcn(*arrays, phi, probe)
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
+        np.testing.assert_array_equal(grads.wrt(leaves[1]), dw)
+
+    def test_constant_states_get_no_gradient(self):
+        # the states of a frozen GRU bank: only w trains
+        rng = np.random.default_rng(62)
+        arrays = encoder_gcn_arrays(rng, 3, 2)
+        out, hs, w = encoder_gcn_on_tape(arrays, "tanh", hs_needs=False)
+        grads = out.tape.backward(ad.reduce_sum(out))
+        np.testing.assert_array_equal(grads.wrt(hs), np.zeros_like(arrays[0]))
+        assert np.any(grads.wrt(w))
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("hs", lambda hs, w, prop: (hs[..., :1], w, prop)),  # h differs from w's
+        ("hs", lambda hs, w, prop: (hs[:, :-1], w, prop)),  # rows not n_e*N*S
+        ("hs", lambda hs, w, prop: (hs[0], w, prop)),
+        ("w", lambda hs, w, prop: (hs, w[0], prop)),
+        ("prop", lambda hs, w, prop: (hs, w, prop[:, :2])),
+    ])
+    def test_bad_shape_named(self, name, corrupt):
+        rng = np.random.default_rng(63)
+        arrays = corrupt(*encoder_gcn_arrays(rng, 3, 2))
+        with pytest.raises(ad.ShapeError, match=rf"encoder_gcn: {name} shape"):
+            encoder_gcn_on_tape(list(arrays), "tanh")
+
+    def test_overflowed_pre_activation_raises(self):
+        # tanh(inf) = 1 would hide the overflow; the pre-activation is checked
+        rng = np.random.default_rng(64)
+        arrays = encoder_gcn_arrays(rng, 3, 2)
+        arrays[0] = np.full_like(arrays[0], 10.0)
+        arrays[1] = np.full_like(arrays[1], 1e308)
+        with pytest.raises(ad.NumericError, match="encoder_gcn"):
+            encoder_gcn_on_tape(arrays, "tanh")
+
+    def test_tape_freed_without_cycle_collection(self):
+        # as for gru_sequence: the backward closure holds arrays and flags,
+        # never a tensor, which would keep its tape and buffers alive
+        def run():
+            out, *_ = encoder_gcn_on_tape(
+                encoder_gcn_arrays(np.random.default_rng(65), 3, 2), "tanh")
+            tape = out.tape
+            cells = tape._backward[out.idx].__closure__
+            assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
+            tape.backward(ad.reduce_sum(out))
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            gc.enable()
 
 
 class TestGcn:

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +46,18 @@ class TestModelConfig:
         # rejected when the config is made, before any model is built
         with pytest.raises(ValueError, match=field):
             mdl.ModelConfig(**{"hidden": 4, field: value})
+
+
+class TestParamStack:
+    @pytest.mark.parametrize("bad", [
+        lambda a: a.astype(np.float32), lambda a: a.astype(np.int64), lambda a: a.tolist()],
+        ids=["float32", "int64", "list"])
+    def test_non_float64_array_rejected_by_name(self, bad):
+        # the tape would wrap a converted copy, so Adam's in-place updates
+        # would never reach the stack: the array would silently not train
+        stack, _ = tiny_models()
+        with pytest.raises(ValueError, match="rl_w must be a float64 ndarray"):
+            replace(stack, rl_w=bad(stack.rl_w))
 
 
 class TestRowLayout:
@@ -378,14 +392,14 @@ class TestBatchedForward:
         assert lengths[0] == lengths[1]
 
     @pytest.mark.parametrize("share", [False, True])
-    def test_forward_records_39_nodes(self, share):
+    def test_forward_records_32_nodes(self, share):
         # the tape bookkeeping per forward is a cost on every chunk: 13
-        # parameter leaves, 3 constants and 23 ops
+        # parameter leaves, 2 constants and 17 ops
         models, _ = tiny_models(n=4, d=2, hidden=3, seed=21, share_encoder=share)
         tape = Tape()
         mdl.batched_forward(models, np.random.default_rng(21).standard_normal((2, 4, 6, 2)),
                             tape)
-        assert len(tape) == 39
+        assert len(tape) == 32
 
     @pytest.mark.parametrize("share", [False, True])
     def test_rows_report_the_nodes_they_serve(self, share):
@@ -439,6 +453,28 @@ class TestInference:
         assert all(fn is None for fn in out.tape._backward)
         # the same ops as a training forward, only without their closures
         assert len(out.tape) == len(mdl.batched_forward(models, x, Tape()).tape)
+
+    def test_forward_full_memory_bound(self):
+        # switch8-windows' shape: S=50 windows of T=40 steps, N=8, h=15, one
+        # encoder row per node. One state-sized buffer, (T-1, N*N*S, h),
+        # takes 15.0 MB. The call may hold the GRU states (T steps), the GCN
+        # mix and its activated weight product (T-1 each), and half a buffer
+        # for the rest: the GRU's input copy and step buffers. A transposed
+        # copy of the mix, or a pre-activation kept beside its activation,
+        # is one buffer more than that
+        s_count, n, t_len, h = 50, 8, 40, 15
+        step = n * n * s_count * h * 8
+        bound = (t_len + 2 * (t_len - 1) + (t_len - 1) // 2) * step
+        models, _ = tiny_models(n=n, hidden=h, seed=26)
+        x = np.random.default_rng(21).standard_normal((s_count, n, t_len, 1))
+        tracemalloc.start()
+        try:
+            masks, _ = mdl.forward_full(models, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks.values.shape == (s_count, t_len - 1, n, n)
+        assert peak < bound
 
     def test_non_finite_input_named(self):
         models, _ = tiny_models(n=3, seed=24)
