@@ -4,7 +4,10 @@ The engine is deliberately small: a ``Tape`` records every operation in
 topological order, each node knowing how to push an upstream gradient back to
 its parents. Binary elementwise ops support numpy broadcasting (gradients are
 summed back to the operand shape), and ``matmul`` supports stacked (batched)
-operands, which is what makes whole-series training affordable.
+operands, which is what makes whole-series training affordable. ``affine``
+is ``matmul`` plus a bias stored as the last row of the weight array, [W; b],
+the one layout of every biased layer in the model; the two ops share their
+shape checks and their matrix-product gradients.
 
 Every op, here and the fused ops in ``blocks``, is a forward on the operands'
 arrays, a vector-Jacobian closure ``backward(g)`` returning one gradient (or
@@ -45,6 +48,7 @@ __all__ = [
     "log",
     "clamp",
     "matmul",
+    "affine",
     "reshape",
     "sum_axis",
     "mean_axis",
@@ -296,23 +300,53 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return x.tape.record(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,), op="clamp")
 
 
+def _check_product(op: str, ash: tuple, wbsh: tuple, bias_rows: int) -> None:
+    """``ShapeError`` unless ``ash`` @ W is a stacked matrix product, W being
+    the ``wbsh`` operand without its last ``bias_rows`` rows."""
+    if len(ash) < 2 or len(wbsh) < 2:
+        raise ShapeError(f"{op} operands must have rank >= 2")
+    if ash[-1] + bias_rows != wbsh[-2]:
+        raise ShapeError(f"{op}: inner dims disagree ({ash} @ {wbsh})")
+    if not _broadcastable(ash[:-2], wbsh[:-2]):
+        raise ShapeError(f"{op}: batch dims do not broadcast ({ash} @ {wbsh})")
+
+
+def _matmul_vjp(g, ad, bd, na: bool, nb: bool) -> tuple:
+    """d``ad`` and d``bd`` of ``ad @ bd`` (None where not needed), each
+    summed back over the batch axes it was broadcast along."""
+    return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if na else None,
+            _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if nb else None)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; stacked leading axes broadcast like ``np.matmul``."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims disagree ({a.shape} @ {b.shape})")
-    if not _broadcastable(a.shape[:-2], b.shape[:-2]):
-        raise ShapeError(f"matmul: batch dims do not broadcast ({a.shape} @ {b.shape})")
+    _check_product("matmul", a.shape, b.shape, 0)
     ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
     na, nb = a.needs, b.needs
+    return a.tape.record(np.matmul(ad, bd), (a, b),
+                         lambda g: _matmul_vjp(g, ad, bd, na, nb), op="matmul")
+
+
+def affine(x: Tensor, wb: Tensor) -> Tensor:
+    """``x @ W + b`` for the one array ``wb`` = [W; b], its bias the last
+    row: (..., K) @ (..., K+1, h); stacked axes broadcast as in ``matmul``.
+
+    The bias is added to the product in place, so the sum rounds exactly as
+    ``add(matmul(x, W), b)`` does; a ones column, ``[x, 1] @ [W; b]``, would
+    copy ``x`` and change the summation order.
+    """
+    _check_product("affine", x.shape, wb.shape, 1)
+    xd, wbd = x.data, wb.data
+    w, b = wbd[..., :-1, :], wbd[..., -1:, :]
+    nx, nw = x.needs, wb.needs
+    out = np.matmul(xd, w)
+    out += b
 
     def backward(g):
-        return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash) if na else None,
-                _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh) if nb else None)
+        dx, dw = _matmul_vjp(g, xd, w, nx, nw)
+        return dx, (np.concatenate((dw, _unbroadcast(g, b.shape)), axis=-2) if nw else None)
 
-    return a.tape.record(np.matmul(ad, bd), (a, b), backward, op="matmul")
+    return x.tape.record(out, (x, wb), backward, op="affine")
 
 
 def reshape(x: Tensor, shape) -> Tensor:

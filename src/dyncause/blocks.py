@@ -326,10 +326,8 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     Z = np.empty((n_e, s_count, tt, n, h))
     np.matmul(prop, by_step(H), out=Z.transpose(2, 0, 1, 3, 4))
     Z_rows = Z.reshape(n_e, s_count * tt * n, h)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
         A = np.matmul(Z_rows, W)
-    _check_finite(A, "encoder_gcn")
-    phi_fn(A, A)
     need_hs, need_w = hs.needs, w.needs  # bools: the closure must not keep the tape alive
 
     def backward(g):
@@ -343,4 +341,10 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
             np.matmul(prop.T, dZ.transpose(2, 0, 1, 3, 4), out=by_step(dhs))
         return dhs, dw
 
-    return hs.tape.record(A, (hs, w), backward, op="encoder_gcn")
+    # record scans A before phi, where an overflow still shows (tanh would
+    # squash it), and wraps it without a copy; phi then runs in place on the
+    # recorded buffer, so the output is scanned once. phi of a finite A is
+    # finite for every activation
+    out = hs.tape.record(A, (hs, w), backward, op="encoder_gcn")
+    phi_fn(A, A)
+    return out

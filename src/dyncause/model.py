@@ -16,7 +16,9 @@ cell-major (row b*S + s runs bank cell b on sample s), its states feed one
 node) order the MMG reads, and the per-node MMG weights broadcast over a
 shared encoder's single output. The decoder's first layer and its NGCN
 pooling are one ``gated_pool`` call: its rows are (i, j, t), node i's gated
-view of input j at transition t, pooled over j.
+view of input j at transition t, pooled over j. Every biased layer reads
+one [W; b] array, bias last: the fused kernels whole, and the MMG and the
+output MLP through ``ad.affine``.
 Both GCNs run over the complete graph, A all ones, so the propagation
 D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``ParamStack.serves``
 reports which nodes each parameter row serves, so training needs no
@@ -67,8 +69,8 @@ class ModelConfig:
             raise ValueError(f"phi must be one of {sorted(ad.ACTIVATIONS)}, got {self.phi!r}")
 
 
-_ARRAYS = ("gru_w", "gru_u", "enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
-           "rl_w", "ngcn_w", "tip_w1", "tip_b1", "tip_w2", "tip_b2")
+_ARRAYS = ("gru_w", "gru_u", "enc_w", "mmg_w1", "mmg_w2", "rl_w", "ngcn_w",
+           "tip_w1", "tip_w2")
 
 
 @dataclass
@@ -77,11 +79,14 @@ class ParamStack:
 
     The encoder has E rows: E = N, one per node, or E = 1 when every node
     shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
-    where row e*N + j is its cell for input node j. Each fused kernel's
-    affine map is the one [W; b] array it reads, bias last: a GRU row's
-    ``gru_w[r]`` = [W_z|W_r|W_h; b_z|b_r|b_h] (d+1, 3h), gates side by side
-    as in ``gru_u[r]`` = U_z|U_r|U_h (h, 3h), and node i's ``rl_w[i]``
-    (d+1, h). ``config`` is the architecture the stack was built for: the
+    where row e*N + j is its cell for input node j. Every biased affine map
+    is one [W; b] array, its bias the last row, read whole by a fused kernel
+    or by ``ad.affine``: a GRU row's ``gru_w[r]`` = [W_z|W_r|W_h;
+    b_z|b_r|b_h] (d+1, 3h), gates side by side as in ``gru_u[r]`` =
+    U_z|U_r|U_h (h, 3h); node i's ``rl_w[i]`` (d+1, h); and its MMG layers
+    ``mmg_w1[i]`` and ``mmg_w2[i]`` and output MLP layers ``tip_w1[i]`` and
+    ``tip_w2[i]``. Only ``enc_w``, ``gru_u`` and ``ngcn_w`` carry no bias.
+    ``config`` is the architecture the stack was built for: the
     encoder GCN and the decoder NGCN both propagate by (A + lam I) / (N + lam),
     A all ones, lam = ``config.self_loop``, and ``config.phi`` is every
     hidden activation. The sigmoid gates read out without a gradient lie in
@@ -91,16 +96,12 @@ class ParamStack:
     gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
     gru_u: np.ndarray  # (E*N, h, 3h)
     enc_w: np.ndarray  # (E, h, h)
-    mmg_w1: np.ndarray  # (N, N*h, h)
-    mmg_b1: np.ndarray  # (N, 1, h)
-    mmg_w2: np.ndarray  # (N, h, N)
-    mmg_b2: np.ndarray  # (N, 1, N)
+    mmg_w1: np.ndarray  # (N, N*h+1, h), bias last
+    mmg_w2: np.ndarray  # (N, h+1, N), bias last
     rl_w: np.ndarray  # (N, d+1, h), bias last
-    ngcn_w: np.ndarray  # (N, h, h)
-    tip_w1: np.ndarray  # (N, h, h)
-    tip_b1: np.ndarray  # (N, 1, h)
-    tip_w2: np.ndarray  # (N, h, d)
-    tip_b2: np.ndarray  # (N, 1, d)
+    ngcn_w: np.ndarray  # (N, h, h), no bias
+    tip_w1: np.ndarray  # (N, h+1, h), bias last
+    tip_w2: np.ndarray  # (N, h+1, d), bias last
     config: ModelConfig
 
     def __post_init__(self):
@@ -143,21 +144,23 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
 
     Node i draws its N GRU cells, for j = 0..N-1 the gate blocks W_z, U_z,
     W_r, U_r, W_h and U_h of cell j in that order, then enc_w, mmg_w1,
-    mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2 (W only); every bias starts at
-    zero. With a
-    shared encoder only node 0 draws the GRU bank and enc_w.
+    mmg_w2, rl_w, ngcn_w, tip_w1 and tip_w2. Only the W rows are drawn: the
+    bias row of every [W; b] array starts at zero. With a shared encoder
+    only node 0 draws the GRU bank and enc_w. ``n``, ``d`` and ``base_seed``
+    must be integers, n and d at least 1 and base_seed at least 0.
     """
+    check_count("n", n, 1)
+    check_count("d", d, 1)
+    check_count("base_seed", base_seed, 0)
     h = config.hidden
     enc_count = 1 if config.share_encoder else n
     cells = enc_count * n
     stack = ParamStack(
         gru_w=np.zeros((cells, d + 1, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
         enc_w=np.zeros((enc_count, h, h)),
-        mmg_w1=np.zeros((n, n * h, h)), mmg_b1=np.zeros((n, 1, h)),
-        mmg_w2=np.zeros((n, h, n)), mmg_b2=np.zeros((n, 1, n)),
+        mmg_w1=np.zeros((n, n * h + 1, h)), mmg_w2=np.zeros((n, h + 1, n)),
         rl_w=np.zeros((n, d + 1, h)), ngcn_w=np.zeros((n, h, h)),
-        tip_w1=np.zeros((n, h, h)), tip_b1=np.zeros((n, 1, h)),
-        tip_w2=np.zeros((n, h, d)), tip_b2=np.zeros((n, 1, d)), config=config)
+        tip_w1=np.zeros((n, h + 1, h)), tip_w2=np.zeros((n, h + 1, d)), config=config)
     for i in range(n):
         rng = np.random.default_rng(base_seed ^ i)
         if i < enc_count:
@@ -167,12 +170,12 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
                     stack.gru_w[i * n + j][:d, cols] = uniform_init(rng, d, (d, h))
                     stack.gru_u[i * n + j][:, cols] = uniform_init(rng, h, (h, h))
             stack.enc_w[i] = uniform_init(rng, h, (h, h))
-        stack.mmg_w1[i] = uniform_init(rng, n * h, (n * h, h))
-        stack.mmg_w2[i] = uniform_init(rng, h, (h, n))
-        stack.rl_w[i][:d] = uniform_init(rng, d, (d, h))
+        stack.mmg_w1[i][:-1] = uniform_init(rng, n * h, (n * h, h))
+        stack.mmg_w2[i][:-1] = uniform_init(rng, h, (h, n))
+        stack.rl_w[i][:-1] = uniform_init(rng, d, (d, h))
         stack.ngcn_w[i] = uniform_init(rng, h, (h, h))
-        stack.tip_w1[i] = uniform_init(rng, h, (h, h))
-        stack.tip_w2[i] = uniform_init(rng, h, (h, d))
+        stack.tip_w1[i][:-1] = uniform_init(rng, h, (h, h))
+        stack.tip_w2[i][:-1] = uniform_init(rng, h, (h, d))
     return stack
 
 
@@ -287,9 +290,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     z = encoder_gcn(gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
                     leaves["enc_w"], prop, phi)  # (n_e, g*N, h), rows (s, t, i)
     z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
-    a1 = ad.activation(ad.add(ad.matmul(z_flat, leaves["mmg_w1"]), leaves["mmg_b1"]), phi)
-    mask_pre = ad.add(ad.matmul(a1, leaves["mmg_w2"]), leaves["mmg_b2"])
-    masks = ad.activation(mask_pre, "sigmoid")  # (N, g, N)
+    a1 = ad.activation(ad.affine(z_flat, leaves["mmg_w1"]), phi)
+    masks = ad.activation(ad.affine(a1, leaves["mmg_w2"]), "sigmoid")  # (N, g, N)
 
     # ---- decoder on gated snapshots: x_prev[j] holds input j's steps 0..T-2
     x_prev = node_rows(x[:, :, :tt])
@@ -300,8 +302,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
     pooled = gated_pool(gate, x_prev, leaves["rl_w"], prop, phi)  # (N, g, h)
     z_dec = ad.activation(ad.matmul(pooled, leaves["ngcn_w"]), phi)
-    t1 = ad.activation(ad.add(ad.matmul(z_dec, leaves["tip_w1"]), leaves["tip_b1"]), phi)
-    x_hat = ad.add(ad.matmul(t1, leaves["tip_w2"]), leaves["tip_b2"])  # (N, g, d)
+    t1 = ad.activation(ad.affine(z_dec, leaves["tip_w1"]), phi)
+    x_hat = ad.affine(t1, leaves["tip_w2"])  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape)
 

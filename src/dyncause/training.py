@@ -387,10 +387,16 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
 def validation_recon_objective(data: np.ndarray, holdout_fraction: float = 0.2):
     """Default objective: recon loss on the final fraction of transitions.
 
-    Raises ``ValueError`` if the fraction leaves no transition to hold out.
+    ``data`` must be an (S, N, T, d) series (``series_shape``, else
+    ``ShapeError``). Raises ``ValueError`` unless ``holdout_fraction`` is
+    finite and strictly inside (0, 1), or if it leaves no transition to hold
+    out.
     """
     x = np.asarray(data, dtype=np.float64)
-    t_len = x.shape[2]
+    t_len = series_shape(x)[2]
+    if not (math.isfinite(holdout_fraction) and 0.0 < holdout_fraction < 1.0):
+        raise ValueError("holdout_fraction must be finite and strictly inside (0, 1), "
+                         f"got {holdout_fraction}")
     cut = max(2, int(round(t_len * (1.0 - holdout_fraction))))
     if cut >= t_len:
         raise ValueError(f"holdout_fraction {holdout_fraction} of {t_len} steps "

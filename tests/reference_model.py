@@ -18,16 +18,20 @@ ACT = {"tanh": np.tanh, "sigmoid": _sigmoid, "relu": lambda a: np.maximum(a, 0.0
        "identity": lambda a: a}
 
 
-def gru_step(w, u, b, x, h_prev):
-    """One GRU update of a cell whose gates sit side by side: w = W_z|W_r|W_h
-    (d, 3h), u = U_z|U_r|U_h (h, 3h) and b = b_z|b_r|b_h (3h,)."""
+def affine(x, wb):
+    """x @ W + b for a [W; b] parameter: every bias is the last row of its weight."""
+    return x @ wb[:-1] + wb[-1]
+
+
+def gru_step(wb, u, x, h_prev):
+    """One GRU update of a cell whose gates sit side by side: wb = [W_z|W_r|W_h;
+    b_z|b_r|b_h] (d+1, 3h) and u = U_z|U_r|U_h (h, 3h)."""
     h = u.shape[0]
-    w_z, w_r, w_c = w[:, :h], w[:, h:2 * h], w[:, 2 * h:]
+    a = affine(x, wb)
     u_z, u_r, u_c = u[:, :h], u[:, h:2 * h], u[:, 2 * h:]
-    b_z, b_r, b_c = b[:h], b[h:2 * h], b[2 * h:]
-    z = _sigmoid(x @ w_z + h_prev @ u_z + b_z)
-    r = _sigmoid(x @ w_r + h_prev @ u_r + b_r)
-    c = np.tanh(x @ w_c + (r * h_prev) @ u_c + b_c)
+    z = _sigmoid(a[:h] + h_prev @ u_z)
+    r = _sigmoid(a[h:2 * h] + h_prev @ u_r)
+    c = np.tanh(a[2 * h:] + (r * h_prev) @ u_c)
     return z * h_prev + (1.0 - z) * c
 
 
@@ -62,21 +66,19 @@ def reference_forward(stack, x, mask_override=None):
             for t in range(t_len - 1):
                 for j in range(n):
                     cell = owner * n + j
-                    w_b = stack.gru_w[cell]  # [W; b]: the bias is the last row
-                    hidden[j] = gru_step(w_b[:-1], stack.gru_u[cell], w_b[-1],
-                                         x[s, j, t], hidden[j])
+                    hidden[j] = gru_step(stack.gru_w[cell], stack.gru_u[cell], x[s, j, t],
+                                         hidden[j])
                 z = act(prop @ hidden @ stack.enc_w[owner])
-                a1 = act(z.reshape(-1) @ stack.mmg_w1[i] + stack.mmg_b1[i, 0])
-                m = _sigmoid(a1 @ stack.mmg_w2[i] + stack.mmg_b2[i, 0])
+                a1 = act(affine(z.reshape(-1), stack.mmg_w1[i]))
+                m = _sigmoid(affine(a1, stack.mmg_w2[i]))
                 masks[s, t, i] = m
                 if override is not None:
                     m = override if override.ndim == 1 else override[i]
                 pooled = np.zeros(h)
-                w, b = stack.rl_w[i, :-1], stack.rl_w[i, -1]  # [W; b]: the bias is the last row
                 for j in range(n):
-                    r_j = act((m[j] * x[s, j, t]) @ w + b)
+                    r_j = act(affine(m[j] * x[s, j, t], stack.rl_w[i]))
                     pooled += prop[i, j] * r_j
                 z_dec = act(pooled @ stack.ngcn_w[i])
-                t1 = act(z_dec @ stack.tip_w1[i] + stack.tip_b1[i, 0])
-                preds[s, t, i] = t1 @ stack.tip_w2[i] + stack.tip_b2[i, 0]
+                t1 = act(affine(z_dec, stack.tip_w1[i]))
+                preds[s, t, i] = affine(t1, stack.tip_w2[i])
     return masks, preds

@@ -93,6 +93,63 @@ class TestMatmul:
         assert rel_err(grads.wrt(tw), central_diff_grad(loss_w, w0)) < 1e-6
 
 
+class TestAffine:
+    """``affine(x, wb)`` = x @ wb[..., :-1, :] + wb[..., -1:, :]."""
+
+    def test_gradient_matches_finite_differences(self):
+        # a shared encoder's (1, g, K) input broadcasts over N weight rows,
+        # with K > 1 and h > 1, so both gradients sum over a broadcast axis
+        rng = np.random.default_rng(17)
+        x0 = rng.standard_normal((1, 4, 3))
+        wb0 = rng.standard_normal((2, 4, 5))
+
+        def loss(x, wb):
+            tape = ad.Tape()
+            out = ad.activation(ad.affine(tape.leaf(x), tape.leaf(wb)), "tanh")
+            return ad.reduce_sum(out).data.item()
+
+        tape = ad.Tape()
+        tx, twb = tape.leaf(x0), tape.leaf(wb0)
+        grads = tape.backward(ad.reduce_sum(ad.activation(ad.affine(tx, twb), "tanh")))
+        assert grads.wrt(tx).shape == x0.shape and grads.wrt(twb).shape == wb0.shape
+        assert rel_err(grads.wrt(tx), central_diff_grad(lambda x: loss(x, wb0), x0)) < 1e-6
+        assert rel_err(grads.wrt(twb), central_diff_grad(lambda wb: loss(x0, wb), wb0)) < 1e-6
+
+    @pytest.mark.parametrize("x_shape", [(1, 4, 3), (2, 4, 3)], ids=["broadcast", "stacked"])
+    def test_bit_equal_to_matmul_then_add(self, x_shape):
+        # the stack's [W; b] layout must train exactly as separate W and b did
+        rng = np.random.default_rng(18)
+        x0 = rng.standard_normal(x_shape)
+        wb0 = rng.standard_normal((2, 4, 5))
+
+        def run(layer):
+            tape = ad.Tape()
+            leaves = [tape.leaf(x0), tape.leaf(wb0[:, :-1].copy()), tape.leaf(wb0[:, -1:].copy()),
+                      tape.leaf(wb0)]
+            out = layer(*leaves)
+            grads = tape.backward(ad.reduce_sum(ad.activation(out, "tanh")))
+            return out.data, [grads.wrt(leaf) for leaf in leaves]
+
+        out, (dx, _, _, dwb) = run(lambda x, w, b, wb: ad.affine(x, wb))
+        want, (want_dx, dw, db, _) = run(lambda x, w, b, wb: ad.add(ad.matmul(x, w), b))
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(dx, want_dx)
+        np.testing.assert_array_equal(dwb, np.concatenate((dw, db), axis=1))
+
+    @pytest.mark.parametrize("x_shape, w_shape, message", [
+        ((3,), (3, 2), "rank >= 2"), ((2, 3), (2, 3), "inner dims disagree"),
+        ((2, 2, 3), (3, 3, 2), "batch dims do not broadcast")],
+        ids=["rank", "inner", "batch"])
+    def test_shape_checks_match_matmul(self, x_shape, w_shape, message):
+        # wb is W with one bias row more; both ops reject the same W the same way
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(x_shape))
+        wb_shape = w_shape[:-2] + (w_shape[-2] + 1, w_shape[-1])
+        for op, w in (("matmul", np.ones(w_shape)), ("affine", np.ones(wb_shape))):
+            with pytest.raises(ad.ShapeError, match=f"{op}.*{message}"):
+                getattr(ad, op)(x, tape.leaf(w))
+
+
 class TestElementwise:
     def test_sigmoid_zero(self):
         tape = ad.Tape()
@@ -336,6 +393,7 @@ OPS = {
     "log": ([(2, 3)], ad.log),
     "clamp": ([(2, 3)], lambda x: ad.clamp(x, 0.2, 0.8)),
     "matmul": ([(2, 2, 3), (3, 4)], ad.matmul),
+    "affine": ([(1, 2, 3), (2, 4, 5)], ad.affine),
     "reshape": ([(2, 3)], lambda x: ad.reshape(x, (3, 2))),
     "sum_axis": ([(2, 3)], lambda x: ad.sum_axis(x, (1,))),
     "mean_axis": ([(2, 3)], lambda x: ad.mean_axis(x, (0, 1))),

@@ -118,7 +118,7 @@ class TestGruUnroll:
         w[-1] = rng.uniform(-0.5, 0.5, 9)
         x = rng.standard_normal((1, 2))
         out, _ = run_cell(w, u, x, np.zeros(3))
-        np.testing.assert_allclose(out.data[0], gru_step(w[:-1], u, w[-1], x[0], np.zeros(3)),
+        np.testing.assert_allclose(out.data[0], gru_step(w, u, x[0], np.zeros(3)),
                                    rtol=1e-14)
 
     def test_zero_series_zero_biases_stays_zero(self):
@@ -588,8 +588,7 @@ class TestMlp:
         # whatever the GRU bank, GCN and first MMG layer compute
         rng = np.random.default_rng(0)
         stack = random_stack(rng, share=False)
-        stack.mmg_w2[...] = 0.0
-        stack.mmg_b2[...] = 0.0
+        stack.mmg_w2[...] = 0.0  # [W; b]: the bias row too
         masks, _ = mdl.forward_full(stack, rng.standard_normal((1, 3, 5, 1)))
         np.testing.assert_array_equal(masks.values, np.full((1, 4, 3, 3), 0.5))
 
@@ -598,7 +597,7 @@ class TestMlp:
         rng = np.random.default_rng(9)
         stack = random_stack(rng, share=True)
         x = rng.standard_normal((2, 3, 4, 1))
-        assert_model_gradients(stack, x, ["tip_w1", "tip_b1", "tip_w2", "tip_b2"], rng)
+        assert_model_gradients(stack, x, ["tip_w1", "tip_w2"], rng)
 
     def test_input_dim_mismatch(self):
         stack = mdl.build_node_models(3, 1, mdl.ModelConfig(hidden=4), 0)
@@ -630,5 +629,4 @@ class TestGradientSuite:
         rng = np.random.default_rng(200 + draw)
         stack = random_stack(rng, share=bool(draw % 2), n=2)
         x = rng.standard_normal((2, 2, 4, 1))
-        assert_model_gradients(stack, x, ["enc_w", "mmg_w1", "mmg_b1", "mmg_w2", "mmg_b2",
-                                          "rl_w", "ngcn_w"], rng)
+        assert_model_gradients(stack, x, ["enc_w", "mmg_w1", "mmg_w2", "rl_w", "ngcn_w"], rng)

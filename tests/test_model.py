@@ -17,6 +17,10 @@ from dyncause.simulate import SimulationError
 from reference_model import reference_forward
 
 
+# the [W; b] arrays, each with its bias as the last row
+BIASED = ("gru_w", "mmg_w1", "mmg_w2", "rl_w", "tip_w1", "tip_w2")
+
+
 def tiny_models(n=3, d=1, hidden=4, seed=11, **kw):
     cfg = mdl.ModelConfig(hidden=hidden, **kw)
     return mdl.build_node_models(n, d, cfg, base_seed=seed), cfg
@@ -58,6 +62,18 @@ class TestParamStack:
         stack, _ = tiny_models()
         with pytest.raises(ValueError, match="rl_w must be a float64 ndarray"):
             replace(stack, rl_w=bad(stack.rl_w))
+
+
+class TestBuildNodeModels:
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("n", -1), ("n", 2.5), ("d", 0), ("base_seed", -1), ("base_seed", True)])
+    def test_bad_size_rejected_by_name(self, field, value):
+        # n=0 used to build an empty stack, d=0 to divide by zero in
+        # uniform_init, and base_seed=True to seed like 1
+        sizes = {"n": 3, "d": 1, "base_seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            mdl.build_node_models(sizes["n"], sizes["d"], mdl.ModelConfig(hidden=4),
+                                  sizes["base_seed"])
 
 
 class TestRowLayout:
@@ -114,11 +130,11 @@ class TestInitStreams:
         cells = n if share else n * n
         assert stack.gru_w.shape == (cells, d + 1, 3 * h) and stack.shared_encoder == share
         assert stack.rl_w.shape == (n, d + 1, h)
-        # every bias starts at zero, the [W; b] bias rows of gru_w and rl_w too
-        for name, arr in stack.arrays().items():
-            if "_b" in name:
-                assert not arr.any(), name
-        assert not stack.gru_w[:, d].any() and not stack.rl_w[:, d].any()
+        assert stack.mmg_w1.shape == (n, n * h + 1, h) and stack.mmg_w2.shape == (n, h + 1, n)
+        assert stack.tip_w1.shape == (n, h + 1, h) and stack.tip_w2.shape == (n, h + 1, d)
+        # only W is drawn: the bias row of every [W; b] array starts at zero
+        for name in BIASED:
+            assert not getattr(stack, name)[:, -1].any(), name
 
 
 class TestEncodeMaskRow:
@@ -271,7 +287,7 @@ class TestForwardFull:
         x = np.random.default_rng(11).standard_normal((1, 4, 6, 1))
         masks, preds = mdl.forward_full(models, x)
         models.mmg_w1[2] += 0.3
-        models.tip_b2[2] += 1.0
+        models.tip_w2[2, -1] += 1.0  # node 2's output bias
         masks2, preds2 = mdl.forward_full(models, x)
         for i in range(4):
             same_mask = np.array_equal(masks2.values[:, :, i], masks.values[:, :, i])
@@ -347,11 +363,11 @@ class TestForwardFull:
                                                override, seed):
         # covers the folded [x, 1] @ [w; b] products at d > 1 and the GCN
         # mix over S > 1 samples; the biases start at zero, so draw them:
-        # each is the last row of its array, gru_w's and rl_w's under W
+        # each is the last row of its [W; b] array
         models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, phi=phi,
                                 share_encoder=share)
         rng = np.random.default_rng(seed)
-        for name in ("gru_w", "mmg_b1", "mmg_b2", "rl_w", "tip_b1", "tip_b2"):
+        for name in BIASED:
             bias = getattr(models, name)[:, -1]
             bias[...] = rng.uniform(-0.5, 0.5, bias.shape)
         x = rng.standard_normal((s_count, n, t_len, d))
@@ -392,14 +408,14 @@ class TestBatchedForward:
         assert lengths[0] == lengths[1]
 
     @pytest.mark.parametrize("share", [False, True])
-    def test_forward_records_32_nodes(self, share):
-        # the tape bookkeeping per forward is a cost on every chunk: 13
-        # parameter leaves, 2 constants and 17 ops
+    def test_forward_records_24_nodes(self, share):
+        # the tape bookkeeping per forward is a cost on every chunk: 9
+        # parameter leaves, 2 constants and 13 ops
         models, _ = tiny_models(n=4, d=2, hidden=3, seed=21, share_encoder=share)
         tape = Tape()
         mdl.batched_forward(models, np.random.default_rng(21).standard_normal((2, 4, 6, 2)),
                             tape)
-        assert len(tape) == 32
+        assert len(tape) == 24
 
     @pytest.mark.parametrize("share", [False, True])
     def test_rows_report_the_nodes_they_serve(self, share):

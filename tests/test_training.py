@@ -340,7 +340,7 @@ class TestTrain:
         # a gate bias of 40 rounds the sigmoid to exactly 1.0; the read-out
         # clips it to GATE_HI, and forward_full replays the masks bit for bit
         stack = build_node_models(3, 1, ModelConfig(hidden=3), 0)
-        stack.mmg_b2[...] = 40.0
+        stack.mmg_w2[:, -1] = 40.0  # the gate bias row of [W; b]
         series = gen_var(3, 1, 30, 0)[0]
         config = tr.TrainConfig(epochs=3, hidden=3)
         result = tr.train(series, config, tr.LossWeights(), models=stack)
@@ -581,6 +581,19 @@ class TestGridSearch:
         series, _ = gen_var(4, 1, 10, 0)
         with pytest.raises(ValueError, match="holds out no transition"):
             tr.validation_recon_objective(series, holdout_fraction=0.04)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 5), (20,)], ids=["3-D", "1-D"])
+    def test_validation_objective_rejects_a_non_series(self, shape):
+        # a 3-D array used to be accepted with its feature axis read as time
+        with pytest.raises(ad.ShapeError, match=r"series must be \(S, N, T, d\)"):
+            tr.validation_recon_objective(np.zeros(shape))
+
+    @pytest.mark.parametrize("fraction", [1.5, np.nan, np.inf, 0.0, 1.0, -0.2])
+    def test_validation_objective_rejects_a_bad_fraction_by_name(self, fraction):
+        # 1.5 used to be clamped to a 2-step training prefix without a word
+        series, _ = gen_var(4, 1, 20, 0)
+        with pytest.raises(ValueError, match="holdout_fraction must be finite and strictly"):
+            tr.validation_recon_objective(series, holdout_fraction=fraction)
 
     def test_validation_objective_runs(self):
         series, _ = small_var_data(n=4, t=60)
