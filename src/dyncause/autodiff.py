@@ -18,6 +18,12 @@ the closure only when some operand needs a gradient. ``reshape`` is the
 one exception to the finite check: it moves no values, and its operand was
 checked when it was made.
 
+A tape is swept once. ``Tape.backward`` drops each op's closure and
+gradient as soon as its vector-Jacobian product has run, so the forward
+buffers only that closure holds are freed mid-sweep, and a closure may
+overwrite the buffers it reads for the last time. Leaves keep their
+gradients; a second sweep, or the gradient of an interior node, raises.
+
 ``ACTIVATIONS`` is the one table of the model's nonlinearities, and
 ``activation(x, phi)`` its tape op; fused ops read the same entries.
 """
@@ -98,13 +104,18 @@ class Tensor:
 
 
 class Gradients:
-    """Result of a backward pass: per-node gradient arrays."""
+    """Result of a backward pass: the gradient of every leaf. The sweep frees
+    each interior node's gradient once it has been pushed to the parents."""
 
-    def __init__(self, grads: list):
+    def __init__(self, grads: list, parents: list):
         self._grads = grads
+        self._parents = parents
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        """Gradient w.r.t. ``t``; exact zeros if ``t`` does not affect the root."""
+        """Gradient w.r.t. the leaf ``t``; exact zeros if ``t`` does not
+        affect the root. ``ValueError`` if ``t`` is an op's output."""
+        if self._parents[t.idx]:
+            raise ValueError(f"{t!r} is an op's output: the sweep frees its gradient")
         g = self._grads[t.idx]
         if g is None:
             return np.zeros_like(t.data)
@@ -112,11 +123,15 @@ class Gradients:
 
 
 class Tape:
-    """Append-only record of operations; single-owner, not thread-shared."""
+    """Append-only record of operations; single-owner, not thread-shared.
+
+    ``backward`` sweeps it once, dropping each closure as it runs.
+    """
 
     def __init__(self):
         self._parents: list = []  # tuple of parent idx per node
         self._backward: list = []  # callable(g) -> tuple of parent grads, or None
+        self._swept = False
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -162,21 +177,30 @@ class Tape:
         return Tensor(data, self, len(self._parents) - 1, needs)
 
     def backward(self, root: Tensor) -> Gradients:
-        """Reverse sweep from a scalar ``root``; visits each node exactly once."""
+        """Reverse sweep from a scalar ``root``; visits each node exactly once.
+
+        Each op's closure and gradient are dropped once its VJP has run, so
+        the buffers only they hold are freed mid-sweep; every closure is
+        gone when the sweep returns. A second call raises ``RuntimeError``.
+        """
         if root.tape is not self:
             raise ValueError("root does not belong to this tape")
         if root.data.ndim != 0:
             raise ShapeError(f"backward root must be a scalar, got shape {root.data.shape}")
+        if self._swept:
+            raise RuntimeError("this tape has been swept: backward runs once per tape")
+        self._swept = True
+        fns, self._backward = self._backward, [None] * len(self._backward)
         grads: list = [None] * len(self._parents)
         grads[root.idx] = np.ones((), dtype=np.float64)
         for idx in range(root.idx, -1, -1):
+            fn, fns[idx] = fns[idx], None
             g = grads[idx]
-            if g is None:
+            if fn is None or g is None:
                 continue
-            fn = self._backward[idx]
-            if fn is None:
-                continue
+            grads[idx] = None
             parent_grads = fn(g)
+            del fn, g  # the closure, and the buffers only it held, die here
             for pidx, pg in zip(self._parents[idx], parent_grads):
                 if pg is None:
                     continue
@@ -185,7 +209,8 @@ class Tape:
                     grads[pidx] = pg
                 else:
                     grads[pidx] = grads[pidx] + pg
-        return Gradients(grads)
+            parent_grads = pg = None
+        return Gradients(grads, self._parents)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -253,24 +278,31 @@ def _sigmoid(a, out):
     return np.reciprocal(out, out=out)
 
 
-def _sigmoid_deriv(y):  # out= keeps a 0-d y an array
-    out = np.subtract(1.0, y, out=np.empty_like(y))
-    return np.multiply(out, y, out=out)
+def _sigmoid_deriv(y, out):
+    # (1 - y) * y; 1 - y needs its own buffer when out holds y
+    one_minus_y = np.subtract(1.0, y, out=None if np.may_share_memory(y, out) else out)
+    return np.multiply(one_minus_y, y, out=out)
 
 
-def _tanh_deriv(y):
-    out = np.multiply(y, y, out=np.empty_like(y))
+def _tanh_deriv(y, out):
+    np.multiply(y, y, out=out)
     return np.subtract(1.0, out, out=out)
 
 
+def _ones(y, out):
+    out[...] = 1.0
+    return out
+
+
 # Every nonlinearity of the model, by name: (phi(a, out), written into out,
-# which may be a; phi'(a) as a new array computed from y = phi(a)). relu's
-# output is >= 0, so sign(y) is 1 exactly where a > 0.
+# which may be a; phi'(y, out), computed from y = phi(a) and written into out,
+# which may be y: a backward may overwrite an activation it reads for the
+# last time). relu's output is >= 0, so sign(y) is 1 exactly where a > 0.
 ACTIVATIONS = {
     "tanh": (lambda a, out: np.tanh(a, out=out), _tanh_deriv),
     "sigmoid": (_sigmoid, _sigmoid_deriv),
     "relu": (lambda a, out: np.maximum(a, 0.0, out=out), np.sign),
-    "identity": (lambda a, out: np.positive(a, out=out), np.ones_like),
+    "identity": (lambda a, out: np.positive(a, out=out), _ones),
 }
 
 
@@ -278,7 +310,8 @@ def activation(x: Tensor, phi: str) -> Tensor:
     """``phi``, a key of ``ACTIVATIONS``, applied elementwise."""
     fn, deriv = ACTIVATIONS[phi]
     out = fn(x.data, np.empty_like(x.data))
-    return x.tape.record(out, (x,), lambda g: (g * deriv(out),), op=phi)
+    # phi' into a new array, not into out: out is the op's output, which a caller may hold
+    return x.tape.record(out, (x,), lambda g: (g * deriv(out, np.empty_like(out)),), op=phi)
 
 
 def exp(x: Tensor) -> Tensor:

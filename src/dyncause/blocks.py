@@ -18,13 +18,18 @@ one step's buffer and records no backward.
 same way: one tape node whose (i, j, t, .) buffers hold node i's view of
 input j at transition t, so the (N, N, g, h) activation is written once, by
 one [gate * x, 1] @ [w; b] GEMM per node, and read back once in the
-backward; phi and phi' come from ``autodiff.ACTIVATIONS``.
+backward, which writes phi' over it; phi and phi' come from
+``autodiff.ACTIVATIONS``.
 
 ``encoder_gcn`` is the encoder's GCN layer over the GRU states, built the
 same way: it mixes ``gru_sequence``'s output straight into the (sample,
 step, node) rows the mask generator reads, takes the weight product and
 phi in one buffer, and writes its input gradient back into the GRU's row
 layout, so neither direction makes a transposed copy.
+
+``Tape.backward`` runs each closure at most once and then drops it, so the
+fused backwards overwrite the internal buffers they read for the last time,
+never the op's output, which a caller may hold.
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
 entering as an input column of ones, and takes its [W; b] array as stored,
@@ -264,8 +269,9 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
     need_gate = gate.needs  # a bool: the closure must not keep the tape alive
 
     def backward(gp):
-        # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t]
-        D = phi_deriv(A)
+        # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
+        # over the activation, which this closure, run at most once, reads last
+        D = phi_deriv(A, A)
         D *= prop[:, :, None, None]
         D *= gp.reshape(n, 1, g, h)
         D_rows = D.reshape(n, n_in * g, h)
@@ -304,7 +310,8 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     made; the weight product is one (S*T'*N, h)@(h, h') GEMM per encoder
     row, and phi is applied to it in place. An overflowed pre-activation
     raises ``NumericError`` even where phi would squash it. The backward
-    writes d``hs`` straight into ``gru_sequence``'s row layout.
+    writes the mix's gradient over the mix and d``hs`` straight into
+    ``gru_sequence``'s row layout.
     """
     H, W = hs.data, w.data
     if W.ndim != 3:
@@ -331,14 +338,17 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     need_hs, need_w = hs.needs, w.needs  # bools: the closure must not keep the tape alive
 
     def backward(g):
-        D = phi_deriv(A)  # a new array: Tape.backward may share g with another node
+        # a new array, not A: A is the op's output, which a caller may hold
+        D = phi_deriv(A, np.empty_like(A))
         D *= g
         dw = np.matmul(Z_rows.transpose(0, 2, 1), D) if need_w else None
-        dhs = None
-        if need_hs:
-            dZ = np.matmul(D, W.transpose(0, 2, 1)).reshape(n_e, s_count, tt, n, h)
-            dhs = np.empty((tt, rows, h))
-            np.matmul(prop.T, dZ.transpose(2, 0, 1, 3, 4), out=by_step(dhs))
+        if not need_hs:
+            return None, dw
+        # dZ over the mix, which this closure, run at most once, reads last
+        np.matmul(D, W.transpose(0, 2, 1), out=Z_rows)
+        del D
+        dhs = np.empty((tt, rows, h))
+        np.matmul(prop.T, Z.transpose(2, 0, 1, 3, 4), out=by_step(dhs))
         return dhs, dw
 
     # record scans A before phi, where an overflow still shows (tanh would

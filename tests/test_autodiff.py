@@ -1,4 +1,7 @@
+import gc
+import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -440,3 +443,77 @@ class TestRecord:
         out = OPS[name][1](*[tape.leaf(a) for a in arrays])
         assert out.needs and callable(tape._backward[out.idx])
         assert len(tape) == len(arrays) + 1  # one node per op
+
+
+class TestSweep:
+    """A tape is swept once, freeing each op's closure and gradient as it goes."""
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_every_closure_dropped(self, name):
+        tape = ad.Tape()
+        out = OPS[name][1](*[tape.leaf(a) for a in op_operands(name)])
+        unreached = ad.neg(out)  # never on the root's path
+        root = ad.reduce_sum(ad.hadamard(out, out))
+        assert callable(tape._backward[out.idx]) and callable(tape._backward[unreached.idx])
+        tape.backward(root)
+        assert tape._backward == [None] * len(tape)
+
+    def test_closure_buffer_freed_mid_sweep(self):
+        # op "late" runs its VJP first; by the time "early" runs, the array
+        # only late's closure held must be gone, while the tape still lives
+        tape = ad.Tape()
+        x = tape.leaf(np.arange(3.0))
+        seen = []
+
+        def early_backward(g):
+            seen.append(ref() is None)
+            return (g,)
+
+        def make_late():
+            buf = np.full(3, 2.0)
+            return weakref.ref(buf), lambda g: (g * buf,)
+
+        early = tape.record(x.data.copy(), (x,), early_backward, op="early")
+        ref, late_backward = make_late()
+        late = tape.record(early.data * 2.0, (early,), late_backward, op="late")
+        del late_backward
+        gc.disable()
+        try:
+            grads = tape.backward(ad.reduce_sum(late))
+        finally:
+            gc.enable()
+        assert seen == [True]
+        np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0, 2.0])
+
+    def test_second_backward_raises(self):
+        tape = ad.Tape()
+        x = tape.leaf([1.0, 2.0])
+        root = ad.reduce_sum(ad.hadamard(x, x))
+        tape.backward(root)
+        with pytest.raises(RuntimeError, match="swept"):
+            tape.backward(root)
+
+    def test_interior_gradient_raises_leaf_kept(self):
+        tape = ad.Tape()
+        x = tape.leaf([1.0, -2.0])
+        data = tape.constant([3.0, 4.0])
+        square = ad.hadamard(x, x)
+        root = ad.reduce_sum(ad.hadamard(square, data))
+        grads = tape.backward(root)
+        for interior in (square, root):
+            with pytest.raises(ValueError, match="op's output"):
+                grads.wrt(interior)
+        np.testing.assert_array_equal(grads.wrt(x), [6.0, -16.0])
+        np.testing.assert_array_equal(grads.wrt(data), [0.0, 0.0])
+
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    @pytest.mark.parametrize("shape", [(), (3, 41)])
+    def test_derivative_in_place_bit_equal(self, phi, shape):
+        fn, deriv = ad.ACTIVATIONS[phi]
+        a = np.linspace(-6.0, 6.0, math.prod(shape)).reshape(shape) + 0.37
+        y = fn(a, np.empty_like(a))
+        fresh = deriv(y, np.empty_like(y))
+        in_place = y.copy()
+        got = deriv(in_place, in_place)
+        assert got is in_place
+        assert fresh.shape == shape and fresh.tobytes() == got.tobytes()

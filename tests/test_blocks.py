@@ -342,7 +342,7 @@ def unfused_encoder_gcn(hs, w, prop, phi, g):
     phi_fn, phi_deriv = ad.ACTIVATIONS[phi]
     pre = np.matmul(mixed, w)
     out = phi_fn(pre, np.empty_like(pre))
-    d_pre = g * phi_deriv(out)
+    d_pre = g * phi_deriv(out, np.empty_like(out))
     dw = np.matmul(np.swapaxes(mixed, -1, -2), d_pre)
     d_mixed = np.matmul(d_pre, np.swapaxes(w, -1, -2))
     d_mixed = d_mixed.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 3, 1, 4)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -435,7 +436,8 @@ class TestTrain:
                                 early_stop_tol=5e-3, early_stop_patience=2,
                                 share_encoder=share)
         models = build_node_models(n, 1, config.model_config(), config.seed)
-        encoder = ("gru_w", "gru_u", "gru_b", "enc_w")
+        encoder = ("gru_w", "gru_u", "enc_w")
+        assert set(encoder) <= models.arrays().keys()  # a stale name would match nothing
         steps = []  # per Adam step: name -> (rows, N) bool, "row of node i changed"
         original = tr.adam_step
 
@@ -506,6 +508,31 @@ class TestTrain:
         finally:
             gc.enable()
         assert len(tapes) == 2 * 3 + 1  # 3 chunks per epoch, then the epilogue
+
+    def test_train_step_memory_bound(self):
+        # var20-shared's shape: N=20, T=500, h=15, one shared encoder row. One
+        # (N, N, T-1, h) buffer, the size of gated pooling's activation, takes
+        # 22.8 MiB. The sweep frees each op's closure, with the buffers only
+        # it holds, once it has run, and the fused backwards write over the
+        # buffers they read last, so the step peaks near 2.2 such buffers. A
+        # tape that keeps every closure and interior gradient until it dies
+        # peaks near 4
+        n, t_len, h = 20, 500, 15
+        unit = n * n * (t_len - 1) * h * 8
+        config = tr.TrainConfig(hidden=h, seed=2, share_encoder=True)
+        weights = tr.LossWeights()
+        stack = build_node_models(n, 1, config.model_config(), config.seed)
+        x = standardize(gen_var(n, 1, t_len, seed=3)[0])
+        consts = tr._group_consts(x, weights.gamma)
+        active = np.ones(n, dtype=bool)
+        tracemalloc.start()
+        try:
+            terms = tr._train_step(stack, x, consts, config, weights, tr.AdamState(), active)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(terms["total"]))
+        assert peak < 3 * unit
 
     def test_loss_history_csv_round_trips(self, tmp_path):
         series, _ = small_var_data(n=3, t=30)
