@@ -25,11 +25,14 @@ backward, which writes phi' over it; phi and phi' come from
 same way: it mixes ``gru_sequence``'s output straight into the (sample,
 step, node) rows the mask generator reads, takes the weight product and
 phi in one buffer, and writes its input gradient back into the GRU's row
-layout, so neither direction makes a transposed copy.
+layout, so neither direction makes a transposed copy. Without a gradient
+it writes the weight product over the mix.
 
 ``Tape.backward`` runs each closure at most once and then drops it, so the
 fused backwards overwrite the internal buffers they read for the last time,
-never the op's output, which a caller may hold.
+never the op's output, which a caller may hold: the GRU's gate gradients
+go over its gate history, ``gated_pool``'s phi' over its activation and
+``encoder_gcn``'s mix gradient over the mix.
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
 entering as an input column of ones, and takes its [W; b] array as stored,
@@ -112,11 +115,15 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     """Gradients of the four ``gru_sequence`` inputs for upstream G
     (T, B*k, h); dX is None unless ``need_dx``.
 
-    Each step writes d_az|d_ar|d_ac into one (T, B, k, 3h) buffer D and takes
-    one (k, 2h)@(2h, h) product per cell for both gates. After the loop each
-    weight gradient is one GEMM over T per (cell, row), every operand read in
-    place as a (T, .) matrix, summed over the cell's k rows; dW's bias row is
-    D summed over steps and rows.
+    Each step writes d_az|d_ar|d_ac into D (T, B, k, 3h) and takes one
+    (k, 2h)@(2h, h) product per cell for both gates. D is the gate history
+    P's memory read in D's layout: step t reads only P[t], so it copies P[t]
+    into a one-step buffer and then writes D[t] over it. P must not be read
+    again. Each step also keeps r_t * h_{t-1}, which dU_h reads, in one
+    (T, B, k, h) buffer. After the loop each weight gradient is one GEMM
+    over T per (cell, row), every operand read in place as a (T, .) matrix,
+    summed over the cell's k rows; dW's bias row is D summed over steps and
+    rows.
     """
     T, M, d = X.shape
     B, h = U.shape[0], Hb.shape[-1]
@@ -124,9 +131,12 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     G = G.reshape(T, B, k, h)
     UzrT = np.swapaxes(U[..., :h2], 1, 2)  # (B, 2h, h)
     UhT = np.swapaxes(U[..., h2:], 1, 2)
-    D = np.empty((T, B, k, 3 * h))  # d_az | d_ar | d_ac
+    D = P.reshape(T, B, k, 3 * h)  # d_az | d_ar | d_ac, over P
     D_zr, D_c = D[..., :h2], D[..., h2:]
     D_g = D.reshape(T, B, k, 3, h).transpose(0, 3, 1, 2, 4)  # (T, 3, B, k, h) view
+    p = np.empty((3, B, k, h))  # z, r, c of the step
+    zr, z, r, c = p[:2], p[0], p[1], p[2]
+    RH = np.empty((T, B, k, h))  # r_t * h_{t-1}
     omzr = np.empty((2, B, k, h))  # 1 - z, 1 - r
     fzr = np.empty((2, B, k, h))  # z(1 - z), r(1 - r)
     dzr = np.empty((2, B, k, h))  # dL/dz, dL/dr
@@ -136,7 +146,9 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     tmp = np.empty((B, k, h))
     tmp2 = np.empty((B, k, h))
     for t in range(T - 1, -1, -1):
-        h_prev, zr, z, r, c = Hb[t], P[t, :2], P[t, 0], P[t, 1], P[t, 2]
+        h_prev = Hb[t]
+        p[...] = P[t]  # before D[t] overwrites it
+        np.multiply(r, h_prev, out=RH[t])
         np.add(G[t], dh, out=gt)
         np.subtract(1.0, zr, out=omzr)
         np.multiply(zr, omzr, out=fzr)
@@ -167,7 +179,7 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     dW[:, :d] = weight_grad(X.reshape(T, B, k, d), Dk)
     dW[:, d] = D.sum(axis=0).sum(axis=1)  # the bias row
     dU = np.concatenate((weight_grad(Hb[:-1], Dk[..., :h2]),
-                         weight_grad(P[:, 1] * Hb[:-1], Dk[..., h2:])),  # r_t * h_{t-1}
+                         weight_grad(RH, Dk[..., h2:])),
                         axis=2)
     dX = None
     if need_dx:  # the encoder feeds data, which needs no gradient
@@ -216,7 +228,7 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
     need_dx = x_seq.needs
     P, Hb = _gru_forward(X, H0, W, U, history=need_grad)
 
-    def backward(g):
+    def backward(g):  # run at most once: it writes its gate gradients over P
         return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
 
     return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u),
@@ -299,24 +311,28 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
         out[e, (s*T' + t)*N + i] = phi(sum_j prop[i, j] * hs[t, (e*N + j)*S + s] @ w[e])
 
     hs (T', n_e*N*S, h) is ``gru_sequence``'s output for n_e encoder rows of
-    N cells, each running S samples; w (n_e, h, h') is a tensor and prop
+    N cells, each running S samples; w (n_e, h, h) is a tensor and prop
     (N, N) an array that takes no gradient; phi is a key of
     ``ACTIVATIONS``. n_e is read from w, N from prop and S from the rows of
-    hs. Returns (n_e, S*T'*N, h'), one row per (sample, step, node) in the
+    hs. Returns (n_e, S*T'*N, h), one row per (sample, step, node) in the
     order the mask generator reads.
 
     The mix is one (N, N)@(N, h) product per (step, row, sample), written
     straight into that (n_e, S, T', N, h) layout, so no transposed copy is
-    made; the weight product is one (S*T'*N, h)@(h, h') GEMM per encoder
+    made; the weight product is one (S*T'*N, h)@(h, h) GEMM per encoder
     row, and phi is applied to it in place. An overflowed pre-activation
     raises ``NumericError`` even where phi would squash it. The backward
-    writes the mix's gradient over the mix and d``hs`` straight into
-    ``gru_sequence``'s row layout.
+    reads both the mix and the product, writes the mix's gradient over the
+    mix and d``hs`` straight into ``gru_sequence``'s row layout. When
+    neither ``hs`` nor ``w`` needs a gradient, nothing reads the mix again:
+    each encoder row's product goes through one row-sized buffer back over
+    the mix, so the op's output is the mix's memory and no second
+    mix-sized buffer exists. w is square so that the product fits there.
     """
     H, W = hs.data, w.data
-    if W.ndim != 3:
-        raise ShapeError(f"encoder_gcn: w shape {W.shape}, expected (n_e, h, h')")
-    n_e, h, h_out = W.shape
+    if W.ndim != 3 or W.shape[1] != W.shape[2]:
+        raise ShapeError(f"encoder_gcn: w shape {W.shape}, expected (n_e, h, h)")
+    n_e, h = W.shape[:2]
     if prop.ndim != 2 or prop.shape[0] != prop.shape[1]:
         raise ShapeError(f"encoder_gcn: prop shape {prop.shape}, expected (N, N)")
     n = prop.shape[0]
@@ -333,9 +349,15 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     Z = np.empty((n_e, s_count, tt, n, h))
     np.matmul(prop, by_step(H), out=Z.transpose(2, 0, 1, 3, 4))
     Z_rows = Z.reshape(n_e, s_count * tt * n, h)
-    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        A = np.matmul(Z_rows, W)
     need_hs, need_w = hs.needs, w.needs  # bools: the closure must not keep the tape alive
+    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
+        if need_hs or need_w:  # the backward reads both Z and A
+            A = np.matmul(Z_rows, W)
+        else:  # nothing reads the mix again: the product goes over it, row by row
+            A, row = Z_rows, np.empty(Z_rows.shape[1:])
+            for e in range(n_e):
+                np.matmul(Z_rows[e], W[e], out=row)
+                Z_rows[e] = row
 
     def backward(g):
         # a new array, not A: A is the op's output, which a caller may hold

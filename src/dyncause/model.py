@@ -250,9 +250,11 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     The GRU states go straight into ``encoder_gcn``, which mixes them into
     the (n_e, g*N, h) rows the MMG reads, one per (sample, step, node) for
     each of the n_e encoder rows, and applies ``enc_w`` and phi in that
-    buffer. Nothing else holds the states, so a forward without a gradient
-    frees them before the MMG runs, and keeps neither the mix nor a
-    transposed copy of it.
+    buffer. A forward without a gradient keeps only what the next layer
+    reads: the GRU states die once mixed, the GRU keeps one step of gates,
+    ``encoder_gcn`` writes its weight product over the mix, and the encoder
+    output dies once the MMG's first layer has read it, before the decoder
+    runs.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape
@@ -289,8 +291,10 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
     z = encoder_gcn(gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
                     leaves["enc_w"], prop, phi)  # (n_e, g*N, h), rows (s, t, i)
-    z_flat = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
-    a1 = ad.activation(ad.affine(z_flat, leaves["mmg_w1"]), phi)
+    z = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
+    a1 = ad.affine(z, leaves["mmg_w1"])
+    del z  # without a gradient, the encoder output dies here
+    a1 = ad.activation(a1, phi)
     masks = ad.activation(ad.affine(a1, leaves["mmg_w2"]), "sigmoid")  # (N, g, N)
 
     # ---- decoder on gated snapshots: x_prev[j] holds input j's steps 0..T-2

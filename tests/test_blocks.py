@@ -268,6 +268,28 @@ class TestGruRowContract:
         assert out.data.shape == (t_len, cells * k, h)
         assert peak < bound
 
+    def test_backward_memory_bound(self):
+        # var10-node's shape: T=499 steps, B=100 cells, k=1 row per cell. One
+        # (T, B*k, h) state buffer takes 5.7 MiB. A forward plus backward may
+        # hold the states, the upstream gradient, the (T, 3, B, k, h) gate
+        # history, whose memory the gate gradients reuse, and r_t * h_{t-1}
+        # for dU_h: 6 buffers, plus the step buffers. Gate gradients beside
+        # the gate history would be 3 buffers more
+        t_len, cells, k, h = 499, 100, 1, 15
+        unit = t_len * cells * k * h * 8
+        arrays = gru_arrays(np.random.default_rng(40), t_len, cells, k, 1, h)
+        tape = ad.Tape()  # the model's inputs: data and h0 take no gradient
+        inputs = [tape.constant(a) for a in arrays[:2]] + [tape.leaf(a) for a in arrays[2:]]
+        tracemalloc.start()
+        try:
+            out = blocks.gru_sequence(*inputs)
+            grads = tape.backward(ad.reduce_sum(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads.wrt(inputs[3]).shape == arrays[3].shape
+        assert peak < 8 * unit
+
     # The ids name a block of the fused arrays: w_r is w[:-1, h:2h], u_r is
     # u[..., h:2h] and b is w's last row, the bias of every gate.
     # "wide": a gate block gains one column, so the array is 3h + 1 wide;
@@ -312,12 +334,12 @@ class TestGruRowContract:
             blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
 
 
-def encoder_gcn_arrays(rng, n_e, s_count, n=3, tt=2, h=2, h_out=3):
-    """hs (T', n_e*N*S, h), w (n_e, h, h') and prop (N, N), in ``encoder_gcn``
+def encoder_gcn_arrays(rng, n_e, s_count, n=3, tt=2, h=2):
+    """hs (T', n_e*N*S, h), w (n_e, h, h) and prop (N, N), in ``encoder_gcn``
     argument order. prop is not symmetric, unlike the model's, so a
     backward that mixes by prop where it needs prop^T fails."""
     return [rng.standard_normal((tt, n_e * n * s_count, h)),
-            rng.uniform(-0.8, 0.8, (n_e, h, h_out)), rng.uniform(0.1, 1.0, (n, n))]
+            rng.uniform(-0.8, 0.8, (n_e, h, h)), rng.uniform(0.1, 1.0, (n, n))]
 
 
 def encoder_gcn_on_tape(arrays, phi, hs_needs=True):
@@ -385,6 +407,19 @@ class TestEncoderGcn:
         np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
         np.testing.assert_array_equal(grads.wrt(leaves[1]), dw)
 
+    @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 3), (4, 1), (4, 3)])
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_output_identical_without_gradient(self, phi, n_e, s_count):
+        # without a gradient the weight product goes over the mix, one
+        # encoder row at a time; it must not drift from the trained path
+        rng = np.random.default_rng(66)
+        hs, w, prop = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=15)
+        with_grad, *_ = encoder_gcn_on_tape([hs, w, prop], phi)
+        free = ad.Tape()
+        without = blocks.encoder_gcn(free.constant(hs), free.constant(w), prop, phi)
+        np.testing.assert_array_equal(without.data, with_grad.data)
+        assert not without.needs and free._backward[without.idx] is None
+
     def test_constant_states_get_no_gradient(self):
         # the states of a frozen GRU bank: only w trains
         rng = np.random.default_rng(62)
@@ -399,6 +434,8 @@ class TestEncoderGcn:
         ("hs", lambda hs, w, prop: (hs[:, :-1], w, prop)),  # rows not n_e*N*S
         ("hs", lambda hs, w, prop: (hs[0], w, prop)),
         ("w", lambda hs, w, prop: (hs, w[0], prop)),
+        pytest.param("w", lambda hs, w, prop: (hs, np.concatenate([w, w], axis=2), prop),
+                     id="w-not_square"),
         ("prop", lambda hs, w, prop: (hs, w, prop[:, :2])),
     ])
     def test_bad_shape_named(self, name, corrupt):

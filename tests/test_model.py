@@ -474,13 +474,14 @@ class TestInference:
         # switch8-windows' shape: S=50 windows of T=40 steps, N=8, h=15, one
         # encoder row per node. One state-sized buffer, (T-1, N*N*S, h),
         # takes 15.0 MB. The call may hold the GRU states (T steps), the GCN
-        # mix and its activated weight product (T-1 each), and half a buffer
-        # for the rest: the GRU's input copy and step buffers. A transposed
-        # copy of the mix, or a pre-activation kept beside its activation,
-        # is one buffer more than that
+        # mix (T-1), over which the activated weight product is written, and
+        # half a buffer for the rest: the GRU's input copy and step buffers
+        # and the product's one-row buffer. A weight product beside the mix
+        # is one buffer more than that; an encoder output kept alive beside
+        # the decoder's (N, N, S*(T-1), h) activation also exceeds it
         s_count, n, t_len, h = 50, 8, 40, 15
         step = n * n * s_count * h * 8
-        bound = (t_len + 2 * (t_len - 1) + (t_len - 1) // 2) * step
+        bound = (t_len + (t_len - 1) + (t_len - 1) // 2) * step
         models, _ = tiny_models(n=n, hidden=h, seed=26)
         x = np.random.default_rng(21).standard_normal((s_count, n, t_len, 1))
         tracemalloc.start()
