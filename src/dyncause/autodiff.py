@@ -2,16 +2,24 @@
 
 The engine is deliberately small: a ``Tape`` records every operation in
 topological order, each node knowing how to push an upstream gradient back to
-its parents. Binary elementwise ops support numpy broadcasting (gradients are
-summed back to the operand shape), and ``matmul`` supports stacked (batched)
-operands, which is what makes whole-series training affordable. ``affine``
-is ``matmul`` plus a bias stored as the last row of the weight array, [W; b],
-the one layout of every biased layer in the model; the two ops share their
-shape checks and their matrix-product gradients.
+its parents. Four generic ops serve the model's layers:
 
-Every op, here and the fused ops in ``blocks``, is a forward on the operands'
-arrays, a vector-Jacobian closure ``backward(g)`` returning one gradient (or
-None) per operand, and one ``Tape.record`` call, the one way onto the tape.
+- ``matmul``: stacked (batched) operands broadcast like ``np.matmul``, and
+  the gradients are summed back over the broadcast axes; this is what makes
+  whole-series training affordable;
+- ``affine``: ``matmul`` plus a bias stored as the last row of the weight
+  array, [W; b], the one layout of every biased layer in the model; the two
+  share their shape checks and their matrix-product gradients;
+- ``activation``: an entry of ``ACTIVATIONS`` applied elementwise;
+- ``reshape``.
+
+Everything else is a fused op with a hand-written backward:
+``gru_sequence``, ``encoder_gcn`` and ``gated_pool`` in ``blocks``, and
+``criterion``, the four-term loss, in ``training``.
+
+Every op, generic or fused, is a forward on the operands' arrays, a
+vector-Jacobian closure ``backward(g)`` returning one gradient (or None) per
+operand, and one ``Tape.record`` call, the one way onto the tape.
 ``record`` checks that the operands share the tape, raises ``NumericError``
 at the first NaN/Inf in the output instead of letting it propagate, and keeps
 the closure only when some operand needs a gradient. ``reshape`` is the
@@ -30,7 +38,6 @@ gradients; a second sweep, or the gradient of an interior node, raises.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,34 +47,17 @@ __all__ = [
     "Tensor",
     "Gradients",
     "ShapeError",
-    "DomainError",
     "NumericError",
-    "add",
-    "sub",
-    "hadamard",
-    "neg",
-    "scale",
-    "add_scalar",
     "ACTIVATIONS",
     "activation",
-    "exp",
-    "log",
-    "clamp",
     "matmul",
     "affine",
     "reshape",
-    "sum_axis",
-    "mean_axis",
-    "reduce_sum",
 ]
 
 
 class ShapeError(ValueError):
     """Operand dimensions do not satisfy the op's contract."""
-
-
-class DomainError(ValueError):
-    """Operand value outside the mathematical domain of the op (e.g. log <= 0)."""
 
 
 class NumericError(ArithmeticError):
@@ -228,48 +218,6 @@ def _broadcastable(sa: tuple, sb: tuple) -> bool:
     return all(a == b or a == 1 or b == 1 for a, b in zip(reversed(sa), reversed(sb)))
 
 
-def _binary(a: Tensor, b: Tensor, op: str, fwd, grad_a, grad_b) -> Tensor:
-    """Broadcasting elementwise ``fwd(a, b)``; ``grad_a(g)`` and ``grad_b(g)``
-    are the operands' VJPs before the broadcast axes are summed away."""
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-    ash, bsh = a.shape, b.shape
-    na, nb = a.needs, b.needs
-
-    def backward(g):
-        return (_unbroadcast(grad_a(g), ash) if na else None,
-                _unbroadcast(grad_b(g), bsh) if nb else None)
-
-    return a.tape.record(fwd(a.data, b.data), (a, b), backward, op=op)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "add", np.add, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, lambda g: g, lambda g: -g)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    return _binary(a, b, "hadamard", np.multiply, lambda g: g * bd, lambda g: g * ad)
-
-
-def neg(x: Tensor) -> Tensor:
-    return x.tape.record(-x.data, (x,), lambda g: (-g,), op="neg")
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant (constants carry no gradient)."""
-    c = float(c)
-    return x.tape.record(x.data * c, (x,), lambda g: (g * c,), op="scale")
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    return x.tape.record(x.data + float(c), (x,), lambda g: (g,), op="add_scalar")
-
-
 def _sigmoid(a, out):
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf: sigmoid -> 0
         np.negative(a, out=out)
@@ -314,25 +262,6 @@ def activation(x: Tensor, phi: str) -> Tensor:
     return x.tape.record(out, (x,), lambda g: (g * deriv(out, np.empty_like(out)),), op=phi)
 
 
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(x.data)  # overflow -> Inf -> NumericError in record
-    return x.tape.record(out, (x,), lambda g: (g * out,), op="exp")
-
-
-def log(x: Tensor) -> Tensor:
-    d = x.data
-    if d.size and np.min(d) <= 0.0:
-        raise DomainError("log requires strictly positive operand")
-    return x.tape.record(np.log(d), (x,), lambda g: (g / d,), op="log")
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient is zero where the clip engages."""
-    inside = (x.data >= lo) & (x.data <= hi)
-    return x.tape.record(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,), op="clamp")
-
-
 def _check_product(op: str, ash: tuple, wbsh: tuple, bias_rows: int) -> None:
     """``ShapeError`` unless ``ash`` @ W is a stacked matrix product, W being
     the ``wbsh`` operand without its last ``bias_rows`` rows."""
@@ -365,8 +294,8 @@ def affine(x: Tensor, wb: Tensor) -> Tensor:
     row: (..., K) @ (..., K+1, h); stacked axes broadcast as in ``matmul``.
 
     The bias is added to the product in place, so the sum rounds exactly as
-    ``add(matmul(x, W), b)`` does; a ones column, ``[x, 1] @ [W; b]``, would
-    copy ``x`` and change the summation order.
+    ``matmul(x, W)`` plus ``b`` does; a ones column, ``[x, 1] @ [W; b]``,
+    would copy ``x`` and change the summation order.
     """
     _check_product("affine", x.shape, wb.shape, 1)
     xd, wbd = x.data, wb.data
@@ -386,35 +315,3 @@ def reshape(x: Tensor, shape) -> Tensor:
     xshape = x.shape
     out = x.data.reshape(tuple(int(s) for s in shape))
     return x.tape._link(out, (x,), lambda g: (g.reshape(xshape),))
-
-
-def _reduce(x: Tensor, axes, op: str) -> Tensor:
-    """Sum of ``x`` over ``axes`` (an int, a sequence, or None for every
-    axis), or its mean for ``op`` "mean_axis"; the axes are dropped."""
-    xshape = x.shape
-    if axes is None:
-        axes = range(len(xshape))
-    elif not isinstance(axes, (tuple, list)):
-        axes = (axes,)
-    axes = tuple(a % len(xshape) for a in axes)
-    kshape = tuple(1 if i in axes else s for i, s in enumerate(xshape))
-    if op == "mean_axis":
-        count = math.prod(xshape[a] for a in axes)
-        out = x.data.mean(axis=axes)
-        grad = lambda g: (np.broadcast_to(g.reshape(kshape), xshape) / count,)
-    else:
-        out = x.data.sum(axis=axes)
-        grad = lambda g: (np.broadcast_to(g.reshape(kshape), xshape),)
-    return x.tape.record(out, (x,), grad, op=op)
-
-
-def sum_axis(x: Tensor, axes) -> Tensor:
-    return _reduce(x, axes, "sum_axis")
-
-
-def mean_axis(x: Tensor, axes) -> Tensor:
-    return _reduce(x, axes, "mean_axis")
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    return _reduce(x, None, "reduce_sum")

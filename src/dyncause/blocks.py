@@ -36,9 +36,9 @@ go over its gate history, ``gated_pool``'s phi' over its activation and
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
 entering as an input column of ones, and takes its [W; b] array as stored,
-with no separate bias. For d=1 this is faster as well as shorter: on large outputs numpy's matmul at
-inner dimension 1 is several times slower than at 2-4, and a separate bias
-add is a second pass over the output.
+with no separate bias. For d=1 this is faster as well as shorter: on large
+outputs numpy's matmul at inner dimension 1 is several times slower than at
+2-4, and a separate bias add is a second pass over the output.
 """
 
 from __future__ import annotations

@@ -50,6 +50,13 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a finite real number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters shared by all node models."""
@@ -61,10 +68,11 @@ class ModelConfig:
 
     def __post_init__(self):
         check_count("hidden", self.hidden, 1)
+        check_real("self_loop", self.self_loop)
         if not isinstance(self.share_encoder, (bool, np.bool_)):
             raise ValueError(f"share_encoder must be a bool, got {self.share_encoder!r}")
-        if not (math.isfinite(self.self_loop) and self.self_loop >= 0):
-            raise ValueError(f"self_loop must be finite and nonnegative, got {self.self_loop}")
+        if self.self_loop < 0:
+            raise ValueError(f"self_loop must be nonnegative, got {self.self_loop}")
         if self.phi not in ad.ACTIVATIONS:
             raise ValueError(f"phi must be one of {sorted(ad.ACTIVATIONS)}, got {self.phi!r}")
 

@@ -7,6 +7,7 @@ single scalar feature per node. Truth adjacency follows the convention
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,13 +180,19 @@ def lorenz96_truth(n: int) -> GroundTruthGraph:
 
 def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,
                  seed: int = 0):
-    """Lorenz-96 series via RK4; returns ((1, N, T, 1) array, GroundTruthGraph)."""
+    """Lorenz-96 series via RK4; returns ((1, N, T, 1) array, GroundTruthGraph).
+
+    Raises ``IntegrationError`` naming the step at which the state leaves
+    |x| <= ``LORENZ_DIVERGENCE_LIMIT`` or stops being finite.
+    """
     if n < 4:
         raise SimulationError("Lorenz-96 needs at least 4 variables")
-    if forcing <= 0:
-        raise SimulationError("forcing must be positive")
-    if dt <= 0:
-        raise SimulationError("integrator step must be positive")
+    if not 0.0 < forcing < math.inf:  # NaN fails too
+        raise SimulationError(f"forcing must be finite and positive, got {forcing}")
+    if not 0.0 < dt < math.inf:
+        raise SimulationError(f"integrator step must be finite and positive, got {dt}")
+    if t_steps < 2:
+        raise SimulationError(f"series length must be at least 2, got {t_steps}")
     rng = np.random.default_rng(seed)
     x = forcing + rng.normal(0.0, LORENZ_INIT_STD, size=n)
     samples = np.empty((t_steps, n))
@@ -196,8 +203,8 @@ def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,
         k3 = lorenz96_deriv(x + 0.5 * dt * k2, forcing)
         k4 = lorenz96_deriv(x + dt * k3, forcing)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.abs(x)) > LORENZ_DIVERGENCE_LIMIT:
-            raise IntegrationError(f"state diverged at step {t}")
+        if not np.max(np.abs(x)) <= LORENZ_DIVERGENCE_LIMIT:  # NaN fails too
+            raise IntegrationError(f"state diverged or became non-finite at step {t}")
         if t >= LORENZ_BURN_IN:
             samples[t - LORENZ_BURN_IN] = x
     return samples.T[None, :, :, None], lorenz96_truth(n)

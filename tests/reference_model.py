@@ -1,10 +1,13 @@
-"""Plain-numpy oracle for ``dyncause.model.batched_forward``.
+"""Plain-numpy oracles for ``dyncause.model.batched_forward`` and
+``dyncause.training.criterion``.
 
-A direct transcription of the model, one (sample, node, transition, input)
-at a time. It reads only the ``ParamStack`` arrays and its ``config``, and
-owes nothing else to ``dyncause``: no tape, no ``gru_sequence``, no
-activation table and no propagation-matrix helper, so a fault in any of them
-shows up as a mismatch with this file.
+``reference_forward`` is a direct transcription of the model, one (sample,
+node, transition, input) at a time. It reads only the ``ParamStack`` arrays
+and its ``config``, and owes nothing else to ``dyncause``: no tape, no
+``gru_sequence``, no activation table and no propagation-matrix helper, so a
+fault in any of them shows up as a mismatch with this file.
+``reference_loss`` transcribes the four loss terms one node at a time, in
+that function's layout, reading only the ``LossWeights`` fields.
 """
 
 import numpy as np
@@ -82,3 +85,43 @@ def reference_forward(stack, x, mask_override=None):
                 t1 = act(affine(z_dec, stack.tip_w1[i]))
                 preds[s, t, i] = affine(t1, stack.tip_w2[i])
     return masks, preds
+
+
+def reference_loss(masks, preds, x, weights):
+    """The four-term loss of every node, as a dict of (N,) arrays: "recon",
+    "struct", "div" and "sparsity" (each left out when its beta is 0) and
+    their weighted sum "total".
+
+    ``masks`` (S, T-1, N, N) and ``preds`` (S, T-1, N, d) are in
+    ``reference_forward``'s layout, ``x`` the (S, N, T, d) series and
+    ``weights`` a ``LossWeights``. Node i's terms are means over every
+    (sample, transition) and, where a term has one, input j.
+    """
+    gate_lo, gate_hi = 1e-7, 1.0 - 1e-7
+    s_count, t1, n, _ = masks.shape
+    truth = np.transpose(x[:, :, 1:], (0, 2, 1, 3))  # (S, T-1, N, d), as preds
+    rows = {"recon": [], "struct": [], "div": [], "sparsity": []}
+    for i in range(n):
+        rows["recon"].append(((truth[:, :, i] - preds[:, :, i]) ** 2).sum(axis=-1).mean())
+        kernel = np.exp(-weights.gamma * ((truth - truth[:, :, i:i + 1]) ** 2).sum(axis=-1))
+        fitted = np.exp(-weights.gamma * ((truth - preds[:, :, i:i + 1]) ** 2).sum(axis=-1))
+        rows["struct"].append(((kernel - fitted) ** 2).mean())
+        m_bar = masks[:, :, i].mean(axis=(0, 1))  # (N,)
+        log_m = np.log(np.clip(m_bar, gate_lo, gate_hi))
+        div = weights.lambda1 * -(m_bar * log_m).mean()
+        if weights.prior is not None:
+            p = weights.prior[i]
+            log_q = np.log(np.clip((m_bar + p) / 2.0, gate_lo, 1.0))
+            div += weights.lambda2 * (m_bar * (log_m - np.log(p))).mean()
+            div += weights.lambda3 * 0.5 * (m_bar * (log_m - log_q)
+                                            + p * (np.log(p) - log_q)).mean()
+        rows["div"].append(div)
+        rows["sparsity"].append(np.log(masks[:, :, i] / weights.epsilon + 1.0).mean())
+    terms = {"recon": np.array(rows["recon"])}
+    terms["total"] = terms["recon"].copy()
+    for key, beta in (("struct", weights.beta1), ("div", weights.beta2),
+                      ("sparsity", weights.beta3)):
+        if beta > 0:
+            terms[key] = np.array(rows[key])
+            terms["total"] += beta * terms[key]
+    return terms

@@ -13,7 +13,7 @@ from dyncause import blocks
 from dyncause import model as mdl
 
 from reference_model import gru_step, reference_forward
-from test_autodiff import central_diff_grad, rel_err
+from test_autodiff import central_diff_grad, dot, rel_err, total
 from test_model import assert_matches_reference
 
 
@@ -46,7 +46,7 @@ def run_cell(w, u, series, h0):
 
 
 def sum_of_squares(t):
-    return ad.reduce_sum(ad.hadamard(t, t))
+    return dot(t, t)
 
 
 def one_step(w, u, x, h_prev):
@@ -161,7 +161,7 @@ def gru_probe_grads(arrays, probe):
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     out = blocks.gru_sequence(*leaves)
-    grads = tape.backward(ad.reduce_sum(ad.hadamard(out, tape.constant(probe))))
+    grads = tape.backward(dot(out, tape.constant(probe)))
     return out.data, [grads.wrt(leaf) for leaf in leaves]
 
 
@@ -228,7 +228,7 @@ class TestGruRowContract:
             tape = ad.Tape()
             out = blocks.gru_sequence(tape.constant(arrays[0]),
                                       *[tape.leaf(a) for a in arrays[1:]])
-            tape.backward(ad.reduce_sum(out))
+            tape.backward(total(out))
             return weakref.ref(tape)
 
         gc.disable()
@@ -283,7 +283,7 @@ class TestGruRowContract:
         tracemalloc.start()
         try:
             out = blocks.gru_sequence(*inputs)
-            grads = tape.backward(ad.reduce_sum(out))
+            grads = tape.backward(total(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,7 +384,7 @@ class TestEncoderGcn:
         arrays = encoder_gcn_arrays(rng, n_e, s_count)
         out, *leaves = encoder_gcn_on_tape(arrays, phi)
         probe = rng.standard_normal(out.shape)
-        grads = out.tape.backward(ad.reduce_sum(ad.hadamard(out, out.tape.constant(probe))))
+        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
         for leaf, pos, name in zip(leaves, (0, 1), ("hs", "w")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(arrays)]
@@ -401,7 +401,7 @@ class TestEncoderGcn:
         arrays = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=3)
         out, *leaves = encoder_gcn_on_tape(arrays, phi)
         probe = rng.standard_normal(out.shape)
-        grads = out.tape.backward(ad.reduce_sum(ad.hadamard(out, out.tape.constant(probe))))
+        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
         want, dhs, dw = unfused_encoder_gcn(*arrays, phi, probe)
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
@@ -425,7 +425,7 @@ class TestEncoderGcn:
         rng = np.random.default_rng(62)
         arrays = encoder_gcn_arrays(rng, 3, 2)
         out, hs, w = encoder_gcn_on_tape(arrays, "tanh", hs_needs=False)
-        grads = out.tape.backward(ad.reduce_sum(out))
+        grads = out.tape.backward(total(out))
         np.testing.assert_array_equal(grads.wrt(hs), np.zeros_like(arrays[0]))
         assert np.any(grads.wrt(w))
 
@@ -462,7 +462,7 @@ class TestEncoderGcn:
             tape = out.tape
             cells = tape._backward[out.idx].__closure__
             assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
-            tape.backward(ad.reduce_sum(out))
+            tape.backward(total(out))
             return weakref.ref(tape)
 
         gc.disable()
@@ -504,8 +504,8 @@ def assert_model_gradients(stack, x, names, rng):
 
     def probe_root(out):
         tape = out.tape
-        return ad.add(ad.reduce_sum(ad.hadamard(out.masks, tape.constant(probes[0]))),
-                      ad.reduce_sum(ad.hadamard(out.predictions, tape.constant(probes[1]))))
+        return dot(out.masks, tape.constant(probes[0]),
+                   out.predictions, tape.constant(probes[1]))
 
     grads = tape.backward(probe_root(out))
     for name in names:
@@ -560,7 +560,7 @@ class TestGatedPool:
         probe = rng.standard_normal((2, 4, 3))
         pooled, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
         grads = pooled.tape.backward(
-            ad.reduce_sum(ad.hadamard(pooled, pooled.tape.constant(probe))))
+            dot(pooled, pooled.tape.constant(probe)))
         for leaf, pos, name in zip(leaves, (0, 2), ("gate", "w")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(arrays)]
@@ -588,7 +588,7 @@ class TestGatedPool:
             tape = pooled.tape
             cells = tape._backward[pooled.idx].__closure__
             assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
-            tape.backward(ad.reduce_sum(pooled))
+            tape.backward(total(pooled))
             return weakref.ref(tape)
 
         gc.disable()

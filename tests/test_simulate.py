@@ -119,6 +119,34 @@ class TestGenLorenz96:
         with pytest.raises(sim.IntegrationError):
             sim.gen_lorenz96(10, 10.0, 100, dt=1.0, seed=0)
 
+    # each of these used to return an all-NaN or empty series, or leak
+    # numpy's own error
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"forcing": np.nan}, "forcing"), ({"forcing": np.inf}, "forcing"),
+        ({"forcing": -1.0}, "forcing"), ({"dt": np.nan}, "step"),
+        ({"dt": np.inf}, "step"), ({"t_steps": 1}, "length"), ({"t_steps": 0}, "length"),
+        ({"t_steps": -1}, "length")],
+        ids=["forcing_nan", "forcing_inf", "forcing_negative", "dt_nan", "dt_inf",
+             "one_step", "no_steps", "negative_steps"])
+    def test_invalid_parameter_rejected(self, kwargs, match):
+        args = {"n": 10, "forcing": 10.0, "t_steps": 50, **kwargs}
+        with pytest.raises(sim.SimulationError, match=match):
+            sim.gen_lorenz96(**args, seed=0)
+
+    def test_non_finite_state_names_the_step(self, monkeypatch):
+        # a NaN state compares False with the divergence limit; it must
+        # still stop the integration, at the step where it appears
+        calls = {"n": 0}
+        original = sim.lorenz96_deriv
+
+        def poisoned(x, forcing):
+            calls["n"] += 1  # four calls per RK4 step
+            return np.full_like(x, np.nan) if calls["n"] > 4 * 7 else original(x, forcing)
+
+        monkeypatch.setattr(sim, "lorenz96_deriv", poisoned)
+        with pytest.raises(sim.IntegrationError, match="at step 7$"):
+            sim.gen_lorenz96(10, 10.0, 50, seed=0)
+
     def test_same_seed_bit_identical(self):
         a, _ = sim.gen_lorenz96(6, 10.0, 100, seed=7)
         b, _ = sim.gen_lorenz96(6, 10.0, 100, seed=7)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
-from dyncause.model import GATE_HI, ModelConfig, build_node_models, forward_full
+from dyncause.model import GATE_HI, GATE_LO, ModelConfig, build_node_models, forward_full
 from dyncause.simulate import gen_var, standardize
 
+from reference_model import reference_loss
 from test_autodiff import central_diff_grad, rel_err
 
 
@@ -41,36 +42,48 @@ class TestLossWeights:
             tr.LossWeights(lambda1=0.5, lambda2=0.5, prior=prior)
 
 
-# The loss terms take a leading node axis; these tests use one node.
+def loss_terms(weights, masks, x_hat=None, x_target=None):
+    """``criterion``'s per-node terms when every node gets the gate rows
+    ``masks`` (G, N); ``x_hat`` (N, G, d) are the predictions and
+    ``x_target`` (G, N, d) the true values at the predicted steps, zeros by
+    default. The constants come from training's own ``_group_consts``."""
+    masks = np.asarray(masks, dtype=np.float64)
+    g, n = masks.shape
+    x_target = np.zeros((g, n, 1)) if x_target is None else np.asarray(x_target)
+    x_hat = np.zeros((n, g, x_target.shape[2])) if x_hat is None else np.asarray(x_hat)
+    series = np.zeros((1, n, g + 1, x_target.shape[2]))
+    series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
+    consts = tr._group_consts(series, weights.gamma)
+    tape = Tape()
+    every = np.broadcast_to(masks, (n, g, n)).copy()
+    return tr.criterion(tape.leaf(every), tape.leaf(x_hat), consts, weights)[1]
 
 
 def recon_loss(x_true, x_hat):
     """Reconstruction loss of one node; x_true (G, d), x_hat (G, d) values."""
-    return tr._recon_vec(x_true[None], Tape().leaf(np.asarray(x_hat)[None])).data.item()
+    x_true = np.asarray(x_true)
+    return loss_terms(tr.LossWeights(), np.full((len(x_true), 1), 0.5),
+                      np.asarray(x_hat)[None], x_true[:, None, :])["recon"].item()
 
 
 def struct_loss(x_target, node_index, x_hat, gamma):
-    """Structure loss of one node, with the kernel rows built by training's
-    own constants; x_target (G, N, d) true values at t, x_hat (G, d)."""
+    """Structure loss of one node; x_target (G, N, d) true values at t,
+    x_hat (G, d) the node's predictions."""
     g, n, d = x_target.shape
-    series = np.zeros((1, n, g + 1, d))
-    series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
-    consts = tr._group_consts(series, gamma)
-    tau_row = consts.tau_true[node_index : node_index + 1]
-    x_hat = Tape().leaf(np.asarray(x_hat)[None])
-    return tr._struct_vec(consts.x_target, tau_row, x_hat, gamma).data.item()
+    x_hats = np.zeros((n, g, d))
+    x_hats[node_index] = x_hat
+    terms = loss_terms(tr.LossWeights(gamma=gamma), np.full((g, n), 0.5), x_hats, x_target)
+    return terms["struct"][node_index].item()
 
 
 def divergence_loss(masks, weights, node_index):
     """Divergence loss of one node's (G, N) gate rows: every node gets the
     same rows, and node ``node_index``'s entry is read against its prior row."""
-    n = masks.shape[1]
-    every = np.broadcast_to(masks, (n,) + masks.shape).copy()
-    return tr._divergence_vec(Tape().leaf(every), weights).data[node_index].item()
+    return loss_terms(weights, masks)["div"][node_index].item()
 
 
 def sparsity_loss(masks, epsilon):
-    return tr._sparsity_vec(Tape().leaf(masks[None]), epsilon).data.item()
+    return loss_terms(tr.LossWeights(epsilon=epsilon), masks)["sparsity"][0].item()
 
 
 class TestReconLoss:
@@ -179,42 +192,53 @@ class TestSparsityLoss:
         assert hi > lo
 
 
-def total_loss(recon, struct, div, sparsity, weights):
-    """``_combine`` of one node's terms; a term whose beta is 0 is None, as
-    ``_loss_vectors`` leaves it."""
-    tape = Tape()
-    terms = (recon, struct, div, sparsity)
-    betas = (1.0, weights.beta1, weights.beta2, weights.beta3)
-    vecs = {k: tape.leaf([v]) if beta > 0 else None
-            for k, v, beta in zip(("recon", "struct", "div", "sparsity"), terms, betas)}
-    return tr._combine(vecs, weights).data.item()
+def random_terms(weights, seed=0, g=5, n=3):
+    """``loss_terms`` on drawn gates, predictions and truths."""
+    rng = np.random.default_rng(seed)
+    return loss_terms(weights, rng.uniform(0.05, 0.95, (g, n)),
+                      rng.standard_normal((n, g, 1)), rng.standard_normal((g, n, 1)))
 
 
 class TestTotalLoss:
     def test_zero_betas_pure_reconstruction(self):
-        w = tr.LossWeights(beta1=0, beta2=0, beta3=0)
-        assert total_loss(1.3, 0.7, 0.2, 0.9, w) == 1.3
+        terms = random_terms(tr.LossWeights(beta1=0, beta2=0, beta3=0))
+        assert set(terms) == {"recon", "total"}
+        np.testing.assert_array_equal(terms["total"], terms["recon"])
 
     @pytest.mark.parametrize("key, beta", [("struct", "beta1"), ("div", "beta2"),
                                            ("sparsity", "beta3")])
     def test_zero_beta_term_is_not_computed(self, key, beta):
-        # _combine adds every term it is given: a zero beta must leave its
-        # term out here, and only here
+        # a zero beta leaves its term out of the returned terms, and out of
+        # the history, which then reads 0 for it
         models = build_node_models(3, 1, ModelConfig(hidden=3), 0)
         x = np.random.default_rng(4).standard_normal((1, 3, 6, 1))
-        out = tr.batched_forward(models, x, Tape())
         consts = tr._group_consts(x, 1.0)
-        on = tr._loss_vectors(out, consts, tr.LossWeights())
-        off = tr._loss_vectors(out, consts, tr.LossWeights(**{beta: 0.0}))
-        assert on[key] is not None and off[key] is None
-        assert all(off[k] is not None for k in off if k != key)
+        terms = {}
+        for name, weights in (("on", tr.LossWeights()), ("off", tr.LossWeights(**{beta: 0.0}))):
+            out = tr.batched_forward(models, x, Tape())
+            terms[name] = tr.criterion(out.masks, out.predictions, consts, weights)[1]
+        assert key in terms["on"] and key not in terms["off"]
+        assert set(terms["off"]) == set(terms["on"]) - {key}
 
     def test_beta3_linearity(self):
-        w1 = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
-        w2 = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.6)
-        l1 = total_loss(1.0, 0.5, 0.25, 2.0, w1)
-        l2 = total_loss(1.0, 0.5, 0.25, 2.0, w2)
-        assert l2 - l1 == pytest.approx(0.3 * 2.0, rel=1e-12)
+        t1 = random_terms(tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3))
+        t2 = random_terms(tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.6))
+        np.testing.assert_allclose(t2["total"] - t1["total"], 0.3 * t1["sparsity"],
+                                   rtol=1e-12)
+
+    def test_total_is_the_weighted_sum_and_the_root_its_sum(self):
+        weights = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
+        rng = np.random.default_rng(1)
+        consts = tr._group_consts(rng.standard_normal((1, 3, 6, 1)), weights.gamma)
+        tape = Tape()
+        masks = tape.leaf(rng.uniform(0.05, 0.95, (3, 5, 3)))
+        root, terms = tr.criterion(masks, tape.leaf(rng.standard_normal((3, 5, 1))),
+                                   consts, weights)
+        want = (terms["recon"] + 0.1 * terms["struct"] + 0.2 * terms["div"]
+                + 0.3 * terms["sparsity"])
+        np.testing.assert_allclose(terms["total"], want, rtol=1e-15)
+        assert root.shape == () and root.data == terms["total"].sum()
+        assert len(tape) == 3 and tape._parents[root.idx] == (masks.idx, masks.idx + 1)
 
     def test_full_gradient_matches_finite_differences(self):
         # tiny end-to-end instance: N=3, S=2 samples, T=5, H=4, both encoder
@@ -232,8 +256,8 @@ class TestTotalLoss:
         def full_loss(stack):
             tape = Tape()
             out = batched_forward(stack, x, tape)
-            vecs = tr._loss_vectors(out, consts, weights)
-            return tape, out, ad.reduce_sum(tr._combine(vecs, weights))
+            root, _ = tr.criterion(out.masks, out.predictions, consts, weights)
+            return tape, out, root
 
         for share in (False, True):
             cfg = tr.TrainConfig(hidden=h, seed=7, share_encoder=share)
@@ -257,6 +281,113 @@ class TestTotalLoss:
                 fd = central_diff_grad(scalar_loss, base)
                 got = grads.wrt(out.leaves[name])[..., cols]
                 assert rel_err(got, fd) < 1e-4, (share, name)
+
+
+class TestCriterion:
+    """``criterion`` against a plain-numpy oracle, its closed-form backward
+    against central differences, and its one node on the tape."""
+
+    N, G = 3, 4
+
+    @staticmethod
+    def _weights(case, n):
+        prior = np.random.default_rng(2).uniform(0.1, 0.9, (n, n))
+        off = {"beta1": 0.0, "beta2": 0.0, "beta3": 0.0}
+        return {
+            "recon": tr.LossWeights(**off),
+            "struct": tr.LossWeights(**{**off, "beta1": 0.5}, gamma=0.7),
+            "entropy": tr.LossWeights(**{**off, "beta2": 0.8}),
+            "kl": tr.LossWeights(**{**off, "beta2": 0.8}, lambda1=0.0, lambda2=1.0,
+                                 prior=prior),
+            "js": tr.LossWeights(**{**off, "beta2": 0.8}, lambda1=0.0, lambda3=1.0,
+                                 prior=prior),
+            "sparsity": tr.LossWeights(**{**off, "beta3": 0.35}, epsilon=0.05),
+            "default": tr.LossWeights(),
+            "all": tr.LossWeights.with_uniform_prior(n, beta1=0.5, gamma=1.3),
+        }[case]
+
+    @staticmethod
+    def _clamp(m):
+        # the mean gate of input 0 below GATE_LO and that of input 1 above GATE_HI
+        m[..., 0] = 1e-8
+        m[..., 1] = 1.0 - 1e-9
+
+    @pytest.mark.parametrize("s_count", [1, 3])
+    @pytest.mark.parametrize("case", ["default", "all", "kl", "js"])
+    def test_terms_match_reference(self, case, s_count):
+        # S samples lay out node i's rows sample-major, G = S * (T-1)
+        n, t1 = self.N, self.G
+        rng = np.random.default_rng(13)
+        weights = self._weights(case, n)
+        x = rng.standard_normal((s_count, n, t1 + 1, 1))
+        masks = rng.uniform(0.02, 0.98, (s_count, t1, n, n))
+        self._clamp(masks[:, :, 0])  # for node 0 only
+        preds = rng.standard_normal((s_count, t1, n, 1))
+        rows = lambda a: np.ascontiguousarray(
+            a.transpose(2, 0, 1, 3).reshape(n, s_count * t1, a.shape[3]))
+        tape = Tape()
+        _, terms = tr.criterion(tape.leaf(rows(masks)), tape.leaf(rows(preds)),
+                                tr._group_consts(x, weights.gamma), weights)
+        want = reference_loss(masks, preds, x, weights)
+        assert set(terms) == set(want)
+        for key in want:
+            np.testing.assert_allclose(terms[key], want[key], rtol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("case, clamped", [
+        ("recon", False), ("struct", False), ("entropy", False), ("entropy", True),
+        ("kl", False), ("kl", True), ("js", False), ("js", True), ("sparsity", False),
+        ("all", False), ("all", True)],
+        ids=["recon", "struct", "entropy", "entropy-clamped", "kl", "kl-clamped", "js",
+             "js-clamped", "sparsity", "all", "all-clamped"])
+    def test_gradient_matches_central_differences(self, case, clamped):
+        # each term's gradient in the gates and the predictions, alone and
+        # all together. Clamped, the logs of the divergence read the clipped
+        # mean gate and have no gradient; the step is small enough that the
+        # means stay clamped
+        n, g = self.N, self.G
+        rng = np.random.default_rng(11)
+        weights = self._weights(case, n)
+        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)), weights.gamma)
+        m0 = rng.uniform(0.05, 0.95, (n, g, n))
+        x0 = rng.standard_normal((n, g, 1))
+        step = 1e-6
+        if clamped:
+            self._clamp(m0)
+            step = 1e-9
+            m_bar = m0.mean(axis=1)
+            assert np.all(m_bar[:, 0] < GATE_LO) and np.all(m_bar[:, 1] > GATE_HI)
+
+        def root(m, x_hat):
+            tape = Tape()
+            return tr.criterion(tape.leaf(m), tape.leaf(x_hat), consts, weights)[0]
+
+        tape = Tape()
+        masks, x_hat = tape.leaf(m0), tape.leaf(x0)
+        grads = tape.backward(tr.criterion(masks, x_hat, consts, weights)[0])
+        fd_m = central_diff_grad(lambda m: root(m, x0).data.item(), m0, h=step)
+        fd_x = central_diff_grad(lambda x: root(m0, x).data.item(), x0)
+        assert rel_err(grads.wrt(masks), fd_m) < 1e-6
+        assert rel_err(grads.wrt(x_hat), fd_x) < 1e-6
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_train_step_tape_is_the_forward_and_one_node(self, monkeypatch, share):
+        forwards = []
+        original = tr.batched_forward
+
+        def spy(stack, x, *args, **kwargs):
+            out = original(stack, x, *args, **kwargs)
+            forwards.append((out.tape, len(out.tape)))
+            return out
+
+        monkeypatch.setattr(tr, "batched_forward", spy)
+        config = tr.TrainConfig(hidden=3, share_encoder=share)
+        weights = tr.LossWeights.with_uniform_prior(3)
+        x = standardize(np.random.default_rng(5).standard_normal((2, 3, 8, 1)))
+        stack = build_node_models(3, 1, config.model_config(), config.seed)
+        tr._train_step(stack, x, tr._group_consts(x, weights.gamma), config, weights,
+                       tr.AdamState(), np.ones(3, dtype=bool))
+        [(tape, forward_nodes)] = forwards
+        assert (forward_nodes, len(tape)) == (24, 25)
 
 
 class TestAdam:
@@ -321,10 +452,16 @@ class TestTrain:
         ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0),
         ("epochs", 2.5), ("minibatch_size", 2.5), ("early_stop_patience", 2.5),
         ("seed", 1.5), ("hidden", 2.5), ("epochs", True), ("seed", False),
-        ("hidden", True), ("share_encoder", "no"), ("share_encoder", 1)])
+        ("hidden", True), ("share_encoder", "no"), ("share_encoder", 1),
+        ("learning_rate", None), ("adam_beta1", None), ("adam_beta2", None),
+        ("adam_eps", None), ("early_stop_tol", None), ("self_loop", None), ("beta1", None),
+        ("beta2", None), ("beta3", None), ("lambda1", None), ("lambda2", None),
+        ("lambda3", None), ("gamma", None), ("epsilon", None), ("early_stop_tol", "x"),
+        ("epsilon", "x"), ("gamma", True)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
-        # construction with the field named
+        # construction with the field named; a value that is not a real
+        # number used to raise a bare TypeError naming no field
         cls = tr.TrainConfig if hasattr(tr.TrainConfig, field) else tr.LossWeights
         with pytest.raises(ValueError, match=field):
             cls(**{field: value})
@@ -404,15 +541,15 @@ class TestTrain:
         series, _ = small_var_data(t=40)
 
         calls = {"n": 0}
-        original = tr._recon_vec
+        original = tr.criterion
 
-        def poisoned(x_next, x_hat):
+        def poisoned(*args):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise ad.NumericError("non-finite value produced by op 'matmul'")
-            return original(x_next, x_hat)
+            return original(*args)
 
-        monkeypatch.setattr(tr, "_recon_vec", poisoned)
+        monkeypatch.setattr(tr, "criterion", poisoned)
         with pytest.raises(tr.TrainingError, match="epoch 3"):
             tr.train(series, tr.TrainConfig(epochs=10, hidden=4, seed=5),
                      tr.LossWeights())
