@@ -2,16 +2,13 @@
 
 The engine is deliberately small: a ``Tape`` records every operation in
 topological order, each node knowing how to push an upstream gradient back to
-its parents. Four generic ops serve the model's layers:
+its parents. One generic op serves the model's layers:
 
-- ``matmul``: stacked (batched) operands broadcast like ``np.matmul``, and
-  the gradients are summed back over the broadcast axes; this is what makes
-  whole-series training affordable;
-- ``affine``: ``matmul`` plus a bias stored as the last row of the weight
-  array, [W; b], the one layout of every biased layer in the model; the two
-  share their shape checks and their matrix-product gradients;
-- ``activation``: an entry of ``ACTIVATIONS`` applied elementwise;
-- ``reshape``.
+- ``dense(x, wb, phi)``: phi(x @ W + b) for the one array [W; b], its bias
+  the last row, the layout of every biased layer in the model. Stacked
+  leading axes broadcast like ``np.matmul``, and the gradients are summed
+  back over the broadcast axes, so a shared encoder's single row serves
+  every node's weights; phi is an entry of ``ACTIVATIONS``.
 
 Everything else is a fused op with a hand-written backward:
 ``gru_sequence``, ``encoder_gcn`` and ``gated_pool`` in ``blocks``, and
@@ -22,9 +19,9 @@ vector-Jacobian closure ``backward(g)`` returning one gradient (or None) per
 operand, and one ``Tape.record`` call, the one way onto the tape.
 ``record`` checks that the operands share the tape, raises ``NumericError``
 at the first NaN/Inf in the output instead of letting it propagate, and keeps
-the closure only when some operand needs a gradient. ``reshape`` is the
-one exception to the finite check: it moves no values, and its operand was
-checked when it was made.
+the closure only when some operand needs a gradient. An op that ends in an
+activation records its pre-activation, where an overflow still shows (tanh
+would squash it), and then applies phi in place on the recorded buffer.
 
 A tape is swept once. ``Tape.backward`` drops each op's closure and
 gradient as soon as its vector-Jacobian product has run, so the forward
@@ -32,8 +29,8 @@ buffers only that closure holds are freed mid-sweep, and a closure may
 overwrite the buffers it reads for the last time. Leaves keep their
 gradients; a second sweep, or the gradient of an interior node, raises.
 
-``ACTIVATIONS`` is the one table of the model's nonlinearities, and
-``activation(x, phi)`` its tape op; fused ops read the same entries.
+``ACTIVATIONS`` is the one table of the model's nonlinearities; ``dense``
+and the fused ops read the same entries.
 """
 
 from __future__ import annotations
@@ -49,10 +46,7 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "ACTIVATIONS",
-    "activation",
-    "matmul",
-    "affine",
-    "reshape",
+    "dense",
 ]
 
 
@@ -152,10 +146,6 @@ class Tape:
         """
         data = np.asarray(out_data, dtype=np.float64)
         _check_finite(data, op)
-        return self._link(data, parents, backward_fn)
-
-    def _link(self, data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-        # record without the finite check: the path of reshape, a view
         for p in parents:
             if p.tape is not self:
                 raise ValueError("all operands must live on the same tape")
@@ -254,64 +244,43 @@ ACTIVATIONS = {
 }
 
 
-def activation(x: Tensor, phi: str) -> Tensor:
-    """``phi``, a key of ``ACTIVATIONS``, applied elementwise."""
-    fn, deriv = ACTIVATIONS[phi]
-    out = fn(x.data, np.empty_like(x.data))
-    # phi' into a new array, not into out: out is the op's output, which a caller may hold
-    return x.tape.record(out, (x,), lambda g: (g * deriv(out, np.empty_like(out)),), op=phi)
-
-
-def _check_product(op: str, ash: tuple, wbsh: tuple, bias_rows: int) -> None:
-    """``ShapeError`` unless ``ash`` @ W is a stacked matrix product, W being
-    the ``wbsh`` operand without its last ``bias_rows`` rows."""
-    if len(ash) < 2 or len(wbsh) < 2:
-        raise ShapeError(f"{op} operands must have rank >= 2")
-    if ash[-1] + bias_rows != wbsh[-2]:
-        raise ShapeError(f"{op}: inner dims disagree ({ash} @ {wbsh})")
-    if not _broadcastable(ash[:-2], wbsh[:-2]):
-        raise ShapeError(f"{op}: batch dims do not broadcast ({ash} @ {wbsh})")
-
-
-def _matmul_vjp(g, ad, bd, na: bool, nb: bool) -> tuple:
-    """d``ad`` and d``bd`` of ``ad @ bd`` (None where not needed), each
-    summed back over the batch axes it was broadcast along."""
-    return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if na else None,
-            _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if nb else None)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; stacked leading axes broadcast like ``np.matmul``."""
-    _check_product("matmul", a.shape, b.shape, 0)
-    ad, bd = a.data, b.data
-    na, nb = a.needs, b.needs
-    return a.tape.record(np.matmul(ad, bd), (a, b),
-                         lambda g: _matmul_vjp(g, ad, bd, na, nb), op="matmul")
-
-
-def affine(x: Tensor, wb: Tensor) -> Tensor:
-    """``x @ W + b`` for the one array ``wb`` = [W; b], its bias the last
-    row: (..., K) @ (..., K+1, h); stacked axes broadcast as in ``matmul``.
+def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
+    """``phi(x @ W + b)`` for the one array ``wb`` = [W; b], its bias the
+    last row: (..., K) @ (..., K+1, h), phi a key of ``ACTIVATIONS``.
+    Stacked leading axes broadcast like ``np.matmul``, and each gradient is
+    summed back over the axes its operand was broadcast along.
 
     The bias is added to the product in place, so the sum rounds exactly as
-    ``matmul(x, W)`` plus ``b`` does; a ones column, ``[x, 1] @ [W; b]``,
-    would copy ``x`` and change the summation order.
+    ``x @ W`` plus ``b`` does; a ones column, ``[x, 1] @ [W; b]``, would
+    copy ``x`` and change the summation order. An overflowed pre-activation
+    raises ``NumericError`` even where phi would squash it.
     """
-    _check_product("affine", x.shape, wb.shape, 1)
+    xsh, wbsh = x.shape, wb.shape
+    if len(xsh) < 2 or len(wbsh) < 2:
+        raise ShapeError("dense operands must have rank >= 2")
+    if xsh[-1] + 1 != wbsh[-2]:
+        raise ShapeError(f"dense: inner dims disagree ({xsh} @ {wbsh}, bias row last)")
+    if not _broadcastable(xsh[:-2], wbsh[:-2]):
+        raise ShapeError(f"dense: batch dims do not broadcast ({xsh} @ {wbsh})")
+    fn, deriv = ACTIVATIONS[phi]
     xd, wbd = x.data, wb.data
     w, b = wbd[..., :-1, :], wbd[..., -1:, :]
     nx, nw = x.needs, wb.needs
-    out = np.matmul(xd, w)
-    out += b
+    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
+        out = np.matmul(xd, w)
+        out += b
 
     def backward(g):
-        dx, dw = _matmul_vjp(g, xd, w, nx, nw)
-        return dx, (np.concatenate((dw, _unbroadcast(g, b.shape)), axis=-2) if nw else None)
+        # phi' into a new array, not into out: out is the op's output, which a caller may hold
+        g = g * deriv(out, np.empty_like(out))
+        dx = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), xsh) if nx else None
+        if not nw:
+            return dx, None
+        dw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), w.shape)
+        return dx, np.concatenate((dw, _unbroadcast(g, b.shape)), axis=-2)
 
-    return x.tape.record(out, (x, wb), backward, op="affine")
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    xshape = x.shape
-    out = x.data.reshape(tuple(int(s) for s in shape))
-    return x.tape._link(out, (x,), lambda g: (g.reshape(xshape),))
+    # record scans the pre-activation and wraps it without a copy; phi then
+    # runs in place on the recorded buffer. phi of a finite value is finite
+    node = x.tape.record(out, (x, wb), backward, op="dense")
+    fn(out, out)
+    return node

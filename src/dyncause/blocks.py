@@ -14,11 +14,12 @@ and one for the candidate. The op keeps the gate history of every step only
 when one of its inputs needs a gradient; a forward that takes none reuses
 one step's buffer and records no backward.
 
-``gated_pool`` is the decoder's first layer and its NGCN pooling, built the
-same way: one tape node whose (i, j, t, .) buffers hold node i's view of
-input j at transition t, so the (N, N, g, h) activation is written once, by
-one [gate * x, 1] @ [w; b] GEMM per node, and read back once in the
-backward, which writes phi' over it; phi and phi' come from
+``gated_pool`` is the decoder's first layer and its NGCN, built the same
+way: one tape node whose (i, j, t, .) buffers hold node i's view of input j
+at transition t, so the (N, N, g, h) activation is written once, by one
+[gate * x, 1] @ [w; b] GEMM per node, and read back once in the backward,
+which writes phi' over it. The pooled output then takes the NGCN weight and
+phi, as ``encoder_gcn``'s mix takes its weight; phi and phi' come from
 ``autodiff.ACTIVATIONS``.
 
 ``encoder_gcn`` is the encoder's GCN layer over the GRU states, built the
@@ -239,31 +240,36 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
 # gated pooling
 
 
-def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
-               phi: str) -> Tensor:
-    """Gate every input, apply each node's first decoder layer, and pool
-    over the inputs with the propagation matrix, in one fused op:
+def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
+               prop: np.ndarray, phi: str) -> Tensor:
+    """Gate every input, apply each node's first decoder layer, pool over
+    the inputs with the propagation matrix and apply the NGCN weight:
 
         pooled[i, t] = sum_j prop[i, j] * phi([gate[i, t, j] * x_prev[j, t], 1] @ w[i])
+        out[i, t] = phi(pooled[i, t] @ v[i])
 
     gate (N, g, N') is a tensor; x_prev (N', g, d) and prop (N, N') are
     arrays that take no gradient; w = [W; b] is (N, d+1, h), the bias its
-    last row, and phi a key of ``ACTIVATIONS``. Returns (N, g, h).
+    last row, v (N, h, h) the NGCN weight, and phi a key of
+    ``ACTIVATIONS``. Returns (N, g, h).
 
     The gated input [gate * x_prev, 1] and the activation are laid out
     (i, j, t, .), so the first layer, bias included, is one
     (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
     one (1, N')@(N', g*h) product per node. An overflowed pre-activation
-    raises ``NumericError`` even where phi would squash it.
+    of either layer raises ``NumericError`` even where phi would squash it.
+    Without a gradient, the activation dies before the NGCN product, which
+    goes through one row-sized buffer back over the pooled output.
     """
-    G, X, W = gate.data, x_prev, w.data
+    G, X, W, V = gate.data, x_prev, w.data, v.data
     if G.ndim != 3:
         raise ShapeError(f"gated_pool expects an (N, g, N') gate, got {G.shape}")
     n, g, n_in = G.shape
     if X.ndim != 3 or X.shape[:2] != (n_in, g):
         raise ShapeError(f"gated_pool: x_prev shape {X.shape}, expected ({n_in}, {g}, d)")
     d, h = X.shape[2], W.shape[-1]
-    for name, arr, want in (("w", W, (n, d + 1, h)), ("prop", prop, (n, n_in))):
+    for name, arr, want in (("w", W, (n, d + 1, h)), ("v", V, (n, h, h)),
+                            ("prop", prop, (n, n_in))):
         if arr.shape != want:
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
     phi_fn, phi_deriv = ACTIVATIONS[phi]
@@ -279,8 +285,22 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
     phi_fn(A, A)
     pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
     need_gate = gate.needs  # a bool: the closure must not keep the tape alive
+    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
+        if need_gate or w.needs or v.needs:
+            out = np.matmul(pooled, V)
+        else:  # no backward reads them: free them, and write the product over pooled
+            Xg = Xg_rows = A = None
+            out, row = pooled, np.empty((g, h))
+            for i in range(n):
+                np.matmul(pooled[i], V[i], out=row)
+                out[i] = row
 
-    def backward(gp):
+    def backward(go):
+        # into a new array, not over out: out is the op's output, which a caller may hold
+        dY = go * phi_deriv(out, np.empty_like(out))
+        dv = np.matmul(np.swapaxes(pooled, -1, -2), dY)
+        gp = np.matmul(dY, np.swapaxes(V, -1, -2))
+        del dY
         # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
         # over the activation, which this closure, run at most once, reads last
         D = phi_deriv(A, A)
@@ -296,9 +316,13 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, prop: np.ndarray,
             dXg = np.matmul(D, np.swapaxes(W[:, :d], 1, 2)[:, None])  # (n, n_in, g, d)
             dXg *= X
             dgate = dXg.sum(axis=3).transpose(0, 2, 1)
-        return dgate, dw
+        return dgate, dw, dv
 
-    return gate.tape.record(pooled, (gate, w), backward, op="gated_pool")
+    # record scans the NGCN pre-activation, which an overflow of the pooled
+    # output reaches too; phi then runs in place on the recorded buffer
+    node = gate.tape.record(out, (gate, w, v), backward, op="gated_pool")
+    phi_fn(out, out)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +338,8 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     N cells, each running S samples; w (n_e, h, h) is a tensor and prop
     (N, N) an array that takes no gradient; phi is a key of
     ``ACTIVATIONS``. n_e is read from w, N from prop and S from the rows of
-    hs. Returns (n_e, S*T'*N, h), one row per (sample, step, node) in the
-    order the mask generator reads.
+    hs. Returns (n_e, S*T', N*h): one row per (sample, step), the N nodes'
+    outputs side by side, the layout the mask generator reads.
 
     The mix is one (N, N)@(N, h) product per (step, row, sample), written
     straight into that (n_e, S, T', N, h) layout, so no transposed copy is
@@ -362,7 +386,7 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     def backward(g):
         # a new array, not A: A is the op's output, which a caller may hold
         D = phi_deriv(A, np.empty_like(A))
-        D *= g
+        D *= g.reshape(A.shape)
         dw = np.matmul(Z_rows.transpose(0, 2, 1), D) if need_w else None
         if not need_hs:
             return None, dw
@@ -376,7 +400,8 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     # record scans A before phi, where an overflow still shows (tanh would
     # squash it), and wraps it without a copy; phi then runs in place on the
     # recorded buffer, so the output is scanned once. phi of a finite A is
-    # finite for every activation
-    out = hs.tape.record(A, (hs, w), backward, op="encoder_gcn")
+    # finite for every activation. A is contiguous: the view is free
+    out = hs.tape.record(A.reshape(n_e, s_count * tt, n * h), (hs, w), backward,
+                         op="encoder_gcn")
     phi_fn(A, A)
     return out

@@ -14,11 +14,12 @@ shared row, or one per node) run as one ``gru_sequence`` call whose rows are
 cell-major (row b*S + s runs bank cell b on sample s), its states feed one
 ``encoder_gcn`` call, which writes the GCN's rows in the (sample, step,
 node) order the MMG reads, and the per-node MMG weights broadcast over a
-shared encoder's single output. The decoder's first layer and its NGCN
-pooling are one ``gated_pool`` call: its rows are (i, j, t), node i's gated
-view of input j at transition t, pooled over j. Every biased layer reads
-one [W; b] array, bias last: the fused kernels whole, and the MMG and the
-output MLP through ``ad.affine``.
+shared encoder's single output. The decoder's first layer and its NGCN are
+one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of
+input j at transition t, pooled over j and then weighted by ``ngcn_w``.
+Every layer is one tape node: the GRU bank, the two GCNs, and the two
+layers each of the MMG and the output MLP, which are ``ad.dense`` calls.
+Every biased layer reads one [W; b] array, bias last, whole.
 Both GCNs run over the complete graph, A all ones, so the propagation
 D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``ParamStack.serves``
 reports which nodes each parameter row serves, so training needs no
@@ -29,8 +30,6 @@ read out without a gradient, the gates lie in [``GATE_LO``, ``GATE_HI``].
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +37,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .blocks import encoder_gcn, gated_pool, gru_sequence, uniform_init
-from .simulate import require_finite
+from .simulate import check_count, check_real, require_finite
 
 GATE_LO = 1e-7  # gates leave the model inside [GATE_LO, GATE_HI]
 GATE_HI = 1.0 - 1e-7
-
-
-def check_count(name: str, value, least: int) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
-def check_real(name: str, value) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a finite real number."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass
@@ -89,7 +75,7 @@ class ParamStack:
     shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
     where row e*N + j is its cell for input node j. Every biased affine map
     is one [W; b] array, its bias the last row, read whole by a fused kernel
-    or by ``ad.affine``: a GRU row's ``gru_w[r]`` = [W_z|W_r|W_h;
+    or by ``ad.dense``: a GRU row's ``gru_w[r]`` = [W_z|W_r|W_h;
     b_z|b_r|b_h] (d+1, 3h), gates side by side as in ``gru_u[r]`` =
     U_z|U_r|U_h (h, 3h); node i's ``rl_w[i]`` (d+1, h); and its MMG layers
     ``mmg_w1[i]`` and ``mmg_w2[i]`` and output MLP layers ``tip_w1[i]`` and
@@ -256,13 +242,14 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     ``ValueError`` naming its index, while 0 (a knocked-out edge) is legal.
 
     The GRU states go straight into ``encoder_gcn``, which mixes them into
-    the (n_e, g*N, h) rows the MMG reads, one per (sample, step, node) for
-    each of the n_e encoder rows, and applies ``enc_w`` and phi in that
-    buffer. A forward without a gradient keeps only what the next layer
-    reads: the GRU states die once mixed, the GRU keeps one step of gates,
-    ``encoder_gcn`` writes its weight product over the mix, and the encoder
+    the (n_e, g, N*h) rows the MMG reads, one per (sample, step) for each of
+    the n_e encoder rows, and applies ``enc_w`` and phi in that buffer. A
+    forward without a gradient keeps only what the next layer reads: the
+    GRU states die once mixed, the GRU keeps one step of gates,
+    ``encoder_gcn`` writes its weight product over the mix, the encoder
     output dies once the MMG's first layer has read it, before the decoder
-    runs.
+    runs, and ``gated_pool`` frees its activation before it writes the NGCN
+    product over its pooled output.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape
@@ -298,12 +285,10 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
     z = encoder_gcn(gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
-                    leaves["enc_w"], prop, phi)  # (n_e, g*N, h), rows (s, t, i)
-    z = ad.reshape(z, (n_e, g, n * h))  # a shared row broadcasts below
-    a1 = ad.affine(z, leaves["mmg_w1"])
+                    leaves["enc_w"], prop, phi)  # (n_e, g, N*h): a shared row broadcasts below
+    a1 = ad.dense(z, leaves["mmg_w1"], phi)
     del z  # without a gradient, the encoder output dies here
-    a1 = ad.activation(a1, phi)
-    masks = ad.activation(ad.affine(a1, leaves["mmg_w2"]), "sigmoid")  # (N, g, N)
+    masks = ad.dense(a1, leaves["mmg_w2"], "sigmoid")  # (N, g, N)
 
     # ---- decoder on gated snapshots: x_prev[j] holds input j's steps 0..T-2
     x_prev = node_rows(x[:, :, :tt])
@@ -312,10 +297,9 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
         gate = tape.constant(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
-    pooled = gated_pool(gate, x_prev, leaves["rl_w"], prop, phi)  # (N, g, h)
-    z_dec = ad.activation(ad.matmul(pooled, leaves["ngcn_w"]), phi)
-    t1 = ad.activation(ad.affine(z_dec, leaves["tip_w1"]), phi)
-    x_hat = ad.affine(t1, leaves["tip_w2"])  # (N, g, d)
+    z_dec = gated_pool(gate, x_prev, leaves["rl_w"], leaves["ngcn_w"], prop, phi)  # (N, g, h)
+    t1 = ad.dense(z_dec, leaves["tip_w1"], phi)
+    x_hat = ad.dense(t1, leaves["tip_w2"], "identity")  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape)
 

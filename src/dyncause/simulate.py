@@ -8,6 +8,7 @@ single scalar feature per node. Truth adjacency follows the convention
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,19 @@ class SimulationError(ValueError):
 
 class IntegrationError(ArithmeticError):
     """The ODE integration left the stable region."""
+
+
+def check_count(name: str, value, least: int, error: type = ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def check_real(name: str, value, error: type = ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` is a finite real number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass
@@ -114,6 +128,12 @@ def _draw_var_system(n: int, p: int, rng: np.random.Generator) -> tuple:
     return transition, GroundTruthGraph(adjacency=adjacency)
 
 
+def _check_var_counts(n, t_steps, seed) -> None:
+    check_count("n", n, 3, SimulationError)  # 2 causes besides the node itself
+    check_count("t_steps", t_steps, 10, SimulationError)
+    check_count("seed", seed, 0, SimulationError)
+
+
 def _simulate_var(transition: list, t_steps: int, rng: np.random.Generator,
                   burn_in: int, init: np.ndarray | None = None) -> np.ndarray:
     n, p = transition[0].shape[0], len(transition)
@@ -131,13 +151,12 @@ def _simulate_var(transition: list, t_steps: int, rng: np.random.Generator,
 
 
 def gen_var(n: int, p: int, t_steps: int, seed: int):
-    """Sparse VAR(p) series; returns ((1, N, T, 1) array, GroundTruthGraph)."""
-    if p not in (1, 2):
-        raise SimulationError(f"lag order must be 1 or 2, got {p}")
-    if n < 3:
-        raise SimulationError("need at least 3 nodes to draw 2 non-self causes")
-    if t_steps < 10:
-        raise SimulationError("series length must be at least 10")
+    """Sparse VAR(p) series; returns ((1, N, T, 1) array, GroundTruthGraph).
+    A bad argument raises ``SimulationError`` naming it."""
+    _check_var_counts(n, t_steps, seed)
+    check_count("p", p, 1, SimulationError)
+    if p > 2:
+        raise SimulationError(f"lag order p must be 1 or 2, got {p}")
     rng = np.random.default_rng(seed)
     transition, truth = _draw_var_system(n, p, rng)
     series = _simulate_var(transition, t_steps, rng, VAR_BURN_IN)
@@ -145,13 +164,12 @@ def gen_var(n: int, p: int, t_steps: int, seed: int):
 
 
 def gen_switching_var(n: int, t_steps: int, switch_t: int, seed: int):
-    """Two lag-1 VAR regimes spliced at ``switch_t`` with a continuous state."""
-    if not 0 < switch_t < t_steps:
+    """Two lag-1 VAR regimes spliced at ``switch_t`` with a continuous state.
+    A bad argument raises ``SimulationError`` naming it."""
+    _check_var_counts(n, t_steps, seed)
+    check_count("switch_t", switch_t, 1, SimulationError)
+    if switch_t >= t_steps:
         raise SimulationError(f"switch time must lie strictly inside (0, {t_steps})")
-    if n < 3:
-        raise SimulationError("need at least 3 nodes to draw 2 non-self causes")
-    if t_steps < 10:
-        raise SimulationError("series length must be at least 10")
     rng = np.random.default_rng(seed)
     trans_a, truth_a = _draw_var_system(n, 1, rng)
     trans_b, truth_b = _draw_var_system(n, 1, rng)
@@ -182,17 +200,17 @@ def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,
                  seed: int = 0):
     """Lorenz-96 series via RK4; returns ((1, N, T, 1) array, GroundTruthGraph).
 
-    Raises ``IntegrationError`` naming the step at which the state leaves
+    A bad argument raises ``SimulationError`` naming it. Raises
+    ``IntegrationError`` naming the step at which the state leaves
     |x| <= ``LORENZ_DIVERGENCE_LIMIT`` or stops being finite.
     """
-    if n < 4:
-        raise SimulationError("Lorenz-96 needs at least 4 variables")
-    if not 0.0 < forcing < math.inf:  # NaN fails too
-        raise SimulationError(f"forcing must be finite and positive, got {forcing}")
-    if not 0.0 < dt < math.inf:
-        raise SimulationError(f"integrator step must be finite and positive, got {dt}")
-    if t_steps < 2:
-        raise SimulationError(f"series length must be at least 2, got {t_steps}")
+    check_count("n", n, 4, SimulationError)
+    check_count("t_steps", t_steps, 2, SimulationError)
+    check_count("seed", seed, 0, SimulationError)
+    for name, value in (("forcing", forcing), ("dt", dt)):
+        check_real(name, value, SimulationError)
+        if value <= 0:
+            raise SimulationError(f"{name} must be positive, got {value!r}")
     rng = np.random.default_rng(seed)
     x = forcing + rng.normal(0.0, LORENZ_INIT_STD, size=n)
     samples = np.empty((t_steps, n))

@@ -21,10 +21,9 @@ import numpy as np
 
 from .autodiff import NumericError, ShapeError, Tape, Tensor
 from .model import (GATE_HI, GATE_LO, CausalMaskSeries, ModelConfig, ParamStack,
-                    Prediction, batched_forward, build_node_models, check_count,
-                    check_real, check_series, forward_full, node_rows, output_series,
-                    rows_to_series, series_shape)
-from .simulate import standardize, standardize_like
+                    Prediction, batched_forward, build_node_models, check_series,
+                    forward_full, node_rows, output_series, rows_to_series, series_shape)
+from .simulate import check_count, check_real, standardize, standardize_like
 
 
 class TrainingError(RuntimeError):
@@ -181,6 +180,7 @@ def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
     return value, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is named below, by node and term
 def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
               weights: LossWeights) -> tuple:
     """The four-term loss of every node of the batch, as one tape node.
@@ -198,7 +198,8 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     - sparsity: mean over (t, j) of log(m/epsilon + 1); gates are positive.
 
     The closed-form gradients in ``masks`` and ``x_hat`` are formed here;
-    the backward scales them by the root's gradient.
+    the backward scales them by the root's gradient. A non-finite term
+    raises ``NumericError`` naming the first node and term that hold one.
     """
     if x_hat.shape != consts.x_next.shape:
         raise ShapeError(f"prediction shape {x_hat.shape} != truth {consts.x_next.shape}")
@@ -237,6 +238,12 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
         if key in terms:
             total = total + terms[key] * beta
     terms["total"] = total
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:  # a term, or their weighted sum, overflowed
+        i = int(bad[0])
+        term = next(k for k in ("recon", "struct", "div", "sparsity", "total")
+                    if k in terms and not np.isfinite(terms[k][i]))
+        raise NumericError(f"non-finite loss term '{term}' at node {i}")
 
     def backward(grad):
         # runs once: the gradients may be scaled in place
@@ -379,12 +386,8 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
 
         means = {key: total / len(chunks) for key, total in sums.items()}
         for i in range(n):
-            row = {"epoch": epoch, "node": i, **{key: v[i] for key, v in means.items()}}
-            if not math.isfinite(row["total"]):
-                term = next(t for t in HISTORY_FIELDS[2:] if not math.isfinite(row[t]))
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, node {i}, term {term}")
-            history.append(row)
+            history.append({"epoch": epoch, "node": i,
+                            **{key: v[i] for key, v in means.items()}})
 
         cur = means["total"]
         improved = cur < best - config.early_stop_tol

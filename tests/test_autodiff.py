@@ -58,155 +58,150 @@ def total(x):
     return dot(x, x.tape.constant(1.0))
 
 
+def with_bias(w, b=None):
+    """[W; b], W's bias row below it: zeros unless ``b`` is given."""
+    w = np.asarray(w, dtype=np.float64)
+    b = np.zeros(w.shape[:-2] + (1, w.shape[-1])) if b is None else np.asarray(b)
+    return np.concatenate((w, b.reshape(w.shape[:-2] + (1, w.shape[-1]))), axis=-2)
+
+
+def activation(x, phi):
+    """``phi`` of x, elementwise, as ``dense`` of x with [I; 0]."""
+    k = x.shape[-1]
+    return ad.dense(x, x.tape.constant(with_bias(np.eye(k))), phi)
+
+
+def dense_fd_check(x0, wb0, phi, tol=1e-6):
+    """``dense``'s gradients in x and wb, under a random probe, match
+    central differences; both keep their operand's shape."""
+    probe = np.random.default_rng(4).standard_normal(np.broadcast_shapes(
+        x0.shape[:-1], wb0.shape[:-2] + (1,)) + (wb0.shape[-1],))
+
+    def loss(x, wb):
+        tape = ad.Tape()
+        return dot(ad.dense(tape.leaf(x), tape.leaf(wb), phi), tape.constant(probe)).data.item()
+
+    tape = ad.Tape()
+    tx, twb = tape.leaf(x0), tape.leaf(wb0)
+    grads = tape.backward(dot(ad.dense(tx, twb, phi), tape.constant(probe)))
+    assert grads.wrt(tx).shape == x0.shape and grads.wrt(twb).shape == wb0.shape
+    assert rel_err(grads.wrt(tx), central_diff_grad(lambda x: loss(x, wb0), x0)) < tol
+    assert rel_err(grads.wrt(twb), central_diff_grad(lambda wb: loss(x0, wb), wb0)) < tol
+
+
 class TestMatmul:
+    """The matrix product of ``dense``: stacked axes broadcast like np.matmul."""
+
     def test_identity(self):
         tape = ad.Tape()
         b = np.arange(9.0).reshape(3, 3)
-        out = ad.matmul(tape.leaf(np.eye(3)), tape.leaf(b))
+        out = ad.dense(tape.leaf(np.eye(3)), tape.leaf(with_bias(b)), "identity")
         np.testing.assert_array_equal(out.data, b)
 
     def test_hand_product(self):
         tape = ad.Tape()
         a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        b = tape.leaf([[1.0], [1.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[3.0], [7.0]])
+        wb = tape.leaf([[1.0], [1.0], [0.5]])
+        np.testing.assert_array_equal(ad.dense(a, wb, "identity").data, [[3.5], [7.5]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        a0 = rng.standard_normal((4, 5))
-        b0 = rng.standard_normal((5, 3))
-
-        def loss_a(a):
-            tape = ad.Tape()
-            out = ad.activation(ad.matmul(tape.leaf(a), tape.leaf(b0)), "tanh")
-            return total(out).data.item()
-
-        def loss_b(b):
-            tape = ad.Tape()
-            out = ad.activation(ad.matmul(tape.leaf(a0), tape.leaf(b)), "tanh")
-            return total(out).data.item()
-
-        tape = ad.Tape()
-        ta, tb = tape.leaf(a0), tape.leaf(b0)
-        root = total(ad.activation(ad.matmul(ta, tb), "tanh"))
-        grads = tape.backward(root)
-        assert rel_err(grads.wrt(ta), central_diff_grad(loss_a, a0)) < 1e-6
-        assert rel_err(grads.wrt(tb), central_diff_grad(loss_b, b0)) < 1e-6
+        dense_fd_check(rng.standard_normal((4, 5)), rng.standard_normal((6, 3)), "tanh")
 
     def test_shape_mismatch(self):
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError):
-            ad.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3))))
+            ad.dense(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 3))), "tanh")
 
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 2, 4))
-        b = rng.standard_normal((6, 4, 3))
+        wb = rng.standard_normal((6, 5, 3))
         tape = ad.Tape()
-        out = ad.matmul(tape.leaf(a), tape.leaf(b))
+        out = ad.dense(tape.leaf(a), tape.leaf(wb), "identity")
         for k in range(6):
-            np.testing.assert_array_equal(out.data[k], a[k] @ b[k])
+            np.testing.assert_array_equal(out.data[k], a[k] @ wb[k, :-1] + wb[k, -1])
 
     def test_batched_broadcast_gradient(self):
+        # one [W; b] serves every slice of the stack: its gradient sums them
         rng = np.random.default_rng(11)
-        a0 = rng.standard_normal((3, 2, 4))
-        w0 = rng.standard_normal((4, 2))  # broadcast over the stack axis
-
-        def loss_w(w):
-            tape = ad.Tape()
-            return total(ad.matmul(tape.leaf(a0), tape.leaf(w))).data.item()
-
-        tape = ad.Tape()
-        ta, tw = tape.leaf(a0), tape.leaf(w0)
-        grads = tape.backward(total(ad.matmul(ta, tw)))
-        assert rel_err(grads.wrt(tw), central_diff_grad(loss_w, w0)) < 1e-6
+        dense_fd_check(rng.standard_normal((3, 2, 4)), rng.standard_normal((5, 2)), "tanh")
 
 
 class TestAffine:
-    """``affine(x, wb)`` = x @ wb[..., :-1, :] + wb[..., -1:, :]."""
+    """``dense(x, wb, phi)`` = phi(x @ wb[..., :-1, :] + wb[..., -1:, :])."""
 
     def test_gradient_matches_finite_differences(self):
         # a shared encoder's (1, g, K) input broadcasts over N weight rows,
         # with K > 1 and h > 1, so both gradients sum over a broadcast axis
         rng = np.random.default_rng(17)
-        x0 = rng.standard_normal((1, 4, 3))
-        wb0 = rng.standard_normal((2, 4, 5))
-
-        def loss(x, wb):
-            tape = ad.Tape()
-            out = ad.activation(ad.affine(tape.leaf(x), tape.leaf(wb)), "tanh")
-            return total(out).data.item()
-
-        tape = ad.Tape()
-        tx, twb = tape.leaf(x0), tape.leaf(wb0)
-        grads = tape.backward(total(ad.activation(ad.affine(tx, twb), "tanh")))
-        assert grads.wrt(tx).shape == x0.shape and grads.wrt(twb).shape == wb0.shape
-        assert rel_err(grads.wrt(tx), central_diff_grad(lambda x: loss(x, wb0), x0)) < 1e-6
-        assert rel_err(grads.wrt(twb), central_diff_grad(lambda wb: loss(x0, wb), wb0)) < 1e-6
+        dense_fd_check(rng.standard_normal((1, 4, 3)), rng.standard_normal((2, 4, 5)), "tanh")
 
     @pytest.mark.parametrize("x_shape", [(1, 4, 3), (2, 4, 3)], ids=["broadcast", "stacked"])
     def test_bit_equal_to_matmul_then_add(self, x_shape):
-        # the stack's [W; b] layout must train exactly as separate W and b did
+        # the stack's [W; b] layout trains exactly as a product plus a bias:
+        # phi = identity passes the gradient through unchanged
         rng = np.random.default_rng(18)
         x0 = rng.standard_normal(x_shape)
         wb0 = rng.standard_normal((2, 4, 5))
-
+        w, b = wb0[:, :-1], wb0[:, -1:]
         upstream = rng.standard_normal((2, 4, 5))  # the output's gradient
-
-        def run(op, w):
-            tape = ad.Tape()
-            leaves = [tape.leaf(x0), tape.leaf(w)]
-            out = op(*leaves)
-            grads = tape.backward(dot(out, tape.constant(upstream)))
-            return out.data, [grads.wrt(leaf) for leaf in leaves]
-
-        out, (dx, dwb) = run(ad.affine, wb0)
-        product, (want_dx, dw) = run(ad.matmul, wb0[:, :-1].copy())
-        np.testing.assert_array_equal(out, product + wb0[:, -1:])
-        np.testing.assert_array_equal(dx, want_dx)
+        tape = ad.Tape()
+        x, wb = tape.leaf(x0), tape.leaf(wb0)
+        out = ad.dense(x, wb, "identity")
+        grads = tape.backward(dot(out, tape.constant(upstream)))
+        np.testing.assert_array_equal(out.data, np.matmul(x0, w) + b)
+        dx = np.matmul(upstream, np.swapaxes(w, -1, -2))
+        np.testing.assert_array_equal(grads.wrt(x), dx.sum(axis=0, keepdims=True)
+                                      if x_shape[0] == 1 else dx)
+        dw = np.matmul(np.swapaxes(x0, -1, -2), upstream)
         db = upstream.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(dwb, np.concatenate((dw, db), axis=1))
+        np.testing.assert_array_equal(grads.wrt(wb), np.concatenate((dw, db), axis=1))
 
     @pytest.mark.parametrize("x_shape, w_shape, message", [
         ((3,), (3, 2), "rank >= 2"), ((2, 3), (2, 3), "inner dims disagree"),
         ((2, 2, 3), (3, 3, 2), "batch dims do not broadcast")],
         ids=["rank", "inner", "batch"])
     def test_shape_checks_match_matmul(self, x_shape, w_shape, message):
-        # wb is W with one bias row more; both ops reject the same W the same way
+        # wb is W with one bias row more; dense rejects what np.matmul would
+        # reject of x @ W
         tape = ad.Tape()
         x = tape.leaf(np.ones(x_shape))
         wb_shape = w_shape[:-2] + (w_shape[-2] + 1, w_shape[-1])
-        for op, w in (("matmul", np.ones(w_shape)), ("affine", np.ones(wb_shape))):
-            with pytest.raises(ad.ShapeError, match=f"{op}.*{message}"):
-                getattr(ad, op)(x, tape.leaf(w))
+        with pytest.raises(ad.ShapeError, match=f"dense.*{message}"):
+            ad.dense(x, tape.leaf(np.ones(wb_shape)), "tanh")
 
 
 class TestElementwise:
+    """The activation of ``dense``: an entry of ``ACTIVATIONS``, elementwise."""
+
     def test_sigmoid_zero(self):
         tape = ad.Tape()
-        assert ad.activation(tape.leaf(0.0), "sigmoid").data.item() == 0.5
+        assert activation(tape.leaf([[0.0]]), "sigmoid").data.item() == 0.5
 
     def test_tanh_zero(self):
         tape = ad.Tape()
-        assert ad.activation(tape.leaf(0.0), "tanh").data.item() == 0.0
+        assert activation(tape.leaf([[0.0]]), "tanh").data.item() == 0.0
 
     def test_sigmoid_gradient_value(self):
         tape = ad.Tape()
-        x = tape.leaf(1.0)
-        grads = tape.backward(total(ad.activation(x, "sigmoid")))
+        x = tape.leaf([[1.0]])
+        grads = tape.backward(total(activation(x, "sigmoid")))
         s = 1.0 / (1.0 + np.exp(-1.0))
         assert grads.wrt(x).item() == pytest.approx(s * (1 - s), rel=1e-12)
         assert grads.wrt(x).item() == pytest.approx(0.19661, abs=1e-5)
         fd = central_diff_grad(
-            lambda v: ad.activation(ad.Tape().leaf(v), "sigmoid").data.item(), np.asarray(1.0)
-        )
+            lambda v: activation(ad.Tape().leaf(v), "sigmoid").data.item(), np.ones((1, 1)))
         assert rel_err(grads.wrt(x), fd) < 1e-8
 
     def test_overflow_raises_numeric_error(self):
+        # tanh(inf) = 1 would hide the overflow: the pre-activation is
+        # checked, and numpy's warning does not escape
         tape = ad.Tape()
         big = tape.leaf([[1e200]])
-        with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="matmul"):
-            ad.matmul(big, big)
+        with warnings.catch_warnings(), pytest.raises(ad.NumericError, match="dense"):
+            warnings.simplefilter("error")
+            ad.dense(big, tape.leaf([[1e200], [0.0]]), "tanh")
 
     def test_nan_leaf_rejected(self):
         tape = ad.Tape()
@@ -216,40 +211,28 @@ class TestElementwise:
     @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
     def test_unary_gradients_match_fd(self, name):
         # every activation goes through the one op
-        op = lambda x: ad.activation(x, name)
         rng = np.random.default_rng(5)
-        x0 = rng.standard_normal((3, 4)) * 0.8 + 0.1
-
-        def loss(x):
-            return total(op(ad.Tape().leaf(x))).data.item()
-
-        tape = ad.Tape()
-        tx = tape.leaf(x0)
-        grads = tape.backward(total(op(tx)))
-        assert rel_err(grads.wrt(tx), central_diff_grad(loss, x0)) < 1e-6
+        dense_fd_check(rng.standard_normal((3, 4)) * 0.8 + 0.1, rng.standard_normal((5, 2)),
+                       name)
 
     @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
     def test_activation_of_a_scalar(self, name):
-        tape = ad.Tape()
-        x = tape.leaf(0.3)
-        grad = tape.backward(ad.activation(x, name)).wrt(x)
-        fd = central_diff_grad(
-            lambda v: ad.activation(ad.Tape().leaf(v), name).data.item(), np.asarray(0.3))
-        assert grad.shape == () and rel_err(grad, fd) < 1e-8
+        # one input, one weight, one bias: the (1, 1) product
+        dense_fd_check(np.full((1, 1), 0.3), np.array([[0.7], [-0.1]]), name, tol=1e-8)
 
     @pytest.mark.parametrize("name, edge", [("sigmoid", 800.0), ("tanh", 50.0)])
     def test_saturated_activation_stays_finite(self, name, edge):
         # exp(800) overflows; the sigmoid must still give 0 and 1, and no
         # RuntimeWarning may escape
         tape = ad.Tape()
-        x = tape.leaf([-edge, edge])
+        x = tape.leaf([[-edge, edge]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ad.activation(x, name)
+            out = activation(x, name)
             grad = tape.backward(total(out)).wrt(x)
         low = 0.0 if name == "sigmoid" else -1.0
-        np.testing.assert_array_equal(out.data, [low, 1.0])
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        np.testing.assert_array_equal(out.data, [[low, 1.0]])
+        np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
 
 class TestReduce:
@@ -267,30 +250,6 @@ class TestReduce:
         np.testing.assert_array_equal(grads.wrt(x), [6.0, 8.0])
 
 
-class TestConcatReshape:
-    def test_flatten_row_major(self):
-        tape = ad.Tape()
-        out = ad.reshape(tape.leaf([[1.0, 2.0], [3.0, 4.0]]), (4,))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0, 4.0])
-
-    def test_flatten_backward_is_reshape(self):
-        tape = ad.Tape()
-        x = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        y = ad.reshape(x, (4,))
-        w = tape.leaf([1.0, 10.0, 100.0, 1000.0])
-        grads = tape.backward(dot(y, w))
-        np.testing.assert_array_equal(grads.wrt(x), [[1.0, 10.0], [100.0, 1000.0]])
-
-    def test_views_skip_the_finite_check(self, monkeypatch):
-        # reshape moves no values, and its operand was checked when it was made
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 3)))
-        checked = []
-        monkeypatch.setattr(ad, "_check_finite", lambda data, op: checked.append(op))
-        ad.activation(ad.reshape(x, (3, 2)), "tanh")
-        assert checked == ["tanh"]
-
-
 class TestBackward:
     def test_square(self):
         tape = ad.Tape()
@@ -301,17 +260,15 @@ class TestBackward:
     def test_tanh_chain_matches_fd(self):
         rng = np.random.default_rng(17)
         w0 = rng.standard_normal((4, 4))
-        x0 = rng.standard_normal((4, 1))
+        xb = with_bias(rng.standard_normal((4, 1)))
 
         def loss(w):
             tape = ad.Tape()
-            out = ad.activation(ad.matmul(tape.leaf(w), tape.leaf(x0)), "tanh")
-            return total(out).data.item()
+            return total(ad.dense(tape.leaf(w), tape.constant(xb), "tanh")).data.item()
 
         tape = ad.Tape()
         tw = tape.leaf(w0)
-        out = ad.activation(ad.matmul(tw, tape.leaf(x0)), "tanh")
-        grads = tape.backward(total(out))
+        grads = tape.backward(total(ad.dense(tw, tape.constant(xb), "tanh")))
         assert rel_err(grads.wrt(tw), central_diff_grad(loss, w0)) < 1e-5
 
     def test_unused_parameter_gets_exact_zero(self):
@@ -332,8 +289,8 @@ class TestBackward:
             rng = np.random.default_rng(99)
             tape = ad.Tape()
             w = tape.leaf(rng.standard_normal((5, 5)))
-            x = tape.leaf(rng.standard_normal((5, 2)))
-            root = total(ad.activation(ad.matmul(w, x), "sigmoid"))
+            x = tape.leaf(rng.standard_normal((6, 2)))
+            root = total(ad.dense(w, x, "sigmoid"))
             return tape.backward(root).wrt(w)
 
         g1, g2 = run(), run()
@@ -347,21 +304,21 @@ class TestBackward:
     )
     def test_backward_linearity(self, alpha, beta, seed):
         # the sweep is linear in the root's upstream weights: the probe
-        # weights tanh(x x^T), whose product reads x twice
+        # weights tanh(x W + b), with both x and [W; b] trainable
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(4)
-        a, b = rng.standard_normal((2, 4, 4))
+        x0 = rng.standard_normal((3, 4))
+        wb0 = rng.standard_normal((5, 4))
+        a, b = rng.standard_normal((2, 3, 4))
 
-        def grad_of(weight):
+        def grads_of(weight):
             tape = ad.Tape()
-            x = tape.leaf(x0)
-            outer = ad.matmul(ad.reshape(x, (4, 1)), ad.reshape(x, (1, 4)))
-            root = dot(ad.activation(outer, "tanh"), tape.constant(weight))
-            return tape.backward(root).wrt(x)
+            x, wb = tape.leaf(x0), tape.leaf(wb0)
+            root = dot(ad.dense(x, wb, "tanh"), tape.constant(weight))
+            grads = tape.backward(root)
+            return grads.wrt(x), grads.wrt(wb)
 
-        expected = alpha * grad_of(a) + beta * grad_of(b)
-        np.testing.assert_allclose(grad_of(alpha * a + beta * b), expected,
-                                   rtol=1e-12, atol=1e-12)
+        for got, ga, gb in zip(grads_of(alpha * a + beta * b), grads_of(a), grads_of(b)):
+            np.testing.assert_allclose(got, alpha * ga + beta * gb, rtol=1e-12, atol=1e-12)
 
 
 # every op of autodiff, blocks and training: (shapes of its tensor operands,
@@ -373,13 +330,11 @@ _GCN_PROP = np.full((2, 2), 0.5)
 _CRIT_CONSTS = tr._group_consts(np.linspace(-1.0, 1.0, 10).reshape(1, 2, 5, 1), 1.0)
 _CRIT_WEIGHTS = tr.LossWeights.with_uniform_prior(2)
 OPS = {
-    "activation": ([(2, 3)], lambda x: ad.activation(x, "tanh")),
-    "matmul": ([(2, 2, 3), (3, 4)], ad.matmul),
-    "affine": ([(1, 2, 3), (2, 4, 5)], ad.affine),
-    "reshape": ([(2, 3)], lambda x: ad.reshape(x, (3, 2))),
+    "dense": ([(1, 2, 3), (2, 4, 5)], lambda x, wb: ad.dense(x, wb, "tanh")),
     "gru_sequence": ([(2, 4, 1), (4, 3), (2, 2, 9), (2, 3, 9)], blocks.gru_sequence),
-    "gated_pool": ([(2, 4, 3), (2, 3, 3)],
-                   lambda gate, w: blocks.gated_pool(gate, _POOL_X, w, _POOL_PROP, "tanh")),
+    "gated_pool": ([(2, 4, 3), (2, 3, 3), (2, 3, 3)],
+                   lambda gate, w, v: blocks.gated_pool(gate, _POOL_X, w, v, _POOL_PROP,
+                                                        "tanh")),
     "encoder_gcn": ([(2, 8, 3), (2, 3, 3)],
                     lambda hs, w: blocks.encoder_gcn(hs, w, _GCN_PROP, "tanh")),
     "criterion": ([(2, 4, 2), (2, 4, 1)],
@@ -431,7 +386,7 @@ class TestSweep:
     def test_every_closure_dropped(self, name):
         tape = ad.Tape()
         out = OPS[name][1](*[tape.leaf(a) for a in op_operands(name)])
-        unreached = ad.activation(out, "tanh")  # never on the root's path
+        unreached = total(out)  # never on the root's path
         root = dot(out, out)
         assert callable(tape._backward[out.idx]) and callable(tape._backward[unreached.idx])
         tape.backward(root)
@@ -474,16 +429,16 @@ class TestSweep:
 
     def test_interior_gradient_raises_leaf_kept(self):
         tape = ad.Tape()
-        x = tape.leaf([1.0, -2.0])
-        data = tape.constant([3.0, 4.0])
-        interior = ad.activation(x, "identity")
+        x = tape.leaf([[1.0, -2.0]])
+        data = tape.constant([[3.0, 4.0]])
+        interior = activation(x, "identity")
         root = dot(interior, data)
         grads = tape.backward(root)
         for node in (interior, root):
             with pytest.raises(ValueError, match="op's output"):
                 grads.wrt(node)
-        np.testing.assert_array_equal(grads.wrt(x), [3.0, 4.0])
-        np.testing.assert_array_equal(grads.wrt(data), [0.0, 0.0])
+        np.testing.assert_array_equal(grads.wrt(x), [[3.0, 4.0]])
+        np.testing.assert_array_equal(grads.wrt(data), [[0.0, 0.0]])
 
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     @pytest.mark.parametrize("shape", [(), (3, 41)])

@@ -35,14 +35,13 @@ def gates(w, u):
 
 def run_cell(w, u, series, h0):
     """``gru_sequence`` at one cell and one row: series (T, d), h0 (h,);
-    returns the (T, h) states and the leaves of the four inputs."""
+    returns the (T, 1, h) states and the leaves of the four inputs, series
+    and h0 as the op reads them, (T, 1, d) and (1, h) views."""
     tape = ad.Tape()
     series = np.asarray(series, dtype=np.float64)
-    leaves = [tape.leaf(series), tape.leaf(h0), tape.leaf(w[None]), tape.leaf(u[None])]
-    t_len, d = series.shape
-    out = blocks.gru_sequence(ad.reshape(leaves[0], (t_len, 1, d)),
-                              ad.reshape(leaves[1], (1, len(h0))), *leaves[2:])
-    return ad.reshape(out, (t_len, len(h0))), leaves
+    leaves = [tape.leaf(series[:, None]), tape.leaf(np.asarray(h0, dtype=np.float64)[None]),
+              tape.leaf(w[None]), tape.leaf(u[None])]
+    return blocks.gru_sequence(*leaves), leaves
 
 
 def sum_of_squares(t):
@@ -51,7 +50,7 @@ def sum_of_squares(t):
 
 def one_step(w, u, x, h_prev):
     out, _ = run_cell(w, u, np.asarray(x)[None], h_prev)
-    return out.data[0]
+    return out.data[0, 0]
 
 
 class TestGruStep:
@@ -85,8 +84,7 @@ class TestGruStep:
                 out, _ = run_cell(args[2], args[3], args[0], args[1])
                 return sum_of_squares(out).data.item()
 
-            got = grads.wrt(leaves[pos])
-            got = got if pos < 2 else got[0]
+            got = grads.wrt(leaves[pos]).reshape(inputs[pos].shape)
             assert rel_err(got, central_diff_grad(loss, inputs[pos])) < 1e-4, name
 
     def test_shape_mismatch(self):
@@ -118,14 +116,14 @@ class TestGruUnroll:
         w[-1] = rng.uniform(-0.5, 0.5, 9)
         x = rng.standard_normal((1, 2))
         out, _ = run_cell(w, u, x, np.zeros(3))
-        np.testing.assert_allclose(out.data[0], gru_step(w, u, x[0], np.zeros(3)),
+        np.testing.assert_allclose(out.data[0, 0], gru_step(w, u, x[0], np.zeros(3)),
                                    rtol=1e-14)
 
     def test_zero_series_zero_biases_stays_zero(self):
         rng = np.random.default_rng(2)
         w, u = cell_params(rng, 2, 3)
         out, _ = run_cell(w, u, np.zeros((5, 2)), np.zeros(3))
-        np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
+        np.testing.assert_array_equal(out.data, np.zeros((5, 1, 3)))
 
     def test_three_steps_match_manual_composition(self):
         # one call over three steps == three one-step calls, each started
@@ -137,7 +135,7 @@ class TestGruUnroll:
         h = np.zeros(4)
         for t in range(3):
             h = one_step(w, u, series[t], h)
-            np.testing.assert_allclose(unrolled.data[t], h, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(unrolled.data[t, 0], h, rtol=1e-12, atol=1e-15)
 
     def test_empty_series_rejected(self):
         w, u = cell_params(np.random.default_rng(4), 2, 3)
@@ -354,7 +352,8 @@ def unfused_encoder_gcn(hs, w, prop, phi, g):
     """The encoder GCN as separate steps: the mix in ``gru_sequence``'s
     layout, one (N, N)@(N, S*h) product per step and encoder row, a
     transposed copy into the (n_e, S*T'*N, h) rows, the weight product and
-    phi; returns the output and the (d hs, d w) of upstream ``g``."""
+    phi; returns the output in the op's (n_e, S*T', N*h) layout and the
+    (d hs, d w) of upstream ``g``, given in that layout."""
     tt, rows, h = hs.shape
     n_e, n = w.shape[0], prop.shape[0]
     s_count = rows // (n_e * n)
@@ -364,12 +363,12 @@ def unfused_encoder_gcn(hs, w, prop, phi, g):
     phi_fn, phi_deriv = ad.ACTIVATIONS[phi]
     pre = np.matmul(mixed, w)
     out = phi_fn(pre, np.empty_like(pre))
-    d_pre = g * phi_deriv(out, np.empty_like(out))
+    d_pre = g.reshape(out.shape) * phi_deriv(out, np.empty_like(out))
     dw = np.matmul(np.swapaxes(mixed, -1, -2), d_pre)
     d_mixed = np.matmul(d_pre, np.swapaxes(w, -1, -2))
     d_mixed = d_mixed.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 3, 1, 4)
     dhs = np.matmul(prop.T, d_mixed.reshape(tt * n_e, n, s_count * h))
-    return out, dhs.reshape(tt, rows, h), dw
+    return out.reshape(n_e, s_count * tt, n * h), dhs.reshape(tt, rows, h), dw
 
 
 class TestEncoderGcn:
@@ -519,51 +518,53 @@ def assert_model_gradients(stack, x, names, rng):
 
 def gated_pool_arrays(rng, n=2, n_in=3, g=4, d=2, h=3):
     """gate (n, g, n_in) in (0, 1), x_prev (n_in, g, d), w = [W; b]
-    (n, d+1, h), bias row drawn too, and prop (n, n_in), in ``gated_pool``
-    argument order."""
+    (n, d+1, h), bias row drawn too, the NGCN weight v (n, h, h) and prop
+    (n, n_in), in ``gated_pool`` argument order."""
     return [rng.uniform(0.05, 0.95, (n, g, n_in)), rng.standard_normal((n_in, g, d)),
-            rng.uniform(-0.8, 0.8, (n, d + 1, h)), rng.uniform(0.1, 1.0, (n, n_in))]
+            rng.uniform(-0.8, 0.8, (n, d + 1, h)), rng.uniform(-0.8, 0.8, (n, h, h)),
+            rng.uniform(0.1, 1.0, (n, n_in))]
 
 
 def gated_pool_on_tape(arrays, phi, gate_needs=True):
-    """(pooled, gate, w) with gate and w on a fresh tape."""
-    gate, x_prev, w, prop = arrays
+    """(out, gate, w, v) with gate, w and v on a fresh tape."""
+    gate, x_prev, w, v, prop = arrays
     tape = ad.Tape()
-    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate), tape.leaf(w)]
-    pooled = blocks.gated_pool(leaves[0], x_prev, leaves[1], prop, phi)
-    return (pooled, *leaves)
+    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate), tape.leaf(w),
+              tape.leaf(v)]
+    out = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop, phi)
+    return (out, *leaves)
 
 
 class TestGatedPool:
-    """The decoder's first layer and NGCN pooling, one fused op."""
+    """The decoder's first layer, NGCN pooling and NGCN weight, one fused op."""
 
     def test_matches_definition(self):
         rng = np.random.default_rng(50)
-        gate, x_prev, w, prop = arrays = gated_pool_arrays(rng)
-        pooled = gated_pool_on_tape(arrays, "tanh")[0].data
+        gate, x_prev, w, v, prop = arrays = gated_pool_arrays(rng)
+        out = gated_pool_on_tape(arrays, "tanh")[0].data
         n, g, n_in = gate.shape
         for i in range(n):
             for t in range(g):
-                want = sum(prop[i, j] * np.tanh(gate[i, t, j] * x_prev[j, t] @ w[i, :-1]
-                                                + w[i, -1])
-                           for j in range(n_in))
-                np.testing.assert_allclose(pooled[i, t], want, rtol=1e-13, atol=1e-15)
+                pooled = sum(prop[i, j] * np.tanh(gate[i, t, j] * x_prev[j, t] @ w[i, :-1]
+                                                  + w[i, -1])
+                             for j in range(n_in))
+                np.testing.assert_allclose(out[i, t], np.tanh(pooled @ v[i]),
+                                           rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("gate_needs", [True, False])
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     def test_gradient_matches_finite_differences(self, phi, gate_needs):
         # at d = 2 the gate scales a vector, so d gate sums over d; a
         # constant gate (the mask override) takes no gradient at all; w's
-        # last row is the bias
+        # last row is the bias; v weights the pooled output
         rng = np.random.default_rng(51)
         arrays = gated_pool_arrays(rng)
         probe = rng.standard_normal((2, 4, 3))
-        pooled, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
-        grads = pooled.tape.backward(
-            dot(pooled, pooled.tape.constant(probe)))
-        for leaf, pos, name in zip(leaves, (0, 2), ("gate", "w")):
-            def loss(v, pos=pos):
-                args = [v if k == pos else a for k, a in enumerate(arrays)]
+        out, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
+        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
+        for leaf, pos, name in zip(leaves, (0, 2, 3), ("gate", "w", "v")):
+            def loss(a, pos=pos):
+                args = [a if k == pos else b for k, b in enumerate(arrays)]
                 return float(np.sum(gated_pool_on_tape(args, phi)[0].data * probe))
 
             want = (central_diff_grad(loss, arrays[pos]) if leaf.needs
@@ -571,24 +572,64 @@ class TestGatedPool:
             assert rel_err(grads.wrt(leaf), want) < 1e-7, name
 
     def test_overflowed_pre_activation_raises(self):
-        # tanh(inf) = 1 would hide the overflow; the pre-activation is checked
+        # tanh(inf) = 1 would hide the overflow; the pre-activations of the
+        # first layer and of the NGCN weight are both checked
         rng = np.random.default_rng(52)
-        arrays = gated_pool_arrays(rng)
-        arrays[1] = np.full_like(arrays[1], 10.0)
-        arrays[2] = np.full_like(arrays[2], 1e308)
-        with pytest.raises(ad.NumericError, match="gated_pool"):
-            gated_pool_on_tape(arrays, "tanh")
+        first = gated_pool_arrays(rng)
+        first[1] = np.full_like(first[1], 10.0)
+        first[2] = np.full_like(first[2], 1e308)
+        ngcn = gated_pool_arrays(rng)  # tanh saturates at 1: pooled = N' = 3
+        for pos, value in ((1, 1.0), (2, 10.0), (3, 1e308), (4, 1.0)):
+            ngcn[pos] = np.full_like(ngcn[pos], value)
+        for arrays in (first, ngcn):
+            with pytest.raises(ad.NumericError, match="gated_pool"):
+                gated_pool_on_tape(arrays, "tanh")
+
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_output_identical_without_gradient(self, phi):
+        # without a gradient the NGCN product goes over the pooled output, one
+        # node at a time; it must not drift from the trained path
+        gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(56), n=3, g=7)
+        with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop], phi)
+        free = ad.Tape()
+        without = blocks.gated_pool(free.constant(gate), x_prev, free.constant(w),
+                                    free.constant(v), prop, phi)
+        np.testing.assert_array_equal(without.data, with_grad.data)
+        assert not without.needs and free._backward[without.idx] is None
+
+    def test_gradient_free_call_frees_the_activation_first(self):
+        # without a gradient, the gated input and the (N, N', g, h)
+        # activation die before the NGCN product, which goes over the pooled
+        # output: the call may hold the first two, the pooled output and half
+        # an output more. A product allocated beside the activation takes a
+        # whole output more; at N' (d+1) < h / 2 that holds even if the gated
+        # input died first
+        n, n_in, g, d, h = 8, 2, 5000, 1, 32
+        arrays = gated_pool_arrays(np.random.default_rng(55), n, n_in, g, d, h)
+        unit = n * g * h * 8  # pooled, and the output
+        budget = n * n_in * g * (d + 1) * 8 + n_in * unit + unit + unit // 2
+        tape = ad.Tape()
+        gate, x_prev, w, v, prop = arrays
+        inputs = [tape.constant(a) for a in (gate, w, v)]
+        tracemalloc.start()
+        try:
+            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop, "tanh")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (n, g, h) and not out.needs
+        assert peak < budget
 
     def test_tape_freed_without_cycle_collection(self):
         # as for gru_sequence: the backward closure holds arrays and flags,
         # never a tensor, which would keep its tape and buffers alive
         def run():
-            pooled, *_ = gated_pool_on_tape(
+            out, *_ = gated_pool_on_tape(
                 gated_pool_arrays(np.random.default_rng(53)), "tanh")
-            tape = pooled.tape
-            cells = tape._backward[pooled.idx].__closure__
+            tape = out.tape
+            cells = tape._backward[out.idx].__closure__
             assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
-            tape.backward(total(pooled))
+            tape.backward(total(out))
             return weakref.ref(tape)
 
         gc.disable()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import blocks
 from dyncause import model as mdl
+from dyncause import training as tr
 from dyncause.autodiff import Tape
 from dyncause.simulate import SimulationError
 
@@ -408,14 +409,28 @@ class TestBatchedForward:
         assert lengths[0] == lengths[1]
 
     @pytest.mark.parametrize("share", [False, True])
-    def test_forward_records_24_nodes(self, share):
+    def test_forward_records_18_nodes(self, monkeypatch, share):
         # the tape bookkeeping per forward is a cost on every chunk: 9
-        # parameter leaves, 2 constants and 13 ops
+        # parameter leaves, 2 constants and one op per layer; a training
+        # step adds the criterion. Every op goes through Tape.record
+        ops = []
+        record = Tape.record
+
+        def named(tape, out_data, parents, backward_fn, op="custom"):
+            ops.append(op)
+            return record(tape, out_data, parents, backward_fn, op=op)
+
+        monkeypatch.setattr(Tape, "record", named)
         models, _ = tiny_models(n=4, d=2, hidden=3, seed=21, share_encoder=share)
+        x = np.random.default_rng(21).standard_normal((2, 4, 6, 2))
         tape = Tape()
-        mdl.batched_forward(models, np.random.default_rng(21).standard_normal((2, 4, 6, 2)),
-                            tape)
-        assert len(tape) == 24
+        out = mdl.batched_forward(models, x, tape)
+        assert len(tape) == 18
+        weights = tr.LossWeights()
+        tr.criterion(out.masks, out.predictions, tr._group_consts(x, weights.gamma), weights)
+        assert len(tape) == 19
+        assert ops == ["gru_sequence", "encoder_gcn", "dense", "dense", "gated_pool",
+                       "dense", "dense", "criterion"]
 
     @pytest.mark.parametrize("share", [False, True])
     def test_rows_report_the_nodes_they_serve(self, share):

@@ -123,9 +123,9 @@ class TestGenLorenz96:
     # numpy's own error
     @pytest.mark.parametrize("kwargs, match", [
         ({"forcing": np.nan}, "forcing"), ({"forcing": np.inf}, "forcing"),
-        ({"forcing": -1.0}, "forcing"), ({"dt": np.nan}, "step"),
-        ({"dt": np.inf}, "step"), ({"t_steps": 1}, "length"), ({"t_steps": 0}, "length"),
-        ({"t_steps": -1}, "length")],
+        ({"forcing": -1.0}, "forcing"), ({"dt": np.nan}, "dt"),
+        ({"dt": np.inf}, "dt"), ({"t_steps": 1}, "t_steps"), ({"t_steps": 0}, "t_steps"),
+        ({"t_steps": -1}, "t_steps")],
         ids=["forcing_nan", "forcing_inf", "forcing_negative", "dt_nan", "dt_inf",
              "one_step", "no_steps", "negative_steps"])
     def test_invalid_parameter_rejected(self, kwargs, match):
@@ -184,6 +184,29 @@ class TestGenSwitchingVar:
         np.testing.assert_array_equal(truth.regime_at(0), truth.regimes[0][1])
         np.testing.assert_array_equal(truth.regime_at(39), truth.regimes[0][1])
         np.testing.assert_array_equal(truth.regime_at(40), truth.regimes[1][1])
+
+
+# a valid call of each generator, and for each argument a value of the wrong
+# kind, which the generator must reject by the argument's name, not leave to
+# numpy's TypeError or SeedSequence's error
+GENERATORS = {
+    "gen_var": ({"n": 5, "p": 1, "t_steps": 20, "seed": 0},
+                {"n": 5.0, "p": 1.5, "t_steps": 20.5, "seed": 0.5}),
+    "gen_switching_var": ({"n": 5, "t_steps": 100, "switch_t": 50, "seed": 0},
+                          {"n": "5", "t_steps": 100.0, "switch_t": 50.5, "seed": -1}),
+    "gen_lorenz96": ({"n": 10, "forcing": 10.0, "t_steps": 20, "dt": 0.05, "seed": 0},
+                     {"n": 10.0, "forcing": "10", "t_steps": 2.5, "dt": None,
+                      "seed": True}),
+}
+
+
+@pytest.mark.parametrize("gen, arg", [(gen, arg) for gen, (_, bad) in GENERATORS.items()
+                                      for arg in bad])
+def test_generator_argument_checked_by_name(gen, arg):
+    valid, bad = GENERATORS[gen]
+    getattr(sim, gen)(**valid)
+    with pytest.raises(sim.SimulationError, match=f"^{arg} must be"):
+        getattr(sim, gen)(**{**valid, arg: bad[arg]})
 
 
 class TestGroundTruthGraph:

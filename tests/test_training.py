@@ -1,6 +1,7 @@
 import csv
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -387,7 +388,7 @@ class TestCriterion:
         tr._train_step(stack, x, tr._group_consts(x, weights.gamma), config, weights,
                        tr.AdamState(), np.ones(3, dtype=bool))
         [(tape, forward_nodes)] = forwards
-        assert (forward_nodes, len(tape)) == (24, 25)
+        assert (forward_nodes, len(tape)) == (18, 19)
 
 
 class TestAdam:
@@ -546,13 +547,26 @@ class TestTrain:
         def poisoned(*args):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise ad.NumericError("non-finite value produced by op 'matmul'")
+                raise ad.NumericError("non-finite loss term 'recon' at node 0")
             return original(*args)
 
         monkeypatch.setattr(tr, "criterion", poisoned)
         with pytest.raises(tr.TrainingError, match="epoch 3"):
             tr.train(series, tr.TrainConfig(epochs=10, hidden=4, seed=5),
                      tr.LossWeights())
+
+    def test_non_finite_loss_names_epoch_node_and_term(self):
+        # a prediction of 1e200 is finite, its squared error is not: the
+        # criterion names the node and the term, and no overflow warning
+        # escapes on the way
+        series, _ = small_var_data(n=3, t=30)
+        config = tr.TrainConfig(epochs=2, hidden=3)
+        stack = build_node_models(3, 1, config.model_config(), config.seed)
+        stack.tip_w2[1, -1] = 1e200  # node 1's output bias row of [W; b]
+        with warnings.catch_warnings(), pytest.raises(
+                tr.TrainingError, match=r"^epoch 1: non-finite loss term 'recon' at node 1$"):
+            warnings.simplefilter("error")
+            tr.train(series, config, tr.LossWeights(), models=stack)
 
     def test_early_stop_freezes_everything(self):
         series, _ = small_var_data(t=40)
