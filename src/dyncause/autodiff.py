@@ -19,9 +19,11 @@ vector-Jacobian closure ``backward(g)`` returning one gradient (or None) per
 operand, and one ``Tape.record`` call, the one way onto the tape.
 ``record`` checks that the operands share the tape, raises ``NumericError``
 at the first NaN/Inf in the output instead of letting it propagate, and keeps
-the closure only when some operand needs a gradient. An op that ends in an
+the closure only on a tape that takes gradients. An op that ends in an
 activation records its pre-activation, where an overflow still shows (tanh
 would squash it), and then applies phi in place on the recorded buffer.
+``Tape(grad=False)`` is the one gradient switch: no op on it keeps a closure
+or the state a backward would read, and its ``backward`` raises.
 
 A tape is swept once. ``Tape.backward`` drops each op's closure and
 gradient as soon as its vector-Jacobian product has run, so the forward
@@ -71,13 +73,12 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A node in the computation graph: an ndarray plus its tape position."""
 
-    __slots__ = ("data", "tape", "idx", "needs")
+    __slots__ = ("data", "tape", "idx")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", idx: int, needs: bool = True):
+    def __init__(self, data: np.ndarray, tape: "Tape", idx: int):
         self.data = data
         self.tape = tape
         self.idx = idx
-        self.needs = needs  # does any trainable leaf feed this node
 
     @property
     def shape(self) -> tuple:
@@ -91,14 +92,17 @@ class Gradients:
     """Result of a backward pass: the gradient of every leaf. The sweep frees
     each interior node's gradient once it has been pushed to the parents."""
 
-    def __init__(self, grads: list, parents: list):
+    def __init__(self, tape: "Tape", grads: list):
+        self._tape = tape
         self._grads = grads
-        self._parents = parents
 
     def wrt(self, t: Tensor) -> np.ndarray:
         """Gradient w.r.t. the leaf ``t``; exact zeros if ``t`` does not
-        affect the root. ``ValueError`` if ``t`` is an op's output."""
-        if self._parents[t.idx]:
+        affect the root. ``ValueError`` if ``t`` lives on another tape or is
+        an op's output."""
+        if t.tape is not self._tape:
+            raise ValueError(f"{t!r} does not belong to the swept tape")
+        if self._tape._parents[t.idx]:
             raise ValueError(f"{t!r} is an op's output: the sweep frees its gradient")
         g = self._grads[t.idx]
         if g is None:
@@ -109,10 +113,13 @@ class Gradients:
 class Tape:
     """Append-only record of operations; single-owner, not thread-shared.
 
-    ``backward`` sweeps it once, dropping each closure as it runs.
+    ``grad`` is the one gradient switch: a ``Tape(grad=False)`` keeps no
+    backward closure, and its ops keep no state for one. ``backward``
+    sweeps a gradient tape once, dropping each closure as it runs.
     """
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self._parents: list = []  # tuple of parent idx per node
         self._backward: list = []  # callable(g) -> tuple of parent grads, or None
         self._swept = False
@@ -122,51 +129,46 @@ class Tape:
 
     def leaf(self, values) -> Tensor:
         """Register an input/parameter array as a graph leaf (no copy)."""
-        return self._source(values, True, "leaf")
-
-    def constant(self, values) -> Tensor:
-        """A leaf that no gradient is ever requested for (input data)."""
-        return self._source(values, False, "constant")
-
-    def _source(self, values, needs: bool, op: str) -> Tensor:
         data = np.asarray(values, dtype=np.float64)
-        _check_finite(data, op)
+        _check_finite(data, "leaf")
         self._parents.append(())
         self._backward.append(None)
-        return Tensor(data, self, len(self._parents) - 1, needs)
+        return Tensor(data, self, len(self._parents) - 1)
 
     def record(self, out_data, parents: Sequence[Tensor], backward_fn: Callable, op: str = "custom") -> Tensor:
         """Append the output of op ``op`` on the tensors ``parents``.
 
         ``backward_fn(g)`` must return one gradient array (or None) per
         parent. Raises ``ValueError`` if a parent lives on another tape and
-        ``NumericError`` if the output holds NaN or Inf. The node needs a
-        gradient iff a parent does; if none does, ``backward_fn`` is dropped,
-        and with it every array it closes over.
+        ``NumericError`` if the output holds NaN or Inf. Without ``grad``,
+        ``backward_fn`` is dropped, and with it every array it closes over.
         """
         data = np.asarray(out_data, dtype=np.float64)
         _check_finite(data, op)
         for p in parents:
             if p.tape is not self:
                 raise ValueError("all operands must live on the same tape")
-        needs = any(p.needs for p in parents)
         # from a list, not a generator: tuple(genexpr) allocates past the tuple
         # free list, which then fills with freed node tuples (about 50 kB)
         self._parents.append(tuple([p.idx for p in parents]))
-        self._backward.append(backward_fn if needs else None)
-        return Tensor(data, self, len(self._parents) - 1, needs)
+        self._backward.append(backward_fn if self.grad else None)
+        return Tensor(data, self, len(self._parents) - 1)
 
     def backward(self, root: Tensor) -> Gradients:
         """Reverse sweep from a scalar ``root``; visits each node exactly once.
 
         Each op's closure and gradient are dropped once its VJP has run, so
         the buffers only they hold are freed mid-sweep; every closure is
-        gone when the sweep returns. A second call raises ``RuntimeError``.
+        gone when the sweep returns. A second call, or a call on a
+        ``Tape(grad=False)``, raises ``RuntimeError``.
         """
         if root.tape is not self:
             raise ValueError("root does not belong to this tape")
         if root.data.ndim != 0:
             raise ShapeError(f"backward root must be a scalar, got shape {root.data.shape}")
+        if not self.grad:
+            raise RuntimeError("this tape was made with grad=False: it kept no backward "
+                               "closure, so every gradient would read zero")
         if self._swept:
             raise RuntimeError("this tape has been swept: backward runs once per tape")
         self._swept = True
@@ -190,7 +192,7 @@ class Tape:
                 else:
                     grads[pidx] = grads[pidx] + pg
             parent_grads = pg = None
-        return Gradients(grads, self._parents)
+        return Gradients(self, grads)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -265,7 +267,6 @@ def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
     fn, deriv = ACTIVATIONS[phi]
     xd, wbd = x.data, wb.data
     w, b = wbd[..., :-1, :], wbd[..., -1:, :]
-    nx, nw = x.needs, wb.needs
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
         out = np.matmul(xd, w)
         out += b
@@ -273,9 +274,7 @@ def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
     def backward(g):
         # phi' into a new array, not into out: out is the op's output, which a caller may hold
         g = g * deriv(out, np.empty_like(out))
-        dx = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), xsh) if nx else None
-        if not nw:
-            return dx, None
+        dx = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), xsh)
         dw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), w.shape)
         return dx, np.concatenate((dw, _unbroadcast(g, b.shape)), axis=-2)
 

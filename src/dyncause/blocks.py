@@ -10,9 +10,10 @@ series has M = B*k rows and row b*k + s is run by cell b, so one call carries
 k independent sequences per cell (k is read from the shapes). Each step
 projects its own input, [x_t, 1] @ [W; b], one (k, d+1) GEMM per cell and
 gate, then takes one (k, h) matrix product per cell for the fused z|r gates
-and one for the candidate. The op keeps the gate history of every step only
-when one of its inputs needs a gradient; a forward that takes none reuses
-one step's buffer and records no backward.
+and one for the candidate. The series and h0 are data: the backward returns
+the gradients of the weights alone. The op keeps the gate history of every
+step only on a tape that takes gradients; on a ``Tape(grad=False)`` it
+reuses one step's buffer.
 
 ``gated_pool`` is the decoder's first layer and its NGCN, built the same
 way: one tape node whose (i, j, t, .) buffers hold node i's view of input j
@@ -26,8 +27,8 @@ phi, as ``encoder_gcn``'s mix takes its weight; phi and phi' come from
 same way: it mixes ``gru_sequence``'s output straight into the (sample,
 step, node) rows the mask generator reads, takes the weight product and
 phi in one buffer, and writes its input gradient back into the GRU's row
-layout, so neither direction makes a transposed copy. Without a gradient
-it writes the weight product over the mix.
+layout, so neither direction makes a transposed copy. On a
+``Tape(grad=False)`` it writes the weight product over the mix.
 
 ``Tape.backward`` runs each closure at most once and then drops it, so the
 fused backwards overwrite the internal buffers they read for the last time,
@@ -112,9 +113,8 @@ def _gru_forward(X, H0, W, U, history):
     return P, Hb
 
 
-def _gru_backward(X, W, U, P, Hb, G, need_dx):
-    """Gradients of the four ``gru_sequence`` inputs for upstream G
-    (T, B*k, h); dX is None unless ``need_dx``.
+def _gru_backward(X, U, P, Hb, G):
+    """Gradients dW and dU of the cell weights for upstream G (T, B*k, h).
 
     Each step writes d_az|d_ar|d_ac into D (T, B, k, 3h) and takes one
     (k, 2h)@(2h, h) product per cell for both gates. D is the gate history
@@ -182,12 +182,7 @@ def _gru_backward(X, W, U, P, Hb, G, need_dx):
     dU = np.concatenate((weight_grad(Hb[:-1], Dk[..., :h2]),
                          weight_grad(RH, Dk[..., h2:])),
                         axis=2)
-    dX = None
-    if need_dx:  # the encoder feeds data, which needs no gradient
-        dX = np.empty((T, M, d))
-        np.matmul(Dk, np.swapaxes(W[:, :d], 1, 2)[:, None],
-                  out=dX.reshape(T, B, k, d).transpose(1, 2, 0, 3))
-    return dX, dh.reshape(M, h), dW, dU
+    return dW, dU
 
 
 def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
@@ -203,7 +198,8 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
     Row contract: x_seq is (T, M, d) and h0 (M, d1) with M = B*k rows.
     Row b*k + s is run by cell b, so each cell carries k independent
     sequences (k is read from the shapes). Returns all hidden states
-    (T, M, d1), row-aligned with x_seq.
+    (T, M, d1), row-aligned with x_seq. x_seq and h0 are data: they take
+    no gradient.
     """
     X, H0 = x_seq.data, h0.data
     if X.ndim != 3:
@@ -223,14 +219,12 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
         if arr.shape != want:
             raise ShapeError(f"gru_sequence: {name} shape {arr.shape}, expected {want}")
 
-    # bools: the closure must not keep the tape alive. Without a gradient P
-    # holds one step, and record drops the backward that would read it
-    need_grad = any(t.needs for t in (x_seq, h0, w, u))
-    need_dx = x_seq.needs
-    P, Hb = _gru_forward(X, H0, W, U, history=need_grad)
+    # without a gradient P holds one step, and record drops the backward
+    # that would read it
+    P, Hb = _gru_forward(X, H0, W, U, history=x_seq.tape.grad)
 
     def backward(g):  # run at most once: it writes its gate gradients over P
-        return _gru_backward(X, W, U, P, Hb, np.ascontiguousarray(g), need_dx)
+        return (None, None, *_gru_backward(X, U, P, Hb, np.ascontiguousarray(g)))
 
     return x_seq.tape.record(Hb[1:].reshape(T, M, d1), (x_seq, h0, w, u),
                              backward, op="gru_sequence")
@@ -258,8 +252,8 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
     (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
     one (1, N')@(N', g*h) product per node. An overflowed pre-activation
     of either layer raises ``NumericError`` even where phi would squash it.
-    Without a gradient, the activation dies before the NGCN product, which
-    goes through one row-sized buffer back over the pooled output.
+    On a ``Tape(grad=False)``, the activation dies before the NGCN product,
+    which goes through one row-sized buffer back over the pooled output.
     """
     G, X, W, V = gate.data, x_prev, w.data, v.data
     if G.ndim != 3:
@@ -284,9 +278,8 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
     A = A.reshape(n, n_in, g, h)
     phi_fn(A, A)
     pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
-    need_gate = gate.needs  # a bool: the closure must not keep the tape alive
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        if need_gate or w.needs or v.needs:
+        if gate.tape.grad:
             out = np.matmul(pooled, V)
         else:  # no backward reads them: free them, and write the product over pooled
             Xg = Xg_rows = A = None
@@ -311,12 +304,9 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
         dw = np.empty((n, d + 1, h))
         np.matmul(Xg_rows[..., :d].transpose(0, 2, 1), D_rows, out=dw[:, :d])
         np.matmul(np.ones((1, n_in * g)), D_rows, out=dw[:, d:])
-        dgate = None
-        if need_gate:
-            dXg = np.matmul(D, np.swapaxes(W[:, :d], 1, 2)[:, None])  # (n, n_in, g, d)
-            dXg *= X
-            dgate = dXg.sum(axis=3).transpose(0, 2, 1)
-        return dgate, dw, dv
+        dXg = np.matmul(D, np.swapaxes(W[:, :d], 1, 2)[:, None])  # (n, n_in, g, d)
+        dXg *= X
+        return dXg.sum(axis=3).transpose(0, 2, 1), dw, dv
 
     # record scans the NGCN pre-activation, which an overflow of the pooled
     # output reaches too; phi then runs in place on the recorded buffer
@@ -347,11 +337,11 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     row, and phi is applied to it in place. An overflowed pre-activation
     raises ``NumericError`` even where phi would squash it. The backward
     reads both the mix and the product, writes the mix's gradient over the
-    mix and d``hs`` straight into ``gru_sequence``'s row layout. When
-    neither ``hs`` nor ``w`` needs a gradient, nothing reads the mix again:
-    each encoder row's product goes through one row-sized buffer back over
-    the mix, so the op's output is the mix's memory and no second
-    mix-sized buffer exists. w is square so that the product fits there.
+    mix and d``hs`` straight into ``gru_sequence``'s row layout. On a
+    ``Tape(grad=False)`` nothing reads the mix again: each encoder row's
+    product goes through one row-sized buffer back over the mix, so the
+    op's output is the mix's memory and no second mix-sized buffer exists.
+    w is square so that the product fits there.
     """
     H, W = hs.data, w.data
     if W.ndim != 3 or W.shape[1] != W.shape[2]:
@@ -373,9 +363,8 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     Z = np.empty((n_e, s_count, tt, n, h))
     np.matmul(prop, by_step(H), out=Z.transpose(2, 0, 1, 3, 4))
     Z_rows = Z.reshape(n_e, s_count * tt * n, h)
-    need_hs, need_w = hs.needs, w.needs  # bools: the closure must not keep the tape alive
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        if need_hs or need_w:  # the backward reads both Z and A
+        if hs.tape.grad:  # the backward reads both Z and A
             A = np.matmul(Z_rows, W)
         else:  # nothing reads the mix again: the product goes over it, row by row
             A, row = Z_rows, np.empty(Z_rows.shape[1:])
@@ -387,9 +376,7 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
         # a new array, not A: A is the op's output, which a caller may hold
         D = phi_deriv(A, np.empty_like(A))
         D *= g.reshape(A.shape)
-        dw = np.matmul(Z_rows.transpose(0, 2, 1), D) if need_w else None
-        if not need_hs:
-            return None, dw
+        dw = np.matmul(Z_rows.transpose(0, 2, 1), D)
         # dZ over the mix, which this closure, run at most once, reads last
         np.matmul(D, W.transpose(0, 2, 1), out=Z_rows)
         del D

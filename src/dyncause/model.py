@@ -5,10 +5,11 @@ All node models live in one ``ParamStack``: every parameter carries a
 leading node (or encoder row) axis, and ``ParamStack.config`` is the one
 ``ModelConfig`` the stack was built for. ``batched_forward`` is the model: it
 runs every node, sample and transition in one tape pass, and training and
-``forward_full`` use it. Training passes its own tape, on which the stack
-arrays are trainable leaves. ``forward_full`` and training's final forward
-take no gradient, so they pass no tape; the arrays then enter a private
-tape as constants, which keeps no backward closure and no GRU gate history.
+``forward_full`` use it. Training passes its own tape, whose leaves over
+the stack arrays take gradients. ``forward_full`` and training's final
+forward take no gradient, so they pass no tape; the forward then records on
+a private ``Tape(grad=False)``, which keeps no backward closure and no GRU
+gate history.
 Shared and per-node encoders take the same path: the encoder rows (one
 shared row, or one per node) run as one ``gru_sequence`` call whose rows are
 cell-major (row b*S + s runs bank cell b on sample s), its states feed one
@@ -231,11 +232,11 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     """Forward pass of every node model over every (sample, transition).
 
     ``x`` is the full (S, N, T, d) series, for the stack's N and d. The
-    ``leaves`` wrap the stack arrays without a copy. On a caller's ``tape``
-    they are trainable leaves, so optimizer steps on them write through to
-    ``stack``. Without a tape the forward records on a private one, returned
-    as ``BatchedOutput.tape``, where they are constants: no op keeps a
-    backward closure, so each intermediate is freed once nothing reads it.
+    ``leaves`` wrap the stack arrays without a copy, so optimizer steps on
+    them write through to ``stack``. Without a ``tape`` the forward records
+    on a private ``Tape(grad=False)``, returned as ``BatchedOutput.tape``: no
+    op keeps a backward closure, so each intermediate is freed once nothing
+    reads it.
     ``mask_override`` replaces the decoder's gates at every transition: an
     (N,) row gives input j the gate [j] in every node, and an (N, N) matrix
     gives node i's input j the gate [i, j]; a non-finite entry raises
@@ -269,11 +270,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
 
     n_e = stack.enc_w.shape[0]  # one shared encoder row or one per node
     if tape is None:  # no gradient will be taken
-        tape = Tape()
-        enter = tape.constant
-    else:
-        enter = tape.leaf
-    leaves = {name: enter(arr) for name, arr in stack.arrays().items()}
+        tape = Tape(grad=False)
+    leaves = {name: tape.leaf(arr) for name, arr in stack.arrays().items()}
 
     # ---- encoder: the GRU bank over the first T-1 steps of every sample in
     # one call, hs (tt, n_e*N*S, h). Rows are cell-major: row b*S + s runs
@@ -281,10 +279,10 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     series = x[:, :, :tt, :].transpose(2, 1, 0, 3)  # (tt, N_j, S, d)
     series = np.broadcast_to(series[:, None], (tt, n_e, n, s_count, d))
     x_seq = series.reshape(tt, n_e * n * s_count, d)
-    h0 = tape.constant(np.zeros((n_e * n * s_count, h)))
+    h0 = tape.leaf(np.zeros((n_e * n * s_count, h)))
     inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
     prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
-    z = encoder_gcn(gru_sequence(tape.constant(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
+    z = encoder_gcn(gru_sequence(tape.leaf(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
                     leaves["enc_w"], prop, phi)  # (n_e, g, N*h): a shared row broadcasts below
     a1 = ad.dense(z, leaves["mmg_w1"], phi)
     del z  # without a gradient, the encoder output dies here
@@ -295,7 +293,7 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     if mask_override is None:
         gate = masks
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
-        gate = tape.constant(np.broadcast_to(
+        gate = tape.leaf(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
     z_dec = gated_pool(gate, x_prev, leaves["rl_w"], leaves["ngcn_w"], prop, phi)  # (N, g, h)
     t1 = ad.dense(z_dec, leaves["tip_w1"], phi)

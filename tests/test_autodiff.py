@@ -36,26 +36,25 @@ def rel_err(a, b):
 def dot(*operands):
     """sum_k sum(a_k * b_k) over the operand pairs (a_1, b_1, a_2, b_2, ...)
     as one tape node: the tests' scalar probe, recorded through
-    ``Tape.record`` like every op. b_k has a_k's shape, or is a constant
-    that broadcasts to it. In ``dot(x, x)`` both operands are x, so x's
-    gradient 2x is accumulated."""
+    ``Tape.record`` like every op. b_k has a_k's shape, or broadcasts to it;
+    each operand's gradient is summed back to its own shape. In
+    ``dot(x, x)`` both operands are x, so x's gradient 2x is accumulated."""
     data = [t.data for t in operands]
     value = sum(np.sum(a * b) for a, b in zip(data[::2], data[1::2]))
     partners = [data[k ^ 1] for k in range(len(data))]  # 0 <-> 1, 2 <-> 3, ...
-    shapes = [t.shape if t.needs else None for t in operands]
+    shapes = [t.shape for t in operands]
 
     def backward(g):
-        grads = [None if shape is None else g * p for p, shape in zip(partners, shapes)]
-        # total's constant 1 broadcasts over its operand: a view, not a copy
-        return tuple(pg if pg is None or pg.shape == shape else np.broadcast_to(pg, shape)
-                     for pg, shape in zip(grads, shapes))
+        # total's 1 broadcasts over its operand: that gradient is a view, not a copy
+        return tuple(ad._unbroadcast(np.broadcast_to(g * p, np.broadcast_shapes(p.shape, s)), s)
+                     for p, s in zip(partners, shapes))
 
     return operands[0].tape.record(value, operands, backward, op="dot")
 
 
 def total(x):
-    """sum(x): ``dot`` with a constant 1 broadcast over x."""
-    return dot(x, x.tape.constant(1.0))
+    """sum(x): ``dot`` with a 1 broadcast over x."""
+    return dot(x, x.tape.leaf(1.0))
 
 
 def with_bias(w, b=None):
@@ -68,7 +67,7 @@ def with_bias(w, b=None):
 def activation(x, phi):
     """``phi`` of x, elementwise, as ``dense`` of x with [I; 0]."""
     k = x.shape[-1]
-    return ad.dense(x, x.tape.constant(with_bias(np.eye(k))), phi)
+    return ad.dense(x, x.tape.leaf(with_bias(np.eye(k))), phi)
 
 
 def dense_fd_check(x0, wb0, phi, tol=1e-6):
@@ -79,11 +78,11 @@ def dense_fd_check(x0, wb0, phi, tol=1e-6):
 
     def loss(x, wb):
         tape = ad.Tape()
-        return dot(ad.dense(tape.leaf(x), tape.leaf(wb), phi), tape.constant(probe)).data.item()
+        return dot(ad.dense(tape.leaf(x), tape.leaf(wb), phi), tape.leaf(probe)).data.item()
 
     tape = ad.Tape()
     tx, twb = tape.leaf(x0), tape.leaf(wb0)
-    grads = tape.backward(dot(ad.dense(tx, twb, phi), tape.constant(probe)))
+    grads = tape.backward(dot(ad.dense(tx, twb, phi), tape.leaf(probe)))
     assert grads.wrt(tx).shape == x0.shape and grads.wrt(twb).shape == wb0.shape
     assert rel_err(grads.wrt(tx), central_diff_grad(lambda x: loss(x, wb0), x0)) < tol
     assert rel_err(grads.wrt(twb), central_diff_grad(lambda wb: loss(x0, wb), wb0)) < tol
@@ -149,7 +148,7 @@ class TestAffine:
         tape = ad.Tape()
         x, wb = tape.leaf(x0), tape.leaf(wb0)
         out = ad.dense(x, wb, "identity")
-        grads = tape.backward(dot(out, tape.constant(upstream)))
+        grads = tape.backward(dot(out, tape.leaf(upstream)))
         np.testing.assert_array_equal(out.data, np.matmul(x0, w) + b)
         dx = np.matmul(upstream, np.swapaxes(w, -1, -2))
         np.testing.assert_array_equal(grads.wrt(x), dx.sum(axis=0, keepdims=True)
@@ -264,11 +263,11 @@ class TestBackward:
 
         def loss(w):
             tape = ad.Tape()
-            return total(ad.dense(tape.leaf(w), tape.constant(xb), "tanh")).data.item()
+            return total(ad.dense(tape.leaf(w), tape.leaf(xb), "tanh")).data.item()
 
         tape = ad.Tape()
         tw = tape.leaf(w0)
-        grads = tape.backward(total(ad.dense(tw, tape.constant(xb), "tanh")))
+        grads = tape.backward(total(ad.dense(tw, tape.leaf(xb), "tanh")))
         assert rel_err(grads.wrt(tw), central_diff_grad(loss, w0)) < 1e-5
 
     def test_unused_parameter_gets_exact_zero(self):
@@ -313,7 +312,7 @@ class TestBackward:
         def grads_of(weight):
             tape = ad.Tape()
             x, wb = tape.leaf(x0), tape.leaf(wb0)
-            root = dot(ad.dense(x, wb, "tanh"), tape.constant(weight))
+            root = dot(ad.dense(x, wb, "tanh"), tape.leaf(weight))
             grads = tape.backward(root)
             return grads.wrt(x), grads.wrt(wb)
 
@@ -366,16 +365,19 @@ class TestRecord:
 
     @pytest.mark.parametrize("name", OPS)
     def test_constant_operands_keep_no_closure(self, name):
-        tape = ad.Tape()
-        out = OPS[name][1](*[tape.constant(a) for a in op_operands(name)])
-        assert not out.needs and tape._backward[out.idx] is None
+        # on a gradient-free tape every operand is a constant: the op is
+        # recorded, but keeps no closure
+        arrays = op_operands(name)
+        tape = ad.Tape(grad=False)
+        OPS[name][1](*[tape.leaf(a) for a in arrays])
+        assert len(tape) == len(arrays) + 1 and tape._backward == [None] * len(tape)
 
     @pytest.mark.parametrize("name", OPS)
     def test_leaf_operands_keep_the_closure(self, name):
         arrays = op_operands(name)
         tape = ad.Tape()
         out = OPS[name][1](*[tape.leaf(a) for a in arrays])
-        assert out.needs and callable(tape._backward[out.idx])
+        assert callable(tape._backward[out.idx])
         assert len(tape) == len(arrays) + 1  # one node per op
 
 
@@ -419,6 +421,18 @@ class TestSweep:
         assert seen == [True]
         np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0, 2.0])
 
+    def test_gradients_of_another_tape_rejected(self):
+        # the other tape's tensor sits at the same index as a leaf of the
+        # swept one; its gradient is not that leaf's
+        tape, other = ad.Tape(), ad.Tape()
+        x = tape.leaf([1.0, 2.0])
+        stranger = other.leaf([3.0, 4.0])
+        assert stranger.idx == x.idx
+        grads = tape.backward(dot(x, x))
+        with pytest.raises(ValueError, match="does not belong"):
+            grads.wrt(stranger)
+        np.testing.assert_array_equal(grads.wrt(x), [2.0, 4.0])
+
     def test_second_backward_raises(self):
         tape = ad.Tape()
         x = tape.leaf([1.0, 2.0])
@@ -430,7 +444,7 @@ class TestSweep:
     def test_interior_gradient_raises_leaf_kept(self):
         tape = ad.Tape()
         x = tape.leaf([[1.0, -2.0]])
-        data = tape.constant([[3.0, 4.0]])
+        data = tape.leaf([[3.0, 4.0]])
         interior = activation(x, "identity")
         root = dot(interior, data)
         grads = tape.backward(root)
@@ -438,7 +452,7 @@ class TestSweep:
             with pytest.raises(ValueError, match="op's output"):
                 grads.wrt(node)
         np.testing.assert_array_equal(grads.wrt(x), [[3.0, 4.0]])
-        np.testing.assert_array_equal(grads.wrt(data), [[0.0, 0.0]])
+        np.testing.assert_array_equal(grads.wrt(data), [[1.0, -2.0]])
 
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     @pytest.mark.parametrize("shape", [(), (3, 41)])

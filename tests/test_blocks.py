@@ -78,7 +78,9 @@ class TestGruStep:
         inputs = [rng.standard_normal((1, 3)), rng.standard_normal(4), w, u]
         out, leaves = run_cell(w, u, inputs[0], inputs[1])
         grads = out.tape.backward(sum_of_squares(out))
-        for pos, name in enumerate(["x", "h", "w", "u"]):
+        for leaf in leaves[:2]:  # the series and h0 are data
+            np.testing.assert_array_equal(grads.wrt(leaf), np.zeros_like(leaf.data))
+        for pos, name in ((2, "w"), (3, "u")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(inputs)]
                 out, _ = run_cell(args[2], args[3], args[0], args[1])
@@ -155,11 +157,11 @@ def gru_arrays(rng, t_len, cells, k, d, h):
 
 def gru_probe_grads(arrays, probe):
     """Output of ``gru_sequence`` and the gradients of sum(out * probe) with
-    respect to all four inputs."""
+    respect to all four inputs: zeros for x_seq and h0, which are data."""
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     out = blocks.gru_sequence(*leaves)
-    grads = tape.backward(dot(out, tape.constant(probe)))
+    grads = tape.backward(dot(out, tape.leaf(probe)))
     return out.data, [grads.wrt(leaf) for leaf in leaves]
 
 
@@ -174,8 +176,10 @@ class TestGruRowContract:
         arrays = gru_arrays(rng, t_len, cells, k, d, h)
         probe = rng.standard_normal((t_len, cells * k, h))
         _, grads = gru_probe_grads(arrays, probe)
+        for pos in (0, 1):
+            np.testing.assert_array_equal(grads[pos], np.zeros_like(arrays[pos]))
 
-        for pos, name in enumerate(self.INPUTS):
+        for pos, name in ((2, "w"), (3, "u")):
             def loss(v, pos=pos):
                 tape = ad.Tape()
                 args = [tape.leaf(v if i == pos else a) for i, a in enumerate(arrays)]
@@ -200,8 +204,6 @@ class TestGruRowContract:
             part = [arrays[0][:, rows], arrays[1][rows]] + arrays[2:]
             out_s, grads_s = gru_probe_grads(part, probe[:, rows])
             np.testing.assert_allclose(out[:, rows], out_s, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(grads[0][:, rows], grads_s[0], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(grads[1][rows], grads_s[1], rtol=1e-12, atol=1e-15)
             for acc, g in zip(summed, grads_s[2:]):
                 acc += g
         for name, g, want in zip(self.INPUTS[2:], grads[2:], summed):
@@ -224,8 +226,7 @@ class TestGruRowContract:
             rng = np.random.default_rng(37)
             arrays = gru_arrays(rng, 3, 2, 2, 1, 3)
             tape = ad.Tape()
-            out = blocks.gru_sequence(tape.constant(arrays[0]),
-                                      *[tape.leaf(a) for a in arrays[1:]])
+            out = blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
             tape.backward(total(out))
             return weakref.ref(tape)
 
@@ -240,10 +241,10 @@ class TestGruRowContract:
         arrays = gru_arrays(rng, 6, 3, 4, 2, 3)
         tape = ad.Tape()
         with_grad = blocks.gru_sequence(*[tape.leaf(a) for a in arrays])
-        free = ad.Tape()
-        without = blocks.gru_sequence(*[free.constant(a) for a in arrays])
+        free = ad.Tape(grad=False)
+        without = blocks.gru_sequence(*[free.leaf(a) for a in arrays])
         np.testing.assert_array_equal(without.data, with_grad.data)
-        assert not without.needs and free._backward[without.idx] is None
+        assert free._backward[without.idx] is None
 
     def test_gradient_free_call_keeps_no_gate_history(self):
         # switch8-windows' shape: T=39 steps, B=64 cells, k=50 windows per cell.
@@ -255,8 +256,8 @@ class TestGruRowContract:
         t_len, cells, k, h = 39, 64, 50, 15
         bound = ((t_len + 1) + 3 * 3) * cells * k * h * 8
         arrays = gru_arrays(np.random.default_rng(39), t_len, cells, k, 1, h)
-        tape = ad.Tape()
-        inputs = [tape.constant(a) for a in arrays]
+        tape = ad.Tape(grad=False)
+        inputs = [tape.leaf(a) for a in arrays]
         tracemalloc.start()
         try:
             out = blocks.gru_sequence(*inputs)
@@ -276,8 +277,8 @@ class TestGruRowContract:
         t_len, cells, k, h = 499, 100, 1, 15
         unit = t_len * cells * k * h * 8
         arrays = gru_arrays(np.random.default_rng(40), t_len, cells, k, 1, h)
-        tape = ad.Tape()  # the model's inputs: data and h0 take no gradient
-        inputs = [tape.constant(a) for a in arrays[:2]] + [tape.leaf(a) for a in arrays[2:]]
+        tape = ad.Tape()
+        inputs = [tape.leaf(a) for a in arrays]
         tracemalloc.start()
         try:
             out = blocks.gru_sequence(*inputs)
@@ -340,11 +341,11 @@ def encoder_gcn_arrays(rng, n_e, s_count, n=3, tt=2, h=2):
             rng.uniform(-0.8, 0.8, (n_e, h, h)), rng.uniform(0.1, 1.0, (n, n))]
 
 
-def encoder_gcn_on_tape(arrays, phi, hs_needs=True):
+def encoder_gcn_on_tape(arrays, phi):
     """(out, hs, w) with hs and w on a fresh tape."""
     hs, w, prop = arrays
     tape = ad.Tape()
-    leaves = [tape.leaf(hs) if hs_needs else tape.constant(hs), tape.leaf(w)]
+    leaves = [tape.leaf(hs), tape.leaf(w)]
     return (blocks.encoder_gcn(leaves[0], leaves[1], prop, phi), *leaves)
 
 
@@ -383,7 +384,7 @@ class TestEncoderGcn:
         arrays = encoder_gcn_arrays(rng, n_e, s_count)
         out, *leaves = encoder_gcn_on_tape(arrays, phi)
         probe = rng.standard_normal(out.shape)
-        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
+        grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         for leaf, pos, name in zip(leaves, (0, 1), ("hs", "w")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(arrays)]
@@ -400,7 +401,7 @@ class TestEncoderGcn:
         arrays = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=3)
         out, *leaves = encoder_gcn_on_tape(arrays, phi)
         probe = rng.standard_normal(out.shape)
-        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
+        grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         want, dhs, dw = unfused_encoder_gcn(*arrays, phi, probe)
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
@@ -414,19 +415,10 @@ class TestEncoderGcn:
         rng = np.random.default_rng(66)
         hs, w, prop = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=15)
         with_grad, *_ = encoder_gcn_on_tape([hs, w, prop], phi)
-        free = ad.Tape()
-        without = blocks.encoder_gcn(free.constant(hs), free.constant(w), prop, phi)
+        free = ad.Tape(grad=False)
+        without = blocks.encoder_gcn(free.leaf(hs), free.leaf(w), prop, phi)
         np.testing.assert_array_equal(without.data, with_grad.data)
-        assert not without.needs and free._backward[without.idx] is None
-
-    def test_constant_states_get_no_gradient(self):
-        # the states of a frozen GRU bank: only w trains
-        rng = np.random.default_rng(62)
-        arrays = encoder_gcn_arrays(rng, 3, 2)
-        out, hs, w = encoder_gcn_on_tape(arrays, "tanh", hs_needs=False)
-        grads = out.tape.backward(total(out))
-        np.testing.assert_array_equal(grads.wrt(hs), np.zeros_like(arrays[0]))
-        assert np.any(grads.wrt(w))
+        assert free._backward[without.idx] is None
 
     @pytest.mark.parametrize("name, corrupt", [
         ("hs", lambda hs, w, prop: (hs[..., :1], w, prop)),  # h differs from w's
@@ -453,8 +445,8 @@ class TestEncoderGcn:
             encoder_gcn_on_tape(arrays, "tanh")
 
     def test_tape_freed_without_cycle_collection(self):
-        # as for gru_sequence: the backward closure holds arrays and flags,
-        # never a tensor, which would keep its tape and buffers alive
+        # as for gru_sequence: the backward closure holds arrays, never a
+        # tensor, which would keep its tape and buffers alive
         def run():
             out, *_ = encoder_gcn_on_tape(
                 encoder_gcn_arrays(np.random.default_rng(65), 3, 2), "tanh")
@@ -503,8 +495,8 @@ def assert_model_gradients(stack, x, names, rng):
 
     def probe_root(out):
         tape = out.tape
-        return dot(out.masks, tape.constant(probes[0]),
-                   out.predictions, tape.constant(probes[1]))
+        return dot(out.masks, tape.leaf(probes[0]),
+                   out.predictions, tape.leaf(probes[1]))
 
     grads = tape.backward(probe_root(out))
     for name in names:
@@ -525,12 +517,11 @@ def gated_pool_arrays(rng, n=2, n_in=3, g=4, d=2, h=3):
             rng.uniform(0.1, 1.0, (n, n_in))]
 
 
-def gated_pool_on_tape(arrays, phi, gate_needs=True):
+def gated_pool_on_tape(arrays, phi):
     """(out, gate, w, v) with gate, w and v on a fresh tape."""
     gate, x_prev, w, v, prop = arrays
     tape = ad.Tape()
-    leaves = [tape.leaf(gate) if gate_needs else tape.constant(gate), tape.leaf(w),
-              tape.leaf(v)]
+    leaves = [tape.leaf(gate), tape.leaf(w), tape.leaf(v)]
     out = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop, phi)
     return (out, *leaves)
 
@@ -551,25 +542,21 @@ class TestGatedPool:
                 np.testing.assert_allclose(out[i, t], np.tanh(pooled @ v[i]),
                                            rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("gate_needs", [True, False])
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_gradient_matches_finite_differences(self, phi, gate_needs):
-        # at d = 2 the gate scales a vector, so d gate sums over d; a
-        # constant gate (the mask override) takes no gradient at all; w's
-        # last row is the bias; v weights the pooled output
+    def test_gradient_matches_finite_differences(self, phi):
+        # at d = 2 the gate scales a vector, so d gate sums over d; w's last
+        # row is the bias; v weights the pooled output
         rng = np.random.default_rng(51)
         arrays = gated_pool_arrays(rng)
         probe = rng.standard_normal((2, 4, 3))
-        out, *leaves = gated_pool_on_tape(arrays, phi, gate_needs)
-        grads = out.tape.backward(dot(out, out.tape.constant(probe)))
+        out, *leaves = gated_pool_on_tape(arrays, phi)
+        grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         for leaf, pos, name in zip(leaves, (0, 2, 3), ("gate", "w", "v")):
             def loss(a, pos=pos):
                 args = [a if k == pos else b for k, b in enumerate(arrays)]
                 return float(np.sum(gated_pool_on_tape(args, phi)[0].data * probe))
 
-            want = (central_diff_grad(loss, arrays[pos]) if leaf.needs
-                    else np.zeros_like(arrays[pos]))
-            assert rel_err(grads.wrt(leaf), want) < 1e-7, name
+            assert rel_err(grads.wrt(leaf), central_diff_grad(loss, arrays[pos])) < 1e-7, name
 
     def test_overflowed_pre_activation_raises(self):
         # tanh(inf) = 1 would hide the overflow; the pre-activations of the
@@ -591,11 +578,11 @@ class TestGatedPool:
         # node at a time; it must not drift from the trained path
         gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(56), n=3, g=7)
         with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop], phi)
-        free = ad.Tape()
-        without = blocks.gated_pool(free.constant(gate), x_prev, free.constant(w),
-                                    free.constant(v), prop, phi)
+        free = ad.Tape(grad=False)
+        without = blocks.gated_pool(free.leaf(gate), x_prev, free.leaf(w), free.leaf(v),
+                                    prop, phi)
         np.testing.assert_array_equal(without.data, with_grad.data)
-        assert not without.needs and free._backward[without.idx] is None
+        assert free._backward[without.idx] is None
 
     def test_gradient_free_call_frees_the_activation_first(self):
         # without a gradient, the gated input and the (N, N', g, h)
@@ -608,21 +595,21 @@ class TestGatedPool:
         arrays = gated_pool_arrays(np.random.default_rng(55), n, n_in, g, d, h)
         unit = n * g * h * 8  # pooled, and the output
         budget = n * n_in * g * (d + 1) * 8 + n_in * unit + unit + unit // 2
-        tape = ad.Tape()
+        tape = ad.Tape(grad=False)
         gate, x_prev, w, v, prop = arrays
-        inputs = [tape.constant(a) for a in (gate, w, v)]
+        inputs = [tape.leaf(a) for a in (gate, w, v)]
         tracemalloc.start()
         try:
             out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop, "tanh")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.data.shape == (n, g, h) and not out.needs
+        assert out.data.shape == (n, g, h)
         assert peak < budget
 
     def test_tape_freed_without_cycle_collection(self):
-        # as for gru_sequence: the backward closure holds arrays and flags,
-        # never a tensor, which would keep its tape and buffers alive
+        # as for gru_sequence: the backward closure holds arrays, never a
+        # tensor, which would keep its tape and buffers alive
         def run():
             out, *_ = gated_pool_on_tape(
                 gated_pool_arrays(np.random.default_rng(53)), "tanh")

@@ -411,7 +411,7 @@ class TestBatchedForward:
     @pytest.mark.parametrize("share", [False, True])
     def test_forward_records_18_nodes(self, monkeypatch, share):
         # the tape bookkeeping per forward is a cost on every chunk: 9
-        # parameter leaves, 2 constants and one op per layer; a training
+        # parameter leaves, 2 data leaves and one op per layer; a training
         # step adds the criterion. Every op goes through Tape.record
         ops = []
         record = Tape.record
@@ -469,7 +469,6 @@ class TestInference:
         mask_override = rng.uniform(0.1, 0.9, (n, n)) if override else None
         masks, preds = mdl.forward_full(models, x, mask_override=mask_override)
         out = mdl.batched_forward(models, x, Tape(), mask_override=mask_override)
-        assert all(leaf.needs for leaf in out.leaves.values())
         np.testing.assert_array_equal(masks.values,
                                       mdl.rows_to_series(out.masks.data, s_count))
         np.testing.assert_array_equal(preds.values,
@@ -480,10 +479,22 @@ class TestInference:
         models, _ = tiny_models(n=3, hidden=3, seed=23, share_encoder=share)
         x = np.random.default_rng(19).standard_normal((2, 3, 6, 1))
         out = mdl.batched_forward(models, x)
-        assert not any(leaf.needs for leaf in out.leaves.values())
+        assert not out.tape.grad
         assert all(fn is None for fn in out.tape._backward)
         # the same ops as a training forward, only without their closures
         assert len(out.tape) == len(mdl.batched_forward(models, x, Tape()).tape)
+
+    def test_gradient_free_forward_cannot_train(self):
+        # a loss on the read-out's tape would sweep to all-zero gradients, so
+        # a training loop built on it would never move: the sweep raises
+        models, _ = tiny_models(n=3, hidden=3, seed=23)
+        x = np.random.default_rng(19).standard_normal((2, 3, 6, 1))
+        out = mdl.batched_forward(models, x)
+        weights = tr.LossWeights()
+        root, _ = tr.criterion(out.masks, out.predictions,
+                               tr._group_consts(x, weights.gamma), weights)
+        with pytest.raises(RuntimeError, match="grad=False"):
+            out.tape.backward(root)
 
     def test_forward_full_memory_bound(self):
         # switch8-windows' shape: S=50 windows of T=40 steps, N=8, h=15, one

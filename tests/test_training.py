@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dyncause import autodiff as ad
 from dyncause import training as tr
 from dyncause.autodiff import Tape
+from dyncause import simulate as sim
 from dyncause.model import GATE_HI, GATE_LO, ModelConfig, build_node_models, forward_full
 from dyncause.simulate import gen_var, standardize
 
@@ -709,6 +710,44 @@ class TestTrain:
                                 batch_mode="sample_minibatch", minibatch_size=np.int64(2))
         result = tr.train(series, config, tr.LossWeights())
         assert result.masks.values.shape == (4, 29, 3, 3)
+
+
+def strong_positive_var(seed):
+    """A (1, 5, 500, 1) VAR(1) series and its truth: ``gen_var``'s draw with
+    every coefficient made positive and the transition rescaled to spectral
+    radius 0.9, so each cause explains much of its effect's next step."""
+    rng = np.random.default_rng(seed)
+    transition, truth = sim._draw_var_system(5, 1, rng)
+    a = np.abs(transition[0])
+    a *= 0.9 / sim.companion_spectral_radius([a])
+    series = sim._simulate_var([a], 500, rng, sim.VAR_BURN_IN)
+    return series.T[None, :, :, None], truth.adjacency
+
+
+def offdiag_auroc(score, adjacency):
+    """The probability that an off-diagonal true edge outscores an
+    off-diagonal non-edge, a tie counting one half."""
+    off = ~np.eye(adjacency.shape[0], dtype=bool)
+    s, edge = score[off], adjacency[off].astype(bool)
+    diff = s[edge][:, None] - s[~edge][None, :]
+    return float(((diff > 0) + 0.5 * (diff == 0)).mean())
+
+
+class TestGraphRecovery:
+    """A fit recovers the graph of a strong positive-sign VAR: the
+    time-averaged gates rank true edges above the rest."""
+
+    # measured 1.00, 0.87 and 1.00 at init seed 0; init seeds 1-3 read
+    # 0.94-1.00, 0.72-0.95 and 0.88-1.00. Chance is 0.5
+    FLOORS = {1: 0.85, 2: 0.70, 3: 0.85}
+
+    @pytest.mark.parametrize("seed", sorted(FLOORS))
+    def test_time_averaged_gates_rank_the_true_edges(self, seed):
+        x, adjacency = strong_positive_var(seed)
+        fit = tr.train(x, tr.TrainConfig(learning_rate=1e-2, epochs=100, seed=0),
+                       tr.LossWeights())
+        score = fit.masks.values.mean(axis=(0, 1))
+        assert offdiag_auroc(score, adjacency) >= self.FLOORS[seed]
 
 
 class TestGridSearch:
