@@ -27,14 +27,17 @@ phi, as ``encoder_gcn``'s mix takes its weight; phi and phi' come from
 same way: it mixes ``gru_sequence``'s output straight into the (sample,
 step, node) rows the mask generator reads, takes the weight product and
 phi in one buffer, and writes its input gradient back into the GRU's row
-layout, so neither direction makes a transposed copy. On a
-``Tape(grad=False)`` it writes the weight product over the mix.
+layout, so neither direction makes a transposed copy. Both GCN ops run one
+kernel on either tape, the weight product written back over the mix or
+pooled output it reads, one encoder row or node at a time; the backward
+recomputes that buffer by the forward's own expression. ``tape.grad`` sets
+only what an op keeps, never how it computes.
 
 ``Tape.backward`` runs each closure at most once and then drops it, so the
 fused backwards overwrite the internal buffers they read for the last time,
 never the op's output, which a caller may hold: the GRU's gate gradients
 go over its gate history, ``gated_pool``'s phi' over its activation and
-``encoder_gcn``'s mix gradient over the mix.
+``encoder_gcn``'s mix gradient over the recomputed mix.
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
 entering as an input column of ones, and takes its [W; b] array as stored,
@@ -252,8 +255,9 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
     (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
     one (1, N')@(N', g*h) product per node. An overflowed pre-activation
     of either layer raises ``NumericError`` even where phi would squash it.
-    On a ``Tape(grad=False)``, the activation dies before the NGCN product,
-    which goes through one row-sized buffer back over the pooled output.
+    The NGCN product goes through one row-sized buffer back over the pooled
+    output, which the backward recomputes from the activation. On a
+    ``Tape(grad=False)`` the gated input and the activation die first.
     """
     G, X, W, V = gate.data, x_prev, w.data, v.data
     if G.ndim != 3:
@@ -277,23 +281,23 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
     _check_finite(A, "gated_pool")
     A = A.reshape(n, n_in, g, h)
     phi_fn(A, A)
-    pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
+    out = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)  # pooled
+    if not gate.tape.grad:  # no backward reads them
+        Xg = Xg_rows = A = None
+    row = np.empty((g, h))
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        if gate.tape.grad:
-            out = np.matmul(pooled, V)
-        else:  # no backward reads them: free them, and write the product over pooled
-            Xg = Xg_rows = A = None
-            out, row = pooled, np.empty((g, h))
-            for i in range(n):
-                np.matmul(pooled[i], V[i], out=row)
-                out[i] = row
+        for i in range(n):  # the NGCN product goes over the pooled output, node by node
+            np.matmul(out[i], V[i], out=row)
+            out[i] = row
 
     def backward(go):
         # into a new array, not over out: out is the op's output, which a caller may hold
         dY = go * phi_deriv(out, np.empty_like(out))
+        # the pooled output again, by the forward's expression, before phi' goes over A
+        pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
         dv = np.matmul(np.swapaxes(pooled, -1, -2), dY)
         gp = np.matmul(dY, np.swapaxes(V, -1, -2))
-        del dY
+        del dY, pooled
         # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
         # over the activation, which this closure, run at most once, reads last
         D = phi_deriv(A, A)
@@ -334,14 +338,12 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     The mix is one (N, N)@(N, h) product per (step, row, sample), written
     straight into that (n_e, S, T', N, h) layout, so no transposed copy is
     made; the weight product is one (S*T'*N, h)@(h, h) GEMM per encoder
-    row, and phi is applied to it in place. An overflowed pre-activation
-    raises ``NumericError`` even where phi would squash it. The backward
-    reads both the mix and the product, writes the mix's gradient over the
-    mix and d``hs`` straight into ``gru_sequence``'s row layout. On a
-    ``Tape(grad=False)`` nothing reads the mix again: each encoder row's
-    product goes through one row-sized buffer back over the mix, so the
-    op's output is the mix's memory and no second mix-sized buffer exists.
-    w is square so that the product fits there.
+    row, through one row-sized buffer back over the mix, so the op's output
+    is the mix's memory (w is square so that the product fits there), and
+    phi is applied to it in place. An overflowed pre-activation raises
+    ``NumericError`` even where phi would squash it. The backward, also one
+    encoder row at a time, recomputes the row's mix from ``hs``, writes its
+    gradient over it and d``hs`` straight into ``gru_sequence``'s layout.
     """
     H, W = hs.data, w.data
     if W.ndim != 3 or W.shape[1] != W.shape[2]:
@@ -360,28 +362,27 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
     def by_step(a):  # (T', n_e, S, N, h) view of the hs rows: row (e*N + j)*S + s
         return a.reshape(tt, n_e, n, s_count, h).transpose(0, 1, 3, 2, 4)
 
-    Z = np.empty((n_e, s_count, tt, n, h))
-    np.matmul(prop, by_step(H), out=Z.transpose(2, 0, 1, 3, 4))
-    Z_rows = Z.reshape(n_e, s_count * tt * n, h)
+    A, row = np.empty((n_e, s_count * tt * n, h)), np.empty((s_count * tt * n, h))
+    np.matmul(prop, by_step(H), out=A.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 1, 3, 4))
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        if hs.tape.grad:  # the backward reads both Z and A
-            A = np.matmul(Z_rows, W)
-        else:  # nothing reads the mix again: the product goes over it, row by row
-            A, row = Z_rows, np.empty(Z_rows.shape[1:])
-            for e in range(n_e):
-                np.matmul(Z_rows[e], W[e], out=row)
-                Z_rows[e] = row
+        for e in range(n_e):
+            np.matmul(A[e], W[e], out=row)
+            A[e] = row
 
     def backward(g):
-        # a new array, not A: A is the op's output, which a caller may hold
-        D = phi_deriv(A, np.empty_like(A))
-        D *= g.reshape(A.shape)
-        dw = np.matmul(Z_rows.transpose(0, 2, 1), D)
-        # dZ over the mix, which this closure, run at most once, reads last
-        np.matmul(D, W.transpose(0, 2, 1), out=Z_rows)
-        del D
-        dhs = np.empty((tt, rows, h))
-        np.matmul(prop.T, Z.transpose(2, 0, 1, 3, 4), out=by_step(dhs))
+        # per encoder row: D takes phi' * g (not over A, the op's output, which a caller
+        # may hold), Z the mix, recomputed as the forward computes it, then its gradient
+        g = g.reshape(A.shape)
+        dw, dhs = np.empty_like(W), np.empty((tt, rows, h))
+        D, Z = np.empty(A.shape[1:]), np.empty(A.shape[1:])
+        Z_steps = Z.reshape(s_count, tt, n, h).transpose(1, 0, 2, 3)  # (T', S, N, h) view
+        for e in range(n_e):
+            phi_deriv(A[e], D)
+            D *= g[e]
+            np.matmul(prop, by_step(H)[:, e], out=Z_steps)
+            np.matmul(Z.T, D, out=dw[e])
+            np.matmul(D, W[e].T, out=Z)
+            np.matmul(prop.T, Z_steps, out=by_step(dhs)[:, e])
         return dhs, dw
 
     # record scans A before phi, where an overflow still shows (tanh would

@@ -3,13 +3,12 @@ transition, decoder predicts the next step from the gated snapshot.
 
 All node models live in one ``ParamStack``: every parameter carries a
 leading node (or encoder row) axis, and ``ParamStack.config`` is the one
-``ModelConfig`` the stack was built for. ``batched_forward`` is the model: it
-runs every node, sample and transition in one tape pass, and training and
-``forward_full`` use it. Training passes its own tape, whose leaves over
-the stack arrays take gradients. ``forward_full`` and training's final
-forward take no gradient, so they pass no tape; the forward then records on
-a private ``Tape(grad=False)``, which keeps no backward closure and no GRU
-gate history.
+``ModelConfig`` the stack was built for, checked against the arrays'
+shapes. ``batched_forward`` is the model: it runs every node, sample and
+transition in one tape pass, and training and ``forward_full`` use it.
+Training passes its own tape; ``forward_full`` and training's final forward
+pass none and record on a private ``Tape(grad=False)``, which runs the same
+kernels but keeps no backward state.
 Shared and per-node encoders take the same path: the encoder rows (one
 shared row, or one per node) run as one ``gru_sequence`` call whose rows are
 cell-major (row b*S + s runs bank cell b on sample s), its states feed one
@@ -76,16 +75,13 @@ class ParamStack:
     shares it. Encoder row e owns ``enc_w[e]`` and the GRU rows e*N..e*N+N-1,
     where row e*N + j is its cell for input node j. Every biased affine map
     is one [W; b] array, its bias the last row, read whole by a fused kernel
-    or by ``ad.dense``: a GRU row's ``gru_w[r]`` = [W_z|W_r|W_h;
-    b_z|b_r|b_h] (d+1, 3h), gates side by side as in ``gru_u[r]`` =
-    U_z|U_r|U_h (h, 3h); node i's ``rl_w[i]`` (d+1, h); and its MMG layers
-    ``mmg_w1[i]`` and ``mmg_w2[i]`` and output MLP layers ``tip_w1[i]`` and
-    ``tip_w2[i]``. Only ``enc_w``, ``gru_u`` and ``ngcn_w`` carry no bias.
-    ``config`` is the architecture the stack was built for: the
-    encoder GCN and the decoder NGCN both propagate by (A + lam I) / (N + lam),
-    A all ones, lam = ``config.self_loop``, and ``config.phi`` is every
-    hidden activation. The sigmoid gates read out without a gradient lie in
-    [``GATE_LO``, ``GATE_HI``].
+    or by ``ad.dense``; the GRU gates sit side by side, W_z|W_r|W_h in
+    ``gru_w`` and U_z|U_r|U_h in ``gru_u``. ``config`` is the architecture
+    the stack was built for: each array has the shape noted beside it, for
+    N read from ``mmg_w2``, d from ``rl_w``, h = ``config.hidden`` and E = 1
+    exactly when ``config.share_encoder`` is set, else ``ValueError``. Both
+    GCNs propagate by (A + lam I) / (N + lam), A all ones, lam =
+    ``config.self_loop``, and ``config.phi`` is every hidden activation.
     """
 
     gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
@@ -103,11 +99,19 @@ class ParamStack:
         # the tape wraps each array as a leaf without a copy, and Adam writes
         # the leaf in place; any other array would be converted, so its
         # updates would reach a copy and the stack would never train
-        for name in _ARRAYS:
-            arr = getattr(self, name)
-            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
-                kind = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
-                raise ValueError(f"{name} must be a float64 ndarray, got {kind}")
+        for name, arr in self.arrays().items():
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 3:
+                kind = f"{getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}"
+                raise ValueError(f"{name} must be a float64 ndarray of 3 axes, got {kind}")
+        # batched_forward reads the arrays, train() and serves() the config: they must agree
+        n, d, h = self.num_nodes, self.input_dim, self.config.hidden
+        e = 1 if self.config.share_encoder else n
+        for (name, arr), want in zip(self.arrays().items(), (
+                (e * n, d + 1, 3 * h), (e * n, h, 3 * h), (e, h, h), (n, n * h + 1, h),
+                (n, h + 1, n), (n, d + 1, h), (n, h, h), (n, h + 1, h), (n, h + 1, d))):
+            if arr.shape != want:
+                raise ValueError(f"{name} shape {arr.shape}, expected {want} for N = {n} "
+                                 f"(mmg_w2), d = {d} (rl_w), hidden = {h}, {e} encoder row(s)")
 
     @property
     def num_nodes(self) -> int:
@@ -117,10 +121,6 @@ class ParamStack:
     def input_dim(self) -> int:
         return self.rl_w.shape[1] - 1
 
-    @property
-    def shared_encoder(self) -> bool:
-        return self.enc_w.shape[0] < self.mmg_w1.shape[0]
-
     def arrays(self) -> dict:
         return {name: getattr(self, name) for name in _ARRAYS}
 
@@ -129,7 +129,7 @@ class ParamStack:
         encoder row and its N GRU rows serve every node when shared."""
         n = self.num_nodes
         node = np.eye(n, dtype=bool)
-        enc = np.ones((1, n), dtype=bool) if self.shared_encoder else node
+        enc = np.ones((1, n), dtype=bool) if self.config.share_encoder else node
         return {name: np.repeat(enc, n, axis=0) if name.startswith("gru_")
                 else enc if name == "enc_w" else node for name in _ARRAYS}
 
@@ -244,13 +244,12 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
 
     The GRU states go straight into ``encoder_gcn``, which mixes them into
     the (n_e, g, N*h) rows the MMG reads, one per (sample, step) for each of
-    the n_e encoder rows, and applies ``enc_w`` and phi in that buffer. A
-    forward without a gradient keeps only what the next layer reads: the
-    GRU states die once mixed, the GRU keeps one step of gates,
-    ``encoder_gcn`` writes its weight product over the mix, the encoder
-    output dies once the MMG's first layer has read it, before the decoder
-    runs, and ``gated_pool`` frees its activation before it writes the NGCN
-    product over its pooled output.
+    the n_e encoder rows, and applies ``enc_w`` and phi in that buffer.
+    Either tape runs the same kernels; without a gradient the forward keeps
+    only what the next layer reads: the GRU keeps one step of gates and its
+    states die once mixed, the encoder output dies once the MMG's first
+    layer has read it, and ``gated_pool`` frees its gated input and
+    activation before its NGCN product.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape

@@ -410,8 +410,8 @@ class TestEncoderGcn:
     @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 3), (4, 1), (4, 3)])
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     def test_output_identical_without_gradient(self, phi, n_e, s_count):
-        # without a gradient the weight product goes over the mix, one
-        # encoder row at a time; it must not drift from the trained path
+        # both kinds of tape run one kernel, the weight product over the
+        # mix one encoder row at a time; only the backward closure differs
         rng = np.random.default_rng(66)
         hs, w, prop = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=15)
         with_grad, *_ = encoder_gcn_on_tape([hs, w, prop], phi)
@@ -419,6 +419,31 @@ class TestEncoderGcn:
         without = blocks.encoder_gcn(free.leaf(hs), free.leaf(w), prop, phi)
         np.testing.assert_array_equal(without.data, with_grad.data)
         assert free._backward[without.idx] is None
+
+    def test_gradient_tape_call_keeps_no_second_buffer(self):
+        # var10-node's shape: n_e = N = 10, S = 1, T' = 499, h = 15. The
+        # product goes over the mix on a gradient tape too, and the backward
+        # recomputes the mix from hs: the call holds its output, not the
+        # mix beside it as well (2 outputs). The backward runs one encoder
+        # row at a time: beside the output and d hs it holds one row of the
+        # mix and of phi' * g, not the whole of each (3 outputs, with the mix
+        # kept from the forward)
+        n_e, s_count, n, tt, h = 10, 1, 10, 499, 15
+        unit = n_e * s_count * tt * n * h * 8
+        hs, w, prop = encoder_gcn_arrays(np.random.default_rng(67), n_e, s_count, n, tt, h)
+        tape = ad.Tape()
+        inputs = [tape.leaf(hs), tape.leaf(w)]
+        tracemalloc.start()
+        try:
+            out = blocks.encoder_gcn(*inputs, prop, "tanh")
+            held = tracemalloc.get_traced_memory()[0]
+            grads = tape.backward(total(out))  # a broadcast 1: g takes no memory
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * unit
+        assert grads.wrt(inputs[0]).shape == hs.shape
+        assert peak < 2.5 * unit
 
     @pytest.mark.parametrize("name, corrupt", [
         ("hs", lambda hs, w, prop: (hs[..., :1], w, prop)),  # h differs from w's
@@ -574,8 +599,8 @@ class TestGatedPool:
 
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     def test_output_identical_without_gradient(self, phi):
-        # without a gradient the NGCN product goes over the pooled output, one
-        # node at a time; it must not drift from the trained path
+        # both kinds of tape run one kernel, the NGCN product over the pooled
+        # output one node at a time; only what the call keeps differs
         gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(56), n=3, g=7)
         with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop], phi)
         free = ad.Tape(grad=False)
@@ -606,6 +631,26 @@ class TestGatedPool:
             tracemalloc.stop()
         assert out.data.shape == (n, g, h)
         assert peak < budget
+
+    def test_gradient_tape_call_keeps_no_pooled_output(self):
+        # the backward reads the gated input and the activation, and
+        # recomputes the pooled output from the activation: the call holds
+        # those two and its output, not the pooled output beside it as well
+        n, n_in, g, d, h = 8, 2, 5000, 1, 32
+        gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(57),
+                                                     n, n_in, g, d, h)
+        unit = n * g * h * 8  # the output
+        budget = n * n_in * g * (d + 1) * 8 + n_in * unit + 1.5 * unit
+        tape = ad.Tape()
+        inputs = [tape.leaf(a) for a in (gate, w, v)]
+        tracemalloc.start()
+        try:
+            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop, "tanh")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tape._backward[out.idx] is not None
+        assert held < budget
 
     def test_tape_freed_without_cycle_collection(self):
         # as for gru_sequence: the backward closure holds arrays, never a

@@ -64,6 +64,38 @@ class TestParamStack:
         with pytest.raises(ValueError, match="rl_w must be a float64 ndarray"):
             replace(stack, rl_w=bad(stack.rl_w))
 
+    @pytest.mark.parametrize("change, message", [
+        # a per-node stack relabelled as shared trained per node under a
+        # shared config: train() compared the configs, the forward the arrays
+        ({"config": mdl.ModelConfig(hidden=4, share_encoder=True)},
+         r"gru_w shape \(9, 2, 12\), expected \(3, 2, 12\) .* 1 encoder row"),
+        # a hidden size the arrays lack failed only inside the GRU
+        ({"config": mdl.ModelConfig(hidden=5)},
+         r"gru_w shape \(9, 2, 12\), expected \(9, 2, 15\) .* hidden = 5"),
+        # an rl_w of another d made check_series blame the data
+        ({"rl_w": np.zeros((3, 3, 4))},
+         r"gru_w shape \(9, 2, 12\), expected \(9, 3, 12\) .* d = 2 \(rl_w\)"),
+    ], ids=["shared-config-on-per-node-arrays", "hidden", "rl_w-input-dim"])
+    def test_config_contradicting_the_arrays_rejected(self, change, message):
+        stack, _ = tiny_models()
+        with pytest.raises(ValueError, match=message):
+            replace(stack, **change)
+
+    def test_array_without_three_axes_rejected_by_name(self):
+        # N and d are read from mmg_w2 and rl_w, so their axes come first
+        stack, _ = tiny_models()
+        with pytest.raises(ValueError, match=r"mmg_w2 must be a float64 ndarray of 3 axes, "
+                                             r"got float64 \(3,\)"):
+            replace(stack, mmg_w2=np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["gru_u", "enc_w", "mmg_w1", "ngcn_w", "tip_w1",
+                                      "tip_w2"])
+    def test_array_of_another_shape_named(self, name):
+        stack, _ = tiny_models()
+        arr = getattr(stack, name)
+        with pytest.raises(ValueError, match=rf"^{name} shape \({arr.shape[0] + 1}, "):
+            replace(stack, **{name: np.zeros((arr.shape[0] + 1, *arr.shape[1:]))})
+
 
 class TestBuildNodeModels:
     @pytest.mark.parametrize("field, value", [
@@ -129,7 +161,8 @@ class TestInitStreams:
                 np.testing.assert_array_equal(getattr(stack, name)[i][:want.shape[0]], want,
                                               err_msg=name)
         cells = n if share else n * n
-        assert stack.gru_w.shape == (cells, d + 1, 3 * h) and stack.shared_encoder == share
+        assert stack.gru_w.shape == (cells, d + 1, 3 * h)
+        assert stack.enc_w.shape[0] == (1 if share else n)
         assert stack.rl_w.shape == (n, d + 1, h)
         assert stack.mmg_w1.shape == (n, n * h + 1, h) and stack.mmg_w2.shape == (n, h + 1, n)
         assert stack.tip_w1.shape == (n, h + 1, h) and stack.tip_w2.shape == (n, h + 1, d)
@@ -339,7 +372,6 @@ class TestForwardFull:
 
     def test_shared_encoder_variant(self):
         models, _ = tiny_models(n=3, seed=16, share_encoder=True)
-        assert models.shared_encoder
         assert models.gru_w.shape[0] == 3 and models.enc_w.shape[0] == 1
         x = np.random.default_rng(13).standard_normal((1, 3, 6, 1))
         masks, preds = mdl.forward_full(models, x)
