@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -258,14 +258,14 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: dict  # param name -> first moment; train() makes both, zero, before its first forward
+    v: dict  # param name -> second moment
     step: int = 0
 
 
 def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
               write_mask: dict | None = None) -> dict:
-    """One bias-corrected Adam update, in place on the param arrays.
+    """One bias-corrected Adam update, in place on the params and their moments.
 
     ``write_mask`` (name -> bool rows) freezes rows whose nodes have
     converged: their moments and values stay exactly as they were.
@@ -278,9 +278,6 @@ def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
         g = grads[name]
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
         rows = slice(None) if write_mask is None else write_mask[name]
         m = state.m[name]
         v = state.v[name]
@@ -365,7 +362,10 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     x = standardize(x)
     stack = build_node_models(n, d, arch, config.seed) if models is None else models
 
-    adam = AdamState()
+    # moments made before the first forward: made after the first backward, they would
+    # split the heap space it freed, where the next forward's largest buffer goes
+    adam = AdamState(m={k: np.zeros_like(a) for k, a in stack.arrays().items()},
+                     v={k: np.zeros_like(a) for k, a in stack.arrays().items()})
     best = np.full(n, np.inf)
     stall = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)

@@ -387,23 +387,29 @@ class TestCriterion:
         x = standardize(np.random.default_rng(5).standard_normal((2, 3, 8, 1)))
         stack = build_node_models(3, 1, config.model_config(), config.seed)
         tr._train_step(stack, x, tr._group_consts(x, weights.gamma), config, weights,
-                       tr.AdamState(), np.ones(3, dtype=bool))
+                       zero_adam(stack.arrays()), np.ones(3, dtype=bool))
         [(tape, forward_nodes)] = forwards
         assert (forward_nodes, len(tape)) == (18, 19)
 
 
+def zero_adam(params: dict):
+    """An Adam state with zero moments for ``params``, as ``train`` makes it."""
+    return tr.AdamState(m={k: np.zeros_like(a) for k, a in params.items()},
+                        v={k: np.zeros_like(a) for k, a in params.items()})
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        state = tr.AdamState()
         params = {"w": np.array([1.0, -2.0])}
+        state = zero_adam(params)
         grads = {"w": np.zeros(2)}
         tr.adam_step(state, params, grads, tr.TrainConfig())
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_first_step_is_signed_learning_rate(self):
         config = tr.TrainConfig(learning_rate=1e-3)
-        state = tr.AdamState()
         params = {"w": np.array([1.0, 1.0, 1.0])}
+        state = zero_adam(params)
         grads = {"w": np.array([0.5, -2.0, 1e-12])}
         tr.adam_step(state, params, grads, config)
         # first bias-corrected step is -lr * g / (|g| + eps)
@@ -413,14 +419,33 @@ class TestAdam:
     def test_two_runs_bit_identical(self):
         def run():
             rng = np.random.default_rng(5)
-            state = tr.AdamState()
             params = {"w": rng.standard_normal(4)}
+            state = zero_adam(params)
             for _ in range(10):
                 grads = {"w": rng.standard_normal(4)}
                 tr.adam_step(state, params, grads, tr.TrainConfig())
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_train_makes_every_moment_before_the_first_step(self, monkeypatch):
+        # made after the first backward, the moments would land in the heap
+        # space it freed, where the next forward's largest buffer goes;
+        # train() makes them, zero, before its first forward
+        first = []
+        original = tr.adam_step
+
+        def spy(state, params, grads, cfg, write_mask=None):
+            if state.step == 0:
+                first.append({k: (k in state.m and k in state.v and state.m[k].shape == p.shape
+                                  and not state.m[k].any() and not state.v[k].any())
+                              for k, p in params.items()})
+            return original(state, params, grads, cfg, write_mask)
+
+        monkeypatch.setattr(tr, "adam_step", spy)
+        series, _ = small_var_data(n=3, t=30)
+        tr.train(series, tr.TrainConfig(epochs=2, hidden=4), tr.LossWeights())
+        assert len(first) == 1 and len(first[0]) == 9 and all(first[0].values())
 
 
 def small_var_data(n=5, t=120, seed=0):
@@ -679,7 +704,8 @@ class TestTrain:
         active = np.ones(n, dtype=bool)
         tracemalloc.start()
         try:
-            terms = tr._train_step(stack, x, consts, config, weights, tr.AdamState(), active)
+            terms = tr._train_step(stack, x, consts, config, weights,
+                                   zero_adam(stack.arrays()), active)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
