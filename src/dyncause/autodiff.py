@@ -4,11 +4,10 @@ The engine is deliberately small: a ``Tape`` records every operation in
 topological order, each node knowing how to push an upstream gradient back to
 its parents. One generic op serves the model's layers:
 
-- ``dense(x, wb, phi)``: phi(x @ W + b) for the one array [W; b], its bias
-  the last row, the layout of every biased layer in the model. Stacked
-  leading axes broadcast like ``np.matmul``, and the gradients are summed
-  back over the broadcast axes, so a shared encoder's single row serves
-  every node's weights; phi is an entry of ``ACTIVATIONS``.
+- ``dense(x, wb, phi)``: phi(x @ W + b) for each node's [W; b], its bias
+  the last row, the layout of every biased layer in the model. x holds one
+  (g, K) row per node, or one row that every node reads, as a shared
+  encoder's output; phi is an entry of ``ACTIVATIONS``.
 
 Everything else is a fused op with a hand-written backward:
 ``gru_sequence``, ``encoder_gcn`` and ``gated_pool`` in ``blocks``, and
@@ -195,21 +194,6 @@ class Tape:
         return Gradients(self, grads)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` over axes that were broadcast so it matches ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _broadcastable(sa: tuple, sb: tuple) -> bool:
-    return all(a == b or a == 1 or b == 1 for a, b in zip(reversed(sa), reversed(sb)))
-
-
 def _sigmoid(a, out):
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf: sigmoid -> 0
         np.negative(a, out=out)
@@ -247,26 +231,25 @@ ACTIVATIONS = {
 
 
 def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
-    """``phi(x @ W + b)`` for the one array ``wb`` = [W; b], its bias the
-    last row: (..., K) @ (..., K+1, h), phi a key of ``ACTIVATIONS``.
-    Stacked leading axes broadcast like ``np.matmul``, and each gradient is
-    summed back over the axes its operand was broadcast along.
+    """``phi(x @ W + b)`` for each node's [W; b] in ``wb``, its bias the
+    last row: x is (N, g, K), one row per node, or (1, g, K), one row that
+    every node reads; wb is (N, K+1, h); phi is a key of ``ACTIVATIONS``.
+    Any other pair of shapes raises ``ShapeError``.
 
     The bias is added to the product in place, so the sum rounds exactly as
     ``x @ W`` plus ``b`` does; a ones column, ``[x, 1] @ [W; b]``, would
-    copy ``x`` and change the summation order. An overflowed pre-activation
-    raises ``NumericError`` even where phi would squash it.
+    copy ``x`` and change the summation order. A shared row's gradient adds
+    the nodes' ``g[i] @ W[i].T`` into one (g, K) buffer in node order, as
+    numpy's ``sum(axis=0)`` of their (N, g, K) stack would, without forming
+    the stack. An overflowed pre-activation raises ``NumericError`` even
+    where phi would squash it.
     """
     xsh, wbsh = x.shape, wb.shape
-    if len(xsh) < 2 or len(wbsh) < 2:
-        raise ShapeError("dense operands must have rank >= 2")
-    if xsh[-1] + 1 != wbsh[-2]:
-        raise ShapeError(f"dense: inner dims disagree ({xsh} @ {wbsh}, bias row last)")
-    if not _broadcastable(xsh[:-2], wbsh[:-2]):
-        raise ShapeError(f"dense: batch dims do not broadcast ({xsh} @ {wbsh})")
+    if len(xsh) != 3 or len(wbsh) != 3 or xsh[0] not in (1, wbsh[0]) or xsh[2] + 1 != wbsh[1]:
+        raise ShapeError(f"dense takes (N or 1, g, K) @ (N, K+1, h), got {xsh} @ {wbsh}")
     fn, deriv = ACTIVATIONS[phi]
     xd, wbd = x.data, wb.data
-    w, b = wbd[..., :-1, :], wbd[..., -1:, :]
+    w, b = wbd[:, :-1], wbd[:, -1:]
     with np.errstate(over="ignore", invalid="ignore"):  # record reports it
         out = np.matmul(xd, w)
         out += b
@@ -274,9 +257,15 @@ def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
     def backward(g):
         # phi' into a new array, not into out: out is the op's output, which a caller may hold
         g = g * deriv(out, np.empty_like(out))
-        dx = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), xsh)
-        dw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), w.shape)
-        return dx, np.concatenate((dw, _unbroadcast(g, b.shape)), axis=-2)
+        wt = np.swapaxes(w, 1, 2)
+        if xsh[0] == wbsh[0]:
+            dx = np.matmul(g, wt)
+        else:
+            dx = np.zeros(xsh)
+            for gi, wti in zip(g, wt):
+                dx[0] += gi @ wti
+        dw = np.matmul(np.swapaxes(xd, 1, 2), g)
+        return dx, np.concatenate((dw, g.sum(axis=1, keepdims=True)), axis=1)
 
     # record scans the pre-activation and wraps it without a copy; phi then
     # runs in place on the recorded buffer. phi of a finite value is finite

@@ -76,12 +76,13 @@ class ParamStack:
     where row e*N + j is its cell for input node j. Every biased affine map
     is one [W; b] array, its bias the last row, read whole by a fused kernel
     or by ``ad.dense``; the GRU gates sit side by side, W_z|W_r|W_h in
-    ``gru_w`` and U_z|U_r|U_h in ``gru_u``. ``config`` is the architecture
-    the stack was built for: each array has the shape noted beside it, for
-    N read from ``mmg_w2``, d from ``rl_w``, h = ``config.hidden`` and E = 1
-    exactly when ``config.share_encoder`` is set, else ``ValueError``. Both
-    GCNs propagate by (A + lam I) / (N + lam), A all ones, lam =
-    ``config.self_loop``, and ``config.phi`` is every hidden activation.
+    ``gru_w`` and U_z|U_r|U_h in ``gru_u``. ``config``, a ``ModelConfig``,
+    is the architecture the stack was built for: each array has the shape
+    noted beside it, for N read from ``mmg_w2``, d from ``rl_w``, h =
+    ``config.hidden`` and E = 1 exactly when ``config.share_encoder`` is
+    set, else ``ValueError``. Both GCNs propagate by (A + lam I) / (N +
+    lam), A all ones, lam = ``config.self_loop``, and ``config.phi`` is
+    every hidden activation.
     """
 
     gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
@@ -96,6 +97,8 @@ class ParamStack:
     config: ModelConfig
 
     def __post_init__(self):
+        if not isinstance(self.config, ModelConfig):
+            raise ValueError(f"config must be a ModelConfig, got {type(self.config).__name__}")
         # the tape wraps each array as a leaf without a copy, and Adam writes
         # the leaf in place; any other array would be converted, so its
         # updates would reach a copy and the stack would never train

@@ -110,6 +110,7 @@ class TrainConfig:
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
         self.model_config()  # validates hidden, self_loop and phi
+        check_count("threads", self.threads, 1)
         if self.threads != 1:
             raise ValueError(f"threads must be 1, got {self.threads}")
         if self.batch_mode not in ("full", "sample_minibatch"):
@@ -453,16 +454,17 @@ def grid_search(grid: dict, base_config: TrainConfig, base_weights: LossWeights,
     if not grid:
         raise ValueError("empty hyperparameter grid")
     names = sorted(grid)
+    candidates = [list(grid[name]) for name in names]  # an iterator is read once
     config_names = {f.name for f in fields(base_config)}
     weight_names = {f.name for f in fields(base_weights)}
-    for name in names:
-        if not list(grid[name]):
+    for name, values in zip(names, candidates):
+        if not values:
             raise ValueError(f"no candidates for {name!r}")
         if name not in config_names | weight_names:
             raise ValueError(f"unknown hyperparameter {name!r}")
     best = None
     trials = []
-    for combo in product(*(grid[name] for name in names)):
+    for combo in product(*candidates):
         cfg_kw = {n: v for n, v in zip(names, combo) if n in config_names}
         w_kw = {n: v for n, v in zip(names, combo) if n not in config_names}
         config = replace(base_config, **cfg_kw)

@@ -1,5 +1,7 @@
 import gc
 import math
+import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -36,8 +38,8 @@ def rel_err(a, b):
 def dot(*operands):
     """sum_k sum(a_k * b_k) over the operand pairs (a_1, b_1, a_2, b_2, ...)
     as one tape node: the tests' scalar probe, recorded through
-    ``Tape.record`` like every op. b_k has a_k's shape, or broadcasts to it;
-    each operand's gradient is summed back to its own shape. In
+    ``Tape.record`` like every op. b_k has a_k's shape, or is 0-d, as the 1
+    of ``total``: a 0-d operand's gradient sums over its partner. In
     ``dot(x, x)`` both operands are x, so x's gradient 2x is accumulated."""
     data = [t.data for t in operands]
     value = sum(np.sum(a * b) for a, b in zip(data[::2], data[1::2]))
@@ -46,7 +48,7 @@ def dot(*operands):
 
     def backward(g):
         # total's 1 broadcasts over its operand: that gradient is a view, not a copy
-        return tuple(ad._unbroadcast(np.broadcast_to(g * p, np.broadcast_shapes(p.shape, s)), s)
+        return tuple(np.broadcast_to(g * p, s) if s else np.sum(g * p)
                      for p, s in zip(partners, shapes))
 
     return operands[0].tape.record(value, operands, backward, op="dot")
@@ -65,16 +67,16 @@ def with_bias(w, b=None):
 
 
 def activation(x, phi):
-    """``phi`` of x, elementwise, as ``dense`` of x with [I; 0]."""
+    """``phi`` of a (1, g, K) x, elementwise, as ``dense`` of x with [I; 0]."""
     k = x.shape[-1]
-    return ad.dense(x, x.tape.leaf(with_bias(np.eye(k))), phi)
+    return ad.dense(x, x.tape.leaf(with_bias(np.eye(k)[None])), phi)
 
 
 def dense_fd_check(x0, wb0, phi, tol=1e-6):
     """``dense``'s gradients in x and wb, under a random probe, match
     central differences; both keep their operand's shape."""
-    probe = np.random.default_rng(4).standard_normal(np.broadcast_shapes(
-        x0.shape[:-1], wb0.shape[:-2] + (1,)) + (wb0.shape[-1],))
+    probe = np.random.default_rng(4).standard_normal(
+        (wb0.shape[0], x0.shape[1], wb0.shape[2]))
 
     def loss(x, wb):
         tape = ad.Tape()
@@ -89,28 +91,28 @@ def dense_fd_check(x0, wb0, phi, tol=1e-6):
 
 
 class TestMatmul:
-    """The matrix product of ``dense``: stacked axes broadcast like np.matmul."""
+    """The matrix product of ``dense``: node i's row times node i's [W; b]."""
 
     def test_identity(self):
         tape = ad.Tape()
-        b = np.arange(9.0).reshape(3, 3)
-        out = ad.dense(tape.leaf(np.eye(3)), tape.leaf(with_bias(b)), "identity")
+        b = np.arange(9.0).reshape(1, 3, 3)
+        out = ad.dense(tape.leaf(np.eye(3)[None]), tape.leaf(with_bias(b)), "identity")
         np.testing.assert_array_equal(out.data, b)
 
     def test_hand_product(self):
         tape = ad.Tape()
-        a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        wb = tape.leaf([[1.0], [1.0], [0.5]])
-        np.testing.assert_array_equal(ad.dense(a, wb, "identity").data, [[3.5], [7.5]])
+        a = tape.leaf([[[1.0, 2.0], [3.0, 4.0]]])
+        wb = tape.leaf([[[1.0], [1.0], [0.5]]])
+        np.testing.assert_array_equal(ad.dense(a, wb, "identity").data, [[[3.5], [7.5]]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        dense_fd_check(rng.standard_normal((4, 5)), rng.standard_normal((6, 3)), "tanh")
+        dense_fd_check(rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 6, 3)), "tanh")
 
     def test_shape_mismatch(self):
         tape = ad.Tape()
         with pytest.raises(ad.ShapeError):
-            ad.dense(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 3))), "tanh")
+            ad.dense(tape.leaf(np.ones((1, 2, 3))), tape.leaf(np.ones((1, 3, 3))), "tanh")
 
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(3)
@@ -121,30 +123,27 @@ class TestMatmul:
         for k in range(6):
             np.testing.assert_array_equal(out.data[k], a[k] @ wb[k, :-1] + wb[k, -1])
 
-    def test_batched_broadcast_gradient(self):
-        # one [W; b] serves every slice of the stack: its gradient sums them
-        rng = np.random.default_rng(11)
-        dense_fd_check(rng.standard_normal((3, 2, 4)), rng.standard_normal((5, 2)), "tanh")
-
 
 class TestAffine:
-    """``dense(x, wb, phi)`` = phi(x @ wb[..., :-1, :] + wb[..., -1:, :])."""
+    """``dense(x, wb, phi)`` = phi(x @ wb[:, :-1] + wb[:, -1:])."""
 
     def test_gradient_matches_finite_differences(self):
-        # a shared encoder's (1, g, K) input broadcasts over N weight rows,
-        # with K > 1 and h > 1, so both gradients sum over a broadcast axis
+        # a shared encoder's (1, g, K) input serves N weight rows, with
+        # K > 1 and h > 1, so its gradient sums the nodes' gradients
         rng = np.random.default_rng(17)
         dense_fd_check(rng.standard_normal((1, 4, 3)), rng.standard_normal((2, 4, 5)), "tanh")
 
-    @pytest.mark.parametrize("x_shape", [(1, 4, 3), (2, 4, 3)], ids=["broadcast", "stacked"])
+    @pytest.mark.parametrize("x_shape", [(1, 4, 3), (5, 4, 3)], ids=["broadcast", "stacked"])
     def test_bit_equal_to_matmul_then_add(self, x_shape):
-        # the stack's [W; b] layout trains exactly as a product plus a bias:
-        # phi = identity passes the gradient through unchanged
+        # the stack's [W; b] layout trains exactly as a product plus a bias,
+        # and a shared row's gradient is numpy's sum of the nodes', in
+        # their order (five nodes, so the order shows): phi = identity
+        # passes the gradient through unchanged
         rng = np.random.default_rng(18)
         x0 = rng.standard_normal(x_shape)
-        wb0 = rng.standard_normal((2, 4, 5))
+        wb0 = rng.standard_normal((5, 4, 5))
         w, b = wb0[:, :-1], wb0[:, -1:]
-        upstream = rng.standard_normal((2, 4, 5))  # the output's gradient
+        upstream = rng.standard_normal((5, 4, 5))  # the output's gradient
         tape = ad.Tape()
         x, wb = tape.leaf(x0), tape.leaf(wb0)
         out = ad.dense(x, wb, "identity")
@@ -157,17 +156,35 @@ class TestAffine:
         db = upstream.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(grads.wrt(wb), np.concatenate((dw, db), axis=1))
 
-    @pytest.mark.parametrize("x_shape, w_shape, message", [
-        ((3,), (3, 2), "rank >= 2"), ((2, 3), (2, 3), "inner dims disagree"),
-        ((2, 2, 3), (3, 3, 2), "batch dims do not broadcast")],
-        ids=["rank", "inner", "batch"])
-    def test_shape_checks_match_matmul(self, x_shape, w_shape, message):
-        # wb is W with one bias row more; dense rejects what np.matmul would
-        # reject of x @ W
+    def test_shared_row_gradient_forms_no_node_stack(self):
+        # var20-shared's shape: N = 20 nodes read one (g, K) row, K = N*h.
+        # The row's gradient sums the nodes' products one at a time, so the
+        # sweep never holds their (N, g, K) stack, 22.8 MB here
+        n, g, h = 20, 499, 15
+        k = n * h
+        rng = np.random.default_rng(23)
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((1, g, k)))
+        wb = tape.leaf(rng.standard_normal((n, k + 1, h)) * 0.05)
+        tracemalloc.start()
+        try:
+            grads = tape.backward(total(ad.dense(x, wb, "tanh")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads.wrt(x).shape == (1, g, k)
+        assert peak < 0.5 * n * g * k * 8
+
+    @pytest.mark.parametrize("x_shape, wb_shape", [
+        ((4, 3), (2, 4, 5)), ((1, 4, 3), (4, 5)), ((2, 4, 3), (2, 3, 5)),
+        ((2, 4, 3), (3, 4, 5))],
+        ids=["rank", "wb-rank", "inner", "batch"])
+    def test_shape_contract(self, x_shape, wb_shape):
+        # x is (N or 1, g, K) and wb (N, K+1, h): np.matmul would broadcast
+        # either rank case, which no layer of the model passes
         tape = ad.Tape()
         x = tape.leaf(np.ones(x_shape))
-        wb_shape = w_shape[:-2] + (w_shape[-2] + 1, w_shape[-1])
-        with pytest.raises(ad.ShapeError, match=f"dense.*{message}"):
+        with pytest.raises(ad.ShapeError, match="^dense .*" + re.escape(f"{x_shape} @ {wb_shape}")):
             ad.dense(x, tape.leaf(np.ones(wb_shape)), "tanh")
 
 
@@ -176,31 +193,31 @@ class TestElementwise:
 
     def test_sigmoid_zero(self):
         tape = ad.Tape()
-        assert activation(tape.leaf([[0.0]]), "sigmoid").data.item() == 0.5
+        assert activation(tape.leaf([[[0.0]]]), "sigmoid").data.item() == 0.5
 
     def test_tanh_zero(self):
         tape = ad.Tape()
-        assert activation(tape.leaf([[0.0]]), "tanh").data.item() == 0.0
+        assert activation(tape.leaf([[[0.0]]]), "tanh").data.item() == 0.0
 
     def test_sigmoid_gradient_value(self):
         tape = ad.Tape()
-        x = tape.leaf([[1.0]])
+        x = tape.leaf([[[1.0]]])
         grads = tape.backward(total(activation(x, "sigmoid")))
         s = 1.0 / (1.0 + np.exp(-1.0))
         assert grads.wrt(x).item() == pytest.approx(s * (1 - s), rel=1e-12)
         assert grads.wrt(x).item() == pytest.approx(0.19661, abs=1e-5)
         fd = central_diff_grad(
-            lambda v: activation(ad.Tape().leaf(v), "sigmoid").data.item(), np.ones((1, 1)))
+            lambda v: activation(ad.Tape().leaf(v), "sigmoid").data.item(), np.ones((1, 1, 1)))
         assert rel_err(grads.wrt(x), fd) < 1e-8
 
     def test_overflow_raises_numeric_error(self):
         # tanh(inf) = 1 would hide the overflow: the pre-activation is
         # checked, and numpy's warning does not escape
         tape = ad.Tape()
-        big = tape.leaf([[1e200]])
+        big = tape.leaf([[[1e200]]])
         with warnings.catch_warnings(), pytest.raises(ad.NumericError, match="dense"):
             warnings.simplefilter("error")
-            ad.dense(big, tape.leaf([[1e200], [0.0]]), "tanh")
+            ad.dense(big, tape.leaf([[[1e200], [0.0]]]), "tanh")
 
     def test_nan_leaf_rejected(self):
         tape = ad.Tape()
@@ -211,27 +228,27 @@ class TestElementwise:
     def test_unary_gradients_match_fd(self, name):
         # every activation goes through the one op
         rng = np.random.default_rng(5)
-        dense_fd_check(rng.standard_normal((3, 4)) * 0.8 + 0.1, rng.standard_normal((5, 2)),
-                       name)
+        dense_fd_check(rng.standard_normal((2, 3, 4)) * 0.8 + 0.1,
+                       rng.standard_normal((2, 5, 2)), name)
 
     @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
     def test_activation_of_a_scalar(self, name):
-        # one input, one weight, one bias: the (1, 1) product
-        dense_fd_check(np.full((1, 1), 0.3), np.array([[0.7], [-0.1]]), name, tol=1e-8)
+        # one input, one weight, one bias: the (1, 1, 1) product
+        dense_fd_check(np.full((1, 1, 1), 0.3), np.array([[[0.7], [-0.1]]]), name, tol=1e-8)
 
     @pytest.mark.parametrize("name, edge", [("sigmoid", 800.0), ("tanh", 50.0)])
     def test_saturated_activation_stays_finite(self, name, edge):
         # exp(800) overflows; the sigmoid must still give 0 and 1, and no
         # RuntimeWarning may escape
         tape = ad.Tape()
-        x = tape.leaf([[-edge, edge]])
+        x = tape.leaf([[[-edge, edge]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = activation(x, name)
             grad = tape.backward(total(out)).wrt(x)
         low = 0.0 if name == "sigmoid" else -1.0
-        np.testing.assert_array_equal(out.data, [[low, 1.0]])
-        np.testing.assert_array_equal(grad, [[0.0, 0.0]])
+        np.testing.assert_array_equal(out.data, [[[low, 1.0]]])
+        np.testing.assert_array_equal(grad, [[[0.0, 0.0]]])
 
 
 class TestReduce:
@@ -258,8 +275,8 @@ class TestBackward:
 
     def test_tanh_chain_matches_fd(self):
         rng = np.random.default_rng(17)
-        w0 = rng.standard_normal((4, 4))
-        xb = with_bias(rng.standard_normal((4, 1)))
+        w0 = rng.standard_normal((1, 4, 4))
+        xb = with_bias(rng.standard_normal((1, 4, 1)))
 
         def loss(w):
             tape = ad.Tape()
@@ -287,8 +304,8 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(99)
             tape = ad.Tape()
-            w = tape.leaf(rng.standard_normal((5, 5)))
-            x = tape.leaf(rng.standard_normal((6, 2)))
+            w = tape.leaf(rng.standard_normal((1, 5, 5)))
+            x = tape.leaf(rng.standard_normal((1, 6, 2)))
             root = total(ad.dense(w, x, "sigmoid"))
             return tape.backward(root).wrt(w)
 
@@ -305,9 +322,9 @@ class TestBackward:
         # the sweep is linear in the root's upstream weights: the probe
         # weights tanh(x W + b), with both x and [W; b] trainable
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal((3, 4))
-        wb0 = rng.standard_normal((5, 4))
-        a, b = rng.standard_normal((2, 3, 4))
+        x0 = rng.standard_normal((1, 3, 4))
+        wb0 = rng.standard_normal((2, 5, 4))
+        a, b = rng.standard_normal((2, 2, 3, 4))
 
         def grads_of(weight):
             tape = ad.Tape()
@@ -443,16 +460,16 @@ class TestSweep:
 
     def test_interior_gradient_raises_leaf_kept(self):
         tape = ad.Tape()
-        x = tape.leaf([[1.0, -2.0]])
-        data = tape.leaf([[3.0, 4.0]])
+        x = tape.leaf([[[1.0, -2.0]]])
+        data = tape.leaf([[[3.0, 4.0]]])
         interior = activation(x, "identity")
         root = dot(interior, data)
         grads = tape.backward(root)
         for node in (interior, root):
             with pytest.raises(ValueError, match="op's output"):
                 grads.wrt(node)
-        np.testing.assert_array_equal(grads.wrt(x), [[3.0, 4.0]])
-        np.testing.assert_array_equal(grads.wrt(data), [[1.0, -2.0]])
+        np.testing.assert_array_equal(grads.wrt(x), [[[3.0, 4.0]]])
+        np.testing.assert_array_equal(grads.wrt(data), [[[1.0, -2.0]]])
 
     @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     @pytest.mark.parametrize("shape", [(), (3, 41)])

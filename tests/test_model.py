@@ -81,6 +81,15 @@ class TestParamStack:
         with pytest.raises(ValueError, match=message):
             replace(stack, **change)
 
+    def test_config_of_another_type_rejected_by_name(self):
+        # None failed on the first read of config.hidden; a TrainConfig has
+        # the fields that read, so it passed as the stack's architecture
+        stack, _ = tiny_models()
+        with pytest.raises(ValueError, match="config must be a ModelConfig, got NoneType"):
+            replace(stack, config=None)
+        with pytest.raises(ValueError, match="config must be a ModelConfig, got TrainConfig"):
+            mdl.build_node_models(3, 1, tr.TrainConfig(hidden=4), 0)
+
     def test_array_without_three_axes_rejected_by_name(self):
         # N and d are read from mmg_w2 and rl_w, so their axes come first
         stack, _ = tiny_models()

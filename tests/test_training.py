@@ -484,7 +484,7 @@ class TestTrain:
         ("adam_eps", None), ("early_stop_tol", None), ("self_loop", None), ("beta1", None),
         ("beta2", None), ("beta3", None), ("lambda1", None), ("lambda2", None),
         ("lambda3", None), ("gamma", None), ("epsilon", None), ("early_stop_tol", "x"),
-        ("epsilon", "x"), ("gamma", True)])
+        ("epsilon", "x"), ("gamma", True), ("threads", True), ("threads", 1.0)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named; a value that is not a real
@@ -824,6 +824,14 @@ class TestGridSearch:
         # methods are attributes too, but not fields that replace() can set
         with pytest.raises(ValueError, match=f"unknown hyperparameter '{name}'"):
             tr.grid_search({name: [1]}, tr.TrainConfig(), tr.LossWeights(), lambda c, w: 0)
+
+    def test_iterator_of_candidates_read_once(self):
+        # the emptiness check used to consume a generator, so no combination
+        # was left to try
+        trials = tr.grid_search({"learning_rate": (v for v in [1e-3, 1e-2])},
+                                tr.TrainConfig(), tr.LossWeights(),
+                                lambda c, w: c.learning_rate)[3]
+        assert [t["params"]["learning_rate"] for t in trials] == [1e-3, 1e-2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
