@@ -106,6 +106,10 @@ class ParamStack:
             if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 3:
                 kind = f"{getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}"
                 raise ValueError(f"{name} must be a float64 ndarray of 3 axes, got {kind}")
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):  # else the first forward fails, naming only the tape op 'leaf'
+                at = ", ".join(str(i) for i in bad[0])
+                raise ValueError(f"{name}[{at}] is {arr[tuple(bad[0])]}, not a finite weight")
         # batched_forward reads the arrays, train() and serves() the config: they must agree
         n, d, h = self.num_nodes, self.input_dim, self.config.hidden
         e = 1 if self.config.share_encoder else n

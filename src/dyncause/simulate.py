@@ -51,7 +51,8 @@ class GroundTruthGraph:
 
     ``regimes`` lists (start_t, adjacency) with strictly increasing start
     times, the first at 0 with ``adjacency`` itself; a static graph has a
-    single regime. Every matrix is a square 0/1 matrix over the same N nodes.
+    single regime. Every matrix is a square 0/1 matrix over the same N nodes,
+    stored as an int64 ndarray whatever the caller passed.
     """
 
     adjacency: np.ndarray
@@ -75,6 +76,8 @@ class GroundTruthGraph:
         starts = [s for s, _ in self.regimes]
         if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise SimulationError("regime starts must be strictly increasing from 0")
+        self.regimes = [(s, np.asarray(adj, dtype=np.int64)) for s, adj in self.regimes]
+        self.adjacency = self.regimes[0][1]
 
     @property
     def num_nodes(self) -> int:

@@ -124,12 +124,15 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # criterion
 
+LOSS_TERMS = ("recon", "struct", "div", "sparsity")
+
 
 @dataclass
 class _GroupConsts:
     x_next: np.ndarray  # (N, G, d)
     x_target: np.ndarray  # (1, G, N, d)
     tau_true: np.ndarray  # (N, G, N)
+    gamma: float  # the kernel scale of tau_true, read by criterion's predicted kernel
 
 
 def _group_consts(x: np.ndarray, gamma: float) -> _GroupConsts:
@@ -142,42 +145,35 @@ def _group_consts(x: np.ndarray, gamma: float) -> _GroupConsts:
     for i in range(n):
         delta = x_target[0] - x_target[0][:, i : i + 1, :]
         tau[i] = np.exp(-gamma * (delta ** 2).sum(axis=2))
-    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau)
+    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau, gamma=gamma)
 
 
 def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
     """The lambda-weighted entropy, KL and JS of the time-averaged gate rows
-    ``m_bar`` (N, N), the last two against the prior's rows. Returns each
-    node's value, a mean over its N inputs, and the derivative in m_bar of
-    each input's summand, which the caller scales by the mean's 1/N. The
-    logs read m_bar clipped into [GATE_LO, GATE_HI], and the JS midpoint
-    clipped into [GATE_LO, 1]; where a clip engages, its log has no
-    gradient."""
+    ``m_bar`` (N, N), the last two against the prior's rows and computed
+    whenever a prior is given. Returns each node's value, a mean over its N
+    inputs, and the derivative in m_bar of each input's summand, which the
+    caller scales by the mean's 1/N. The logs read m_bar clipped into
+    [GATE_LO, GATE_HI], and the JS midpoint clipped into [GATE_LO, 1];
+    where a clip engages, its log has no gradient."""
     clipped = np.clip(m_bar, GATE_LO, GATE_HI)
     log_m = np.log(clipped)
     dlog_m = ((m_bar >= GATE_LO) & (m_bar <= GATE_HI)) / clipped
-    parts = []  # (lambda, value, derivative)
-    if weights.lambda1 > 0:
-        parts.append((weights.lambda1, -(m_bar * log_m).mean(axis=1),
-                      -(log_m + m_bar * dlog_m)))
-    if weights.lambda2 > 0 or weights.lambda3 > 0:
-        p = weights.prior
-        log_p = np.log(p)
-        if weights.lambda2 > 0:
-            parts.append((weights.lambda2, (m_bar * (log_m - log_p)).mean(axis=1),
-                          log_m - log_p + m_bar * dlog_m))
-        if weights.lambda3 > 0:
-            q = (m_bar + p) * 0.5
-            q_clipped = np.clip(q, GATE_LO, 1.0)
-            log_q = np.log(q_clipped)
-            dlog_q = ((q >= GATE_LO) & (q <= 1.0)) / q_clipped * 0.5
-            js = (m_bar * (log_m - log_q) + p * (log_p - log_q)).mean(axis=1) * 0.5
-            parts.append((weights.lambda3, js,
-                          (log_m - log_q + m_bar * dlog_m - (m_bar + p) * dlog_q) * 0.5))
-    value = grad = None
-    for lam, v, dv in parts:
-        value = v * lam if value is None else value + v * lam
-        grad = dv * lam if grad is None else grad + dv * lam
+    value = -(m_bar * log_m).mean(axis=1) * weights.lambda1
+    grad = -(log_m + m_bar * dlog_m) * weights.lambda1
+    if weights.prior is None:
+        return value, grad
+    p = weights.prior
+    log_p = np.log(p)
+    q = (m_bar + p) * 0.5
+    q_clipped = np.clip(q, GATE_LO, 1.0)
+    log_q = np.log(q_clipped)
+    dlog_q = ((q >= GATE_LO) & (q <= 1.0)) / q_clipped * 0.5
+    kl = (m_bar * (log_m - log_p)).mean(axis=1)
+    js = (m_bar * (log_m - log_q) + p * (log_p - log_q)).mean(axis=1) * 0.5
+    value = value + kl * weights.lambda2 + js * weights.lambda3
+    grad = (grad + (log_m - log_p + m_bar * dlog_m) * weights.lambda2
+            + (log_m - log_q + m_bar * dlog_m - (m_bar + p) * dlog_q) * 0.5 * weights.lambda3)
     return value, grad
 
 
@@ -189,12 +185,14 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     ``masks`` (N, G, N) and ``x_hat`` (N, G, d) are the forward's gate rows
     and predictions over G = S*(T-1) transitions. Returns the scalar root,
     the sum over nodes of recon + beta1*struct + beta2*div + beta3*sparsity,
-    and a dict of per-node arrays: "recon", "struct", "div" and "sparsity",
-    a term whose beta is 0 left out, and their weighted sum "total".
+    and a dict of per-node arrays: each of ``LOSS_TERMS``, unweighted and
+    computed on every call, a zero beta included, and their weighted sum
+    "total". A beta only scales its term and that term's gradient.
 
     - recon: (1/G) sum_t ||x_i^t - xhat_i^t||^2;
     - struct: mean over (t, j) of (tau_true - tau)^2, where
-      tau = exp(-gamma ||x_j^t - xhat_i^t||^2) is the predicted kernel row;
+      tau = exp(-gamma ||x_j^t - xhat_i^t||^2) is the predicted kernel row,
+      at the gamma ``consts`` was built with;
     - div: ``_divergence`` of the time-averaged gate rows;
     - sparsity: mean over (t, j) of log(m/epsilon + 1); gates are positive.
 
@@ -211,39 +209,29 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     # the forward's buffers read about 3% more peak RSS on var10-node, and
     # fresh gradient arrays about 4%
     diff = xh - consts.x_next
-    terms = {"recon": (diff * diff).sum(axis=2).mean(axis=1)}
+    recon = (diff * diff).sum(axis=2).mean(axis=1)
     dx = np.multiply(diff, 2.0 / g, out=diff)
-    if weights.beta1 > 0:
-        delta = consts.x_target - xh[:, :, None, :]  # (N, G, N, d)
-        tau = (delta * delta).sum(axis=3)
-        tau *= -weights.gamma
-        np.exp(tau, out=tau)
-        gap = consts.tau_true - tau
-        terms["struct"] = (gap * gap).mean(axis=(1, 2))
-        gap *= tau
-        delta *= gap[..., None]
-        dx -= delta.sum(axis=2) * (4.0 * weights.gamma * weights.beta1 / (g * n))
-    if weights.beta3 > 0:
-        dm = m * (1.0 / weights.epsilon)
-        dm += 1.0
-        terms["sparsity"] = np.log(dm).mean(axis=(1, 2))
-        np.divide(weights.beta3 / (g * n * weights.epsilon), dm, out=dm)
-    else:
-        dm = np.zeros_like(m)
-    if weights.beta2 > 0:
-        terms["div"], dbar = _divergence(m.mean(axis=1), weights)
-        dm += dbar[:, None, :] * (weights.beta2 / (g * n))
-    total = terms["recon"]
-    for key, beta in (("struct", weights.beta1), ("div", weights.beta2),
-                      ("sparsity", weights.beta3)):
-        if key in terms:
-            total = total + terms[key] * beta
-    terms["total"] = total
+    delta = consts.x_target - xh[:, :, None, :]  # (N, G, N, d)
+    tau = (delta * delta).sum(axis=3)
+    tau *= -consts.gamma
+    np.exp(tau, out=tau)
+    gap = consts.tau_true - tau
+    struct = (gap * gap).mean(axis=(1, 2))
+    gap *= tau
+    delta *= gap[..., None]
+    dx -= delta.sum(axis=2) * (4.0 * consts.gamma * weights.beta1 / (g * n))
+    dm = m * (1.0 / weights.epsilon)
+    dm += 1.0
+    sparsity = np.log(dm).mean(axis=(1, 2))
+    np.divide(weights.beta3 / (g * n * weights.epsilon), dm, out=dm)
+    div, dbar = _divergence(m.mean(axis=1), weights)
+    dm += dbar[:, None, :] * (weights.beta2 / (g * n))
+    total = recon + struct * weights.beta1 + div * weights.beta2 + sparsity * weights.beta3
+    terms = dict(zip(LOSS_TERMS, (recon, struct, div, sparsity)), total=total)
     bad = np.flatnonzero(~np.isfinite(total))
     if bad.size:  # a term, or their weighted sum, overflowed
         i = int(bad[0])
-        term = next(k for k in ("recon", "struct", "div", "sparsity", "total")
-                    if k in terms and not np.isfinite(terms[k][i]))
+        term = next(k for k in terms if not np.isfinite(terms[k][i]))
         raise NumericError(f"non-finite loss term '{term}' at node {i}")
 
     def backward(grad):
@@ -296,14 +284,14 @@ def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
 @dataclass
 class TrainResult:
     models: ParamStack  # the trained parameters
-    history: list  # dict rows: epoch, node, recon, struct, div, sparsity, total
+    history: list  # dict rows of HISTORY_FIELDS: every term unweighted, a zero beta's too
     masks: CausalMaskSeries
     predictions: Prediction
     final_losses: np.ndarray  # per-node total loss at the last epoch
     epochs_run: int
 
 
-HISTORY_FIELDS = ["epoch", "node", "recon", "struct", "div", "sparsity", "total"]
+HISTORY_FIELDS = ["epoch", "node", *LOSS_TERMS, "total"]
 
 
 def write_loss_history_csv(history: list, path) -> None:
@@ -376,7 +364,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     chunk_consts = [_group_consts(xc, weights.gamma) for xc in chunks]
 
     for epoch in range(1, config.epochs + 1):
-        sums = {key: np.zeros(n) for key in HISTORY_FIELDS[2:]}
+        sums = {key: np.zeros(n) for key in (*LOSS_TERMS, "total")}
         try:
             for xc, cc in zip(chunks, chunk_consts):
                 for key, value in _train_step(stack, xc, cc, config, weights, adam,

@@ -89,8 +89,8 @@ def reference_forward(stack, x, mask_override=None):
 
 def reference_loss(masks, preds, x, weights):
     """The four-term loss of every node, as a dict of (N,) arrays: "recon",
-    "struct", "div" and "sparsity" (each left out when its beta is 0) and
-    their weighted sum "total".
+    "struct", "div" and "sparsity", each unweighted and present whatever its
+    beta, and their weighted sum "total".
 
     ``masks`` (S, T-1, N, N) and ``preds`` (S, T-1, N, d) are in
     ``reference_forward``'s layout, ``x`` the (S, N, T, d) series and
@@ -117,11 +117,7 @@ def reference_loss(masks, preds, x, weights):
                                             + p * (np.log(p) - log_q)).mean()
         rows["div"].append(div)
         rows["sparsity"].append(np.log(masks[:, :, i] / weights.epsilon + 1.0).mean())
-    terms = {"recon": np.array(rows["recon"])}
-    terms["total"] = terms["recon"].copy()
-    for key, beta in (("struct", weights.beta1), ("div", weights.beta2),
-                      ("sparsity", weights.beta3)):
-        if beta > 0:
-            terms[key] = np.array(rows[key])
-            terms["total"] += beta * terms[key]
+    terms = {key: np.array(value) for key, value in rows.items()}
+    terms["total"] = (terms["recon"] + weights.beta1 * terms["struct"]
+                      + weights.beta2 * terms["div"] + weights.beta3 * terms["sparsity"])
     return terms

@@ -81,6 +81,16 @@ class TestParamStack:
         with pytest.raises(ValueError, match=message):
             replace(stack, **change)
 
+    def test_non_finite_weight_named_with_its_index(self):
+        # a NaN weight passed, and the first forward failed with "non-finite
+        # value produced by op 'leaf'", naming neither the array nor the node
+        stack, _ = tiny_models()
+        bad = stack.mmg_w1.copy()
+        bad[2, 5, 1] = np.nan
+        bad[2, 7, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^mmg_w1\[2, 5, 1\] is nan, not a finite weight$"):
+            replace(stack, mmg_w1=bad)
+
     def test_config_of_another_type_rejected_by_name(self):
         # None failed on the first read of config.hidden; a TrainConfig has
         # the fields that read, so it passed as the stack's architecture

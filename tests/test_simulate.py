@@ -223,6 +223,16 @@ class TestGroundTruthGraph:
         with pytest.raises(sim.SimulationError, match=match):
             sim.GroundTruthGraph(adjacency=self.EYE, regimes=regimes)
 
+    def test_every_regime_stored_as_an_int_array(self):
+        # a regime given as nested lists came back from regime_at as a list
+        eye = np.eye(3).tolist()
+        cycle = [[0, 1, 0], [0, 0, 1], [True, False, False]]
+        truth = sim.GroundTruthGraph(adjacency=eye, regimes=[(0, eye), (5, cycle)])
+        for adj, want in ((truth.regime_at(5), cycle), (truth.regime_at(0), eye),
+                          (truth.adjacency, eye)):
+            assert isinstance(adj, np.ndarray) and adj.dtype == np.int64
+            np.testing.assert_array_equal(adj, want)
+
     @pytest.mark.parametrize("adjacency", [np.ones((2, 3)), np.full((3, 3), 2)],
                              ids=["not_square", "not_binary"])
     def test_static_graph_validated(self, adjacency):

@@ -117,6 +117,16 @@ class TestStructLoss:
         x_target = rng.standard_normal((4, 3, 1))
         assert struct_loss(x_target, 1, x_target[:, 1, :].copy(), gamma=1.0) == 0.0
 
+    def test_predicted_kernel_reads_the_consts_gamma(self):
+        # the target kernel was built at the consts' gamma and the predicted
+        # one at the weights': an exact prediction scored 0.024-0.029 per node
+        consts = tr._group_consts(np.random.default_rng(1).standard_normal((1, 3, 5, 1)), 1.0)
+        tape = Tape()
+        _, terms = tr.criterion(tape.leaf(np.full((3, 4, 3), 0.5)),
+                                tape.leaf(consts.x_next.copy()), consts,
+                                tr.LossWeights(gamma=0.5))
+        np.testing.assert_array_equal(terms["struct"], 0.0)
+
     def test_kernel_self_similarity_is_one(self):
         for gamma in (0.5, 1.0, 3.0):
             x = np.random.default_rng(2).standard_normal(3)
@@ -201,26 +211,72 @@ def random_terms(weights, seed=0, g=5, n=3):
                       rng.standard_normal((n, g, 1)), rng.standard_normal((g, n, 1)))
 
 
+def term_free_sum(m, x_hat, consts, weights, terms):
+    """The total and the gates' and predictions' gradients of recon plus each
+    term whose beta is positive, a zero-beta term left out rather than
+    weighted by 0: ``criterion``'s closed forms in its operation order, on
+    the unweighted ``terms`` it reported."""
+    _, g, n = m.shape
+    total = terms["recon"]
+    betas = (weights.beta1, weights.beta2, weights.beta3)
+    for key, beta in zip(tr.LOSS_TERMS[1:], betas):
+        if beta > 0:
+            total = total + terms[key] * beta
+    dx = (x_hat - consts.x_next) * (2.0 / g)
+    if weights.beta1 > 0:
+        delta = consts.x_target - x_hat[:, :, None, :]
+        tau = np.exp((delta * delta).sum(axis=3) * -consts.gamma)
+        gap = (consts.tau_true - tau) * tau
+        dx = dx - (delta * gap[..., None]).sum(axis=2) * (
+            4.0 * consts.gamma * weights.beta1 / (g * n))
+    dm = np.zeros_like(m)
+    if weights.beta3 > 0:
+        dm = (weights.beta3 / (g * n * weights.epsilon)) / (m * (1.0 / weights.epsilon) + 1.0)
+    if weights.beta2 > 0:
+        dm = dm + tr._divergence(m.mean(axis=1), weights)[1][:, None, :] * (
+            weights.beta2 / (g * n))
+    return total, dm, dx
+
+
 class TestTotalLoss:
+    @staticmethod
+    def _check_zero_betas(*betas):
+        # every term is reported, unweighted, as with its beta switched on;
+        # total and both gradients are those of the sum without the zero-beta
+        # terms, bit for bit
+        n, g = 3, 5
+        rng = np.random.default_rng(4)
+        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)), 1.0)
+        m0, x0 = rng.uniform(0.05, 0.95, (n, g, n)), rng.standard_normal((n, g, 1))
+
+        def run(weights):
+            tape = Tape()
+            masks, x_hat = tape.leaf(m0.copy()), tape.leaf(x0.copy())
+            root, terms = tr.criterion(masks, x_hat, consts, weights)
+            grads = tape.backward(root)
+            return terms, grads.wrt(masks), grads.wrt(x_hat)
+
+        weights = tr.LossWeights(**dict.fromkeys(betas, 0.0))
+        terms, dm, dx = run(weights)
+        switched_on = run(tr.LossWeights())[0]
+        assert set(terms) == {*tr.LOSS_TERMS, "total"}
+        for key in tr.LOSS_TERMS:
+            np.testing.assert_array_equal(terms[key], switched_on[key], err_msg=key)
+        assert all(np.all(terms[key] > 0) for key in tr.LOSS_TERMS)
+        total, want_dm, want_dx = term_free_sum(m0, x0, consts, weights, terms)
+        np.testing.assert_array_equal(terms["total"], total)
+        np.testing.assert_array_equal(dm, want_dm)
+        np.testing.assert_array_equal(dx, want_dx)
+
     def test_zero_betas_pure_reconstruction(self):
-        terms = random_terms(tr.LossWeights(beta1=0, beta2=0, beta3=0))
-        assert set(terms) == {"recon", "total"}
-        np.testing.assert_array_equal(terms["total"], terms["recon"])
+        self._check_zero_betas("beta1", "beta2", "beta3")
 
     @pytest.mark.parametrize("key, beta", [("struct", "beta1"), ("div", "beta2"),
                                            ("sparsity", "beta3")])
-    def test_zero_beta_term_is_not_computed(self, key, beta):
-        # a zero beta leaves its term out of the returned terms, and out of
-        # the history, which then reads 0 for it
-        models = build_node_models(3, 1, ModelConfig(hidden=3), 0)
-        x = np.random.default_rng(4).standard_normal((1, 3, 6, 1))
-        consts = tr._group_consts(x, 1.0)
-        terms = {}
-        for name, weights in (("on", tr.LossWeights()), ("off", tr.LossWeights(**{beta: 0.0}))):
-            out = tr.batched_forward(models, x, Tape())
-            terms[name] = tr.criterion(out.masks, out.predictions, consts, weights)[1]
-        assert key in terms["on"] and key not in terms["off"]
-        assert set(terms["off"]) == set(terms["on"]) - {key}
+    def test_zero_beta_term_is_reported_and_weighs_nothing(self, key, beta):
+        # a zero beta used to leave its term out of the terms, so the history
+        # read 0 for it
+        self._check_zero_betas(beta)
 
     def test_beta3_linearity(self):
         t1 = random_terms(tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3))
@@ -315,9 +371,11 @@ class TestCriterion:
         m[..., 1] = 1.0 - 1e-9
 
     @pytest.mark.parametrize("s_count", [1, 3])
-    @pytest.mark.parametrize("case", ["default", "all", "kl", "js"])
+    @pytest.mark.parametrize("case", ["default", "all", "kl", "js", "recon", "struct",
+                                      "entropy", "sparsity"])
     def test_terms_match_reference(self, case, s_count):
-        # S samples lay out node i's rows sample-major, G = S * (T-1)
+        # S samples lay out node i's rows sample-major, G = S * (T-1); a term
+        # whose beta is 0 is reported all the same
         n, t1 = self.N, self.G
         rng = np.random.default_rng(13)
         weights = self._weights(case, n)
@@ -711,6 +769,28 @@ class TestTrain:
             tracemalloc.stop()
         assert np.all(np.isfinite(terms["total"]))
         assert peak < 3 * unit
+
+    def test_zero_beta_history_reads_the_unweighted_term(self, monkeypatch):
+        # a beta1 = 0 fit logged struct 0; it now logs what criterion reports
+        # for the same gates and predictions with the term switched on
+        seen = []
+        original = tr.criterion
+
+        def spy(masks, x_hat, consts, weights):
+            seen.append((masks.data.copy(), x_hat.data.copy(), consts))
+            return original(masks, x_hat, consts, weights)
+
+        monkeypatch.setattr(tr, "criterion", spy)
+        series, _ = small_var_data(n=3, t=30)
+        result = tr.train(series, tr.TrainConfig(epochs=2, hidden=3),
+                          tr.LossWeights(beta1=0.0))
+        assert len(seen) == 2  # one full-batch step per epoch
+        for epoch, (m, x_hat, consts) in enumerate(seen, 1):
+            tape = Tape()
+            want = original(tape.leaf(m), tape.leaf(x_hat), consts, tr.LossWeights())[1]
+            got = [row["struct"] for row in result.history if row["epoch"] == epoch]
+            np.testing.assert_array_equal(got, want["struct"])
+            assert np.all(want["struct"] > 0)
 
     def test_loss_history_csv_round_trips(self, tmp_path):
         series, _ = small_var_data(n=3, t=30)
