@@ -221,11 +221,10 @@ def _ones(y, out):
 # Every nonlinearity of the model, by name: (phi(a, out), written into out,
 # which may be a; phi'(y, out), computed from y = phi(a) and written into out,
 # which may be y: a backward may overwrite an activation it reads for the
-# last time). relu's output is >= 0, so sign(y) is 1 exactly where a > 0.
+# last time).
 ACTIVATIONS = {
     "tanh": (lambda a, out: np.tanh(a, out=out), _tanh_deriv),
     "sigmoid": (_sigmoid, _sigmoid_deriv),
-    "relu": (lambda a, out: np.maximum(a, 0.0, out=out), np.sign),
     "identity": (lambda a, out: np.positive(a, out=out), _ones),
 }
 

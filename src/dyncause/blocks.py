@@ -19,14 +19,15 @@ reuses one step's buffer.
 way: one tape node whose (i, j, t, .) buffers hold node i's view of input j
 at transition t, so the (N, N, g, h) activation is written once, by one
 [gate * x, 1] @ [w; b] GEMM per node, and read back once in the backward,
-which writes phi' over it. The pooled output then takes the NGCN weight and
-phi, as ``encoder_gcn``'s mix takes its weight; phi and phi' come from
+which writes tanh' over it. The pooled output then takes the NGCN weight and
+tanh, as ``encoder_gcn``'s mix takes its weight. Both GCN ops end in tanh,
+the model's one hidden activation, read with its derivative from
 ``autodiff.ACTIVATIONS``.
 
 ``encoder_gcn`` is the encoder's GCN layer over the GRU states, built the
 same way: it mixes ``gru_sequence``'s output straight into the (sample,
 step, node) rows the mask generator reads, takes the weight product and
-phi in one buffer, and writes its input gradient back into the GRU's row
+tanh in one buffer, and writes its input gradient back into the GRU's row
 layout, so neither direction makes a transposed copy. Both GCN ops run one
 kernel on either tape, the weight product written back over the mix or
 pooled output it reads, one encoder row or node at a time; the backward
@@ -36,7 +37,7 @@ only what an op keeps, never how it computes.
 ``Tape.backward`` runs each closure at most once and then drops it, so the
 fused backwards overwrite the internal buffers they read for the last time,
 never the op's output, which a caller may hold: the GRU's gate gradients
-go over its gate history, ``gated_pool``'s phi' over its activation and
+go over its gate history, ``gated_pool``'s tanh' over its activation and
 ``encoder_gcn``'s mix gradient over the recomputed mix.
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
@@ -238,23 +239,22 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, w: Tensor, u: Tensor) -> Tensor:
 
 
 def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
-               prop: np.ndarray, phi: str) -> Tensor:
+               prop: np.ndarray) -> Tensor:
     """Gate every input, apply each node's first decoder layer, pool over
     the inputs with the propagation matrix and apply the NGCN weight:
 
-        pooled[i, t] = sum_j prop[i, j] * phi([gate[i, t, j] * x_prev[j, t], 1] @ w[i])
-        out[i, t] = phi(pooled[i, t] @ v[i])
+        pooled[i, t] = sum_j prop[i, j] * tanh([gate[i, t, j] * x_prev[j, t], 1] @ w[i])
+        out[i, t] = tanh(pooled[i, t] @ v[i])
 
     gate (N, g, N') is a tensor; x_prev (N', g, d) and prop (N, N') are
     arrays that take no gradient; w = [W; b] is (N, d+1, h), the bias its
-    last row, v (N, h, h) the NGCN weight, and phi a key of
-    ``ACTIVATIONS``. Returns (N, g, h).
+    last row, and v (N, h, h) the NGCN weight. Returns (N, g, h).
 
     The gated input [gate * x_prev, 1] and the activation are laid out
     (i, j, t, .), so the first layer, bias included, is one
     (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
     one (1, N')@(N', g*h) product per node. An overflowed pre-activation
-    of either layer raises ``NumericError`` even where phi would squash it.
+    of either layer raises ``NumericError`` even where tanh would squash it.
     The NGCN product goes through one row-sized buffer back over the pooled
     output, which the backward recomputes from the activation. On a
     ``Tape(grad=False)`` the gated input and the activation die first.
@@ -270,7 +270,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
                             ("prop", prop, (n, n_in))):
         if arr.shape != want:
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
-    phi_fn, phi_deriv = ACTIVATIONS[phi]
+    tanh, tanh_deriv = ACTIVATIONS["tanh"]
 
     Xg = np.empty((n, n_in, g, d + 1))  # Xg[i, j, t] = [gate[i, t, j] * x_prev[j, t], 1]
     Xg[..., d] = 1.0
@@ -280,7 +280,7 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
         A = np.matmul(Xg_rows, W)
     _check_finite(A, "gated_pool")
     A = A.reshape(n, n_in, g, h)
-    phi_fn(A, A)
+    tanh(A, A)
     out = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)  # pooled
     if not gate.tape.grad:  # no backward reads them
         Xg = Xg_rows = A = None
@@ -292,15 +292,15 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
 
     def backward(go):
         # into a new array, not over out: out is the op's output, which a caller may hold
-        dY = go * phi_deriv(out, np.empty_like(out))
-        # the pooled output again, by the forward's expression, before phi' goes over A
+        dY = go * tanh_deriv(out, np.empty_like(out))
+        # the pooled output again, by the forward's expression, before tanh' goes over A
         pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
         dv = np.matmul(np.swapaxes(pooled, -1, -2), dY)
         gp = np.matmul(dY, np.swapaxes(V, -1, -2))
         del dY, pooled
-        # D[i, j, t] = phi'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
+        # D[i, j, t] = tanh'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
         # over the activation, which this closure, run at most once, reads last
-        D = phi_deriv(A, A)
+        D = tanh_deriv(A, A)
         D *= prop[:, :, None, None]
         D *= gp.reshape(n, 1, g, h)
         D_rows = D.reshape(n, n_in * g, h)
@@ -313,9 +313,9 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
         return dXg.sum(axis=3).transpose(0, 2, 1), dw, dv
 
     # record scans the NGCN pre-activation, which an overflow of the pooled
-    # output reaches too; phi then runs in place on the recorded buffer
+    # output reaches too; tanh then runs in place on the recorded buffer
     node = gate.tape.record(out, (gate, w, v), backward, op="gated_pool")
-    phi_fn(out, out)
+    tanh(out, out)
     return node
 
 
@@ -323,25 +323,25 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
 # encoder GCN
 
 
-def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
+def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray) -> Tensor:
     """The encoder's GCN over the GRU bank's states, in one fused op:
 
-        out[e, (s*T' + t)*N + i] = phi(sum_j prop[i, j] * hs[t, (e*N + j)*S + s] @ w[e])
+        out[e, (s*T' + t)*N + i] = tanh(sum_j prop[i, j] * hs[t, (e*N + j)*S + s] @ w[e])
 
     hs (T', n_e*N*S, h) is ``gru_sequence``'s output for n_e encoder rows of
     N cells, each running S samples; w (n_e, h, h) is a tensor and prop
-    (N, N) an array that takes no gradient; phi is a key of
-    ``ACTIVATIONS``. n_e is read from w, N from prop and S from the rows of
-    hs. Returns (n_e, S*T', N*h): one row per (sample, step), the N nodes'
-    outputs side by side, the layout the mask generator reads.
+    (N, N) an array that takes no gradient. n_e is read from w, N from prop
+    and S from the rows of hs. Returns (n_e, S*T', N*h): one row per
+    (sample, step), the N nodes' outputs side by side, the layout the mask
+    generator reads.
 
     The mix is one (N, N)@(N, h) product per (step, row, sample), written
     straight into that (n_e, S, T', N, h) layout, so no transposed copy is
     made; the weight product is one (S*T'*N, h)@(h, h) GEMM per encoder
     row, through one row-sized buffer back over the mix, so the op's output
     is the mix's memory (w is square so that the product fits there), and
-    phi is applied to it in place. An overflowed pre-activation raises
-    ``NumericError`` even where phi would squash it. The backward, also one
+    tanh is applied to it in place. An overflowed pre-activation raises
+    ``NumericError`` even where tanh would squash it. The backward, also one
     encoder row at a time, recomputes the row's mix from ``hs``, writes its
     gradient over it and d``hs`` straight into ``gru_sequence``'s layout.
     """
@@ -357,7 +357,7 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
         raise ShapeError(f"encoder_gcn: hs shape {H.shape}, expected (T', {n_e}*{n}*S, {h})")
     tt, rows = H.shape[:2]
     s_count = rows // cells
-    phi_fn, phi_deriv = ACTIVATIONS[phi]
+    tanh, tanh_deriv = ACTIVATIONS["tanh"]
 
     def by_step(a):  # (T', n_e, S, N, h) view of the hs rows: row (e*N + j)*S + s
         return a.reshape(tt, n_e, n, s_count, h).transpose(0, 1, 3, 2, 4)
@@ -370,14 +370,14 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
             A[e] = row
 
     def backward(g):
-        # per encoder row: D takes phi' * g (not over A, the op's output, which a caller
+        # per encoder row: D takes tanh' * g (not over A, the op's output, which a caller
         # may hold), Z the mix, recomputed as the forward computes it, then its gradient
         g = g.reshape(A.shape)
         dw, dhs = np.empty_like(W), np.empty((tt, rows, h))
         D, Z = np.empty(A.shape[1:]), np.empty(A.shape[1:])
         Z_steps = Z.reshape(s_count, tt, n, h).transpose(1, 0, 2, 3)  # (T', S, N, h) view
         for e in range(n_e):
-            phi_deriv(A[e], D)
+            tanh_deriv(A[e], D)
             D *= g[e]
             np.matmul(prop, by_step(H)[:, e], out=Z_steps)
             np.matmul(Z.T, D, out=dw[e])
@@ -385,11 +385,11 @@ def encoder_gcn(hs: Tensor, w: Tensor, prop: np.ndarray, phi: str) -> Tensor:
             np.matmul(prop.T, Z_steps, out=by_step(dhs)[:, e])
         return dhs, dw
 
-    # record scans A before phi, where an overflow still shows (tanh would
-    # squash it), and wraps it without a copy; phi then runs in place on the
-    # recorded buffer, so the output is scanned once. phi of a finite A is
-    # finite for every activation. A is contiguous: the view is free
+    # record scans A before tanh, where an overflow still shows (tanh would
+    # squash it), and wraps it without a copy; tanh then runs in place on the
+    # recorded buffer, so the output is scanned once. A is contiguous: the
+    # view is free
     out = hs.tape.record(A.reshape(n_e, s_count * tt, n * h), (hs, w), backward,
                          op="encoder_gcn")
-    phi_fn(A, A)
+    tanh(A, A)
     return out

@@ -19,9 +19,10 @@ one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of
 input j at transition t, pooled over j and then weighted by ``ngcn_w``.
 Every layer is one tape node: the GRU bank, the two GCNs, and the two
 layers each of the MMG and the output MLP, which are ``ad.dense`` calls.
-Every biased layer reads one [W; b] array, bias last, whole.
-Both GCNs run over the complete graph, A all ones, so the propagation
-D^-1/2 (A + lam I) D^-1/2 is (A + lam I) / (N + lam). ``ParamStack.serves``
+Every biased layer reads one [W; b] array, bias last, whole, and every
+hidden layer ends in tanh. Both GCNs run over the complete graph, A all
+ones, with the usual self loop of weight 1, so the propagation
+D^-1/2 (A + I) D^-1/2 is (A + I) / (N + 1). ``ParamStack.serves``
 reports which nodes each parameter row serves, so training needs no
 knowledge of the parameter layout. Masks, predictions and targets share one
 row layout, (N, S*(T-1), .), which ``node_rows`` and ``rows_to_series`` own;
@@ -37,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .blocks import encoder_gcn, gated_pool, gru_sequence, uniform_init
-from .simulate import check_count, check_real, require_finite
+from .simulate import check_count, first_non_finite, require_finite
 
 GATE_LO = 1e-7  # gates leave the model inside [GATE_LO, GATE_HI]
 GATE_HI = 1.0 - 1e-7
@@ -45,22 +46,18 @@ GATE_HI = 1.0 - 1e-7
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters shared by all node models."""
+    """Architecture hyperparameters shared by all node models: the hidden
+    width h and whether every node shares one encoder. The rest is fixed:
+    every hidden activation is tanh and both GCNs take a self loop of
+    weight 1."""
 
     hidden: int = 15
-    self_loop: float = 1.0
-    phi: str = "tanh"
     share_encoder: bool = False
 
     def __post_init__(self):
         check_count("hidden", self.hidden, 1)
-        check_real("self_loop", self.self_loop)
         if not isinstance(self.share_encoder, (bool, np.bool_)):
             raise ValueError(f"share_encoder must be a bool, got {self.share_encoder!r}")
-        if self.self_loop < 0:
-            raise ValueError(f"self_loop must be nonnegative, got {self.self_loop}")
-        if self.phi not in ad.ACTIVATIONS:
-            raise ValueError(f"phi must be one of {sorted(ad.ACTIVATIONS)}, got {self.phi!r}")
 
 
 _ARRAYS = ("gru_w", "gru_u", "enc_w", "mmg_w1", "mmg_w2", "rl_w", "ngcn_w",
@@ -80,9 +77,8 @@ class ParamStack:
     is the architecture the stack was built for: each array has the shape
     noted beside it, for N read from ``mmg_w2``, d from ``rl_w``, h =
     ``config.hidden`` and E = 1 exactly when ``config.share_encoder`` is
-    set, else ``ValueError``. Both GCNs propagate by (A + lam I) / (N +
-    lam), A all ones, lam = ``config.self_loop``, and ``config.phi`` is
-    every hidden activation.
+    set, else ``ValueError``. Both GCNs propagate by (A + I) / (N + 1), A
+    all ones, and every hidden activation is tanh.
     """
 
     gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
@@ -106,10 +102,10 @@ class ParamStack:
             if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 3:
                 kind = f"{getattr(arr, 'dtype', type(arr).__name__)} {np.shape(arr)}"
                 raise ValueError(f"{name} must be a float64 ndarray of 3 axes, got {kind}")
-            bad = np.argwhere(~np.isfinite(arr))
-            if len(bad):  # else the first forward fails, naming only the tape op 'leaf'
-                at = ", ".join(str(i) for i in bad[0])
-                raise ValueError(f"{name}[{at}] is {arr[tuple(bad[0])]}, not a finite weight")
+            bad = first_non_finite(arr)
+            if bad is not None:  # else the first forward fails, naming only the tape op 'leaf'
+                raise ValueError(f"{name}[{', '.join(map(str, bad))}] is {arr[bad]}, "
+                                 "not a finite weight")
         # batched_forward reads the arrays, train() and serves() the config: they must agree
         n, d, h = self.num_nodes, self.input_dim, self.config.hidden
         e = 1 if self.config.share_encoder else n
@@ -251,7 +247,9 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
 
     The GRU states go straight into ``encoder_gcn``, which mixes them into
     the (n_e, g, N*h) rows the MMG reads, one per (sample, step) for each of
-    the n_e encoder rows, and applies ``enc_w`` and phi in that buffer.
+    the n_e encoder rows, and applies ``enc_w`` and tanh in that buffer. Both
+    GCNs propagate by (A + I) / (N + 1), A all ones, and the MMG's and the
+    output MLP's hidden layers end in tanh.
     Either tape runs the same kernels; without a gradient the forward keeps
     only what the next layer reads: the GRU keeps one step of gates and its
     states die once mixed, the encoder output dies once the MMG's first
@@ -265,14 +263,13 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
         if mask_override.shape not in ((n,), (n, n)):
             raise ShapeError(f"mask_override must be ({n},) or ({n}, {n}), "
                              f"got {mask_override.shape}")
-        bad = np.argwhere(~np.isfinite(mask_override))
-        if len(bad):
-            at = ", ".join(str(i) for i in bad[0])
-            raise ValueError(f"mask_override[{at}] is {mask_override[tuple(bad[0])]}, "
-                             "not a finite gate")
+        bad = first_non_finite(mask_override)
+        if bad is not None:
+            raise ValueError(f"mask_override[{', '.join(map(str, bad))}] is "
+                             f"{mask_override[bad]}, not a finite gate")
     tt = t_len - 1
     g = s_count * tt
-    h, phi, lam = stack.config.hidden, stack.config.phi, stack.config.self_loop
+    h = stack.config.hidden
 
     n_e = stack.enc_w.shape[0]  # one shared encoder row or one per node
     if tape is None:  # no gradient will be taken
@@ -286,11 +283,13 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     series = np.broadcast_to(series[:, None], (tt, n_e, n, s_count, d))
     x_seq = series.reshape(tt, n_e * n * s_count, d)
     h0 = tape.leaf(np.zeros((n_e * n * s_count, h)))
-    inv_sqrt = 1.0 / np.sqrt(n + lam)  # complete graph: every degree of A + lam I is n + lam
-    prop = (np.ones((n, n)) + lam * np.eye(n)) * inv_sqrt * inv_sqrt
+    # complete graph: every degree of A + I is n + 1. Dividing by n + 1
+    # instead rounds differently at some n (20 among them), by up to 2e-16
+    inv_sqrt = 1.0 / np.sqrt(n + 1.0)
+    prop = (np.ones((n, n)) + np.eye(n)) * inv_sqrt * inv_sqrt
     z = encoder_gcn(gru_sequence(tape.leaf(x_seq), h0, leaves["gru_w"], leaves["gru_u"]),
-                    leaves["enc_w"], prop, phi)  # (n_e, g, N*h): a shared row broadcasts below
-    a1 = ad.dense(z, leaves["mmg_w1"], phi)
+                    leaves["enc_w"], prop)  # (n_e, g, N*h): a shared row broadcasts below
+    a1 = ad.dense(z, leaves["mmg_w1"], "tanh")
     del z  # without a gradient, the encoder output dies here
     masks = ad.dense(a1, leaves["mmg_w2"], "sigmoid")  # (N, g, N)
 
@@ -301,8 +300,8 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     else:  # an (N,) row broadcasts over nodes i; a matrix keeps [i, j] on (i, ., j)
         gate = tape.leaf(np.broadcast_to(
             mask_override.reshape(-1, 1, n), (n, g, n)).copy())
-    z_dec = gated_pool(gate, x_prev, leaves["rl_w"], leaves["ngcn_w"], prop, phi)  # (N, g, h)
-    t1 = ad.dense(z_dec, leaves["tip_w1"], phi)
+    z_dec = gated_pool(gate, x_prev, leaves["rl_w"], leaves["ngcn_w"], prop)  # (N, g, h)
+    t1 = ad.dense(z_dec, leaves["tip_w1"], "tanh")
     x_hat = ad.dense(t1, leaves["tip_w2"], "identity")  # (N, g, d)
 
     return BatchedOutput(masks=masks, predictions=x_hat, leaves=leaves, tape=tape)

@@ -45,6 +45,13 @@ def check_real(name: str, value, error: type = ValueError) -> None:
         raise error(f"{name} must be a finite real number, got {value!r}")
 
 
+def first_non_finite(arr: np.ndarray) -> tuple | None:
+    """The index, as a tuple of ints, of the first NaN or Inf of ``arr`` in
+    C order, or None if every entry is finite."""
+    bad = np.argwhere(~np.isfinite(arr))
+    return tuple(int(k) for k in bad[0]) if len(bad) else None
+
+
 @dataclass
 class GroundTruthGraph:
     """Binary causal adjacency, optionally switching between regimes.
@@ -233,9 +240,8 @@ def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,
 
 def require_finite(x: np.ndarray) -> np.ndarray:
     """Return the (S, N, T, d) series ``x``; raise at its first NaN or Inf."""
-    bad = ~np.isfinite(x)
-    if bad.any():
-        where = tuple(int(k) for k in np.argwhere(bad)[0])
+    where = first_non_finite(x)
+    if where is not None:
         raise SimulationError(f"non-finite value {x[where]} at (sample, node, t) = "
                               f"{where[:3]}")
     return x

@@ -76,12 +76,10 @@ class LossWeights:
 
 @dataclass
 class TrainConfig:
-    """Settings of ``train``, which always standardizes its input."""
+    """Settings of ``train``, which always standardizes its input and steps
+    with Adam at ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1000
     hidden: int = 15
     seed: int = 0
@@ -91,25 +89,18 @@ class TrainConfig:
     early_stop_patience: int = 50
     threads: int = 1  # the only accepted value
     share_encoder: bool = False
-    self_loop: float = 1.0
-    phi: str = "tanh"
 
     def __post_init__(self):
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-                     "early_stop_tol"):
+        for name in ("learning_rate", "early_stop_tol"):
             check_real(name, getattr(self, name))
-        for name in ("learning_rate", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.early_stop_tol < 0:
             raise ValueError(f"early_stop_tol must be nonnegative, got {self.early_stop_tol}")
         for name in ("epochs", "minibatch_size", "early_stop_patience"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
-        self.model_config()  # validates hidden, self_loop and phi
+        self.model_config()  # validates hidden and share_encoder
         check_count("threads", self.threads, 1)
         if self.threads != 1:
             raise ValueError(f"threads must be 1, got {self.threads}")
@@ -117,8 +108,7 @@ class TrainConfig:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(hidden=self.hidden, self_loop=self.self_loop,
-                           phi=self.phi, share_encoder=self.share_encoder)
+        return ModelConfig(hidden=self.hidden, share_encoder=self.share_encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +234,8 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
+
 
 @dataclass
 class AdamState:
@@ -254,15 +246,16 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
               write_mask: dict | None = None) -> dict:
-    """One bias-corrected Adam update, in place on the params and their moments.
+    """One bias-corrected Adam update at ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS`` with ``config.learning_rate``, in place on the params and
+    their moments.
 
     ``write_mask`` (name -> bool rows) freezes rows whose nodes have
     converged: their moments and values stay exactly as they were.
     """
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if p.shape != g.shape:
@@ -270,10 +263,10 @@ def adam_step(state: AdamState, params: dict, grads: dict, config: TrainConfig,
         rows = slice(None) if write_mask is None else write_mask[name]
         m = state.m[name]
         v = state.v[name]
-        m[rows] = b1 * m[rows] + (1.0 - b1) * g[rows]
-        v[rows] = b2 * v[rows] + (1.0 - b2) * g[rows] * g[rows]
+        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g[rows]
+        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g[rows] * g[rows]
         p[rows] = p[rows] - config.learning_rate * (m[rows] / c1) / (
-            np.sqrt(v[rows] / c2) + config.adam_eps)
+            np.sqrt(v[rows] / c2) + ADAM_EPS)
     return params
 
 
@@ -388,8 +381,9 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
 
     # free the Adam moments and chunk constants before the full-series
     # forward, the largest of the fit: alive, they add about 7 MB to the
-    # peak RSS of a 50-window minibatch fit
-    del adam, chunk_consts
+    # peak RSS of a 50-window minibatch fit. The loop variables hold the
+    # last chunk's constants too (1.7 MB on a 20-node, 500-step series)
+    del adam, chunk_consts, xc, cc
     masks, preds = output_series(batched_forward(stack, x), s_count)  # no gradient state
     return TrainResult(models=stack, history=history, masks=masks,
                        predictions=preds, final_losses=means["total"],

@@ -2,10 +2,11 @@
 ``dyncause.training.criterion``.
 
 ``reference_forward`` is a direct transcription of the model, one (sample,
-node, transition, input) at a time. It reads only the ``ParamStack`` arrays
-and its ``config``, and owes nothing else to ``dyncause``: no tape, no
-``gru_sequence``, no activation table and no propagation-matrix helper, so a
-fault in any of them shows up as a mismatch with this file.
+node, transition, input) at a time, with its fixed choices written here as
+literals: tanh for every hidden layer and a GCN self loop of weight 1. It
+reads only the ``ParamStack`` arrays and owes nothing else to ``dyncause``:
+no tape, no ``gru_sequence``, no activation table and no propagation-matrix
+helper, so a fault in any of them shows up as a mismatch with this file.
 ``reference_loss`` transcribes the four loss terms one node at a time, in
 that function's layout, reading only the ``LossWeights`` fields.
 """
@@ -15,10 +16,6 @@ import numpy as np
 
 def _sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
-
-
-ACT = {"tanh": np.tanh, "sigmoid": _sigmoid, "relu": lambda a: np.maximum(a, 0.0),
-       "identity": lambda a: a}
 
 
 def affine(x, wb):
@@ -38,9 +35,9 @@ def gru_step(wb, u, x, h_prev):
     return z * h_prev + (1.0 - z) * c
 
 
-def complete_graph_propagation(n, self_loop):
-    """D^-1/2 (A + lam I) D^-1/2 for the all-ones adjacency A."""
-    a = np.ones((n, n)) + self_loop * np.eye(n)
+def complete_graph_propagation(n):
+    """D^-1/2 (A + I) D^-1/2 for the all-ones adjacency A."""
+    a = np.ones((n, n)) + np.eye(n)
     deg = a.sum(axis=1)
     return a / np.sqrt(np.outer(deg, deg))
 
@@ -58,8 +55,7 @@ def reference_forward(stack, x, mask_override=None):
     override = None if mask_override is None else np.asarray(mask_override, dtype=np.float64)
     s_count, n, t_len, d = x.shape
     h = stack.rl_w.shape[2]
-    act = ACT[stack.config.phi]
-    prop = complete_graph_propagation(n, stack.config.self_loop)
+    prop = complete_graph_propagation(n)
     masks = np.empty((s_count, t_len - 1, n, n))
     preds = np.empty((s_count, t_len - 1, n, d))
     for s in range(s_count):
@@ -71,18 +67,18 @@ def reference_forward(stack, x, mask_override=None):
                     cell = owner * n + j
                     hidden[j] = gru_step(stack.gru_w[cell], stack.gru_u[cell], x[s, j, t],
                                          hidden[j])
-                z = act(prop @ hidden @ stack.enc_w[owner])
-                a1 = act(affine(z.reshape(-1), stack.mmg_w1[i]))
+                z = np.tanh(prop @ hidden @ stack.enc_w[owner])
+                a1 = np.tanh(affine(z.reshape(-1), stack.mmg_w1[i]))
                 m = _sigmoid(affine(a1, stack.mmg_w2[i]))
                 masks[s, t, i] = m
                 if override is not None:
                     m = override if override.ndim == 1 else override[i]
                 pooled = np.zeros(h)
                 for j in range(n):
-                    r_j = act(affine(m[j] * x[s, j, t], stack.rl_w[i]))
+                    r_j = np.tanh(affine(m[j] * x[s, j, t], stack.rl_w[i]))
                     pooled += prop[i, j] * r_j
-                z_dec = act(pooled @ stack.ngcn_w[i])
-                t1 = act(affine(z_dec, stack.tip_w1[i]))
+                z_dec = np.tanh(pooled @ stack.ngcn_w[i])
+                t1 = np.tanh(affine(z_dec, stack.tip_w1[i]))
                 preds[s, t, i] = affine(t1, stack.tip_w2[i])
     return masks, preds
 

@@ -224,6 +224,11 @@ class TestElementwise:
         with pytest.raises(ad.NumericError):
             tape.leaf([1.0, np.nan])
 
+    def test_table_holds_what_the_model_calls(self):
+        # tanh for every hidden layer, sigmoid for the gates, identity for
+        # the output layer: an entry no layer reads is untested design
+        assert sorted(ad.ACTIVATIONS) == ["identity", "sigmoid", "tanh"]
+
     @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
     def test_unary_gradients_match_fd(self, name):
         # every activation goes through the one op
@@ -349,10 +354,9 @@ OPS = {
     "dense": ([(1, 2, 3), (2, 4, 5)], lambda x, wb: ad.dense(x, wb, "tanh")),
     "gru_sequence": ([(2, 4, 1), (4, 3), (2, 2, 9), (2, 3, 9)], blocks.gru_sequence),
     "gated_pool": ([(2, 4, 3), (2, 3, 3), (2, 3, 3)],
-                   lambda gate, w, v: blocks.gated_pool(gate, _POOL_X, w, v, _POOL_PROP,
-                                                        "tanh")),
+                   lambda gate, w, v: blocks.gated_pool(gate, _POOL_X, w, v, _POOL_PROP)),
     "encoder_gcn": ([(2, 8, 3), (2, 3, 3)],
-                    lambda hs, w: blocks.encoder_gcn(hs, w, _GCN_PROP, "tanh")),
+                    lambda hs, w: blocks.encoder_gcn(hs, w, _GCN_PROP)),
     "criterion": ([(2, 4, 2), (2, 4, 1)],
                   lambda masks, x_hat: tr.criterion(masks, x_hat, _CRIT_CONSTS,
                                                     _CRIT_WEIGHTS)[0]),

@@ -12,9 +12,8 @@ from dyncause import autodiff as ad
 from dyncause import blocks
 from dyncause import model as mdl
 
-from reference_model import gru_step, reference_forward
+from reference_model import gru_step
 from test_autodiff import central_diff_grad, dot, rel_err, total
-from test_model import assert_matches_reference
 
 
 def cell_params(rng, d, h):
@@ -341,19 +340,19 @@ def encoder_gcn_arrays(rng, n_e, s_count, n=3, tt=2, h=2):
             rng.uniform(-0.8, 0.8, (n_e, h, h)), rng.uniform(0.1, 1.0, (n, n))]
 
 
-def encoder_gcn_on_tape(arrays, phi):
+def encoder_gcn_on_tape(arrays):
     """(out, hs, w) with hs and w on a fresh tape."""
     hs, w, prop = arrays
     tape = ad.Tape()
     leaves = [tape.leaf(hs), tape.leaf(w)]
-    return (blocks.encoder_gcn(leaves[0], leaves[1], prop, phi), *leaves)
+    return (blocks.encoder_gcn(leaves[0], leaves[1], prop), *leaves)
 
 
-def unfused_encoder_gcn(hs, w, prop, phi, g):
+def unfused_encoder_gcn(hs, w, prop, g):
     """The encoder GCN as separate steps: the mix in ``gru_sequence``'s
     layout, one (N, N)@(N, S*h) product per step and encoder row, a
     transposed copy into the (n_e, S*T'*N, h) rows, the weight product and
-    phi; returns the output in the op's (n_e, S*T', N*h) layout and the
+    tanh; returns the output in the op's (n_e, S*T', N*h) layout and the
     (d hs, d w) of upstream ``g``, given in that layout."""
     tt, rows, h = hs.shape
     n_e, n = w.shape[0], prop.shape[0]
@@ -361,10 +360,10 @@ def unfused_encoder_gcn(hs, w, prop, phi, g):
     mixed = np.matmul(prop, hs.reshape(tt * n_e, n, s_count * h))
     mixed = mixed.reshape(tt, n_e, n, s_count, h).transpose(1, 3, 0, 2, 4)
     mixed = mixed.reshape(n_e, s_count * tt * n, h)
-    phi_fn, phi_deriv = ad.ACTIVATIONS[phi]
+    tanh, tanh_deriv = ad.ACTIVATIONS["tanh"]
     pre = np.matmul(mixed, w)
-    out = phi_fn(pre, np.empty_like(pre))
-    d_pre = g.reshape(out.shape) * phi_deriv(out, np.empty_like(out))
+    out = tanh(pre, np.empty_like(pre))
+    d_pre = g.reshape(out.shape) * tanh_deriv(out, np.empty_like(out))
     dw = np.matmul(np.swapaxes(mixed, -1, -2), d_pre)
     d_mixed = np.matmul(d_pre, np.swapaxes(w, -1, -2))
     d_mixed = d_mixed.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 3, 1, 4)
@@ -377,46 +376,43 @@ class TestEncoderGcn:
 
     @pytest.mark.parametrize("n_e", [1, 3])
     @pytest.mark.parametrize("s_count", [1, 3])
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_gradient_matches_finite_differences(self, phi, s_count, n_e):
+    def test_gradient_matches_finite_differences(self, s_count, n_e):
         # n_e = 1 is a shared encoder, n_e = N one encoder row per node
         rng = np.random.default_rng(60)
         arrays = encoder_gcn_arrays(rng, n_e, s_count)
-        out, *leaves = encoder_gcn_on_tape(arrays, phi)
+        out, *leaves = encoder_gcn_on_tape(arrays)
         probe = rng.standard_normal(out.shape)
         grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         for leaf, pos, name in zip(leaves, (0, 1), ("hs", "w")):
             def loss(v, pos=pos):
                 args = [v if k == pos else a for k, a in enumerate(arrays)]
-                return float(np.sum(encoder_gcn_on_tape(args, phi)[0].data * probe))
+                return float(np.sum(encoder_gcn_on_tape(args)[0].data * probe))
 
             assert rel_err(grads.wrt(leaf), central_diff_grad(loss, arrays[pos])) < 1e-7, name
 
     @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 4), (3, 1), (3, 4)])
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_bit_equal_to_the_unfused_steps(self, phi, n_e, s_count):
+    def test_bit_equal_to_the_unfused_steps(self, n_e, s_count):
         # the fused op changes where values are written, not how they are
         # summed: output and gradients match the separate steps bit for bit
         rng = np.random.default_rng(61)
         arrays = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=3)
-        out, *leaves = encoder_gcn_on_tape(arrays, phi)
+        out, *leaves = encoder_gcn_on_tape(arrays)
         probe = rng.standard_normal(out.shape)
         grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
-        want, dhs, dw = unfused_encoder_gcn(*arrays, phi, probe)
+        want, dhs, dw = unfused_encoder_gcn(*arrays, probe)
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
         np.testing.assert_array_equal(grads.wrt(leaves[1]), dw)
 
     @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 3), (4, 1), (4, 3)])
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_output_identical_without_gradient(self, phi, n_e, s_count):
+    def test_output_identical_without_gradient(self, n_e, s_count):
         # both kinds of tape run one kernel, the weight product over the
         # mix one encoder row at a time; only the backward closure differs
         rng = np.random.default_rng(66)
         hs, w, prop = encoder_gcn_arrays(rng, n_e, s_count, n=4, tt=5, h=15)
-        with_grad, *_ = encoder_gcn_on_tape([hs, w, prop], phi)
+        with_grad, *_ = encoder_gcn_on_tape([hs, w, prop])
         free = ad.Tape(grad=False)
-        without = blocks.encoder_gcn(free.leaf(hs), free.leaf(w), prop, phi)
+        without = blocks.encoder_gcn(free.leaf(hs), free.leaf(w), prop)
         np.testing.assert_array_equal(without.data, with_grad.data)
         assert free._backward[without.idx] is None
 
@@ -426,7 +422,7 @@ class TestEncoderGcn:
         # recomputes the mix from hs: the call holds its output, not the
         # mix beside it as well (2 outputs). The backward runs one encoder
         # row at a time: beside the output and d hs it holds one row of the
-        # mix and of phi' * g, not the whole of each (3 outputs, with the mix
+        # mix and of tanh' * g, not the whole of each (3 outputs, with the mix
         # kept from the forward)
         n_e, s_count, n, tt, h = 10, 1, 10, 499, 15
         unit = n_e * s_count * tt * n * h * 8
@@ -435,7 +431,7 @@ class TestEncoderGcn:
         inputs = [tape.leaf(hs), tape.leaf(w)]
         tracemalloc.start()
         try:
-            out = blocks.encoder_gcn(*inputs, prop, "tanh")
+            out = blocks.encoder_gcn(*inputs, prop)
             held = tracemalloc.get_traced_memory()[0]
             grads = tape.backward(total(out))  # a broadcast 1: g takes no memory
             peak = tracemalloc.get_traced_memory()[1]
@@ -458,7 +454,7 @@ class TestEncoderGcn:
         rng = np.random.default_rng(63)
         arrays = corrupt(*encoder_gcn_arrays(rng, 3, 2))
         with pytest.raises(ad.ShapeError, match=rf"encoder_gcn: {name} shape"):
-            encoder_gcn_on_tape(list(arrays), "tanh")
+            encoder_gcn_on_tape(list(arrays))
 
     def test_overflowed_pre_activation_raises(self):
         # tanh(inf) = 1 would hide the overflow; the pre-activation is checked
@@ -467,14 +463,13 @@ class TestEncoderGcn:
         arrays[0] = np.full_like(arrays[0], 10.0)
         arrays[1] = np.full_like(arrays[1], 1e308)
         with pytest.raises(ad.NumericError, match="encoder_gcn"):
-            encoder_gcn_on_tape(arrays, "tanh")
+            encoder_gcn_on_tape(arrays)
 
     def test_tape_freed_without_cycle_collection(self):
         # as for gru_sequence: the backward closure holds arrays, never a
         # tensor, which would keep its tape and buffers alive
         def run():
-            out, *_ = encoder_gcn_on_tape(
-                encoder_gcn_arrays(np.random.default_rng(65), 3, 2), "tanh")
+            out, *_ = encoder_gcn_on_tape(encoder_gcn_arrays(np.random.default_rng(65), 3, 2))
             tape = out.tape
             cells = tape._backward[out.idx].__closure__
             assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
@@ -501,9 +496,9 @@ class TestGcn:
         assert_model_gradients(stack, x, ["enc_w", "gru_w"], rng)
 
 
-def random_stack(rng, share, n=3, d=1, h=3, phi="tanh"):
+def random_stack(rng, share, n=3, d=1, h=3):
     """A small stack with every array drawn, biases included."""
-    config = mdl.ModelConfig(hidden=h, share_encoder=share, phi=phi)
+    config = mdl.ModelConfig(hidden=h, share_encoder=share)
     stack = mdl.build_node_models(n, d, config, 0)
     for arr in stack.arrays().values():
         arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
@@ -542,12 +537,12 @@ def gated_pool_arrays(rng, n=2, n_in=3, g=4, d=2, h=3):
             rng.uniform(0.1, 1.0, (n, n_in))]
 
 
-def gated_pool_on_tape(arrays, phi):
+def gated_pool_on_tape(arrays):
     """(out, gate, w, v) with gate, w and v on a fresh tape."""
     gate, x_prev, w, v, prop = arrays
     tape = ad.Tape()
     leaves = [tape.leaf(gate), tape.leaf(w), tape.leaf(v)]
-    out = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop, phi)
+    out = blocks.gated_pool(leaves[0], x_prev, leaves[1], leaves[2], prop)
     return (out, *leaves)
 
 
@@ -557,7 +552,7 @@ class TestGatedPool:
     def test_matches_definition(self):
         rng = np.random.default_rng(50)
         gate, x_prev, w, v, prop = arrays = gated_pool_arrays(rng)
-        out = gated_pool_on_tape(arrays, "tanh")[0].data
+        out = gated_pool_on_tape(arrays)[0].data
         n, g, n_in = gate.shape
         for i in range(n):
             for t in range(g):
@@ -567,19 +562,18 @@ class TestGatedPool:
                 np.testing.assert_allclose(out[i, t], np.tanh(pooled @ v[i]),
                                            rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_gradient_matches_finite_differences(self, phi):
+    def test_gradient_matches_finite_differences(self):
         # at d = 2 the gate scales a vector, so d gate sums over d; w's last
         # row is the bias; v weights the pooled output
         rng = np.random.default_rng(51)
         arrays = gated_pool_arrays(rng)
         probe = rng.standard_normal((2, 4, 3))
-        out, *leaves = gated_pool_on_tape(arrays, phi)
+        out, *leaves = gated_pool_on_tape(arrays)
         grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         for leaf, pos, name in zip(leaves, (0, 2, 3), ("gate", "w", "v")):
             def loss(a, pos=pos):
                 args = [a if k == pos else b for k, b in enumerate(arrays)]
-                return float(np.sum(gated_pool_on_tape(args, phi)[0].data * probe))
+                return float(np.sum(gated_pool_on_tape(args)[0].data * probe))
 
             assert rel_err(grads.wrt(leaf), central_diff_grad(loss, arrays[pos])) < 1e-7, name
 
@@ -595,17 +589,15 @@ class TestGatedPool:
             ngcn[pos] = np.full_like(ngcn[pos], value)
         for arrays in (first, ngcn):
             with pytest.raises(ad.NumericError, match="gated_pool"):
-                gated_pool_on_tape(arrays, "tanh")
+                gated_pool_on_tape(arrays)
 
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_output_identical_without_gradient(self, phi):
+    def test_output_identical_without_gradient(self):
         # both kinds of tape run one kernel, the NGCN product over the pooled
         # output one node at a time; only what the call keeps differs
         gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(56), n=3, g=7)
-        with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop], phi)
+        with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop])
         free = ad.Tape(grad=False)
-        without = blocks.gated_pool(free.leaf(gate), x_prev, free.leaf(w), free.leaf(v),
-                                    prop, phi)
+        without = blocks.gated_pool(free.leaf(gate), x_prev, free.leaf(w), free.leaf(v), prop)
         np.testing.assert_array_equal(without.data, with_grad.data)
         assert free._backward[without.idx] is None
 
@@ -625,7 +617,7 @@ class TestGatedPool:
         inputs = [tape.leaf(a) for a in (gate, w, v)]
         tracemalloc.start()
         try:
-            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop, "tanh")
+            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -645,7 +637,7 @@ class TestGatedPool:
         inputs = [tape.leaf(a) for a in (gate, w, v)]
         tracemalloc.start()
         try:
-            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop, "tanh")
+            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -656,8 +648,7 @@ class TestGatedPool:
         # as for gru_sequence: the backward closure holds arrays, never a
         # tensor, which would keep its tape and buffers alive
         def run():
-            out, *_ = gated_pool_on_tape(
-                gated_pool_arrays(np.random.default_rng(53)), "tanh")
+            out, *_ = gated_pool_on_tape(gated_pool_arrays(np.random.default_rng(53)))
             tape = out.tape
             cells = tape._backward[out.idx].__closure__
             assert not any(isinstance(c.cell_contents, (ad.Tensor, ad.Tape)) for c in cells)
@@ -671,27 +662,16 @@ class TestGatedPool:
             gc.enable()
 
     @pytest.mark.parametrize("share", [False, True])
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_model_gradients_every_activation(self, phi, share):
+    def test_model_gradients(self, share):
         # mmg_w2's gradient reaches the encoder through d gate
         rng = np.random.default_rng(54)
-        stack = random_stack(rng, share, phi=phi)
+        stack = random_stack(rng, share)
         x = rng.standard_normal((2, 3, 4, 1))
         assert_model_gradients(stack, x, ["rl_w", "mmg_w2"], rng)
 
 
 class TestMlp:
     """The encoder's MMG and the decoder's MLP layers inside the model."""
-
-    def test_identity_single_layer(self):
-        # phi = "identity" turns every hidden activation of the model linear
-        stack = mdl.build_node_models(3, 2, mdl.ModelConfig(hidden=4, phi="identity"), 8)
-        x = np.random.default_rng(8).standard_normal((2, 3, 5, 2))
-        assert_matches_reference(stack, x)
-        _, preds = mdl.forward_full(stack, x)
-        _, tanh_preds = reference_forward(
-            replace(stack, config=replace(stack.config, phi="tanh")), x)
-        assert not np.allclose(preds.values, tanh_preds)
 
     def test_zero_weights_sigmoid_output(self):
         # the gates are sigmoid(a1 W2 + b2): zero output weights give 0.5

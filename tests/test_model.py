@@ -44,9 +44,8 @@ def assert_matches_reference(stack, x, mask_override=None):
 
 class TestModelConfig:
     @pytest.mark.parametrize("field, value", [
-        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf),
-        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3), ("hidden", 2.5),
-        ("hidden", True), ("share_encoder", "no"), ("share_encoder", 0)])
+        ("hidden", 0), ("hidden", -3), ("hidden", 2.5), ("hidden", True),
+        ("share_encoder", "no"), ("share_encoder", 0)])
     def test_invalid_value_rejected_by_name(self, field, value):
         # rejected when the config is made, before any model is built
         with pytest.raises(ValueError, match=field):
@@ -207,11 +206,8 @@ class TestEncodeMaskRow:
         assert masks.values.shape == (1, t, 3, 3)
 
     def test_matches_manual_composition(self):
-        # self_loop 0 is the edge where every degree of the complete graph is N
-        for self_loop in (0.5, 0.0):
-            stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5, self_loop=self_loop)
-            x = np.random.default_rng(2).standard_normal((2, 3, 4, 2))
-            assert_matches_reference(stack, x)
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=5)
+        assert_matches_reference(stack, np.random.default_rng(2).standard_normal((2, 3, 4, 2)))
 
     def test_empty_history_rejected(self):
         stack, _ = tiny_models()
@@ -253,6 +249,17 @@ class TestApplyMask:
             with pytest.raises(ad.ShapeError, match=rf"got {re.escape(str(shape))}"):
                 mdl.forward_full(stack, x, mask_override=np.ones(shape))
 
+    def test_non_finite_override_named_with_its_index(self):
+        # the first bad entry in C order, as ParamStack names a bad weight
+        stack, _ = tiny_models()
+        x = np.random.default_rng(4).standard_normal((1, 3, 5, 1))
+        override = np.ones((3, 3))
+        override[1, 2], override[2, 0] = np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^mask_override\[1, 2\] is inf, not a finite gate$"):
+            mdl.forward_full(stack, x, mask_override=override)
+        with pytest.raises(ValueError, match=r"^mask_override\[2\] is nan, not a finite gate$"):
+            mdl.forward_full(stack, x, mask_override=np.array([1.0, 0.5, np.nan]))
+
     @pytest.mark.parametrize("t_len", [4, 6])
     def test_matrix_override_gates_node_i_input_j(self, t_len):
         # entry [i, j] gates node i's input j at every step. At T=4 there are
@@ -286,13 +293,8 @@ class TestDecodePredict:
         assert preds.values.shape == (1, 2, 4, 3)
 
     def test_matches_manual_composition(self):
-        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, self_loop=2.0)
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7)
         assert_matches_reference(stack, np.random.default_rng(5).standard_normal((2, 3, 4, 2)))
-
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
-    def test_every_activation_matches_reference(self, phi):
-        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7, phi=phi)
-        assert_matches_reference(stack, np.random.default_rng(6).standard_normal((2, 3, 4, 2)))
 
 
 class TestForwardFull:
@@ -406,18 +408,16 @@ class TestForwardFull:
         x = np.random.default_rng(14).standard_normal((3, 3, 5, 2))
         assert_matches_reference(models, x)
 
-    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     @pytest.mark.parametrize("share", [False, True])
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 4), s_count=st.integers(1, 3), t_len=st.integers(2, 6),
            d=st.integers(1, 3), override=st.booleans(), seed=st.integers(0, 2**16))
-    def test_matches_reference_on_drawn_shapes(self, phi, share, n, s_count, t_len, d,
+    def test_matches_reference_on_drawn_shapes(self, share, n, s_count, t_len, d,
                                                override, seed):
         # covers the folded [x, 1] @ [w; b] products at d > 1 and the GCN
         # mix over S > 1 samples; the biases start at zero, so draw them:
         # each is the last row of its [W; b] array
-        models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, phi=phi,
-                                share_encoder=share)
+        models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, share_encoder=share)
         rng = np.random.default_rng(seed)
         for name in BIASED:
             bias = getattr(models, name)[:, -1]

@@ -271,7 +271,8 @@ class TestStandardize:
         x, _ = sim.gen_var(5, 1, 60, 0)
         x[0, 2, 17, 0] = bad
         x[0, 4, 30, 0] = bad
-        with pytest.raises(sim.SimulationError, match=r"\(0, 2, 17\)"):
+        message = rf"^non-finite value {bad} at \(sample, node, t\) = \(0, 2, 17\)$"
+        with pytest.raises(sim.SimulationError, match=message):
             sim.standardize(x)
 
 
