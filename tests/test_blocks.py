@@ -14,6 +14,7 @@ from dyncause import model as mdl
 
 from reference_model import gru_step
 from test_autodiff import central_diff_grad, dot, rel_err, total
+from test_model import ACTIVATION_LAYERS, assert_matches_reference
 
 
 def cell_params(rng, d, h):
@@ -348,11 +349,16 @@ def encoder_gcn_on_tape(arrays):
     return (blocks.encoder_gcn(leaves[0], leaves[1], prop), *leaves)
 
 
-def unfused_encoder_gcn(hs, w, prop, g):
+# the one activation the fused ops apply: the unfused steps look it up by
+# name, and the test ids carry it
+FUSED_PHI = ["tanh"]
+
+
+def unfused_encoder_gcn(hs, w, prop, phi, g):
     """The encoder GCN as separate steps: the mix in ``gru_sequence``'s
     layout, one (N, N)@(N, S*h) product per step and encoder row, a
     transposed copy into the (n_e, S*T'*N, h) rows, the weight product and
-    tanh; returns the output in the op's (n_e, S*T', N*h) layout and the
+    phi; returns the output in the op's (n_e, S*T', N*h) layout and the
     (d hs, d w) of upstream ``g``, given in that layout."""
     tt, rows, h = hs.shape
     n_e, n = w.shape[0], prop.shape[0]
@@ -360,10 +366,10 @@ def unfused_encoder_gcn(hs, w, prop, g):
     mixed = np.matmul(prop, hs.reshape(tt * n_e, n, s_count * h))
     mixed = mixed.reshape(tt, n_e, n, s_count, h).transpose(1, 3, 0, 2, 4)
     mixed = mixed.reshape(n_e, s_count * tt * n, h)
-    tanh, tanh_deriv = ad.ACTIVATIONS["tanh"]
+    phi_fn, phi_deriv = ad.ACTIVATIONS[phi]
     pre = np.matmul(mixed, w)
-    out = tanh(pre, np.empty_like(pre))
-    d_pre = g.reshape(out.shape) * tanh_deriv(out, np.empty_like(out))
+    out = phi_fn(pre, np.empty_like(pre))
+    d_pre = g.reshape(out.shape) * phi_deriv(out, np.empty_like(out))
     dw = np.matmul(np.swapaxes(mixed, -1, -2), d_pre)
     d_mixed = np.matmul(d_pre, np.swapaxes(w, -1, -2))
     d_mixed = d_mixed.reshape(n_e, s_count, tt, n, h).transpose(2, 0, 3, 1, 4)
@@ -376,12 +382,14 @@ class TestEncoderGcn:
 
     @pytest.mark.parametrize("n_e", [1, 3])
     @pytest.mark.parametrize("s_count", [1, 3])
-    def test_gradient_matches_finite_differences(self, s_count, n_e):
+    @pytest.mark.parametrize("phi", FUSED_PHI)
+    def test_gradient_matches_finite_differences(self, phi, s_count, n_e):
         # n_e = 1 is a shared encoder, n_e = N one encoder row per node
         rng = np.random.default_rng(60)
         arrays = encoder_gcn_arrays(rng, n_e, s_count)
         out, *leaves = encoder_gcn_on_tape(arrays)
         probe = rng.standard_normal(out.shape)
+        np.testing.assert_array_equal(out.data, unfused_encoder_gcn(*arrays, phi, probe)[0])
         grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
         for leaf, pos, name in zip(leaves, (0, 1), ("hs", "w")):
             def loss(v, pos=pos):
@@ -391,7 +399,8 @@ class TestEncoderGcn:
             assert rel_err(grads.wrt(leaf), central_diff_grad(loss, arrays[pos])) < 1e-7, name
 
     @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 4), (3, 1), (3, 4)])
-    def test_bit_equal_to_the_unfused_steps(self, n_e, s_count):
+    @pytest.mark.parametrize("phi", FUSED_PHI)
+    def test_bit_equal_to_the_unfused_steps(self, phi, n_e, s_count):
         # the fused op changes where values are written, not how they are
         # summed: output and gradients match the separate steps bit for bit
         rng = np.random.default_rng(61)
@@ -399,13 +408,14 @@ class TestEncoderGcn:
         out, *leaves = encoder_gcn_on_tape(arrays)
         probe = rng.standard_normal(out.shape)
         grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
-        want, dhs, dw = unfused_encoder_gcn(*arrays, probe)
+        want, dhs, dw = unfused_encoder_gcn(*arrays, phi, probe)
         np.testing.assert_array_equal(out.data, want)
         np.testing.assert_array_equal(grads.wrt(leaves[0]), dhs)
         np.testing.assert_array_equal(grads.wrt(leaves[1]), dw)
 
     @pytest.mark.parametrize("n_e, s_count", [(1, 1), (1, 3), (4, 1), (4, 3)])
-    def test_output_identical_without_gradient(self, n_e, s_count):
+    @pytest.mark.parametrize("phi", FUSED_PHI)
+    def test_output_identical_without_gradient(self, phi, n_e, s_count):
         # both kinds of tape run one kernel, the weight product over the
         # mix one encoder row at a time; only the backward closure differs
         rng = np.random.default_rng(66)
@@ -414,6 +424,8 @@ class TestEncoderGcn:
         free = ad.Tape(grad=False)
         without = blocks.encoder_gcn(free.leaf(hs), free.leaf(w), prop)
         np.testing.assert_array_equal(without.data, with_grad.data)
+        want = unfused_encoder_gcn(hs, w, prop, phi, np.zeros_like(with_grad.data))[0]
+        np.testing.assert_array_equal(without.data, want)
         assert free._backward[without.idx] is None
 
     def test_gradient_tape_call_keeps_no_second_buffer(self):
@@ -662,16 +674,29 @@ class TestGatedPool:
             gc.enable()
 
     @pytest.mark.parametrize("share", [False, True])
-    def test_model_gradients(self, share):
-        # mmg_w2's gradient reaches the encoder through d gate
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_model_gradients_every_activation(self, phi, share):
+        # mmg_w2's gradient reaches the encoder through d gate; beside it,
+        # every layer that applies phi
         rng = np.random.default_rng(54)
         stack = random_stack(rng, share)
         x = rng.standard_normal((2, 3, 4, 1))
-        assert_model_gradients(stack, x, ["rl_w", "mmg_w2"], rng)
+        names = sorted({"rl_w", "mmg_w2", *ACTIVATION_LAYERS[phi]})
+        assert_model_gradients(stack, x, names, rng)
 
 
 class TestMlp:
     """The encoder's MMG and the decoder's MLP layers inside the model."""
+
+    def test_identity_single_layer(self):
+        # the output layer is one identity layer: doubling its [W; b]
+        # doubles every prediction, which a tanh layer would not do
+        stack = mdl.build_node_models(3, 2, mdl.ModelConfig(hidden=4), 8)
+        x = np.random.default_rng(8).standard_normal((2, 3, 5, 2))
+        assert_matches_reference(stack, x)
+        _, preds = mdl.forward_full(stack, x)
+        _, doubled = mdl.forward_full(replace(stack, tip_w2=2.0 * stack.tip_w2), x)
+        np.testing.assert_array_equal(doubled.values, 2.0 * preds.values)
 
     def test_zero_weights_sigmoid_output(self):
         # the gates are sigmoid(a1 W2 + b2): zero output weights give 0.5

@@ -22,6 +22,21 @@ from reference_model import reference_forward
 BIASED = ("gru_w", "mmg_w1", "mmg_w2", "rl_w", "tip_w1", "tip_w2")
 
 
+# the layers that apply each activation in ad.ACTIVATIONS: tanh every
+# hidden layer, sigmoid the MMG's gates, identity the output layer
+ACTIVATION_LAYERS = {"tanh": ("enc_w", "mmg_w1", "rl_w", "ngcn_w", "tip_w1"),
+                     "sigmoid": ("mmg_w2",), "identity": ("tip_w2",)}
+
+
+def amplify(stack, phi, scale=3.0):
+    """Scales the weights of the layers that apply ``phi`` in place, so that
+    they see large pre-activations: tanh and sigmoid saturate, identity
+    passes them on."""
+    for name in ACTIVATION_LAYERS[phi]:
+        getattr(stack, name)[...] *= scale
+    return stack
+
+
 def tiny_models(n=3, d=1, hidden=4, seed=11, **kw):
     cfg = mdl.ModelConfig(hidden=hidden, **kw)
     return mdl.build_node_models(n, d, cfg, base_seed=seed), cfg
@@ -44,11 +59,15 @@ def assert_matches_reference(stack, x, mask_override=None):
 
 class TestModelConfig:
     @pytest.mark.parametrize("field, value", [
-        ("hidden", 0), ("hidden", -3), ("hidden", 2.5), ("hidden", True),
+        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf),
+        ("self_loop", -1.0), ("hidden", 0), ("hidden", -3), ("hidden", 2.5), ("hidden", True),
         ("share_encoder", "no"), ("share_encoder", 0)])
     def test_invalid_value_rejected_by_name(self, field, value):
-        # rejected when the config is made, before any model is built
-        with pytest.raises(ValueError, match=field):
+        # rejected when the config is made, before any model is built; the
+        # activation and the self loop are fixed, so setting either fails as
+        # an unknown keyword that names it
+        error = TypeError if field in ("phi", "self_loop") else ValueError
+        with pytest.raises(error, match=field):
             mdl.ModelConfig(**{"hidden": 4, field: value})
 
 
@@ -296,6 +315,13 @@ class TestDecodePredict:
         stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7)
         assert_matches_reference(stack, np.random.default_rng(5).standard_normal((2, 3, 4, 2)))
 
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
+    def test_every_activation_matches_reference(self, phi):
+        # each activation's layers at large pre-activations
+        stack, _ = tiny_models(n=3, d=2, hidden=4, seed=7)
+        amplify(stack, phi)
+        assert_matches_reference(stack, np.random.default_rng(6).standard_normal((2, 3, 4, 2)))
+
 
 class TestForwardFull:
     def test_output_shapes(self):
@@ -408,20 +434,23 @@ class TestForwardFull:
         x = np.random.default_rng(14).standard_normal((3, 3, 5, 2))
         assert_matches_reference(models, x)
 
+    @pytest.mark.parametrize("phi", sorted(ad.ACTIVATIONS))
     @pytest.mark.parametrize("share", [False, True])
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 4), s_count=st.integers(1, 3), t_len=st.integers(2, 6),
            d=st.integers(1, 3), override=st.booleans(), seed=st.integers(0, 2**16))
-    def test_matches_reference_on_drawn_shapes(self, share, n, s_count, t_len, d,
+    def test_matches_reference_on_drawn_shapes(self, phi, share, n, s_count, t_len, d,
                                                override, seed):
         # covers the folded [x, 1] @ [w; b] products at d > 1 and the GCN
         # mix over S > 1 samples; the biases start at zero, so draw them:
-        # each is the last row of its [W; b] array
+        # each is the last row of its [W; b] array. The layers that apply
+        # phi see large pre-activations
         models, _ = tiny_models(n=n, d=d, hidden=3, seed=seed, share_encoder=share)
         rng = np.random.default_rng(seed)
         for name in BIASED:
             bias = getattr(models, name)[:, -1]
             bias[...] = rng.uniform(-0.5, 0.5, bias.shape)
+        amplify(models, phi)
         x = rng.standard_normal((s_count, n, t_len, d))
         mask_override = rng.uniform(0.0, 1.0, (n, n)) if override else None
         assert_matches_reference(models, x, mask_override)

@@ -543,22 +543,29 @@ class TestTrain:
     @pytest.mark.parametrize("field,value", [
         ("minibatch_size", 0), ("minibatch_size", -1), ("hidden", 0), ("threads", 0),
         ("threads", -2), ("threads", 2), ("learning_rate", np.nan), ("learning_rate", 0.0),
-        ("beta1", np.nan), ("beta3", np.inf), ("lambda1", np.nan),
+        ("adam_eps", np.inf), ("adam_eps", -1e-8), ("adam_beta1", 1.0),
+        ("adam_beta2", -1.0), ("beta1", np.nan), ("beta3", np.inf), ("lambda1", np.nan),
         ("gamma", np.nan), ("epsilon", np.inf), ("beta2", -0.1), ("lambda2", -0.5),
         ("early_stop_tol", np.nan), ("early_stop_tol", -1e-6), ("early_stop_patience", 0),
+        ("phi", "gelu"), ("self_loop", np.nan), ("self_loop", np.inf), ("self_loop", -1.0),
         ("epochs", 2.5), ("minibatch_size", 2.5), ("early_stop_patience", 2.5),
         ("seed", 1.5), ("hidden", 2.5), ("epochs", True), ("seed", False),
         ("hidden", True), ("share_encoder", "no"), ("share_encoder", 1),
-        ("learning_rate", None), ("early_stop_tol", None), ("beta1", None),
+        ("learning_rate", None), ("adam_beta1", None), ("adam_beta2", None),
+        ("adam_eps", None), ("early_stop_tol", None), ("self_loop", None), ("beta1", None),
         ("beta2", None), ("beta3", None), ("lambda1", None), ("lambda2", None),
         ("lambda3", None), ("gamma", None), ("epsilon", None), ("early_stop_tol", "x"),
         ("epsilon", "x"), ("gamma", True), ("threads", True), ("threads", 1.0)])
     def test_counts_below_one_rejected_by_name(self, field, value):
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named; a value that is not a real
-        # number used to raise a bare TypeError naming no field
-        cls = tr.TrainConfig if hasattr(tr.TrainConfig, field) else tr.LossWeights
-        with pytest.raises(ValueError, match=field):
+        # number used to raise a bare TypeError naming no field. The
+        # activation, the self loop and Adam's constants are fixed, so setting
+        # one fails as an unknown keyword that names it
+        cls = tr.LossWeights if hasattr(tr.LossWeights, field) else tr.TrainConfig
+        error = TypeError if field in ("phi", "self_loop", "adam_beta1", "adam_beta2",
+                                       "adam_eps") else ValueError
+        with pytest.raises(error, match=field):
             cls(**{field: value})
 
     @pytest.mark.parametrize("inf", [True, False])
