@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,34 +57,34 @@ class GroundTruthGraph:
     """Binary causal adjacency, optionally switching between regimes.
 
     ``regimes`` lists (start_t, adjacency) with strictly increasing start
-    times, the first at 0 with ``adjacency`` itself; a static graph has a
-    single regime. Every matrix is a square 0/1 matrix over the same N nodes,
-    stored as an int64 ndarray whatever the caller passed.
+    times, the first at 0; a static graph has a single regime, and
+    ``adjacency`` is the first regime's. Every matrix is a square 0/1 matrix
+    over the same N nodes, stored as an int64 copy whatever the caller
+    passed.
     """
 
-    adjacency: np.ndarray
-    regimes: list = field(default_factory=list)
+    regimes: list
 
     def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency)
-        shape = self.adjacency.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise SimulationError(f"adjacency must be square, got shape {shape}")
         if not self.regimes:
-            self.regimes = [(0, self.adjacency)]
+            raise SimulationError("a graph needs at least one regime")
+        shape = np.shape(self.regimes[0][1])
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise SimulationError(f"regime 0 adjacency must be square, got shape {shape}")
         for k, (_, adj) in enumerate(self.regimes):
             if np.shape(adj) != shape:
                 raise SimulationError(f"regime {k} adjacency has shape {np.shape(adj)}, "
                                       f"expected {shape}")
             if not np.isin(adj, (0, 1)).all():
                 raise SimulationError(f"regime {k} adjacency entries must be 0 or 1")
-        if not np.array_equal(self.regimes[0][1], self.adjacency):
-            raise SimulationError("regime 0 adjacency must equal adjacency")
         starts = [s for s, _ in self.regimes]
         if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise SimulationError("regime starts must be strictly increasing from 0")
-        self.regimes = [(s, np.asarray(adj, dtype=np.int64)) for s, adj in self.regimes]
-        self.adjacency = self.regimes[0][1]
+        self.regimes = [(s, np.array(adj, dtype=np.int64)) for s, adj in self.regimes]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.regimes[0][1]
 
     @property
     def num_nodes(self) -> int:
@@ -95,12 +95,9 @@ class GroundTruthGraph:
         return len(self.regimes) > 1
 
     def regime_at(self, t: int) -> np.ndarray:
-        """Adjacency generating the value at time step ``t``."""
-        current = self.regimes[0][1]
-        for start, adj in self.regimes:
-            if t >= start:
-                current = adj
-        return current
+        """Adjacency generating the value at time step ``t`` >= 0."""
+        check_count("t", t, 0, SimulationError)
+        return next(adj for start, adj in reversed(self.regimes) if t >= start)
 
 
 def companion_spectral_radius(transition: list) -> float:
@@ -135,7 +132,7 @@ def _draw_var_system(n: int, p: int, rng: np.random.Generator) -> tuple:
     if radius >= VAR_SPECTRAL_CAP:
         c = VAR_SPECTRAL_CAP / radius
         transition = [a * c ** (k + 1) for k, a in enumerate(transition)]
-    return transition, GroundTruthGraph(adjacency=adjacency)
+    return transition, GroundTruthGraph([(0, adjacency)])
 
 
 def _check_var_counts(n, t_steps, seed) -> None:
@@ -187,10 +184,7 @@ def gen_switching_var(n: int, t_steps: int, switch_t: int, seed: int):
     second = _simulate_var(trans_b, t_steps - switch_t, rng, burn_in=0,
                            init=first[-1:])
     series = np.concatenate([first, second], axis=0)
-    truth = GroundTruthGraph(
-        adjacency=truth_a.adjacency,
-        regimes=[(0, truth_a.adjacency), (switch_t, truth_b.adjacency)],
-    )
+    truth = GroundTruthGraph([(0, truth_a.adjacency), (switch_t, truth_b.adjacency)])
     return series.T[None, :, :, None], truth
 
 
@@ -203,7 +197,7 @@ def lorenz96_truth(n: int) -> GroundTruthGraph:
     for i in range(n):
         for offset in (-2, -1, 0, 1):
             adjacency[i, (i + offset) % n] = 1
-    return GroundTruthGraph(adjacency=adjacency)
+    return GroundTruthGraph([(0, adjacency)])
 
 
 def gen_lorenz96(n: int, forcing: float, t_steps: int, dt: float = LORENZ_DT,

@@ -7,7 +7,9 @@ samples. ``criterion`` puts the four-term loss of every node on that tape as
 one node with a closed-form backward; its root is the sum of the per-node
 losses, so gradients and Adam steps equal those of training each node
 alone. The tape leaves are the ``ParamStack`` arrays, and Adam updates them
-in place. Input is always standardized per channel.
+in place. Input is always standardized per channel. The structure kernel has
+no scale and the log-sum scale is ``SPARSITY_EPS``; ``LossWeights`` holds
+only the weights a fit chooses.
 """
 
 from __future__ import annotations
@@ -32,45 +34,44 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class LossWeights:
-    """Coefficients of the four-term criterion and the divergence mixture."""
+    """Coefficients of the four-term criterion and the divergence mixture,
+    whose entropy weight ``lambda1`` is what KL's and JS's leave of 1."""
 
     beta1: float = 0.01  # structure
     beta2: float = 0.35  # divergence
     beta3: float = 0.35  # sparsity
-    lambda1: float = 1.0  # entropy
     lambda2: float = 0.0  # KL vs prior
     lambda3: float = 0.0  # JS vs prior
-    gamma: float = 1.0  # structure kernel scale
-    epsilon: float = 0.01  # log-sum scale
     prior: np.ndarray | None = None  # (N, N) entries in (0, 1)
 
     def __post_init__(self):
-        for name in ("beta1", "beta2", "beta3", "lambda1", "lambda2", "lambda3",
-                     "gamma", "epsilon"):
+        for name in ("beta1", "beta2", "beta3", "lambda2", "lambda3"):
             check_real(name, getattr(self, name))
-        for name in ("beta1", "beta2", "beta3", "lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if abs(self.lambda1 + self.lambda2 + self.lambda3 - 1.0) > 1e-12:
-            raise ValueError("divergence mixture weights must sum to 1")
-        if self.gamma <= 0 or self.epsilon <= 0:
-            raise ValueError("gamma and epsilon must be positive")
+        if self.lambda1 < 0:
+            raise ValueError(f"lambda2 {self.lambda2} and lambda3 {self.lambda3} leave "
+                             f"lambda1 = 1 - lambda2 - lambda3 = {self.lambda1} < 0")
         if self.prior is None:
             if self.lambda2 > 0 or self.lambda3 > 0:
                 raise ValueError("KL/JS divergence terms need a prior matrix")
             return
-        p = np.asarray(self.prior, dtype=np.float64)
+        p = np.array(self.prior, dtype=np.float64)  # a copy: the caller keeps theirs
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"prior must be a square (N, N) matrix, got shape {p.shape}")
         if not (np.all(p > 0.0) and np.all(p < 1.0)):  # NaN fails both
             raise ValueError("prior entries must be finite and lie strictly inside (0, 1)")
         self.prior = p
 
+    @property
+    def lambda1(self) -> float:
+        return 1.0 - self.lambda2 - self.lambda3
+
     @classmethod
     def with_uniform_prior(cls, n: int, prior_value: float = 0.2, **kw) -> "LossWeights":
-        kw.setdefault("lambda1", 1.0 / 3.0)
+        # lambda1 comes out at exactly 1/3
         kw.setdefault("lambda2", 1.0 / 3.0)
-        kw.setdefault("lambda3", 1.0 - kw["lambda1"] - kw["lambda2"])
+        kw.setdefault("lambda3", 1.0 - 1.0 / 3.0 - 1.0 / 3.0)
         return cls(prior=np.full((n, n), prior_value), **kw)
 
 
@@ -115,27 +116,30 @@ class TrainConfig:
 # criterion
 
 LOSS_TERMS = ("recon", "struct", "div", "sparsity")
+SPARSITY_EPS = 0.01  # the log-sum scale of Candes, Wakin and Boyd (2008)
 
 
 @dataclass
 class _GroupConsts:
+    """What ``criterion`` reads of one chunk's series besides the forward's
+    output: the true next values in two layouts and the target kernel."""
+
     x_next: np.ndarray  # (N, G, d)
     x_target: np.ndarray  # (1, G, N, d)
     tau_true: np.ndarray  # (N, G, N)
-    gamma: float  # the kernel scale of tau_true, read by criterion's predicted kernel
 
 
-def _group_consts(x: np.ndarray, gamma: float) -> _GroupConsts:
+def _group_consts(x: np.ndarray) -> _GroupConsts:
     s, n, t, d = x.shape
     g = s * (t - 1)
     x_next = np.ascontiguousarray(node_rows(x[:, :, 1:]))
     x_target = np.ascontiguousarray(rows_to_series(x_next, s).reshape(1, g, n, d))
-    # tau_true[i, g, j] = exp(-gamma * ||x_j^t - x_i^t||^2)
+    # tau_true[i, g, j] = exp(-||x_j^t - x_i^t||^2)
     tau = np.empty((n, g, n))
     for i in range(n):
         delta = x_target[0] - x_target[0][:, i : i + 1, :]
-        tau[i] = np.exp(-gamma * (delta ** 2).sum(axis=2))
-    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau, gamma=gamma)
+        tau[i] = np.exp(-(delta ** 2).sum(axis=2))
+    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau)
 
 
 def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
@@ -181,10 +185,11 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
 
     - recon: (1/G) sum_t ||x_i^t - xhat_i^t||^2;
     - struct: mean over (t, j) of (tau_true - tau)^2, where
-      tau = exp(-gamma ||x_j^t - xhat_i^t||^2) is the predicted kernel row,
-      at the gamma ``consts`` was built with;
+      tau = exp(-||x_j^t - xhat_i^t||^2) is the predicted kernel row and
+      tau_true the same kernel at the true x_i^t;
     - div: ``_divergence`` of the time-averaged gate rows;
-    - sparsity: mean over (t, j) of log(m/epsilon + 1); gates are positive.
+    - sparsity: mean over (t, j) of log(m/SPARSITY_EPS + 1); gates are
+      positive.
 
     The closed-form gradients in ``masks`` and ``x_hat`` are formed here;
     the backward scales them by the root's gradient. A non-finite term
@@ -203,17 +208,17 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     dx = np.multiply(diff, 2.0 / g, out=diff)
     delta = consts.x_target - xh[:, :, None, :]  # (N, G, N, d)
     tau = (delta * delta).sum(axis=3)
-    tau *= -consts.gamma
+    np.negative(tau, out=tau)
     np.exp(tau, out=tau)
     gap = consts.tau_true - tau
     struct = (gap * gap).mean(axis=(1, 2))
     gap *= tau
     delta *= gap[..., None]
-    dx -= delta.sum(axis=2) * (4.0 * consts.gamma * weights.beta1 / (g * n))
-    dm = m * (1.0 / weights.epsilon)
+    dx -= delta.sum(axis=2) * (4.0 * weights.beta1 / (g * n))
+    dm = m * (1.0 / SPARSITY_EPS)
     dm += 1.0
     sparsity = np.log(dm).mean(axis=(1, 2))
-    np.divide(weights.beta3 / (g * n * weights.epsilon), dm, out=dm)
+    np.divide(weights.beta3 / (g * n * SPARSITY_EPS), dm, out=dm)
     div, dbar = _divergence(m.mean(axis=1), weights)
     dm += dbar[:, None, :] * (weights.beta2 / (g * n))
     total = recon + struct * weights.beta1 + div * weights.beta2 + sparsity * weights.beta3
@@ -354,7 +359,7 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     history = []  # appended in (epoch, node) order
     size = config.minibatch_size if config.batch_mode == "sample_minibatch" else s_count
     chunks = [x[k:k + size] for k in range(0, s_count, size)]
-    chunk_consts = [_group_consts(xc, weights.gamma) for xc in chunks]
+    chunk_consts = [_group_consts(xc) for xc in chunks]
 
     for epoch in range(1, config.epochs + 1):
         sums = {key: np.zeros(n) for key in (*LOSS_TERMS, "total")}

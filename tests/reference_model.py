@@ -91,16 +91,17 @@ def reference_loss(masks, preds, x, weights):
     ``masks`` (S, T-1, N, N) and ``preds`` (S, T-1, N, d) are in
     ``reference_forward``'s layout, ``x`` the (S, N, T, d) series and
     ``weights`` a ``LossWeights``. Node i's terms are means over every
-    (sample, transition) and, where a term has one, input j.
+    (sample, transition) and, where a term has one, input j. The structure
+    kernel is exp(-||a - b||^2), with no scale, and the log-sum scale is eps.
     """
-    gate_lo, gate_hi = 1e-7, 1.0 - 1e-7
+    gate_lo, gate_hi, eps = 1e-7, 1.0 - 1e-7, 0.01
     s_count, t1, n, _ = masks.shape
     truth = np.transpose(x[:, :, 1:], (0, 2, 1, 3))  # (S, T-1, N, d), as preds
     rows = {"recon": [], "struct": [], "div": [], "sparsity": []}
     for i in range(n):
         rows["recon"].append(((truth[:, :, i] - preds[:, :, i]) ** 2).sum(axis=-1).mean())
-        kernel = np.exp(-weights.gamma * ((truth - truth[:, :, i:i + 1]) ** 2).sum(axis=-1))
-        fitted = np.exp(-weights.gamma * ((truth - preds[:, :, i:i + 1]) ** 2).sum(axis=-1))
+        kernel = np.exp(-((truth - truth[:, :, i:i + 1]) ** 2).sum(axis=-1))
+        fitted = np.exp(-((truth - preds[:, :, i:i + 1]) ** 2).sum(axis=-1))
         rows["struct"].append(((kernel - fitted) ** 2).mean())
         m_bar = masks[:, :, i].mean(axis=(0, 1))  # (N,)
         log_m = np.log(np.clip(m_bar, gate_lo, gate_hi))
@@ -112,7 +113,7 @@ def reference_loss(masks, preds, x, weights):
             div += weights.lambda3 * 0.5 * (m_bar * (log_m - log_q)
                                             + p * (np.log(p) - log_q)).mean()
         rows["div"].append(div)
-        rows["sparsity"].append(np.log(masks[:, :, i] / weights.epsilon + 1.0).mean())
+        rows["sparsity"].append(np.log(masks[:, :, i] / eps + 1.0).mean())
     terms = {key: np.array(value) for key, value in rows.items()}
     terms["total"] = (terms["recon"] + weights.beta1 * terms["struct"]
                       + weights.beta2 * terms["div"] + weights.beta3 * terms["sparsity"])

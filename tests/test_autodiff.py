@@ -348,7 +348,7 @@ class TestBackward:
 # so they are fixed here.
 _POOL_X, _POOL_PROP = np.linspace(-1.0, 1.0, 24).reshape(3, 4, 2), np.full((2, 3), 0.5)
 _GCN_PROP = np.full((2, 2), 0.5)
-_CRIT_CONSTS = tr._group_consts(np.linspace(-1.0, 1.0, 10).reshape(1, 2, 5, 1), 1.0)
+_CRIT_CONSTS = tr._group_consts(np.linspace(-1.0, 1.0, 10).reshape(1, 2, 5, 1))
 _CRIT_WEIGHTS = tr.LossWeights.with_uniform_prior(2)
 OPS = {
     "dense": ([(1, 2, 3), (2, 4, 5)], lambda x, wb: ad.dense(x, wb, "tanh")),

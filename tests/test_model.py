@@ -507,7 +507,7 @@ class TestBatchedForward:
         out = mdl.batched_forward(models, x, tape)
         assert len(tape) == 18
         weights = tr.LossWeights()
-        tr.criterion(out.masks, out.predictions, tr._group_consts(x, weights.gamma), weights)
+        tr.criterion(out.masks, out.predictions, tr._group_consts(x), weights)
         assert len(tape) == 19
         assert ops == ["gru_sequence", "encoder_gcn", "dense", "dense", "gated_pool",
                        "dense", "dense", "criterion"]
@@ -572,7 +572,7 @@ class TestInference:
         out = mdl.batched_forward(models, x)
         weights = tr.LossWeights()
         root, _ = tr.criterion(out.masks, out.predictions,
-                               tr._group_consts(x, weights.gamma), weights)
+                               tr._group_consts(x), weights)
         with pytest.raises(RuntimeError, match="grad=False"):
             out.tape.backward(root)
 

@@ -216,28 +216,49 @@ class TestGroundTruthGraph:
         ([(0, EYE), (5, np.ones((3, 4), dtype=int))], r"regime 1 .*\(3, 4\)"),
         ([(0, EYE), (5, np.full((4, 4), 1))], r"regime 1 .*\(4, 4\)"),
         ([(0, EYE), (5, np.full((3, 3), 7))], "regime 1 .*0 or 1"),
-        ([(0, np.ones((3, 3), dtype=int)), (5, EYE)], "regime 0 .*equal"),
         ([(0, EYE), (0, EYE)], "increasing")],
-        ids=["not_square", "other_node_count", "not_binary", "first_differs", "start_repeats"])
+        ids=["not_square", "other_node_count", "not_binary", "start_repeats"])
     def test_every_regime_validated(self, regimes, match):
         with pytest.raises(sim.SimulationError, match=match):
-            sim.GroundTruthGraph(adjacency=self.EYE, regimes=regimes)
+            sim.GroundTruthGraph(regimes)
 
     def test_every_regime_stored_as_an_int_array(self):
         # a regime given as nested lists came back from regime_at as a list
         eye = np.eye(3).tolist()
         cycle = [[0, 1, 0], [0, 0, 1], [True, False, False]]
-        truth = sim.GroundTruthGraph(adjacency=eye, regimes=[(0, eye), (5, cycle)])
+        truth = sim.GroundTruthGraph([(0, eye), (5, cycle)])
         for adj, want in ((truth.regime_at(5), cycle), (truth.regime_at(0), eye),
                           (truth.adjacency, eye)):
             assert isinstance(adj, np.ndarray) and adj.dtype == np.int64
             np.testing.assert_array_equal(adj, want)
 
+    def test_regimes_are_copies_and_adjacency_is_the_first(self):
+        # an int64 array was kept as it was, so writing into it after the
+        # checks changed the truth
+        first, second = np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64)
+        truth = sim.GroundTruthGraph([(0, first), (4, second)])
+        first[0, 0] = 2
+        second[:] = 0
+        np.testing.assert_array_equal(truth.regimes[0][1], np.eye(3))
+        np.testing.assert_array_equal(truth.regimes[1][1], np.ones((3, 3)))
+        assert truth.adjacency is truth.regimes[0][1]
+
+    @pytest.mark.parametrize("t", [-1, 2.0, True], ids=["negative", "float", "bool"])
+    def test_regime_at_needs_a_time_step(self, t):
+        # a negative t silently read regime 0
+        truth = sim.GroundTruthGraph([(0, self.EYE)])
+        with pytest.raises(sim.SimulationError, match="^t must be"):
+            truth.regime_at(t)
+
+    def test_at_least_one_regime(self):
+        with pytest.raises(sim.SimulationError, match="at least one regime"):
+            sim.GroundTruthGraph([])
+
     @pytest.mark.parametrize("adjacency", [np.ones((2, 3)), np.full((3, 3), 2)],
                              ids=["not_square", "not_binary"])
     def test_static_graph_validated(self, adjacency):
         with pytest.raises(sim.SimulationError, match="square|0 or 1"):
-            sim.GroundTruthGraph(adjacency=adjacency)
+            sim.GroundTruthGraph([(0, adjacency)])
 
 
 class TestStandardize:

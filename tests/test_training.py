@@ -21,18 +21,40 @@ from test_autodiff import central_diff_grad, rel_err
 
 
 class TestLossWeights:
-    def test_mixture_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            tr.LossWeights(lambda1=0.5, lambda2=0.2, lambda3=0.2)
-
     def test_prior_required_for_kl(self):
         with pytest.raises(ValueError):
-            tr.LossWeights(lambda1=0.5, lambda2=0.5, lambda3=0.0)
+            tr.LossWeights(lambda2=0.5, lambda3=0.0)
 
     def test_uniform_prior_helper(self):
+        # the weights a prior fit has always trained with, to the bit
         w = tr.LossWeights.with_uniform_prior(4)
         assert w.prior.shape == (4, 4)
-        assert abs(w.lambda1 + w.lambda2 + w.lambda3 - 1.0) < 1e-12
+        assert (w.lambda1, w.lambda2, w.lambda3) == (1 / 3, 1 / 3, 1.0 - 1 / 3 - 1 / 3)
+
+    def test_entropy_weight_is_what_kl_and_js_leave(self):
+        prior = np.full((2, 2), 0.3)
+        assert tr.LossWeights().lambda1 == 1.0
+        assert tr.LossWeights(lambda2=0.25, lambda3=0.5, prior=prior).lambda1 == 0.25
+        assert tr.LossWeights(lambda2=0.5, lambda3=0.5, prior=prior).lambda1 == 0.0
+
+    @pytest.mark.parametrize("lambda2, lambda3", [(0.75, 0.5), (0.9, 0.1)],
+                             ids=["past_one", "rounds_to_one"])
+    def test_kl_and_js_may_not_take_more_than_one(self, lambda2, lambda3):
+        # 0.9 + 0.1 rounds to 1.0, yet 1 - 0.9 - 0.1 is -2.8e-17: the weight
+        # the entropy would train with is checked, not the sum
+        with pytest.raises(ValueError, match=f"^lambda2 {lambda2} and lambda3 {lambda3} "):
+            tr.LossWeights(lambda2=lambda2, lambda3=lambda3, prior=np.full((2, 2), 0.3))
+
+    def test_prior_is_a_copy(self):
+        # the caller's float64 array was kept as it was: a 0 written into it
+        # after the checks reached train() as a non-finite 'div' term
+        prior = np.full((3, 3), 0.2)
+        weights = tr.LossWeights(lambda2=0.5, prior=prior)
+        prior[0, 0] = 0.0
+        assert weights.prior[0, 0] == 0.2
+        series = np.random.default_rng(0).standard_normal((1, 3, 8, 1))
+        fit = tr.train(series, tr.TrainConfig(epochs=1, hidden=3), weights)
+        assert np.all(np.isfinite(fit.final_losses))
 
     @pytest.mark.parametrize("prior, match", [
         (np.full((1, 3), 0.2), r"square .* \(1, 3\)"), (np.asarray(0.2), r"square .* \(\)"),
@@ -41,7 +63,7 @@ class TestLossWeights:
         ids=["row", "scalar", "cube", "nan_entry", "entry_of_one"])
     def test_prior_must_be_a_finite_square_matrix(self, prior, match):
         with pytest.raises(ValueError, match=match):
-            tr.LossWeights(lambda1=0.5, lambda2=0.5, prior=prior)
+            tr.LossWeights(lambda2=0.5, prior=prior)
 
 
 def loss_terms(weights, masks, x_hat=None, x_target=None):
@@ -55,7 +77,7 @@ def loss_terms(weights, masks, x_hat=None, x_target=None):
     x_hat = np.zeros((n, g, x_target.shape[2])) if x_hat is None else np.asarray(x_hat)
     series = np.zeros((1, n, g + 1, x_target.shape[2]))
     series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
-    consts = tr._group_consts(series, weights.gamma)
+    consts = tr._group_consts(series)
     tape = Tape()
     every = np.broadcast_to(masks, (n, g, n)).copy()
     return tr.criterion(tape.leaf(every), tape.leaf(x_hat), consts, weights)[1]
@@ -68,13 +90,13 @@ def recon_loss(x_true, x_hat):
                       np.asarray(x_hat)[None], x_true[:, None, :])["recon"].item()
 
 
-def struct_loss(x_target, node_index, x_hat, gamma):
+def struct_loss(x_target, node_index, x_hat):
     """Structure loss of one node; x_target (G, N, d) true values at t,
     x_hat (G, d) the node's predictions."""
     g, n, d = x_target.shape
     x_hats = np.zeros((n, g, d))
     x_hats[node_index] = x_hat
-    terms = loss_terms(tr.LossWeights(gamma=gamma), np.full((g, n), 0.5), x_hats, x_target)
+    terms = loss_terms(tr.LossWeights(), np.full((g, n), 0.5), x_hats, x_target)
     return terms["struct"][node_index].item()
 
 
@@ -84,8 +106,8 @@ def divergence_loss(masks, weights, node_index):
     return loss_terms(weights, masks)["div"][node_index].item()
 
 
-def sparsity_loss(masks, epsilon):
-    return loss_terms(tr.LossWeights(epsilon=epsilon), masks)["sparsity"][0].item()
+def sparsity_loss(masks):
+    return loss_terms(tr.LossWeights(), masks)["sparsity"][0].item()
 
 
 class TestReconLoss:
@@ -115,28 +137,19 @@ class TestStructLoss:
     def test_exact_prediction_is_zero(self):
         rng = np.random.default_rng(1)
         x_target = rng.standard_normal((4, 3, 1))
-        assert struct_loss(x_target, 1, x_target[:, 1, :].copy(), gamma=1.0) == 0.0
-
-    def test_predicted_kernel_reads_the_consts_gamma(self):
-        # the target kernel was built at the consts' gamma and the predicted
-        # one at the weights': an exact prediction scored 0.024-0.029 per node
-        consts = tr._group_consts(np.random.default_rng(1).standard_normal((1, 3, 5, 1)), 1.0)
-        tape = Tape()
-        _, terms = tr.criterion(tape.leaf(np.full((3, 4, 3), 0.5)),
-                                tape.leaf(consts.x_next.copy()), consts,
-                                tr.LossWeights(gamma=0.5))
-        np.testing.assert_array_equal(terms["struct"], 0.0)
+        assert struct_loss(x_target, 1, x_target[:, 1, :].copy()) == 0.0
 
     def test_kernel_self_similarity_is_one(self):
-        for gamma in (0.5, 1.0, 3.0):
-            x = np.random.default_rng(2).standard_normal(3)
-            assert np.exp(-gamma * ((x - x) ** 2).sum()) == 1.0
+        # the target kernel of node i at input i, at every transition
+        consts = tr._group_consts(np.random.default_rng(2).standard_normal((2, 3, 5, 2)))
+        for i in range(3):
+            np.testing.assert_array_equal(consts.tau_true[i, :, i], 1.0)
 
     def test_hand_arithmetic(self):
-        # N=2, one transition, d=1, gamma=1: truths x1=1, x2=3, prediction for
-        # node 0 is 2. tau_true = [1, exp(-4)]; tau_pred = [exp(-1), exp(-1)]
+        # N=2, one transition, d=1: truths x1=1, x2=3, prediction for node 0
+        # is 2. tau_true = [1, exp(-4)]; tau_pred = [exp(-1), exp(-1)]
         x_target = np.array([[[1.0], [3.0]]])
-        got = struct_loss(x_target, 0, [[2.0]], gamma=1.0)
+        got = struct_loss(x_target, 0, [[2.0]])
         expected = ((1 - np.exp(-1)) ** 2 + (np.exp(-4) - np.exp(-1)) ** 2) / 2
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -145,14 +158,14 @@ class TestDivergenceLoss:
     def test_kl_js_zero_when_mask_equals_prior(self):
         n = 4
         prior = np.full((n, n), 0.3)
-        w = tr.LossWeights(lambda1=0.0, lambda2=0.5, lambda3=0.5, prior=prior)
+        w = tr.LossWeights(lambda2=0.5, lambda3=0.5, prior=prior)
         out = divergence_loss(np.full((6, n), 0.3), w, node_index=2)
         assert abs(out) < 1e-12
 
     def test_entropy_at_one_over_e(self):
         # -m log m at m = 1/e is 1/e per entry, so the mean is 1/e
         n = 5
-        w = tr.LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0)
+        w = tr.LossWeights(lambda2=0.0, lambda3=0.0)
         out = divergence_loss(np.full((3, n), 1.0 / np.e), w, node_index=0)
         assert out == pytest.approx(1.0 / np.e, rel=1e-12)
 
@@ -163,13 +176,13 @@ class TestDivergenceLoss:
         n = 4
         m_vals = rng.uniform(0.05, 0.95, n)
         p_vals = rng.uniform(0.05, 0.95, (n, n))
-        w_mp = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=p_vals)
+        w_mp = tr.LossWeights(lambda2=0.0, lambda3=1.0, prior=p_vals)
         js_mp = divergence_loss(np.tile(m_vals, (3, 1)), w_mp, node_index=1)
         assert js_mp >= -1e-15
         # swap roles: prior row becomes the mask value and vice versa
         p_swapped = p_vals.copy()
         p_swapped[1] = m_vals
-        w_pm = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=p_swapped)
+        w_pm = tr.LossWeights(lambda2=0.0, lambda3=1.0, prior=p_swapped)
         js_pm = divergence_loss(np.tile(p_vals[1], (3, 1)), w_pm, node_index=1)
         assert js_mp == pytest.approx(js_pm, rel=1e-10, abs=1e-12)
 
@@ -177,18 +190,18 @@ class TestDivergenceLoss:
         # per-entry JS contribution before the 1/(2N) averaging is <= log 2
         n = 3
         prior = np.full((n, n), 1.0 - 1e-7)
-        w = tr.LossWeights(lambda1=0.0, lambda2=0.0, lambda3=1.0, prior=prior)
+        w = tr.LossWeights(lambda2=0.0, lambda3=1.0, prior=prior)
         out = divergence_loss(np.full((2, n), 1e-7), w, node_index=0)
         assert out <= np.log(2) + 1e-9
 
 
 class TestSparsityLoss:
     def test_zero_mask_limit(self):
-        out = sparsity_loss(np.full((4, 3), 1e-15), epsilon=0.01)
+        out = sparsity_loss(np.full((4, 3), 1e-15))
         assert abs(out) < 1e-10
 
     def test_entry_at_epsilon_gives_log_two(self):
-        out = sparsity_loss(np.full((1, 1), 0.01), epsilon=0.01)
+        out = sparsity_loss(np.full((1, 1), 0.01))  # the log-sum scale
         assert out == pytest.approx(np.log(2.0), rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -199,8 +212,8 @@ class TestSparsityLoss:
         bumped = base.copy()
         i, j = rng.integers(0, 3), rng.integers(0, 4)
         bumped[i, j] += 0.1
-        lo = sparsity_loss(base, 0.01)
-        hi = sparsity_loss(bumped, 0.01)
+        lo = sparsity_loss(base)
+        hi = sparsity_loss(bumped)
         assert hi > lo
 
 
@@ -225,13 +238,13 @@ def term_free_sum(m, x_hat, consts, weights, terms):
     dx = (x_hat - consts.x_next) * (2.0 / g)
     if weights.beta1 > 0:
         delta = consts.x_target - x_hat[:, :, None, :]
-        tau = np.exp((delta * delta).sum(axis=3) * -consts.gamma)
+        tau = np.exp(-(delta * delta).sum(axis=3))
         gap = (consts.tau_true - tau) * tau
-        dx = dx - (delta * gap[..., None]).sum(axis=2) * (
-            4.0 * consts.gamma * weights.beta1 / (g * n))
+        dx = dx - (delta * gap[..., None]).sum(axis=2) * (4.0 * weights.beta1 / (g * n))
     dm = np.zeros_like(m)
     if weights.beta3 > 0:
-        dm = (weights.beta3 / (g * n * weights.epsilon)) / (m * (1.0 / weights.epsilon) + 1.0)
+        eps = tr.SPARSITY_EPS
+        dm = (weights.beta3 / (g * n * eps)) / (m * (1.0 / eps) + 1.0)
     if weights.beta2 > 0:
         dm = dm + tr._divergence(m.mean(axis=1), weights)[1][:, None, :] * (
             weights.beta2 / (g * n))
@@ -246,7 +259,7 @@ class TestTotalLoss:
         # terms, bit for bit
         n, g = 3, 5
         rng = np.random.default_rng(4)
-        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)), 1.0)
+        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)))
         m0, x0 = rng.uniform(0.05, 0.95, (n, g, n)), rng.standard_normal((n, g, 1))
 
         def run(weights):
@@ -287,7 +300,7 @@ class TestTotalLoss:
     def test_total_is_the_weighted_sum_and_the_root_its_sum(self):
         weights = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
         rng = np.random.default_rng(1)
-        consts = tr._group_consts(rng.standard_normal((1, 3, 6, 1)), weights.gamma)
+        consts = tr._group_consts(rng.standard_normal((1, 3, 6, 1)))
         tape = Tape()
         masks = tape.leaf(rng.uniform(0.05, 0.95, (3, 5, 3)))
         root, terms = tr.criterion(masks, tape.leaf(rng.standard_normal((3, 5, 1))),
@@ -307,9 +320,8 @@ class TestTotalLoss:
         n, s_count, t_len, h = 3, 2, 5, 4
         rng = np.random.default_rng(3)
         x = rng.standard_normal((s_count, n, t_len, 1))
-        weights = tr.LossWeights(beta1=0.5, beta2=0.4, beta3=0.3, gamma=1.0,
-                                 epsilon=0.05)
-        consts = tr._group_consts(x, weights.gamma)
+        weights = tr.LossWeights(beta1=0.5, beta2=0.4, beta3=0.3)
+        consts = tr._group_consts(x)
 
         def full_loss(stack):
             tape = Tape()
@@ -353,15 +365,13 @@ class TestCriterion:
         off = {"beta1": 0.0, "beta2": 0.0, "beta3": 0.0}
         return {
             "recon": tr.LossWeights(**off),
-            "struct": tr.LossWeights(**{**off, "beta1": 0.5}, gamma=0.7),
+            "struct": tr.LossWeights(**{**off, "beta1": 0.5}),
             "entropy": tr.LossWeights(**{**off, "beta2": 0.8}),
-            "kl": tr.LossWeights(**{**off, "beta2": 0.8}, lambda1=0.0, lambda2=1.0,
-                                 prior=prior),
-            "js": tr.LossWeights(**{**off, "beta2": 0.8}, lambda1=0.0, lambda3=1.0,
-                                 prior=prior),
-            "sparsity": tr.LossWeights(**{**off, "beta3": 0.35}, epsilon=0.05),
+            "kl": tr.LossWeights(**{**off, "beta2": 0.8}, lambda2=1.0, prior=prior),
+            "js": tr.LossWeights(**{**off, "beta2": 0.8}, lambda3=1.0, prior=prior),
+            "sparsity": tr.LossWeights(**{**off, "beta3": 0.35}),
             "default": tr.LossWeights(),
-            "all": tr.LossWeights.with_uniform_prior(n, beta1=0.5, gamma=1.3),
+            "all": tr.LossWeights.with_uniform_prior(n, beta1=0.5),
         }[case]
 
     @staticmethod
@@ -387,7 +397,7 @@ class TestCriterion:
             a.transpose(2, 0, 1, 3).reshape(n, s_count * t1, a.shape[3]))
         tape = Tape()
         _, terms = tr.criterion(tape.leaf(rows(masks)), tape.leaf(rows(preds)),
-                                tr._group_consts(x, weights.gamma), weights)
+                                tr._group_consts(x), weights)
         want = reference_loss(masks, preds, x, weights)
         assert set(terms) == set(want)
         for key in want:
@@ -407,7 +417,7 @@ class TestCriterion:
         n, g = self.N, self.G
         rng = np.random.default_rng(11)
         weights = self._weights(case, n)
-        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)), weights.gamma)
+        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)))
         m0 = rng.uniform(0.05, 0.95, (n, g, n))
         x0 = rng.standard_normal((n, g, 1))
         step = 1e-6
@@ -444,7 +454,7 @@ class TestCriterion:
         weights = tr.LossWeights.with_uniform_prior(3)
         x = standardize(np.random.default_rng(5).standard_normal((2, 3, 8, 1)))
         stack = build_node_models(3, 1, config.model_config(), config.seed)
-        tr._train_step(stack, x, tr._group_consts(x, weights.gamma), config, weights,
+        tr._train_step(stack, x, tr._group_consts(x), config, weights,
                        zero_adam(stack.arrays()), np.ones(3, dtype=bool))
         [(tape, forward_nodes)] = forwards
         assert (forward_nodes, len(tape)) == (18, 19)
@@ -560,11 +570,14 @@ class TestTrain:
         # every out-of-range setting, of TrainConfig or LossWeights, fails at
         # construction with the field named; a value that is not a real
         # number used to raise a bare TypeError naming no field. The
-        # activation, the self loop and Adam's constants are fixed, so setting
-        # one fails as an unknown keyword that names it
-        cls = tr.LossWeights if hasattr(tr.LossWeights, field) else tr.TrainConfig
+        # activation, the self loop, Adam's constants, the kernel scale, the
+        # log-sum scale and the entropy weight are fixed, so setting one
+        # fails as an unknown keyword that names it
+        fixed_weights = ("lambda1", "gamma", "epsilon")
+        cls = (tr.LossWeights if hasattr(tr.LossWeights, field) or field in fixed_weights
+               else tr.TrainConfig)
         error = TypeError if field in ("phi", "self_loop", "adam_beta1", "adam_beta2",
-                                       "adam_eps") else ValueError
+                                       "adam_eps", *fixed_weights) else ValueError
         with pytest.raises(error, match=field):
             cls(**{field: value})
 
@@ -771,8 +784,8 @@ class TestTrain:
         made, alive = [], []
         group_consts, forward = tr._group_consts, tr.batched_forward
 
-        def consts_spy(x, gamma):
-            consts = group_consts(x, gamma)
+        def consts_spy(x):
+            consts = group_consts(x)
             made.append(weakref.ref(consts))
             return consts
 
@@ -801,7 +814,7 @@ class TestTrain:
         weights = tr.LossWeights()
         stack = build_node_models(n, 1, config.model_config(), config.seed)
         x = standardize(gen_var(n, 1, t_len, seed=3)[0])
-        consts = tr._group_consts(x, weights.gamma)
+        consts = tr._group_consts(x)
         active = np.ones(n, dtype=bool)
         tracemalloc.start()
         try:
@@ -921,30 +934,34 @@ class TestGridSearch:
         cfg = tr.TrainConfig(epochs=2, hidden=4)
         w = tr.LossWeights()
         best_cfg, best_w, score, trials = tr.grid_search(
-            {"gamma": [2.0]}, cfg, w, objective=lambda c, wt: wt.gamma)
-        assert best_w.gamma == 2.0
+            {"beta1": [2.0]}, cfg, w, objective=lambda c, wt: wt.beta1)
+        assert best_w.beta1 == 2.0
         assert len(trials) == 1
 
     def test_constant_objective_lexicographic_tiebreak(self):
         cfg = tr.TrainConfig(epochs=2, hidden=4)
         w = tr.LossWeights()
         best_cfg, best_w, score, trials = tr.grid_search(
-            {"gamma": [3.0, 1.0], "epsilon": [0.5, 0.1]}, cfg, w,
+            {"beta3": [3.0, 1.0], "beta1": [0.5, 0.1]}, cfg, w,
             objective=lambda c, wt: 7.0)
-        # sorted names: epsilon, gamma; first combination is (0.5, 3.0)
-        assert best_w.epsilon == 0.5 and best_w.gamma == 3.0
+        # sorted names: beta1, beta3; first combination is (0.5, 3.0), and
+        # the last name varies fastest
+        assert best_w.beta1 == 0.5 and best_w.beta3 == 3.0
+        assert trials[1]["params"] == {"beta1": 0.5, "beta3": 1.0}
 
     def test_two_by_two_grid_evaluates_four(self):
         cfg = tr.TrainConfig(epochs=2, hidden=4)
         w = tr.LossWeights()
         seen = []
-        tr.grid_search({"gamma": [1.0, 2.0], "learning_rate": [1e-3, 1e-2]},
+        tr.grid_search({"beta1": [1.0, 2.0], "learning_rate": [1e-3, 1e-2]},
                        cfg, w, objective=lambda c, wt: seen.append(1) or 0.0)
         assert len(seen) == 4
 
-    @pytest.mark.parametrize("name", ["model_config", "with_uniform_prior", "nodes"])
+    @pytest.mark.parametrize("name", ["model_config", "with_uniform_prior", "nodes",
+                                      "lambda1"])
     def test_only_config_and_weight_fields_are_hyperparameters(self, name):
-        # methods are attributes too, but not fields that replace() can set
+        # methods and properties are attributes too, but not fields that
+        # replace() can set
         with pytest.raises(ValueError, match=f"unknown hyperparameter '{name}'"):
             tr.grid_search({name: [1]}, tr.TrainConfig(), tr.LossWeights(), lambda c, w: 0)
 
