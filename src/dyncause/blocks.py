@@ -16,12 +16,15 @@ step only on a tape that takes gradients; on a ``Tape(grad=False)`` it
 reuses one step's buffer.
 
 ``gated_pool`` is the decoder's first layer and its NGCN, built the same
-way: one tape node whose (i, j, t, .) buffers hold node i's view of input j
-at transition t, so the (N, N, g, h) activation is written once, by one
-[gate * x, 1] @ [w; b] GEMM per node, and read back once in the backward,
-which writes tanh' over it. The pooled output then takes the NGCN weight and
-tanh, as ``encoder_gcn``'s mix takes its weight. Both GCN ops end in tanh,
-the model's one hidden activation, read with its derivative from
+way: one tape node that runs one target node i at a time, its (j, t, .)
+buffers holding node i's view of input j at transition t. Node i's
+activation is one [gate * x, 1] @ [w; b] GEMM, pooled into the output's row
+i, which then takes the NGCN weight and tanh, as ``encoder_gcn``'s mix takes
+its weight. The backward runs the same loop and rebuilds each node's gated
+input and activation by the same expressions, so no (N, N, g, h) buffer
+lives on either kind of tape: recomputation in the backward, the
+rematerialisation of Chen et al. (arXiv 1604.06174). Both GCN ops end in
+tanh, the model's one hidden activation, read with its derivative from
 ``autodiff.ACTIVATIONS``.
 
 ``encoder_gcn`` is the encoder's GCN layer over the GRU states, built the
@@ -30,15 +33,16 @@ step, node) rows the mask generator reads, takes the weight product and
 tanh in one buffer, and writes its input gradient back into the GRU's row
 layout, so neither direction makes a transposed copy. Both GCN ops run one
 kernel on either tape, the weight product written back over the mix or
-pooled output it reads, one encoder row or node at a time; the backward
-recomputes that buffer by the forward's own expression. ``tape.grad`` sets
-only what an op keeps, never how it computes.
+pooled row it reads, one encoder row or node at a time; the backward
+recomputes what it reads of the forward by the forward's own expressions.
+The GCN ops never read ``tape.grad``: ``Tape.record`` drops the closure of
+a gradient-free tape, and with it all they keep.
 
 ``Tape.backward`` runs each closure at most once and then drops it, so the
 fused backwards overwrite the internal buffers they read for the last time,
 never the op's output, which a caller may hold: the GRU's gate gradients
-go over its gate history, ``gated_pool``'s tanh' over its activation and
-``encoder_gcn``'s mix gradient over the recomputed mix.
+go over its gate history, ``gated_pool``'s tanh' over a node's rebuilt
+activation and ``encoder_gcn``'s mix gradient over the recomputed mix.
 
 Each affine map in the GRU and gated pooling ops is one GEMM, the bias
 entering as an input column of ones, and takes its [W; b] array as stored,
@@ -250,14 +254,17 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
     arrays that take no gradient; w = [W; b] is (N, d+1, h), the bias its
     last row, and v (N, h, h) the NGCN weight. Returns (N, g, h).
 
-    The gated input [gate * x_prev, 1] and the activation are laid out
-    (i, j, t, .), so the first layer, bias included, is one
-    (N'*g, d+1)@(d+1, h) product per node with w[i], and the pooling
-    one (1, N')@(N', g*h) product per node. An overflowed pre-activation
-    of either layer raises ``NumericError`` even where tanh would squash it.
-    The NGCN product goes through one row-sized buffer back over the pooled
-    output, which the backward recomputes from the activation. On a
-    ``Tape(grad=False)`` the gated input and the activation die first.
+    The op runs one target node i at a time, in one (N', g, d+1) buffer for
+    its gated input [gate * x_prev, 1] and one (N', g, h) buffer for its
+    activation, both laid out (j, t, .): the first layer, bias included, is
+    one (N'*g, d+1)@(d+1, h) product with w[i], the pooling one
+    (1, N')@(N', g*h) product with prop[i] into the output's row i, and the
+    NGCN product goes through one row-sized buffer back over that row. An
+    overflowed pre-activation of either layer raises ``NumericError`` even
+    where tanh would squash it. The backward runs the same loop and rebuilds
+    node i's gated input, activation and pooled row by the forward's own
+    expressions, so no (N, N', g, .) buffer lives on either kind of tape,
+    and the closure keeps only the operands and the output.
     """
     G, X, W, V = gate.data, x_prev, w.data, v.data
     if G.ndim != 3:
@@ -271,46 +278,60 @@ def gated_pool(gate: Tensor, x_prev: np.ndarray, w: Tensor, v: Tensor,
         if arr.shape != want:
             raise ShapeError(f"gated_pool: {name} shape {arr.shape}, expected {want}")
     tanh, tanh_deriv = ACTIVATIONS["tanh"]
+    gate_in = G.transpose(0, 2, 1)[..., None]  # (N, N', g, 1) view: [i, j, t] = gate[i, t, j]
 
-    Xg = np.empty((n, n_in, g, d + 1))  # Xg[i, j, t] = [gate[i, t, j] * x_prev[j, t], 1]
-    Xg[..., d] = 1.0
-    np.multiply(G.transpose(0, 2, 1)[..., None], X, out=Xg[..., :d])
-    Xg_rows = Xg.reshape(n, n_in * g, d + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        A = np.matmul(Xg_rows, W)
-    _check_finite(A, "gated_pool")
-    A = A.reshape(n, n_in, g, h)
-    tanh(A, A)
-    out = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)  # pooled
-    if not gate.tape.grad:  # no backward reads them
-        Xg = Xg_rows = A = None
-    row = np.empty((g, h))
-    with np.errstate(over="ignore", invalid="ignore"):  # record reports it
-        for i in range(n):  # the NGCN product goes over the pooled output, node by node
-            np.matmul(out[i], V[i], out=row)
+    def node_buffers():
+        # xg[j, t] = [gate[i, t, j] * x_prev[j, t], 1] and the activation a[j, t], for one node i
+        xg = np.empty((n_in, g, d + 1))
+        xg[..., d] = 1.0
+        return xg, np.empty((n_in, g, h))
+
+    def first_layer(i, xg, a):  # node i's gated input and pre-activation, for both passes
+        np.multiply(gate_in[i], X, out=xg[..., :d])
+        np.matmul(xg.reshape(n_in * g, d + 1), W[i], out=a.reshape(n_in * g, h))
+
+    def pool(i, a, pooled):  # (1, N')@(N', g*h): node i's pooled row into pooled (g, h)
+        np.matmul(prop[i:i + 1], a.reshape(n_in, g * h), out=pooled.reshape(1, g * h))
+
+    xg, a = node_buffers()
+    out, row = np.empty((n, g, h)), np.empty((g, h))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, or by record
+        for i in range(n):
+            first_layer(i, xg, a)
+            _check_finite(a, "gated_pool")
+            tanh(a, a)
+            pool(i, a, out[i])
+            np.matmul(out[i], V[i], out=row)  # the NGCN product, back over the pooled row
             out[i] = row
 
     def backward(go):
-        # into a new array, not over out: out is the op's output, which a caller may hold
-        dY = go * tanh_deriv(out, np.empty_like(out))
-        # the pooled output again, by the forward's expression, before tanh' goes over A
-        pooled = np.matmul(prop[:, None, :], A.reshape(n, n_in, g * h)).reshape(n, g, h)
-        dv = np.matmul(np.swapaxes(pooled, -1, -2), dY)
-        gp = np.matmul(dY, np.swapaxes(V, -1, -2))
-        del dY, pooled
-        # D[i, j, t] = tanh'(a[i, j, t]) * prop[i, j] * dpooled[i, t], written
-        # over the activation, which this closure, run at most once, reads last
-        D = tanh_deriv(A, A)
-        D *= prop[:, :, None, None]
-        D *= gp.reshape(n, 1, g, h)
-        D_rows = D.reshape(n, n_in * g, h)
-        # w[i] serves every input j: its gradient sums over the (j, t) rows, W and b apart
-        dw = np.empty((n, d + 1, h))
-        np.matmul(Xg_rows[..., :d].transpose(0, 2, 1), D_rows, out=dw[:, :d])
-        np.matmul(np.ones((1, n_in * g)), D_rows, out=dw[:, d:])
-        dXg = np.matmul(D, np.swapaxes(W[:, :d], 1, 2)[:, None])  # (n, n_in, g, d)
-        dXg *= X
-        return dXg.sum(axis=3).transpose(0, 2, 1), dw, dv
+        dgate = np.empty((n, n_in, g))  # returned as its (N, g, N') view
+        dw, dv = np.empty((n, d + 1, h)), np.empty((n, h, h))
+        xg, a = node_buffers()
+        dy, pooled, gp = np.empty((g, h)), np.empty((g, h)), np.empty((g, h))
+        dxg = np.empty((n_in, g, d))
+        ones = np.ones((1, n_in * g))
+        for i in range(n):
+            # tanh' into its own buffer, not over out: a caller may hold the op's output
+            tanh_deriv(out[i], dy)
+            dy *= go[i]
+            first_layer(i, xg, a)
+            tanh(a, a)
+            pool(i, a, pooled)
+            np.matmul(pooled.T, dy, out=dv[i])
+            np.matmul(dy, V[i].T, out=gp)
+            # D[j, t] = tanh'(a[j, t]) * prop[i, j] * dpooled[t], written over the activation
+            D = tanh_deriv(a, a)
+            D *= prop[i][:, None, None]
+            D *= gp
+            D_rows = D.reshape(n_in * g, h)
+            # w[i] serves every input j: its gradient sums over the (j, t) rows, W and b apart
+            np.matmul(xg.reshape(n_in * g, d + 1)[:, :d].T, D_rows, out=dw[i, :d])
+            np.matmul(ones, D_rows, out=dw[i, d:])
+            np.matmul(D, W[i, :d].T, out=dxg)
+            dxg *= X
+            np.sum(dxg, axis=2, out=dgate[i])
+        return dgate.transpose(0, 2, 1), dw, dv
 
     # record scans the NGCN pre-activation, which an overflow of the pooled
     # output reaches too; tanh then runs in place on the recorded buffer

@@ -15,8 +15,9 @@ cell-major (row b*S + s runs bank cell b on sample s), its states feed one
 ``encoder_gcn`` call, which writes the GCN's rows in the (sample, step,
 node) order the MMG reads, and the per-node MMG weights broadcast over a
 shared encoder's single output. The decoder's first layer and its NGCN are
-one ``gated_pool`` call: its rows are (i, j, t), node i's gated view of
-input j at transition t, pooled over j and then weighted by ``ngcn_w``.
+one ``gated_pool`` call, which runs one target node i at a time: its rows
+are (j, t), node i's gated view of input j at transition t, pooled over j
+and then weighted by ``ngcn_w``.
 Every layer is one tape node: the GRU bank, the two GCNs, and the two
 layers each of the MMG and the output MLP, which are ``ad.dense`` calls.
 Every biased layer reads one [W; b] array, bias last, whole, and every
@@ -253,8 +254,9 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
     Either tape runs the same kernels; without a gradient the forward keeps
     only what the next layer reads: the GRU keeps one step of gates and its
     states die once mixed, the encoder output dies once the MMG's first
-    layer has read it, and ``gated_pool`` frees its gated input and
-    activation before its NGCN product.
+    layer has read it. ``gated_pool`` runs one target node at a time on
+    either tape, and its backward rebuilds each node's gated input and
+    activation, so neither outlives its node.
     """
     check_series(stack, x)
     s_count, n, t_len, d = x.shape

@@ -49,9 +49,10 @@ class LossWeights:
             check_real(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda2 {self.lambda2} and lambda3 {self.lambda3} leave "
-                             f"lambda1 = 1 - lambda2 - lambda3 = {self.lambda1} < 0")
+        if self.lambda2 + self.lambda3 > 1.0:
+            raise ValueError(f"lambda2 {self.lambda2} and lambda3 {self.lambda3} sum to "
+                             f"{self.lambda2 + self.lambda3} > 1: nothing is left for "
+                             f"lambda1 = 1 - lambda2 - lambda3")
         if self.prior is None:
             if self.lambda2 > 0 or self.lambda3 > 0:
                 raise ValueError("KL/JS divergence terms need a prior matrix")
@@ -65,7 +66,9 @@ class LossWeights:
 
     @property
     def lambda1(self) -> float:
-        return 1.0 - self.lambda2 - self.lambda3
+        # the sum is checked above: a negative value here is a rounding error
+        # (1 - 0.9 - 0.1 is -2.8e-17, though 0.9 + 0.1 is 1)
+        return max(0.0, 1.0 - self.lambda2 - self.lambda3)
 
     @classmethod
     def with_uniform_prior(cls, n: int, prior_value: float = 0.2, **kw) -> "LossWeights":

@@ -558,8 +558,37 @@ def gated_pool_on_tape(arrays):
     return (out, *leaves)
 
 
+def whole_array_gated_pool(gate, x_prev, w, v, prop, go):
+    """``gated_pool`` as a whole-array kernel: the (N, N', g, d+1) gated
+    input and the (N, N', g, h) activation each in one buffer, every product
+    one batched matmul over the nodes. Returns the output and the
+    (d gate, d w, d v) of upstream ``go``."""
+    n, g, n_in = gate.shape
+    d, h = x_prev.shape[2], w.shape[-1]
+    tanh, tanh_deriv = ad.ACTIVATIONS["tanh"]
+    xg = np.empty((n, n_in, g, d + 1))
+    xg[..., d] = 1.0
+    np.multiply(gate.transpose(0, 2, 1)[..., None], x_prev, out=xg[..., :d])
+    xg_rows = xg.reshape(n, n_in * g, d + 1)
+    a = np.matmul(xg_rows, w).reshape(n, n_in, g, h)
+    tanh(a, a)
+    pooled = np.matmul(prop[:, None, :], a.reshape(n, n_in, g * h)).reshape(n, g, h)
+    out = np.matmul(pooled, v)
+    tanh(out, out)
+    dy = go * tanh_deriv(out, np.empty_like(out))
+    dv = np.matmul(np.swapaxes(pooled, -1, -2), dy)
+    gp = np.matmul(dy, np.swapaxes(v, -1, -2))
+    D = tanh_deriv(a, a) * prop[:, :, None, None] * gp.reshape(n, 1, g, h)
+    D_rows = D.reshape(n, n_in * g, h)
+    dw = np.concatenate((np.matmul(xg_rows[..., :d].transpose(0, 2, 1), D_rows),
+                         np.matmul(np.ones((1, n_in * g)), D_rows)), axis=1)
+    dxg = np.matmul(D, np.swapaxes(w[:, :d], 1, 2)[:, None]) * x_prev
+    return out, (dxg.sum(axis=3).transpose(0, 2, 1), dw, dv)
+
+
 class TestGatedPool:
-    """The decoder's first layer, NGCN pooling and NGCN weight, one fused op."""
+    """The decoder's first layer, NGCN pooling and NGCN weight, one fused op
+    that runs one target node at a time."""
 
     def test_matches_definition(self):
         rng = np.random.default_rng(50)
@@ -603,9 +632,28 @@ class TestGatedPool:
             with pytest.raises(ad.NumericError, match="gated_pool"):
                 gated_pool_on_tape(arrays)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bit_equal_to_the_whole_array_kernel(self, d):
+        # streaming the nodes changes where values are written, not how they
+        # are summed: each per-node product is the item the batched matmul
+        # runs for that node. N' differs from N, so a loop over the wrong
+        # axis fails on shape
+        arrays = gated_pool_arrays(np.random.default_rng(58), n=3, n_in=4, g=6, d=d, h=5)
+        gate, x_prev, w, v, prop = arrays
+        out, *leaves = gated_pool_on_tape(arrays)
+        probe = np.random.default_rng(59).standard_normal(out.shape)
+        grads = out.tape.backward(dot(out, out.tape.leaf(probe)))
+        want, want_grads = whole_array_gated_pool(*arrays, probe)
+        np.testing.assert_array_equal(out.data, want)
+        for leaf, want_grad, name in zip(leaves, want_grads, ("gate", "w", "v")):
+            assert np.array_equal(grads.wrt(leaf), want_grad), name
+        free = ad.Tape(grad=False)
+        without = blocks.gated_pool(free.leaf(gate), x_prev, free.leaf(w), free.leaf(v), prop)
+        np.testing.assert_array_equal(without.data, want)
+
     def test_output_identical_without_gradient(self):
-        # both kinds of tape run one kernel, the NGCN product over the pooled
-        # output one node at a time; only what the call keeps differs
+        # both kinds of tape run one kernel, node by node; only the backward
+        # closure differs
         gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(56), n=3, g=7)
         with_grad, *_ = gated_pool_on_tape([gate, x_prev, w, v, prop])
         free = ad.Tape(grad=False)
@@ -613,48 +661,51 @@ class TestGatedPool:
         np.testing.assert_array_equal(without.data, with_grad.data)
         assert free._backward[without.idx] is None
 
-    def test_gradient_free_call_frees_the_activation_first(self):
-        # without a gradient, the gated input and the (N, N', g, h)
-        # activation die before the NGCN product, which goes over the pooled
-        # output: the call may hold the first two, the pooled output and half
-        # an output more. A product allocated beside the activation takes a
-        # whole output more; at N' (d+1) < h / 2 that holds even if the gated
-        # input died first
-        n, n_in, g, d, h = 8, 2, 5000, 1, 32
-        arrays = gated_pool_arrays(np.random.default_rng(55), n, n_in, g, d, h)
-        unit = n * g * h * 8  # pooled, and the output
-        budget = n * n_in * g * (d + 1) * 8 + n_in * unit + unit + unit // 2
-        tape = ad.Tape(grad=False)
-        gate, x_prev, w, v, prop = arrays
+    # the memory tests' shape, and its sizes in bytes
+    MEMORY_SHAPE = N, N_IN, G, D, H = 8, 2, 5000, 1, 32
+    UNIT = N * G * H * 8  # the output; the whole activation takes N' of them
+    NODE = N_IN * G * (D + 1 + H) * 8  # one node's gated input and activation
+    ROW = G * H * 8  # one (g, h) row
+
+    def traced_call(self, tape, seed):
+        """(out, leaves, held, peak) of one call on ``tape``, the bytes it
+        holds after and at most during, as tracemalloc counts them."""
+        gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(seed),
+                                                     *self.MEMORY_SHAPE)
         inputs = [tape.leaf(a) for a in (gate, w, v)]
         tracemalloc.start()
         try:
             out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.data.shape == (n, g, h)
-        assert peak < budget
+        return out, inputs, held, peak
+
+    def test_gradient_free_call_frees_the_activation_first(self):
+        # without a gradient the op runs its one loop: one node's gated input
+        # and activation live at a time, the pooled row goes into the output
+        # and the NGCN product through one row back over it. The call peaks
+        # at the output, one node's two buffers, one row and one row of slack
+        out, _, _, peak = self.traced_call(ad.Tape(grad=False), 55)
+        assert out.data.shape == (self.N, self.G, self.H)
+        assert peak < self.UNIT + self.NODE + 2 * self.ROW
 
     def test_gradient_tape_call_keeps_no_pooled_output(self):
-        # the backward reads the gated input and the activation, and
-        # recomputes the pooled output from the activation: the call holds
-        # those two and its output, not the pooled output beside it as well
-        n, n_in, g, d, h = 8, 2, 5000, 1, 32
-        gate, x_prev, w, v, prop = gated_pool_arrays(np.random.default_rng(57),
-                                                     n, n_in, g, d, h)
-        unit = n * g * h * 8  # the output
-        budget = n * n_in * g * (d + 1) * 8 + n_in * unit + 1.5 * unit
+        # a gradient tape runs the same loop, to the same peak: no pooled
+        # output is made beside the output, whose rows take the pooled rows
+        out, _, _, peak = self.traced_call(ad.Tape(), 57)
+        assert out.tape._backward[out.idx] is not None
+        assert peak < self.UNIT + self.NODE + 2 * self.ROW
+
+    def test_gradient_tape_call_keeps_no_activation(self):
+        # the backward rebuilds each node's gated input and activation by the
+        # forward's expressions, so the closure keeps the operands and the
+        # output: after the call the op holds at most the output and one
+        # node's two buffers
         tape = ad.Tape()
-        inputs = [tape.leaf(a) for a in (gate, w, v)]
-        tracemalloc.start()
-        try:
-            out = blocks.gated_pool(inputs[0], x_prev, inputs[1], inputs[2], prop)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert tape._backward[out.idx] is not None
-        assert held < budget
+        out, inputs, held, _ = self.traced_call(tape, 57)
+        assert held < self.UNIT + self.NODE
+        assert tape.backward(total(out)).wrt(inputs[0]).shape == (self.N, self.G, self.N_IN)
 
     def test_tape_freed_without_cycle_collection(self):
         # as for gru_sequence: the backward closure holds arrays, never a

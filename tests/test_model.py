@@ -583,8 +583,7 @@ class TestInference:
         # mix (T-1), over which the activated weight product is written, and
         # half a buffer for the rest: the GRU's input copy and step buffers
         # and the product's one-row buffer. A weight product beside the mix
-        # is one buffer more than that; an encoder output kept alive beside
-        # the decoder's (N, N, S*(T-1), h) activation also exceeds it
+        # is one buffer more than that
         s_count, n, t_len, h = 50, 8, 40, 15
         step = n * n * s_count * h * 8
         bound = (t_len + (t_len - 1) + (t_len - 1) // 2) * step
