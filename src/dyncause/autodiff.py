@@ -195,9 +195,9 @@ class Tape:
 
 
 def _sigmoid(a, out):
-    with np.errstate(over="ignore"):  # exp(-a) overflows to inf: sigmoid -> 0
-        np.negative(a, out=out)
-        np.exp(out, out=out)
+    # exp(-a) overflows to inf, and sigmoid to 0: callers enter np.errstate
+    np.negative(a, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -269,5 +269,6 @@ def dense(x: Tensor, wb: Tensor, phi: str) -> Tensor:
     # record scans the pre-activation and wraps it without a copy; phi then
     # runs in place on the recorded buffer. phi of a finite value is finite
     node = x.tape.record(out, (x, wb), backward, op="dense")
-    fn(out, out)
+    with np.errstate(over="ignore"):  # the sigmoid's exp(-a) may overflow: phi -> 0
+        fn(out, out)
     return node

@@ -96,8 +96,6 @@ def _gru_forward(X, H0, W, U, history):
     hu_zr = hu.reshape(B, k, 2, h).transpose(2, 0, 1, 3)  # (2, B, k, h) view
     hc = np.empty((B, k, h))
     tmp = np.empty((B, k, h))
-    # sigmoid and tanh inline, not from ACTIVATIONS, whose sigmoid enters
-    # np.errstate on each call (about 2 us, once per step)
     with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid -> 0
         for t in range(T):
             p = P[t if history else 0]
@@ -106,10 +104,7 @@ def _gru_forward(X, H0, W, U, history):
             h_prev, h_t, zr, z, r, c = Hb[t], Hb[t + 1], p[:2], p[0], p[1], p[2]
             np.matmul(h_prev, Uzr, out=hu)
             zr += hu_zr
-            np.negative(zr, out=zr)
-            np.exp(zr, out=zr)
-            zr += 1.0
-            np.reciprocal(zr, out=zr)
+            ACTIVATIONS["sigmoid"][0](zr, zr)
             np.multiply(r, h_prev, out=tmp)
             c += np.matmul(tmp, Uh, out=hc)
             np.tanh(c, out=c)

@@ -2,9 +2,10 @@
 transition, decoder predicts the next step from the gated snapshot.
 
 All node models live in one ``ParamStack``: every parameter carries a
-leading node (or encoder row) axis, and ``ParamStack.config`` is the one
-``ModelConfig`` the stack was built for, checked against the arrays'
-shapes. ``batched_forward`` is the model: it runs every node, sample and
+leading node (or encoder row) axis, and the arrays, laid out as
+``param_shapes`` states, are the one record of the architecture: N, d, the
+hidden width and the encoder rows are read from their shapes.
+``batched_forward`` is the model: it runs every node, sample and
 transition in one tape pass, and training and ``forward_full`` use it.
 Training passes its own tape; ``forward_full`` and training's final forward
 pass none and record on a private ``Tape(grad=False)``, which runs the same
@@ -32,7 +33,7 @@ read out without a gradient, the gates lie in [``GATE_LO``, ``GATE_HI``].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,10 +48,10 @@ GATE_HI = 1.0 - 1e-7
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters shared by all node models: the hidden
-    width h and whether every node shares one encoder. The rest is fixed:
-    every hidden activation is tanh and both GCNs take a self loop of
-    weight 1."""
+    """Architecture hyperparameters ``build_node_models`` draws a stack for:
+    the hidden width h and whether every node shares one encoder. The rest
+    is fixed: every hidden activation is tanh and both GCNs take a self loop
+    of weight 1."""
 
     hidden: int = 15
     share_encoder: bool = False
@@ -61,8 +62,13 @@ class ModelConfig:
             raise ValueError(f"share_encoder must be a bool, got {self.share_encoder!r}")
 
 
-_ARRAYS = ("gru_w", "gru_u", "enc_w", "mmg_w1", "mmg_w2", "rl_w", "ngcn_w",
-           "tip_w1", "tip_w2")
+def param_shapes(n: int, d: int, h: int, e: int) -> dict:
+    """Array name -> shape, in field order, of a ``ParamStack`` of N nodes, d
+    features, hidden width h and E encoder rows: the one statement of the
+    layout. Each axis of d+1, N*h+1 or h+1 rows ends in the bias row."""
+    return {"gru_w": (e * n, d + 1, 3 * h), "gru_u": (e * n, h, 3 * h), "enc_w": (e, h, h),
+            "mmg_w1": (n, n * h + 1, h), "mmg_w2": (n, h + 1, n), "rl_w": (n, d + 1, h),
+            "ngcn_w": (n, h, h), "tip_w1": (n, h + 1, h), "tip_w2": (n, h + 1, d)}
 
 
 @dataclass
@@ -74,28 +80,25 @@ class ParamStack:
     where row e*N + j is its cell for input node j. Every biased affine map
     is one [W; b] array, its bias the last row, read whole by a fused kernel
     or by ``ad.dense``; the GRU gates sit side by side, W_z|W_r|W_h in
-    ``gru_w`` and U_z|U_r|U_h in ``gru_u``. ``config``, a ``ModelConfig``,
-    is the architecture the stack was built for: each array has the shape
-    noted beside it, for N read from ``mmg_w2``, d from ``rl_w``, h =
-    ``config.hidden`` and E = 1 exactly when ``config.share_encoder`` is
-    set, else ``ValueError``. Both GCNs propagate by (A + I) / (N + 1), A
-    all ones, and every hidden activation is tanh.
+    ``gru_w`` and U_z|U_r|U_h in ``gru_u``. The arrays are the architecture:
+    N is read from ``mmg_w2``, d from ``rl_w`` and E and h from ``enc_w``,
+    and each array must have its ``param_shapes`` shape, else ``ValueError``
+    names it; at N = 1 a shared and a per-node stack are the same arrays.
+    Both GCNs propagate by (A + I) / (N + 1), A all ones, and every hidden
+    activation is tanh.
     """
 
-    gru_w: np.ndarray  # (E*N, d+1, 3h), bias last
-    gru_u: np.ndarray  # (E*N, h, 3h)
-    enc_w: np.ndarray  # (E, h, h)
-    mmg_w1: np.ndarray  # (N, N*h+1, h), bias last
-    mmg_w2: np.ndarray  # (N, h+1, N), bias last
-    rl_w: np.ndarray  # (N, d+1, h), bias last
-    ngcn_w: np.ndarray  # (N, h, h), no bias
-    tip_w1: np.ndarray  # (N, h+1, h), bias last
-    tip_w2: np.ndarray  # (N, h+1, d), bias last
-    config: ModelConfig
+    gru_w: np.ndarray
+    gru_u: np.ndarray
+    enc_w: np.ndarray
+    mmg_w1: np.ndarray
+    mmg_w2: np.ndarray
+    rl_w: np.ndarray
+    ngcn_w: np.ndarray
+    tip_w1: np.ndarray
+    tip_w2: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.config, ModelConfig):
-            raise ValueError(f"config must be a ModelConfig, got {type(self.config).__name__}")
         # the tape wraps each array as a leaf without a copy, and Adam writes
         # the leaf in place; any other array would be converted, so its
         # updates would reach a copy and the stack would never train
@@ -107,15 +110,17 @@ class ParamStack:
             if bad is not None:  # else the first forward fails, naming only the tape op 'leaf'
                 raise ValueError(f"{name}[{', '.join(map(str, bad))}] is {arr[bad]}, "
                                  "not a finite weight")
-        # batched_forward reads the arrays, train() and serves() the config: they must agree
-        n, d, h = self.num_nodes, self.input_dim, self.config.hidden
-        e = 1 if self.config.share_encoder else n
-        for (name, arr), want in zip(self.arrays().items(), (
-                (e * n, d + 1, 3 * h), (e * n, h, 3 * h), (e, h, h), (n, n * h + 1, h),
-                (n, h + 1, n), (n, d + 1, h), (n, h, h), (n, h + 1, h), (n, h + 1, d))):
-            if arr.shape != want:
-                raise ValueError(f"{name} shape {arr.shape}, expected {want} for N = {n} "
-                                 f"(mmg_w2), d = {d} (rl_w), hidden = {h}, {e} encoder row(s)")
+        n, d = self.num_nodes, self.input_dim
+        e, h = self.enc_w.shape[:2]
+        if e not in (1, n) or h < 1:
+            raise ValueError(f"enc_w shape {self.enc_w.shape}: need 1 (shared) or N = {n} "
+                             "(mmg_w2) encoder rows of hidden width at least 1")
+        want = param_shapes(n, d, h, e)
+        for name, arr in self.arrays().items():
+            if arr.shape != want[name]:
+                raise ValueError(f"{name} shape {arr.shape}, expected {want[name]} for N = {n} "
+                                 f"(mmg_w2), d = {d} (rl_w), hidden = {h} and {e} encoder "
+                                 "row(s) (enc_w)")
 
     @property
     def num_nodes(self) -> int:
@@ -126,16 +131,16 @@ class ParamStack:
         return self.rl_w.shape[1] - 1
 
     def arrays(self) -> dict:
-        return {name: getattr(self, name) for name in _ARRAYS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def serves(self) -> dict:
         """Array name -> (rows, N) bool, True where row r serves node i: an
         encoder row and its N GRU rows serve every node when shared."""
         n = self.num_nodes
         node = np.eye(n, dtype=bool)
-        enc = np.ones((1, n), dtype=bool) if self.config.share_encoder else node
+        enc = np.ones((1, n), dtype=bool) if len(self.enc_w) == 1 else node
         return {name: np.repeat(enc, n, axis=0) if name.startswith("gru_")
-                else enc if name == "enc_w" else node for name in _ARRAYS}
+                else enc if name == "enc_w" else node for name in self.arrays()}
 
 
 def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> ParamStack:
@@ -153,13 +158,8 @@ def build_node_models(n: int, d: int, config: ModelConfig, base_seed: int) -> Pa
     check_count("base_seed", base_seed, 0)
     h = config.hidden
     enc_count = 1 if config.share_encoder else n
-    cells = enc_count * n
-    stack = ParamStack(
-        gru_w=np.zeros((cells, d + 1, 3 * h)), gru_u=np.zeros((cells, h, 3 * h)),
-        enc_w=np.zeros((enc_count, h, h)),
-        mmg_w1=np.zeros((n, n * h + 1, h)), mmg_w2=np.zeros((n, h + 1, n)),
-        rl_w=np.zeros((n, d + 1, h)), ngcn_w=np.zeros((n, h, h)),
-        tip_w1=np.zeros((n, h + 1, h)), tip_w2=np.zeros((n, h + 1, d)), config=config)
+    stack = ParamStack(**{name: np.zeros(shape)
+                          for name, shape in param_shapes(n, d, h, enc_count).items()})
     for i in range(n):
         rng = np.random.default_rng(base_seed ^ i)
         if i < enc_count:
@@ -271,9 +271,7 @@ def batched_forward(stack: ParamStack, x: np.ndarray, tape: Tape | None = None,
                              f"{mask_override[bad]}, not a finite gate")
     tt = t_len - 1
     g = s_count * tt
-    h = stack.config.hidden
-
-    n_e = stack.enc_w.shape[0]  # one shared encoder row or one per node
+    n_e, h = stack.enc_w.shape[:2]  # one shared encoder row or one per node
     if tape is None:  # no gradient will be taken
         tape = Tape(grad=False)
     leaves = {name: tape.leaf(arr) for name, arr in stack.arrays().items()}

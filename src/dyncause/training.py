@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -132,17 +132,22 @@ class _GroupConsts:
     tau_true: np.ndarray  # (N, G, N)
 
 
+def _kernel(x_target: np.ndarray, centres: np.ndarray) -> tuple:
+    """The structure kernel (delta, tau) of ``centres`` (N, G, d) against ``x_target``
+    (1, G, N, d): delta[i, t, j] = x_j^t - centres[i, t], tau = exp(-||delta||^2)."""
+    delta = x_target - centres[:, :, None, :]
+    tau = (delta * delta).sum(axis=3)
+    np.negative(tau, out=tau)
+    return delta, np.exp(tau, out=tau)
+
+
 def _group_consts(x: np.ndarray) -> _GroupConsts:
     s, n, t, d = x.shape
     g = s * (t - 1)
     x_next = np.ascontiguousarray(node_rows(x[:, :, 1:]))
     x_target = np.ascontiguousarray(rows_to_series(x_next, s).reshape(1, g, n, d))
-    # tau_true[i, g, j] = exp(-||x_j^t - x_i^t||^2)
-    tau = np.empty((n, g, n))
-    for i in range(n):
-        delta = x_target[0] - x_target[0][:, i : i + 1, :]
-        tau[i] = np.exp(-(delta ** 2).sum(axis=2))
-    return _GroupConsts(x_next=x_next, x_target=x_target, tau_true=tau)
+    return _GroupConsts(x_next=x_next, x_target=x_target,
+                        tau_true=_kernel(x_target, x_next)[1])
 
 
 def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
@@ -209,10 +214,7 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     diff = xh - consts.x_next
     recon = (diff * diff).sum(axis=2).mean(axis=1)
     dx = np.multiply(diff, 2.0 / g, out=diff)
-    delta = consts.x_target - xh[:, :, None, :]  # (N, G, N, d)
-    tau = (delta * delta).sum(axis=3)
-    np.negative(tau, out=tau)
-    np.exp(tau, out=tau)
+    delta, tau = _kernel(consts.x_target, xh)
     gap = consts.tau_true - tau
     struct = (gap * gap).mean(axis=(1, 2))
     gap *= tau
@@ -329,9 +331,9 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     an empty axis or a single step raises ``ShapeError`` (``series_shape``).
 
     ``models`` (default: ``build_node_models`` at ``config.seed``) is trained
-    in place and returned as ``TrainResult.models``; it must be built for
-    ``config.model_config()`` and the data's N and d, or ``ValueError`` names
-    what differs (a ``ShapeError`` for N and d, as ``forward_full`` raises).
+    in place and returned as ``TrainResult.models``. Its arrays must have the
+    data's N and d, else ``ShapeError`` as in ``forward_full``, and the config's
+    (hidden, encoder rows), 1 row if shared, else ``ValueError`` names both pairs.
     Input is always standardized, and non-finite input raises
     ``SimulationError`` naming its (sample, node, t). A node stops training
     once its total loss has not improved by ``early_stop_tol`` for
@@ -342,15 +344,16 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     if weights.prior is not None and weights.prior.shape != (n, n):
         raise ValueError(f"prior shape {weights.prior.shape} does not match the "
                          f"{n} nodes of the data, expected {(n, n)}")
-    arch = config.model_config()
     if models is not None:
-        have, want = asdict(models.config), asdict(arch)
-        differ = [f"{k} {have[k]!r} != {want[k]!r}" for k in want if have[k] != want[k]]
-        if differ:
-            raise ValueError("models differ from config in " + ", ".join(differ))
         check_series(models, x)
+        have = models.enc_w.shape[1], len(models.enc_w)
+        want = config.hidden, 1 if config.share_encoder else n
+        if have != want:
+            raise ValueError(f"models have (hidden, encoder rows) = {have}, the config "
+                             f"asks for {want}")
     x = standardize(x)
-    stack = build_node_models(n, d, arch, config.seed) if models is None else models
+    stack = (build_node_models(n, d, config.model_config(), config.seed) if models is None
+             else models)
 
     # moments made before the first forward: made after the first backward, they would
     # split the heap space it freed, where the next forward's largest buffer goes

@@ -83,12 +83,12 @@ class TestParamStack:
             replace(stack, rl_w=bad(stack.rl_w))
 
     @pytest.mark.parametrize("change, message", [
-        # a per-node stack relabelled as shared trained per node under a
-        # shared config: train() compared the configs, the forward the arrays
-        ({"config": mdl.ModelConfig(hidden=4, share_encoder=True)},
+        # one shared encoder row on a per-node GRU bank: the arrays, not a
+        # separate record, say how many encoder rows there are
+        ({"enc_w": np.zeros((1, 4, 4))},
          r"gru_w shape \(9, 2, 12\), expected \(3, 2, 12\) .* 1 encoder row"),
-        # a hidden size the arrays lack failed only inside the GRU
-        ({"config": mdl.ModelConfig(hidden=5)},
+        # h is read from enc_w: a width the other arrays lack names the first of them
+        ({"enc_w": np.zeros((3, 5, 5))},
          r"gru_w shape \(9, 2, 12\), expected \(9, 2, 15\) .* hidden = 5"),
         # an rl_w of another d made check_series blame the data
         ({"rl_w": np.zeros((3, 3, 4))},
@@ -109,15 +109,6 @@ class TestParamStack:
         with pytest.raises(ValueError, match=r"^mmg_w1\[2, 5, 1\] is nan, not a finite weight$"):
             replace(stack, mmg_w1=bad)
 
-    def test_config_of_another_type_rejected_by_name(self):
-        # None failed on the first read of config.hidden; a TrainConfig has
-        # the fields that read, so it passed as the stack's architecture
-        stack, _ = tiny_models()
-        with pytest.raises(ValueError, match="config must be a ModelConfig, got NoneType"):
-            replace(stack, config=None)
-        with pytest.raises(ValueError, match="config must be a ModelConfig, got TrainConfig"):
-            mdl.build_node_models(3, 1, tr.TrainConfig(hidden=4), 0)
-
     def test_array_without_three_axes_rejected_by_name(self):
         # N and d are read from mmg_w2 and rl_w, so their axes come first
         stack, _ = tiny_models()
@@ -125,13 +116,30 @@ class TestParamStack:
                                              r"got float64 \(3,\)"):
             replace(stack, mmg_w2=np.zeros(3))
 
-    @pytest.mark.parametrize("name", ["gru_u", "enc_w", "mmg_w1", "ngcn_w", "tip_w1",
-                                      "tip_w2"])
+    @pytest.mark.parametrize("name", ["gru_u", "mmg_w1", "ngcn_w", "tip_w1", "tip_w2"])
     def test_array_of_another_shape_named(self, name):
         stack, _ = tiny_models()
         arr = getattr(stack, name)
         with pytest.raises(ValueError, match=rf"^{name} shape \({arr.shape[0] + 1}, "):
             replace(stack, **{name: np.zeros((arr.shape[0] + 1, *arr.shape[1:]))})
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 0, 0)], ids=["two-rows", "no-width"])
+    def test_encoder_rows_neither_one_nor_n_named(self, shape):
+        # E is read from enc_w, so it is checked before the shapes it sets:
+        # one row every node shares, or one per node, each at least 1 wide
+        stack, _ = tiny_models(n=3)
+        with pytest.raises(ValueError, match=rf"^enc_w shape {re.escape(str(shape))}: need 1 "
+                                             r"\(shared\) or N = 3 \(mmg_w2\) encoder rows"):
+            replace(stack, enc_w=np.zeros(shape))
+
+    def test_param_shapes_is_the_layout_of_every_stack(self):
+        # the table names every field in field order, with the shape a
+        # build allocates for a per-node, a shared and a one-node stack
+        for n, d, h, share in ((3, 2, 4, False), (3, 2, 4, True), (1, 1, 2, False)):
+            stack, _ = tiny_models(n, d, h, share_encoder=share)
+            e = 1 if share else n
+            assert list(mdl.param_shapes(n, d, h, e)) == list(stack.arrays())
+            assert {k: a.shape for k, a in stack.arrays().items()} == mdl.param_shapes(n, d, h, e)
 
 
 class TestBuildNodeModels:

@@ -627,9 +627,28 @@ class TestTrain:
         # a stack built for another architecture would train without complaint
         series, _ = small_var_data(t=30)
         stack = build_node_models(5, 1, ModelConfig(hidden=7, share_encoder=True), 0)
-        with pytest.raises(ValueError, match=r"hidden 7 != 4, share_encoder True != False"):
+        with pytest.raises(ValueError, match=r"\(hidden, encoder rows\) = \(7, 1\), the config "
+                                             r"asks for \(4, 5\)"):
             tr.train(series, tr.TrainConfig(epochs=1, hidden=4), tr.LossWeights(),
                      models=stack)
+
+    def test_one_node_stack_serves_either_encoder_config(self):
+        # at N = 1 the one encoder row is both shared and per node: the two
+        # builds are the same arrays, and train() takes either under either
+        def build(share):
+            return build_node_models(1, 1, ModelConfig(hidden=3, share_encoder=share), 4)
+
+        shared, per_node = build(True), build(False)
+        for name, arr in shared.arrays().items():
+            np.testing.assert_array_equal(arr, per_node.arrays()[name], err_msg=name)
+        for name, rows in shared.serves().items():
+            np.testing.assert_array_equal(rows, per_node.serves()[name], err_msg=name)
+        series = np.random.default_rng(4).standard_normal((1, 1, 30, 1))
+        for built_shared in (True, False):
+            for share in (True, False):
+                config = tr.TrainConfig(epochs=1, hidden=3, share_encoder=share)
+                fit = tr.train(series, config, tr.LossWeights(), models=build(built_shared))
+                assert fit.epochs_run == 1
 
     def test_given_stack_must_match_data(self):
         # a stack for 6 nodes used to fail deep inside the GRU bank
