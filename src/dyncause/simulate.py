@@ -57,10 +57,10 @@ class GroundTruthGraph:
     """Binary causal adjacency, optionally switching between regimes.
 
     ``regimes`` lists (start_t, adjacency) with strictly increasing start
-    times, the first at 0; a static graph has a single regime, and
-    ``adjacency`` is the first regime's. Every matrix is a square 0/1 matrix
-    over the same N nodes, stored as an int64 copy whatever the caller
-    passed.
+    times, each an integer time step, the first 0; a static graph has a
+    single regime, and ``adjacency`` is the first regime's. Every matrix is
+    a square 0/1 matrix over the same N nodes, stored as an int64 copy
+    whatever the caller passed.
     """
 
     regimes: list
@@ -78,6 +78,8 @@ class GroundTruthGraph:
             if not np.isin(adj, (0, 1)).all():
                 raise SimulationError(f"regime {k} adjacency entries must be 0 or 1")
         starts = [s for s, _ in self.regimes]
+        for k, start in enumerate(starts):
+            check_count(f"regime {k} start", start, 0, SimulationError)
         if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise SimulationError("regime starts must be strictly increasing from 0")
         self.regimes = [(s, np.array(adj, dtype=np.int64)) for s, adj in self.regimes]

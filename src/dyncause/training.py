@@ -4,12 +4,14 @@ divergence + log-sum sparsity, trained per node with Adam.
 Every node model trains independently (disjoint parameters, per-node loss).
 ``train`` runs all N nodes through one ``batched_forward`` tape per chunk of
 samples. ``criterion`` puts the four-term loss of every node on that tape as
-one node with a closed-form backward; its root is the sum of the per-node
-losses, so gradients and Adam steps equal those of training each node
-alone. The tape leaves are the ``ParamStack`` arrays, and Adam updates them
-in place. Input is always standardized per channel. The structure kernel has
-no scale and the log-sum scale is ``SPARSITY_EPS``; ``LossWeights`` holds
-only the weights a fit chooses.
+one node with a closed-form backward. Like the forward, it reads the
+chunk's series, and it builds the true next values and their structure
+kernel on every call, so a fit keeps no copy of the data beside it. Its
+root is the sum of the per-node losses, so gradients and Adam steps equal
+those of training each node alone. The tape leaves are the ``ParamStack``
+arrays, and Adam updates them in place. Input is always standardized per
+channel. The structure kernel has no scale and the log-sum scale is
+``SPARSITY_EPS``; ``LossWeights`` holds only the weights a fit chooses.
 """
 
 from __future__ import annotations
@@ -122,16 +124,6 @@ LOSS_TERMS = ("recon", "struct", "div", "sparsity")
 SPARSITY_EPS = 0.01  # the log-sum scale of Candes, Wakin and Boyd (2008)
 
 
-@dataclass
-class _GroupConsts:
-    """What ``criterion`` reads of one chunk's series besides the forward's
-    output: the true next values in two layouts and the target kernel."""
-
-    x_next: np.ndarray  # (N, G, d)
-    x_target: np.ndarray  # (1, G, N, d)
-    tau_true: np.ndarray  # (N, G, N)
-
-
 def _kernel(x_target: np.ndarray, centres: np.ndarray) -> tuple:
     """The structure kernel (delta, tau) of ``centres`` (N, G, d) against ``x_target``
     (1, G, N, d): delta[i, t, j] = x_j^t - centres[i, t], tau = exp(-||delta||^2)."""
@@ -139,15 +131,6 @@ def _kernel(x_target: np.ndarray, centres: np.ndarray) -> tuple:
     tau = (delta * delta).sum(axis=3)
     np.negative(tau, out=tau)
     return delta, np.exp(tau, out=tau)
-
-
-def _group_consts(x: np.ndarray) -> _GroupConsts:
-    s, n, t, d = x.shape
-    g = s * (t - 1)
-    x_next = np.ascontiguousarray(node_rows(x[:, :, 1:]))
-    x_target = np.ascontiguousarray(rows_to_series(x_next, s).reshape(1, g, n, d))
-    return _GroupConsts(x_next=x_next, x_target=x_target,
-                        tau_true=_kernel(x_target, x_next)[1])
 
 
 def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
@@ -180,16 +163,18 @@ def _divergence(m_bar: np.ndarray, weights: LossWeights) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is named below, by node and term
-def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
-              weights: LossWeights) -> tuple:
+def criterion(masks: Tensor, x_hat: Tensor, x: np.ndarray, weights: LossWeights) -> tuple:
     """The four-term loss of every node of the batch, as one tape node.
 
     ``masks`` (N, G, N) and ``x_hat`` (N, G, d) are the forward's gate rows
-    and predictions over G = S*(T-1) transitions. Returns the scalar root,
-    the sum over nodes of recon + beta1*struct + beta2*div + beta3*sparsity,
-    and a dict of per-node arrays: each of ``LOSS_TERMS``, unweighted and
-    computed on every call, a zero beta included, and their weighted sum
-    "total". A beta only scales its term and that term's gradient.
+    and predictions over the G = S*(T-1) transitions of ``x``, the chunk's
+    standardized (S, N, T, d) series: the forward's input, from which the
+    truths are read. An operand of any other shape raises ``ShapeError``
+    naming both shapes. Returns the scalar root, the sum over nodes of
+    recon + beta1*struct + beta2*div + beta3*sparsity, and a dict of
+    per-node arrays: each of ``LOSS_TERMS``, unweighted and computed on
+    every call, a zero beta included, and their weighted sum "total". A
+    beta only scales its term and that term's gradient.
 
     - recon: (1/G) sum_t ||x_i^t - xhat_i^t||^2;
     - struct: mean over (t, j) of (tau_true - tau)^2, where
@@ -203,19 +188,27 @@ def criterion(masks: Tensor, x_hat: Tensor, consts: _GroupConsts,
     the backward scales them by the root's gradient. A non-finite term
     raises ``NumericError`` naming the first node and term that hold one.
     """
-    if x_hat.shape != consts.x_next.shape:
-        raise ShapeError(f"prediction shape {x_hat.shape} != truth {consts.x_next.shape}")
+    s, n, t, d = x.shape
+    g = s * (t - 1)
+    for name, op, want in (("masks", masks, (n, g, n)), ("x_hat", x_hat, (n, g, d))):
+        if op.shape != want:
+            raise ShapeError(f"{name} shape {op.shape} != {want} for a series of "
+                             f"shape {x.shape}")
     m, xh = masks.data, x_hat.data
-    _, g, n = m.shape
+    x_next = np.ascontiguousarray(node_rows(x[:, :, 1:]))
+    x_target = np.ascontiguousarray(rows_to_series(x_next, s).reshape(1, g, n, d))
+    # the truth kernel first, so that its (N, G, N, d) delta is freed before
+    # the prediction's is made
+    gap = _kernel(x_target, x_next)[1]
     # every gradient is formed here, in a buffer the loss has read for the
     # last time, so the closure holds only dm and dx. Kept for the backward,
     # the forward's buffers read about 3% more peak RSS on var10-node, and
     # fresh gradient arrays about 4%
-    diff = xh - consts.x_next
+    diff = xh - x_next
     recon = (diff * diff).sum(axis=2).mean(axis=1)
     dx = np.multiply(diff, 2.0 / g, out=diff)
-    delta, tau = _kernel(consts.x_target, xh)
-    gap = consts.tau_true - tau
+    delta, tau = _kernel(x_target, xh)
+    gap -= tau
     struct = (gap * gap).mean(axis=(1, 2))
     gap *= tau
     delta *= gap[..., None]
@@ -305,9 +298,8 @@ def write_loss_history_csv(history: list, path) -> None:
             writer.writerow(row)
 
 
-def _train_step(stack: ParamStack, x: np.ndarray, consts: _GroupConsts,
-                config: TrainConfig, weights: LossWeights, adam: AdamState,
-                active: np.ndarray) -> dict:
+def _train_step(stack: ParamStack, x: np.ndarray, config: TrainConfig,
+                weights: LossWeights, adam: AdamState, active: np.ndarray) -> dict:
     """One forward, backward and Adam step on one chunk of samples; returns
     the loss terms and total as arrays, so the chunk's tape dies here.
 
@@ -315,7 +307,7 @@ def _train_step(stack: ParamStack, x: np.ndarray, consts: _GroupConsts,
     """
     tape = Tape()
     out = batched_forward(stack, x, tape)
-    root, terms = criterion(out.masks, out.predictions, consts, weights)
+    root, terms = criterion(out.masks, out.predictions, x, weights)
     grads = tape.backward(root)
     params = {name: leaf.data for name, leaf in out.leaves.items()}
     grad_arrays = {name: grads.wrt(leaf) for name, leaf in out.leaves.items()}
@@ -365,13 +357,12 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
     history = []  # appended in (epoch, node) order
     size = config.minibatch_size if config.batch_mode == "sample_minibatch" else s_count
     chunks = [x[k:k + size] for k in range(0, s_count, size)]
-    chunk_consts = [_group_consts(xc) for xc in chunks]
 
     for epoch in range(1, config.epochs + 1):
         sums = {key: np.zeros(n) for key in (*LOSS_TERMS, "total")}
         try:
-            for xc, cc in zip(chunks, chunk_consts):
-                for key, value in _train_step(stack, xc, cc, config, weights, adam,
+            for xc in chunks:
+                for key, value in _train_step(stack, xc, config, weights, adam,
                                               active).items():
                     sums[key] += value
         except NumericError as err:
@@ -390,11 +381,10 @@ def train(data: np.ndarray, config: TrainConfig, weights: LossWeights,
         if not active.any():
             break
 
-    # free the Adam moments and chunk constants before the full-series
-    # forward, the largest of the fit: alive, they add about 7 MB to the
-    # peak RSS of a 50-window minibatch fit. The loop variables hold the
-    # last chunk's constants too (1.7 MB on a 20-node, 500-step series)
-    del adam, chunk_consts, xc, cc
+    # free the Adam moments, two copies of every parameter, before the
+    # full-series forward, the largest of the fit: the chunks are views of x,
+    # so the moments are all the loop leaves to free
+    del adam
     masks, preds = output_series(batched_forward(stack, x), s_count)  # no gradient state
     return TrainResult(models=stack, history=history, masks=masks,
                        predictions=preds, final_losses=means["total"],

@@ -344,11 +344,11 @@ class TestBackward:
 
 # every op of autodiff, blocks and training: (shapes of its tensor operands,
 # the op applied to tensors of those shapes). gated_pool's x_prev and prop,
-# encoder_gcn's prop and criterion's constants and weights are not tensors,
+# encoder_gcn's prop and criterion's series and weights are not tensors,
 # so they are fixed here.
 _POOL_X, _POOL_PROP = np.linspace(-1.0, 1.0, 24).reshape(3, 4, 2), np.full((2, 3), 0.5)
 _GCN_PROP = np.full((2, 2), 0.5)
-_CRIT_CONSTS = tr._group_consts(np.linspace(-1.0, 1.0, 10).reshape(1, 2, 5, 1))
+_CRIT_X = np.linspace(-1.0, 1.0, 10).reshape(1, 2, 5, 1)
 _CRIT_WEIGHTS = tr.LossWeights.with_uniform_prior(2)
 OPS = {
     "dense": ([(1, 2, 3), (2, 4, 5)], lambda x, wb: ad.dense(x, wb, "tanh")),
@@ -358,8 +358,7 @@ OPS = {
     "encoder_gcn": ([(2, 8, 3), (2, 3, 3)],
                     lambda hs, w: blocks.encoder_gcn(hs, w, _GCN_PROP)),
     "criterion": ([(2, 4, 2), (2, 4, 1)],
-                  lambda masks, x_hat: tr.criterion(masks, x_hat, _CRIT_CONSTS,
-                                                    _CRIT_WEIGHTS)[0]),
+                  lambda masks, x_hat: tr.criterion(masks, x_hat, _CRIT_X, _CRIT_WEIGHTS)[0]),
 }
 
 

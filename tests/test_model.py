@@ -515,7 +515,7 @@ class TestBatchedForward:
         out = mdl.batched_forward(models, x, tape)
         assert len(tape) == 18
         weights = tr.LossWeights()
-        tr.criterion(out.masks, out.predictions, tr._group_consts(x), weights)
+        tr.criterion(out.masks, out.predictions, x, weights)
         assert len(tape) == 19
         assert ops == ["gru_sequence", "encoder_gcn", "dense", "dense", "gated_pool",
                        "dense", "dense", "criterion"]
@@ -579,8 +579,7 @@ class TestInference:
         x = np.random.default_rng(19).standard_normal((2, 3, 6, 1))
         out = mdl.batched_forward(models, x)
         weights = tr.LossWeights()
-        root, _ = tr.criterion(out.masks, out.predictions,
-                               tr._group_consts(x), weights)
+        root, _ = tr.criterion(out.masks, out.predictions, x, weights)
         with pytest.raises(RuntimeError, match="grad=False"):
             out.tape.backward(root)
 

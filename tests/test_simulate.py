@@ -38,11 +38,18 @@ class TestGenVar:
         transition, _ = sim._draw_var_system(7, 2, rng)
         np.testing.assert_array_equal(transition[0] != 0, transition[1] != 0)
 
-    def test_spectral_radius_capped(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            transition, _ = sim._draw_var_system(12, 2, rng)
-            assert sim.companion_spectral_radius(transition) < 0.95 + 1e-9
+    def test_spectral_radius_capped(self, monkeypatch):
+        # at the default VAR_COEFF no draw reaches the cap (0.57 at most over
+        # 200 seeds at p=2), so the rescale would go untested: at 0.5 the p=2
+        # draws exceed it and must come back at exactly the cap
+        monkeypatch.setattr(sim, "VAR_COEFF", 0.5)
+        for p in (1, 2):
+            radii = [sim.companion_spectral_radius(
+                sim._draw_var_system(12, p, np.random.default_rng(seed))[0])
+                for seed in range(5)]
+            assert max(radii) < 0.95 + 1e-9, p
+        # the p=2 draws were rescaled to the cap
+        assert any(abs(r - 0.95) < 1e-9 for r in radii)
 
     def test_invalid_lag_rejected(self):
         with pytest.raises(sim.SimulationError):
@@ -221,6 +228,14 @@ class TestGroundTruthGraph:
     def test_every_regime_validated(self, regimes, match):
         with pytest.raises(sim.SimulationError, match=match):
             sim.GroundTruthGraph(regimes)
+
+    @pytest.mark.parametrize("start", [2.5, True, np.inf, -1],
+                             ids=["float", "bool", "inf", "negative"])
+    def test_regime_start_must_be_a_time_step(self, start):
+        # a start of 2.5 was kept, so regime_at(2) read regime 0 of a graph
+        # that switches at 2.5
+        with pytest.raises(sim.SimulationError, match="^regime 1 start must be"):
+            sim.GroundTruthGraph([(0, self.EYE), (start, self.EYE)])
 
     def test_every_regime_stored_as_an_int_array(self):
         # a regime given as nested lists came back from regime_at as a list

@@ -1,5 +1,6 @@
 import csv
 import gc
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -74,17 +75,16 @@ def loss_terms(weights, masks, x_hat=None, x_target=None):
     """``criterion``'s per-node terms when every node gets the gate rows
     ``masks`` (G, N); ``x_hat`` (N, G, d) are the predictions and
     ``x_target`` (G, N, d) the true values at the predicted steps, zeros by
-    default. The constants come from training's own ``_group_consts``."""
+    default, laid out as the (1, N, G+1, d) series ``criterion`` reads."""
     masks = np.asarray(masks, dtype=np.float64)
     g, n = masks.shape
     x_target = np.zeros((g, n, 1)) if x_target is None else np.asarray(x_target)
     x_hat = np.zeros((n, g, x_target.shape[2])) if x_hat is None else np.asarray(x_hat)
     series = np.zeros((1, n, g + 1, x_target.shape[2]))
     series[0, :, 1:, :] = x_target.transpose(1, 0, 2)
-    consts = tr._group_consts(series)
     tape = Tape()
     every = np.broadcast_to(masks, (n, g, n)).copy()
-    return tr.criterion(tape.leaf(every), tape.leaf(x_hat), consts, weights)[1]
+    return tr.criterion(tape.leaf(every), tape.leaf(x_hat), series, weights)[1]
 
 
 def recon_loss(x_true, x_hat):
@@ -144,10 +144,13 @@ class TestStructLoss:
         assert struct_loss(x_target, 1, x_target[:, 1, :].copy()) == 0.0
 
     def test_kernel_self_similarity_is_one(self):
-        # the target kernel of node i at input i, at every transition
-        consts = tr._group_consts(np.random.default_rng(2).standard_normal((2, 3, 5, 2)))
+        # the truth kernel of node i at input i, at every transition: the
+        # kernel of the true next values, in both of criterion's layouts
+        x = np.random.default_rng(2).standard_normal((2, 3, 5, 2))
+        x_next = np.ascontiguousarray(x[:, :, 1:].transpose(1, 0, 2, 3).reshape(3, 8, 2))
+        tau_true = tr._kernel(x_next.transpose(1, 0, 2)[None], x_next)[1]
         for i in range(3):
-            np.testing.assert_array_equal(consts.tau_true[i, :, i], 1.0)
+            np.testing.assert_array_equal(tau_true[i, :, i], 1.0)
 
     def test_hand_arithmetic(self):
         # N=2, one transition, d=1: truths x1=1, x2=3, prediction for node 0
@@ -228,22 +231,25 @@ def random_terms(weights, seed=0, g=5, n=3):
                       rng.standard_normal((n, g, 1)), rng.standard_normal((g, n, 1)))
 
 
-def term_free_sum(m, x_hat, consts, weights, terms):
+def term_free_sum(m, x_hat, x, weights, terms):
     """The total and the gates' and predictions' gradients of recon plus each
     term whose beta is positive, a zero-beta term left out rather than
     weighted by 0: ``criterion``'s closed forms in its operation order, on
-    the unweighted ``terms`` it reported."""
+    the (1, N, G+1, d) series ``x`` and the unweighted ``terms`` it reported."""
     _, g, n = m.shape
+    x_next = x[0, :, 1:]
+    x_target = x_next.transpose(1, 0, 2)[None]
     total = terms["recon"]
     betas = (weights.beta1, weights.beta2, weights.beta3)
     for key, beta in zip(tr.LOSS_TERMS[1:], betas):
         if beta > 0:
             total = total + terms[key] * beta
-    dx = (x_hat - consts.x_next) * (2.0 / g)
+    dx = (x_hat - x_next) * (2.0 / g)
     if weights.beta1 > 0:
-        delta = consts.x_target - x_hat[:, :, None, :]
+        delta = x_target - x_hat[:, :, None, :]
+        delta_true = x_target - x_next[:, :, None, :]
         tau = np.exp(-(delta * delta).sum(axis=3))
-        gap = (consts.tau_true - tau) * tau
+        gap = (np.exp(-(delta_true * delta_true).sum(axis=3)) - tau) * tau
         dx = dx - (delta * gap[..., None]).sum(axis=2) * (4.0 * weights.beta1 / (g * n))
     dm = np.zeros_like(m)
     if weights.beta3 > 0:
@@ -263,13 +269,13 @@ class TestTotalLoss:
         # terms, bit for bit
         n, g = 3, 5
         rng = np.random.default_rng(4)
-        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)))
+        x = rng.standard_normal((1, n, g + 1, 1))
         m0, x0 = rng.uniform(0.05, 0.95, (n, g, n)), rng.standard_normal((n, g, 1))
 
         def run(weights):
             tape = Tape()
             masks, x_hat = tape.leaf(m0.copy()), tape.leaf(x0.copy())
-            root, terms = tr.criterion(masks, x_hat, consts, weights)
+            root, terms = tr.criterion(masks, x_hat, x, weights)
             grads = tape.backward(root)
             return terms, grads.wrt(masks), grads.wrt(x_hat)
 
@@ -280,7 +286,7 @@ class TestTotalLoss:
         for key in tr.LOSS_TERMS:
             np.testing.assert_array_equal(terms[key], switched_on[key], err_msg=key)
         assert all(np.all(terms[key] > 0) for key in tr.LOSS_TERMS)
-        total, want_dm, want_dx = term_free_sum(m0, x0, consts, weights, terms)
+        total, want_dm, want_dx = term_free_sum(m0, x0, x, weights, terms)
         np.testing.assert_array_equal(terms["total"], total)
         np.testing.assert_array_equal(dm, want_dm)
         np.testing.assert_array_equal(dx, want_dx)
@@ -304,11 +310,11 @@ class TestTotalLoss:
     def test_total_is_the_weighted_sum_and_the_root_its_sum(self):
         weights = tr.LossWeights(beta1=0.1, beta2=0.2, beta3=0.3)
         rng = np.random.default_rng(1)
-        consts = tr._group_consts(rng.standard_normal((1, 3, 6, 1)))
+        x = rng.standard_normal((1, 3, 6, 1))
         tape = Tape()
         masks = tape.leaf(rng.uniform(0.05, 0.95, (3, 5, 3)))
         root, terms = tr.criterion(masks, tape.leaf(rng.standard_normal((3, 5, 1))),
-                                   consts, weights)
+                                   x, weights)
         want = (terms["recon"] + 0.1 * terms["struct"] + 0.2 * terms["div"]
                 + 0.3 * terms["sparsity"])
         np.testing.assert_allclose(terms["total"], want, rtol=1e-15)
@@ -325,12 +331,11 @@ class TestTotalLoss:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((s_count, n, t_len, 1))
         weights = tr.LossWeights(beta1=0.5, beta2=0.4, beta3=0.3)
-        consts = tr._group_consts(x)
 
         def full_loss(stack):
             tape = Tape()
             out = batched_forward(stack, x, tape)
-            root, _ = tr.criterion(out.masks, out.predictions, consts, weights)
+            root, _ = tr.criterion(out.masks, out.predictions, x, weights)
             return tape, out, root
 
         for share in (False, True):
@@ -400,8 +405,7 @@ class TestCriterion:
         rows = lambda a: np.ascontiguousarray(
             a.transpose(2, 0, 1, 3).reshape(n, s_count * t1, a.shape[3]))
         tape = Tape()
-        _, terms = tr.criterion(tape.leaf(rows(masks)), tape.leaf(rows(preds)),
-                                tr._group_consts(x), weights)
+        _, terms = tr.criterion(tape.leaf(rows(masks)), tape.leaf(rows(preds)), x, weights)
         want = reference_loss(masks, preds, x, weights)
         assert set(terms) == set(want)
         for key in want:
@@ -421,7 +425,7 @@ class TestCriterion:
         n, g = self.N, self.G
         rng = np.random.default_rng(11)
         weights = self._weights(case, n)
-        consts = tr._group_consts(rng.standard_normal((1, n, g + 1, 1)))
+        x = rng.standard_normal((1, n, g + 1, 1))
         m0 = rng.uniform(0.05, 0.95, (n, g, n))
         x0 = rng.standard_normal((n, g, 1))
         step = 1e-6
@@ -433,15 +437,31 @@ class TestCriterion:
 
         def root(m, x_hat):
             tape = Tape()
-            return tr.criterion(tape.leaf(m), tape.leaf(x_hat), consts, weights)[0]
+            return tr.criterion(tape.leaf(m), tape.leaf(x_hat), x, weights)[0]
 
         tape = Tape()
         masks, x_hat = tape.leaf(m0), tape.leaf(x0)
-        grads = tape.backward(tr.criterion(masks, x_hat, consts, weights)[0])
+        grads = tape.backward(tr.criterion(masks, x_hat, x, weights)[0])
         fd_m = central_diff_grad(lambda m: root(m, x0).data.item(), m0, h=step)
         fd_x = central_diff_grad(lambda x: root(m0, x).data.item(), x0)
         assert rel_err(grads.wrt(masks), fd_m) < 1e-6
         assert rel_err(grads.wrt(x_hat), fd_x) < 1e-6
+
+    @pytest.mark.parametrize("operand, shape", [
+        ("masks", (3, 5, 4)), ("masks", (3, 7, 3)), ("x_hat", (3, 5, 2)), ("x_hat", (2, 5, 1))],
+        ids=["masks-inputs", "masks-transitions", "x_hat-features", "x_hat-nodes"])
+    def test_operand_of_another_shape_named(self, operand, shape):
+        # N and G came from the gates, so gates of the wrong shape gave
+        # finite terms for a 3-node, 5-transition series
+        x = np.random.default_rng(6).standard_normal((1, 3, 6, 1))
+        ops = {"masks": np.full((3, 5, 3), 0.5), "x_hat": np.zeros((3, 5, 1))}
+        ops[operand] = np.full(shape, 0.5)
+        tape = Tape()
+        want = (3, 5, 3) if operand == "masks" else (3, 5, 1)
+        message = f"{operand} shape {shape} != {want} for a series of shape (1, 3, 6, 1)"
+        with pytest.raises(ad.ShapeError, match=f"^{re.escape(message)}$"):
+            tr.criterion(tape.leaf(ops["masks"]), tape.leaf(ops["x_hat"]), x,
+                         tr.LossWeights())
 
     @pytest.mark.parametrize("share", [False, True])
     def test_train_step_tape_is_the_forward_and_one_node(self, monkeypatch, share):
@@ -458,8 +478,8 @@ class TestCriterion:
         weights = tr.LossWeights.with_uniform_prior(3)
         x = standardize(np.random.default_rng(5).standard_normal((2, 3, 8, 1)))
         stack = build_node_models(3, 1, config.model_config(), config.seed)
-        tr._train_step(stack, x, tr._group_consts(x), config, weights,
-                       zero_adam(stack.arrays()), np.ones(3, dtype=bool))
+        tr._train_step(stack, x, config, weights, zero_adam(stack.arrays()),
+                       np.ones(3, dtype=bool))
         [(tape, forward_nodes)] = forwards
         assert (forward_nodes, len(tape)) == (18, 19)
 
@@ -797,32 +817,6 @@ class TestTrain:
             gc.enable()
         assert len(tapes) == 2 * 3 + 1  # 3 chunks per epoch, then the epilogue
 
-    def test_no_chunk_constants_alive_at_the_read_out(self, monkeypatch):
-        # the loop variables kept the last chunk's _GroupConsts (its targets
-        # and target kernel, 1.7 MB on a 20-node, 500-step series) alive
-        # through the full-series read-out, the largest forward of the fit
-        series = np.random.default_rng(9).standard_normal((5, 3, 20, 1))
-        config = tr.TrainConfig(epochs=2, hidden=4, batch_mode="sample_minibatch",
-                                minibatch_size=2)
-        made, alive = [], []
-        group_consts, forward = tr._group_consts, tr.batched_forward
-
-        def consts_spy(x):
-            consts = group_consts(x)
-            made.append(weakref.ref(consts))
-            return consts
-
-        def forward_spy(stack, x, tape=None, **kwargs):
-            if tape is None:  # the read-out takes no gradient
-                gc.collect()  # what is left is held, not cyclic garbage
-                alive.append(sum(ref() is not None for ref in made))
-            return forward(stack, x, tape, **kwargs)
-
-        monkeypatch.setattr(tr, "_group_consts", consts_spy)
-        monkeypatch.setattr(tr, "batched_forward", forward_spy)
-        tr.train(series, config, tr.LossWeights())
-        assert len(made) == 3 and alive == [0]
-
     def test_train_step_memory_bound(self):
         # var20-shared's shape: N=20, T=500, h=15, one shared encoder row. One
         # (N, N, T-1, h) buffer, the size of gated pooling's whole activation,
@@ -837,11 +831,10 @@ class TestTrain:
         weights = tr.LossWeights()
         stack = build_node_models(n, 1, config.model_config(), config.seed)
         x = standardize(gen_var(n, 1, t_len, seed=3)[0])
-        consts = tr._group_consts(x)
         active = np.ones(n, dtype=bool)
         tracemalloc.start()
         try:
-            terms = tr._train_step(stack, x, consts, config, weights,
+            terms = tr._train_step(stack, x, config, weights,
                                    zero_adam(stack.arrays()), active)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -855,18 +848,18 @@ class TestTrain:
         seen = []
         original = tr.criterion
 
-        def spy(masks, x_hat, consts, weights):
-            seen.append((masks.data.copy(), x_hat.data.copy(), consts))
-            return original(masks, x_hat, consts, weights)
+        def spy(masks, x_hat, x, weights):
+            seen.append((masks.data.copy(), x_hat.data.copy(), x))
+            return original(masks, x_hat, x, weights)
 
         monkeypatch.setattr(tr, "criterion", spy)
         series, _ = small_var_data(n=3, t=30)
         result = tr.train(series, tr.TrainConfig(epochs=2, hidden=3),
                           tr.LossWeights(beta1=0.0))
         assert len(seen) == 2  # one full-batch step per epoch
-        for epoch, (m, x_hat, consts) in enumerate(seen, 1):
+        for epoch, (m, x_hat, x) in enumerate(seen, 1):
             tape = Tape()
-            want = original(tape.leaf(m), tape.leaf(x_hat), consts, tr.LossWeights())[1]
+            want = original(tape.leaf(m), tape.leaf(x_hat), x, tr.LossWeights())[1]
             got = [row["struct"] for row in result.history if row["epoch"] == epoch]
             np.testing.assert_array_equal(got, want["struct"])
             assert np.all(want["struct"] > 0)
